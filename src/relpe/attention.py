@@ -3,6 +3,14 @@
 Scores are q_i . (k_j + a^K_{j-i}) / sqrt(d_z) and outputs are
 sum_j alpha_ij (v_j + a^V_{j-i}); with no table both relative terms vanish
 and the block degrades to vanilla scaled dot-product attention.
+
+The relative terms use the 2n-1 offset rows R (row o holds a_{o-(n-1)}),
+the relative-shift trick of Transformer-XL and Music Transformer: a query
+is scored against every offset at once, q @ R^K.T of shape (n, 2n-1), and
+``rel_gather`` picks entry (i, j - i + n - 1) for each pair. Values go the
+other way: ``rel_scatter`` puts alpha_ij into bucket j - i of row i, and one
+matmul with R^V sums each bucket's encoding. Both terms are dense matmuls
+plus O(n^2) index maps, so a head needs O(n^2 + n*d_z) memory.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import Tensor, concat, dropout, softmax
+from .tensor import Tensor, concat, dropout, rel_gather, rel_scatter, softmax
 
-MASK_FILL = -1e9  # additive surrogate for -inf on padded columns
+# Score given to padded columns. Finite in binary16 (max 65504), and far
+# enough below any real score that exp underflows to exactly zero weight.
+MASK_FILL = -1e4
 
 
 @dataclass
@@ -59,14 +69,19 @@ def init_head_weights(cfg: AttentionConfig, rng: np.random.Generator) -> HeadWei
                        bo=Tensor(np.zeros(d), requires_grad=True, name="bo"))
 
 
-def _mask_bias(mask: np.ndarray | None, n: int) -> np.ndarray | None:
+def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
+    """Set padded columns to exactly MASK_FILL.
+
+    The fill replaces the score (score * 0 + fill) rather than adding to it,
+    so no score + fill sum exists that could round past binary16's range.
+    """
     if mask is None:
-        return None
+        return scores
+    n = scores.shape[-1]
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (n,):
         raise ValueError(f"mask shape {mask.shape} does not match sequence length {n}")
-    bias = np.where(mask, 0.0, MASK_FILL)
-    return bias[None, :]
+    return scores * Tensor(mask.astype(np.float64)) + Tensor(np.where(mask, 0.0, MASK_FILL))
 
 
 def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None,
@@ -78,15 +93,11 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
     if table is not None and table.d_z != d_z:
         raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={d_z}")
     scale = 1.0 / np.sqrt(d_z)
-    scores = (q @ k.T) * scale
+    scores = q @ k.T
     if table is not None:
-        a_k = table.block(n, role="K")           # (n, n, d_z)
-        rel = (q.reshape(n, 1, d_z) * a_k).sum(axis=2)
-        scores = scores + rel * scale
-    bias = _mask_bias(mask, n)
-    if bias is not None:
-        scores = scores + Tensor(bias)
-    return scores
+        r_k = table.block(n, role="K")           # (2n-1, d_z)
+        scores = scores + rel_gather(q @ r_k.T)
+    return _apply_mask(scores * scale, mask)
 
 
 def attention_output(alpha: Tensor, v: Tensor,
@@ -99,8 +110,8 @@ def attention_output(alpha: Tensor, v: Tensor,
     if table is not None:
         if table.d_z != d_z:
             raise ValueError(f"table d_z={table.d_z} does not match v d_z={d_z}")
-        a_v = table.block(n, role="V")           # (n, n, d_z)
-        out = out + (alpha.reshape(n, n, 1) * a_v).sum(axis=1)
+        r_v = table.block(n, role="V")           # (2n-1, d_z)
+        out = out + rel_scatter(alpha) @ r_v
     return out
 
 

@@ -1,10 +1,14 @@
 """Positional encodings: fixed sinusoidal relative, learned relative, learned absolute.
 
-Three schemes are supported. FRPE vectors are a pure function of the signed
-offset j - i, so lookups beyond the built range recompute transparently and
-the table never registers parameters. PRPE keeps two learned banks (key and
-value roles) indexed by the clipped offset. PAPE is a learned per-position
-table added to the input embeddings and hard-fails past its last row.
+Three schemes are supported. Both relative schemes hand attention the 2n-1
+distinct offset rows a_{-(n-1)} .. a_{n-1} of a length-n sequence as one
+(2n-1, d_z) array; attention maps scores and weights between positions and
+offsets, so relative attention needs O(n^2 + n*d_z) memory per head. FRPE
+vectors are a pure function of the signed offset j - i: any length works,
+lookups never modify the table, and the table registers no parameters. PRPE
+keeps two learned banks (key and value roles) indexed by the clipped offset.
+PAPE is a learned per-position table added to the input embeddings and
+hard-fails past its last row.
 """
 
 from __future__ import annotations
@@ -29,23 +33,16 @@ class Scheme(str, Enum):
 
 
 def frpe_vector(delta: int, d_z: int) -> np.ndarray:
-    """Sinusoidal encoding of a signed offset.
+    """Sinusoidal encoding of one signed offset; see :func:`_frpe_block`."""
+    return _frpe_block(np.asarray(delta), d_z)
+
+
+def _frpe_block(deltas: np.ndarray, d_z: int) -> np.ndarray:
+    """Sinusoidal encodings of an array of signed offsets, shape deltas.shape + (d_z,).
 
     Component 2k is sin(delta / 10000^(2k/d_z)), component 2k+1 the matching
     cosine; wavelengths form a geometric progression from 2*pi to 10000*2*pi.
     """
-    if d_z % 2 != 0 or d_z <= 0:
-        raise ValueError(f"d_z must be a positive even integer, got {d_z}")
-    k = np.arange(d_z // 2)
-    angle = delta / (10000.0 ** (2.0 * k / d_z))
-    out = np.empty(d_z)
-    out[0::2] = np.sin(angle)
-    out[1::2] = np.cos(angle)
-    return out
-
-
-def _frpe_block(deltas: np.ndarray, d_z: int) -> np.ndarray:
-    """Vectorized frpe_vector over an array of offsets; output shape deltas.shape + (d_z,)."""
     if d_z % 2 != 0 or d_z <= 0:
         raise ValueError(f"d_z must be a positive even integer, got {d_z}")
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -59,10 +56,12 @@ def _frpe_block(deltas: np.ndarray, d_z: int) -> np.ndarray:
 
 @dataclass
 class RelPositionTable:
-    """Per-offset encoding vectors for offsets in [-(max_len-1), max_len-1].
+    """Encoding vectors a_delta of signed offsets delta = j - i.
 
     ``fixed`` tables hold one sinusoidal bank shared by the key and value
-    roles; learned tables hold separate banks clipped at ``clip`` offsets.
+    roles, built once over [-(max_len-1), max_len-1] and never modified;
+    offsets past it are computed from the same formula. Learned tables hold
+    separate banks clipped at ``clip`` offsets.
     """
     d_z: int
     max_len: int
@@ -77,32 +76,26 @@ class RelPositionTable:
             return {}
         return {"relpos.bank_k": self.bank_k, "relpos.bank_v": self.bank_v}
 
-    def _ensure_range(self, max_abs_offset: int):
-        if max_abs_offset < self.max_len:
-            return
-        # Function-defined, so growing the cache is transparent.
-        self.max_len = max_abs_offset + 1
-        offsets = np.arange(-(self.max_len - 1), self.max_len)
-        self.rows = _frpe_block(offsets, self.d_z)
-
     def row(self, delta: int, role: str = "K"):
         if self.fixed:
-            self._ensure_range(abs(int(delta)))
-            return self.rows[int(delta) + self.max_len - 1]
+            return frpe_vector(int(delta), self.d_z)
         idx = int(np.clip(delta, -self.clip, self.clip)) + self.clip
         bank = self.bank_k if role == "K" else self.bank_v
         return bank.data[idx]
 
     def block(self, n: int, role: str = "K") -> Tensor:
-        """Encoding tensor A with A[i, j] = a_{j-i}, shape (n, n, d_z)."""
-        pos = np.arange(n)
-        deltas = pos[None, :] - pos[:, None]
+        """Offset rows R of shape (2n-1, d_z), with R[o] = a_{o-(n-1)}.
+
+        These are the 2n-1 distinct vectors a_{j-i} for i, j in [0, n); any
+        length is allowed, since FRPE rows are a function of the offset.
+        """
+        offsets = np.arange(-(n - 1), n)
         if self.fixed:
-            self._ensure_range(n - 1)
-            return Tensor(self.rows[deltas + self.max_len - 1])
-        idx = np.clip(deltas, -self.clip, self.clip) + self.clip
+            if n <= self.max_len:   # the built rows already hold these offsets
+                return Tensor(self.rows[self.max_len - n:self.max_len + n - 1])
+            return Tensor(_frpe_block(offsets, self.d_z))
         bank = self.bank_k if role == "K" else self.bank_v
-        return bank.take_rows(idx)
+        return bank.take_rows(np.clip(offsets, -self.clip, self.clip) + self.clip)
 
 
 def build_rel_table(max_len: int, d_z: int, scheme: Scheme,

@@ -192,10 +192,12 @@ class Tensor:
     def __matmul__(self, other):
         other = as_tensor(other)
         def bwd(g):
+            # Transpose only the matrix axes; _accumulate sums any leading
+            # axes an operand was broadcast over.
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ np.swapaxes(other.data, -1, -2))
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
         return Tensor._make(self.data @ other.data, (self, other), bwd)
 
     # -- elementwise functions -------------------------------------------
@@ -288,6 +290,59 @@ def concat(tensors, axis=0) -> Tensor:
                 t._accumulate(piece)
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis),
                         tuple(tensors), bwd)
+
+
+def _offset_view(a: np.ndarray) -> np.ndarray:
+    """Writable (..., n, n) view of a C-contiguous (..., n, 2n-1) array.
+
+    View element [i, j] is a[i, j - i + n - 1], the offset-(j - i) column of
+    row i: its flat position in each (n, 2n-1) matrix is
+    (n - 1) + i * (2n - 2) + j, so one strided view covers every offset.
+    """
+    n = a.shape[-2]
+    return np.lib.stride_tricks.as_strided(
+        a.reshape(-1)[n - 1:], shape=a.shape[:-1] + (n,),
+        strides=a.strides[:-2] + ((2 * n - 2) * a.itemsize, a.itemsize))
+
+
+def _gather_offsets(x: np.ndarray) -> np.ndarray:
+    return _offset_view(np.ascontiguousarray(x))
+
+
+def _scatter_offsets(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (2 * n - 1,))
+    _offset_view(out)[...] = a
+    return out
+
+
+def rel_gather(x) -> Tensor:
+    """Offset-indexed (..., n, 2n-1) scores to position-indexed (..., n, n).
+
+    ``out[i, j] = x[i, j - i + n - 1]``: column o of ``x`` holds offset
+    o - (n - 1). The gradient is :func:`rel_scatter` of the incoming one.
+    """
+    x = as_tensor(x)
+    n = x.shape[-2] if x.ndim >= 2 else 0
+    if n < 1 or x.shape[-1] != 2 * n - 1:
+        raise ValueError(f"rel_gather needs shape (..., n, 2n-1) with n >= 1, got {x.shape}")
+    def bwd(g):
+        x._accumulate(_scatter_offsets(g))
+    return Tensor._make(_gather_offsets(x.data), (x,), bwd)
+
+
+def rel_scatter(a) -> Tensor:
+    """Place (..., n, n) weights into offset buckets of a (..., n, 2n-1) array.
+
+    ``out[i, j - i + n - 1] = a[i, j]`` and every other entry is zero; the
+    inverse of :func:`rel_gather`, which is also its gradient.
+    """
+    a = as_tensor(a)
+    if a.ndim < 2 or a.shape[-1] < 1 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"rel_scatter needs shape (..., n, n) with n >= 1, got {a.shape}")
+    def bwd(g):
+        a._accumulate(_gather_offsets(g))
+    return Tensor._make(_scatter_offsets(a.data), (a,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

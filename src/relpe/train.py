@@ -115,10 +115,18 @@ class Trainer:
         start_step = self.resume(resume_from) if resume_from else 0
 
         own_log = log_fh is None
+        log_path = out_dir / "metrics.jsonl"
+        # Resuming into the run's own directory continues its log: earlier
+        # records stay, and a resume record marks where the replayed steps
+        # start (they supersede any records of the same steps above it).
+        append = own_log and bool(resume_from) and log_path.exists()
         if own_log:
-            log_fh = open(out_dir / "metrics.jsonl", "w", encoding="utf-8")
+            log_fh = open(log_path, "a" if append else "w", encoding="utf-8")
         try:
-            write_metrics_header(log_fh, config)
+            if append:
+                log_fh.write(json.dumps({"type": "resume", "from_step": start_step}) + "\n")
+            else:
+                write_metrics_header(log_fh, config)
             last = None
             if config.total_steps == 0:
                 self.save(out_dir / "checkpoint-init")

@@ -4,8 +4,9 @@ import pytest
 from relpe.attention import (AttentionConfig, HeadWeights, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
+from relpe.optim import round_half
 from relpe.posenc import Scheme, build_rel_table, frpe_vector
-from relpe.tensor import Tensor, softmax
+from relpe.tensor import Tensor, softmax, value_filter
 
 
 def reference_multi_head(x, weights, cfg, table=None, mask=None):
@@ -107,6 +108,63 @@ class TestAttentionOutput:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+class TestOffsetRowAttention:
+    """Relative scores, outputs and their gradients against the double loop.
+
+    With L = sum(G1 * scores) + sum(G2 * out), each gradient is a sum over
+    the pairs (i, j) whose offset j - i selects the encoding row.
+    """
+
+    @staticmethod
+    def direct(table, q, k, alpha, v, g1, g2):
+        n, d_z = q.shape
+        s = 1.0 / np.sqrt(d_z)
+        scores, out = np.zeros((n, n)), np.zeros((n, d_z))
+        dq, dalpha = np.zeros((n, d_z)), np.zeros((n, n))
+        d_bank = {"K": {}, "V": {}}
+        for i in range(n):
+            for j in range(n):
+                a_k, a_v = table.row(j - i, "K"), table.row(j - i, "V")
+                scores[i, j] = q[i] @ (k[j] + a_k) * s
+                out[i] += alpha[i, j] * (v[j] + a_v)
+                dq[i] += g1[i, j] * (k[j] + a_k) * s
+                dalpha[i, j] = g2[i] @ (v[j] + a_v)
+                key = int(np.clip(j - i, -table.clip, table.clip)) + table.clip
+                d_bank["K"][key] = d_bank["K"].get(key, 0.0) + g1[i, j] * q[i] * s
+                d_bank["V"][key] = d_bank["V"].get(key, 0.0) + alpha[i, j] * g2[i]
+        return scores, out, dq, dalpha, d_bank
+
+    @pytest.mark.parametrize("scheme, max_len, n", [
+        (Scheme.PRPE, 7, 7),       # clip 2 < n: offsets past +-2 share a row
+        (Scheme.FRPE, 4, 8),       # twice the built table's length
+    ])
+    def test_matches_double_loop(self, scheme, max_len, n):
+        rng = np.random.default_rng(17)
+        d_z = 4
+        table = build_rel_table(max_len, d_z, scheme, rng_seed=5, clip=2)
+        rows_before = None if table.rows is None else table.rows.copy()
+        q, k, v = (Tensor(rng.normal(size=(n, d_z)), requires_grad=True) for _ in range(3))
+        alpha = Tensor(softmax(Tensor(rng.normal(size=(n, n)))).data, requires_grad=True)
+        g1, g2 = rng.normal(size=(n, n)), rng.normal(size=(n, d_z))
+
+        scores = attention_scores(q, k, table)
+        out = attention_output(alpha, v, table)
+        ((scores * Tensor(g1)).sum() + (out * Tensor(g2)).sum()).backward()
+
+        want = self.direct(table, q.data, k.data, alpha.data, v.data, g1, g2)
+        for got, expected in zip((scores.data, out.data, q.grad, alpha.grad), want):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        if scheme is Scheme.PRPE:
+            for role, bank in (("K", table.bank_k), ("V", table.bank_v)):
+                expected = np.zeros_like(bank.data)
+                for key, grad in want[4][role].items():
+                    expected[key] = grad
+                np.testing.assert_allclose(bank.grad, expected, rtol=0, atol=1e-12)
+        else:
+            assert table.max_len == max_len
+            np.testing.assert_array_equal(table.rows, rows_before)
+
+
 class TestMultiHeadAttention:
     def test_single_position_softmax_collapses(self):
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.FRPE)
@@ -141,6 +199,34 @@ class TestMultiHeadAttention:
         alpha = softmax(attention_scores(q, k, mask=mask), axis=-1).data
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(alpha[:, 1] < 1e-30)
+
+    def test_mask_under_binary16_gives_exact_zero_weight(self):
+        # A masked score of about -65000 plus any additive fill would round
+        # to -inf in binary16; the fill must replace the score instead.
+        mask = np.array([False, True, True])
+        table = build_rel_table(3, 2, Scheme.FRPE)
+        q = Tensor([[180.0, 180.0], [1.0, 0.0], [0.0, 1.0]])
+        k = Tensor([[-180.0, -180.0], [0.5, 0.0], [0.0, 0.5]])
+        with value_filter(round_half):
+            scores = attention_scores(q, k, table, mask=mask)
+            alpha = softmax(scores, axis=-1).data
+        assert np.all(np.isfinite(scores.data))
+        assert np.all(alpha[:, 0] == 0.0)
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-3)
+
+    def test_masked_frpe_block_under_binary16_is_finite(self):
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.FRPE)
+        weights = make_weights(cfg, seed=18)
+        table = build_rel_table(5, cfg.d_z, Scheme.FRPE)
+        x = Tensor(np.random.default_rng(19).normal(size=(5, 8)), requires_grad=True)
+        mask = np.array([True, True, True, False, False])
+        with value_filter(round_half):
+            out = multi_head_attention(x, weights, cfg, table, mask=mask)
+            (out * out).sum().backward()
+        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(x.grad))
+        reference = multi_head_attention(Tensor(x.data), weights, cfg, table, mask=mask)
+        np.testing.assert_allclose(out.data, reference.data, rtol=2e-2, atol=2e-2)
 
     @pytest.mark.parametrize("scheme", [Scheme.NONE, Scheme.FRPE, Scheme.PRPE])
     def test_random_cases_match_reference(self, scheme):

@@ -213,6 +213,27 @@ class TestTrainer:
         for step, r in tail.items():
             assert r == full[step]
 
+    def test_resume_into_own_directory_keeps_log(self, tmp_path):
+        examples = tiny_examples()
+        config = tiny_run_config()  # 12 steps, checkpoint at step 6
+        Trainer(config, examples).train(out_dir=tmp_path / "run")
+        log = tmp_path / "run" / "metrics.jsonl"
+        first = [json.loads(l) for l in log.read_text().splitlines()]
+
+        Trainer(config, examples).train(out_dir=tmp_path / "run",
+                                        resume_from=tmp_path / "run" / "checkpoint-6")
+        records = [json.loads(l) for l in log.read_text().splitlines()]
+        assert records[:len(first)] == first
+        assert [r["step"] for r in first[1:]] == list(range(1, 13))
+        assert records[len(first)] == {"type": "resume", "from_step": 6}
+        replay = records[len(first) + 1:]
+        assert [r["step"] for r in replay] == list(range(7, 13))
+        for r in replay:
+            expected = dict(first[r["step"]])
+            expected.pop("wall_time")
+            r.pop("wall_time")
+            assert r == expected
+
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         config = tiny_run_config(total_steps=0, checkpoint_every=0)
         trainer = Trainer(config, tiny_examples())

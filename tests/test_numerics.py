@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
-from relpe.tensor import (Tensor, concat, gelu, layer_norm, log_softmax, softmax,
-                          value_filter)
+from relpe.tensor import (Tensor, concat, gelu, layer_norm, log_softmax, rel_gather,
+                          rel_scatter, softmax, value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -153,6 +153,86 @@ class TestAutodiffPrimitives:
         with value_filter(lambda a: np.round(a)):
             out = x + 0.4
         assert out.item() == 1.0
+
+
+class TestStackedMatmul:
+    """Matmul gradients transpose only the matrix axes of stacked operands."""
+
+    @pytest.mark.parametrize("b_shape", [(4, 5), (2, 4, 5)])
+    def test_matches_finite_differences(self, b_shape):
+        a = Tensor(rand((2, 3, 4), seed=12), requires_grad=True)
+        b = Tensor(rand(b_shape, seed=13), requires_grad=True)
+
+        def loss():
+            out = a @ b
+            return (out * out).sum()
+
+        report = check_gradients(loss, {"a": a, "b": b}, step=1e-5)
+        assert report.max_relative_error < 1e-5, report.per_parameter
+
+
+def gather_oracle(x):
+    n = x.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = x[i, j - i + n - 1]
+    return out
+
+
+def scatter_oracle(a):
+    n = a.shape[0]
+    out = np.zeros((n, 2 * n - 1))
+    for i in range(n):
+        for j in range(n):
+            out[i, j - i + n - 1] = a[i, j]
+    return out
+
+
+class TestOffsetMaps:
+    """rel_gather / rel_scatter against the direct double-loop definition."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_gather_matches_oracle(self, n):
+        x = Tensor(rand((n, 2 * n - 1), seed=n), requires_grad=True)
+        out = rel_gather(x)
+        np.testing.assert_allclose(out.data, gather_oracle(x.data), rtol=0, atol=1e-12)
+        g = rand((n, n), seed=n + 1)
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(x.grad, scatter_oracle(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_scatter_matches_oracle(self, n):
+        a = Tensor(rand((n, n), seed=n), requires_grad=True)
+        out = rel_scatter(a)
+        np.testing.assert_allclose(out.data, scatter_oracle(a.data), rtol=0, atol=1e-12)
+        g = rand((n, 2 * n - 1), seed=n + 1)
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(a.grad, gather_oracle(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_gradchecks(self, n):
+        x = Tensor(rand((n, 2 * n - 1), seed=n + 2), requires_grad=True)
+        a = Tensor(rand((n, n), seed=n + 3), requires_grad=True)
+        for loss in (lambda: (rel_gather(x) ** 2).sum(),
+                     lambda: (rel_scatter(a) ** 2).sum()):
+            report = check_gradients(loss, {"x": x, "a": a}, step=1e-5)
+            assert report.max_relative_error < 1e-5, report.per_parameter
+
+    def test_leading_axes_map_each_matrix(self):
+        x = rand((2, 3, 4, 7), seed=4)
+        out = rel_gather(Tensor(x)).data
+        back = rel_scatter(Tensor(out)).data
+        for b in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[b], gather_oracle(x[b]))
+            np.testing.assert_array_equal(back[b], scatter_oracle(out[b]))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 6), (4,), (0, 0)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            rel_gather(Tensor(np.zeros(shape)))
+        with pytest.raises(ValueError):
+            rel_scatter(Tensor(np.zeros(shape)))
 
 
 class TestCheckGradients:

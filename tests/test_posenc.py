@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from relpe.optim import AdamOptimizer
-from relpe.posenc import (AbsPositionTable, Scheme, build_abs_table, build_rel_table,
-                          frpe_vector, pape_lookup, rel_lookup)
+from relpe.posenc import (AbsPositionTable, Scheme, _frpe_block, build_abs_table,
+                          build_rel_table, frpe_vector, pape_lookup, rel_lookup)
 from relpe.tensor import Tensor
 
 
@@ -37,6 +37,13 @@ class TestFrpeVector:
             v = frpe_vector(delta, d_z)
             assert abs((v * v).sum() - d_z / 2) < 1e-9
             assert np.all(np.abs(v) <= 1.0)
+
+    @pytest.mark.parametrize("d_z", [2, 8, 64])
+    def test_vector_is_bitwise_row_of_block(self, d_z):
+        offsets = np.arange(-300, 301)
+        block = _frpe_block(offsets, d_z)
+        for row, delta in zip(block, offsets):
+            np.testing.assert_array_equal(frpe_vector(int(delta), d_z), row)
 
     def test_component_is_sinusoid_of_offset(self):
         d_z = 8
@@ -89,6 +96,16 @@ class TestBuildRelTable:
             opt.step(dummy, lr=0.1)
         np.testing.assert_array_equal(table.rows, before)
 
+    @pytest.mark.parametrize("scheme", [Scheme.FRPE, Scheme.PRPE])
+    @pytest.mark.parametrize("n", [1, 3, 6])    # inside and past max_len
+    def test_block_holds_one_row_per_offset(self, scheme, n):
+        table = build_rel_table(3, 4, scheme, rng_seed=4, clip=2)
+        for role in ("K", "V"):
+            rows = table.block(n, role).data
+            assert rows.shape == (2 * n - 1, 4)
+            for o in range(2 * n - 1):
+                np.testing.assert_array_equal(rows[o], table.row(o - (n - 1), role))
+
     def test_prpe_has_separate_banks(self):
         table = build_rel_table(8, 4, Scheme.PRPE, rng_seed=3, clip=2)
         assert table.bank_k.shape == (5, 4)
@@ -109,8 +126,12 @@ class TestRelLookup:
 
     def test_frpe_extrapolates_past_built_range(self):
         table = build_rel_table(32, 8, Scheme.FRPE)
+        rows = table.rows.copy()
         got = rel_lookup(table, 0, 40)
         np.testing.assert_allclose(got, frpe_vector(40, 8), atol=0)
+        table.block(64)
+        assert table.max_len == 32
+        np.testing.assert_array_equal(table.rows, rows)
 
     def test_lookup_depends_on_offset_only(self):
         table = build_rel_table(32, 8, Scheme.FRPE)

@@ -94,22 +94,3 @@ class RunConfig:
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n",
                               encoding="utf-8")
-
-
-# Full-scale reference presets; recorded as metadata, never exercised by tests.
-FULL_SCALE_PRESETS = {
-    "base": {
-        "model": {"vocab_size": 21128, "d_model": 768, "num_layers": 12,
-                  "num_heads": 12, "max_seq_len": 512, "scheme": "frpe"},
-        "schedule": {"kind": "linear_warmup_linear_decay", "lr_max": 1.8e-4,
-                     "warmup_steps": 1800, "total_steps": 1_000_000},
-        "batch_size": 14400,
-    },
-    "large": {
-        "model": {"vocab_size": 21128, "d_model": 1024, "num_layers": 24,
-                  "num_heads": 16, "max_seq_len": 512, "scheme": "frpe"},
-        "schedule": {"kind": "linear_warmup_poly_decay", "lr_max": 1e-4,
-                     "warmup_steps": 1800, "total_steps": 1_000_000},
-        "batch_size": 5120,
-    },
-}

@@ -28,7 +28,8 @@ def value_filter(fn):
     """Temporarily filter every primitive result through ``fn``.
 
     Used by the mixed-precision emulation to round all intermediate values
-    (forward activations and backward gradients) to binary16.
+    (forward activations and backward gradients) to binary16. ``fn`` must
+    return a new array: a gradient it returns is stored without a copy.
     """
     global _value_filter
     prev = _value_filter
@@ -95,12 +96,19 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, copy: bool = False):
+        """Add ``g`` into ``grad``, which never shares memory with another array.
+
+        A fresh ``g`` is kept as it is; a view of another array, or a ``g``
+        the caller still holds (``copy=True``), is copied first.
+        """
         g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = _filtered(g.copy())
-        else:
+        if self.grad is not None:
             self.grad = _filtered(self.grad + g)
+        elif _value_filter is not None:
+            self.grad = _value_filter(g)
+        else:
+            self.grad = g.copy() if copy or g.base is not None else g
 
     # -- graph construction ----------------------------------------------
 
@@ -141,10 +149,11 @@ class Tensor:
     def __add__(self, other):
         other = as_tensor(other)
         def bwd(g):
+            # g is this node's own gradient, so neither parent may keep it.
             if self.requires_grad:
-                self._accumulate(g)
+                self._accumulate(g, copy=True)
             if other.requires_grad:
-                other._accumulate(g)
+                other._accumulate(g, copy=True)
         return Tensor._make(self.data + other.data, (self, other), bwd)
 
     __radd__ = __add__

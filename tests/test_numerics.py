@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
+from relpe.optim import round_half
 from relpe.tensor import (Tensor, concat, gelu, layer_norm, log_softmax, rel_gather,
                           rel_scatter, softmax, value_filter)
 
@@ -147,6 +148,23 @@ class TestAutodiffPrimitives:
         y.backward()
         assert y.item() == 6.0
         assert x.grad == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("fn", [None, round_half], ids=["full", "round_half"])
+    def test_gradients_never_share_memory(self, fn):
+        a, b, c, d = (Tensor(rand((3, 4), seed=s), requires_grad=True)
+                      for s in (1, 2, 3, 4))
+        with value_filter(fn):
+            s, t = a + b, d.T
+            ((s * c).sum() + t.sum()).backward()
+        grads = [a.grad, b.grad, c.grad, d.grad, s.grad, t.grad]
+        for i, g in enumerate(grads):
+            assert all(not np.shares_memory(g, h) for h in grads[i + 1:])
+        assert all(p.grad.flags.writeable for p in (a, b, c, d))
+        if fn is None:
+            np.testing.assert_array_equal(a.grad, c.data)
+            np.testing.assert_array_equal(b.grad, c.data)
+            np.testing.assert_array_equal(c.grad, s.data)
+            np.testing.assert_array_equal(d.grad, np.ones((3, 4)))
 
     def test_value_filter_applies_to_op_outputs(self):
         x = Tensor(1.0)

@@ -58,10 +58,6 @@ def _cell_config(grid: AblationGrid, scheme: str) -> EncoderConfig:
     )
 
 
-def _offset_copy_accuracy(model: EncoderModel, examples) -> float:
-    return evaluate(model, examples)["mlm_accuracy"]
-
-
 def train_offset_copy(model: EncoderModel, grid: AblationGrid, seed: int):
     """LAMB training on freshly sampled offset-copy batches."""
     params = model.parameters()
@@ -99,9 +95,9 @@ def run_cell(grid: AblationGrid, scheme: str, strategy: str) -> dict:
 
     row = {"scheme": scheme, "strategy": strategy,
            "sl_train": grid.sl_train, "sl_eval": grid.sl_eval,
-           "accuracy_train_len": _offset_copy_accuracy(model, train_len_examples)}
+           "accuracy_train_len": evaluate(model, train_len_examples)["mlm_accuracy"]}
     try:
-        row["accuracy_eval_len"] = _offset_copy_accuracy(model, eval_len_examples)
+        row["accuracy_eval_len"] = evaluate(model, eval_len_examples)["mlm_accuracy"]
         row["status"] = "ok"
     except IndexError as exc:
         row["accuracy_eval_len"] = None

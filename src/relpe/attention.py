@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import Tensor, concat, dropout, rel_gather, rel_scatter, softmax
+from .tensor import Tensor, dropout, rel_gather, rel_scatter, softmax
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -36,9 +36,9 @@ class AttentionConfig:
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
-        if self.d_model % self.num_heads != 0:
-            raise ValueError(
-                f"d_model={self.d_model} not divisible by num_heads={self.num_heads}")
+        if self.num_heads < 1 or self.d_model % self.num_heads != 0:
+            raise ValueError(f"num_heads={self.num_heads} must be >= 1 and divide "
+                             f"d_model={self.d_model}")
         if self.scheme is Scheme.FRPE and self.d_z % 2 != 0:
             raise ValueError(f"FRPE requires an even per-head size, got d_z={self.d_z}")
 
@@ -86,14 +86,17 @@ def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
 
 def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None,
                      mask: np.ndarray | None = None) -> Tensor:
-    """Pre-softmax score matrix for projected q and k of shape (n, d_z)."""
+    """Pre-softmax scores for projected q and k of shape (..., n, d_z).
+
+    Leading axes (one per head) share the table's offset rows.
+    """
     if q.shape != k.shape:
         raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
-    n, d_z = q.shape
+    n, d_z = q.shape[-2:]
     if table is not None and table.d_z != d_z:
         raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={d_z}")
     scale = 1.0 / np.sqrt(d_z)
-    scores = q @ k.T
+    scores = q @ k.mT
     if table is not None:
         r_k = table.block(n, role="K")           # (2n-1, d_z)
         scores = scores + rel_gather(q @ r_k.T)
@@ -102,9 +105,9 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
 
 def attention_output(alpha: Tensor, v: Tensor,
                      table: RelPositionTable | None = None) -> Tensor:
-    """Weighted value sum z_i = sum_j alpha_ij (v_j + a^V_{j-i})."""
-    n, d_z = v.shape
-    if alpha.shape != (n, n):
+    """Weighted value sum z_i = sum_j alpha_ij (v_j + a^V_{j-i}) over (..., n, d_z)."""
+    n, d_z = v.shape[-2:]
+    if alpha.shape != v.shape[:-2] + (n, n):
         raise ValueError(f"alpha shape {alpha.shape} incompatible with v shape {v.shape}")
     out = alpha @ v
     if table is not None:
@@ -119,24 +122,23 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
                          table: RelPositionTable | None = None,
                          mask: np.ndarray | None = None,
                          rng: np.random.Generator | None = None) -> Tensor:
-    """Full attention block: per-head project/score/softmax/combine, concat, W^O.
+    """Full attention block: project, score, softmax and combine all heads, then W^O.
 
-    The same relative table serves every head. ``mask`` marks valid positions.
+    Heads ride on a leading axis: head h owns columns h*d_z:(h+1)*d_z of
+    each projection. The same relative table serves every head. ``mask``
+    marks valid positions.
     """
     n, d_model = x.shape
     if d_model != cfg.d_model:
         raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
-    d_z = cfg.d_z
-    heads = []
-    for h in range(cfg.num_heads):
-        cols = slice(h * d_z, (h + 1) * d_z)
-        q = x @ weights.wq[:, cols]
-        k = x @ weights.wk[:, cols]
-        v = x @ weights.wv[:, cols]
-        scores = attention_scores(q, k, table, mask)
-        alpha = softmax(scores, axis=-1)
-        if cfg.attn_dropout > 0.0 and rng is not None:
-            alpha = dropout(alpha, cfg.attn_dropout, rng)
-        heads.append(attention_output(alpha, v, table))
-    stacked = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-    return stacked @ weights.wo + weights.bo
+    split = (n, cfg.num_heads, cfg.d_z)
+
+    def heads(w: Tensor) -> Tensor:               # (n, d) -> (H, n, d_z)
+        return (x @ w).reshape(split).transpose((1, 0, 2))
+
+    q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
+    alpha = softmax(attention_scores(q, k, table, mask), axis=-1)
+    if cfg.attn_dropout > 0.0 and rng is not None:
+        alpha = dropout(alpha, cfg.attn_dropout, rng)
+    merged = attention_output(alpha, v, table).transpose((1, 0, 2)).reshape(n, d_model)
+    return merged @ weights.wo + weights.bo

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +110,14 @@ def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
 def load_optimizer_state(path, params: dict[str, Tensor],
                          optimizer: _MomentOptimizer | None = None):
     """Restore full-precision masters (into params) and optimizer moments."""
-    path = Path(path)
+    file = Path(path) / "optstate.bin"
     try:
-        with np.load(path / "optstate.bin") as npz:
+        with np.load(file) as npz:
             state = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read optimizer state in {path}: {exc}")
+    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
+        # A truncated or corrupt zip fails in any of these ways, depending on
+        # which bytes are damaged.
+        raise CheckpointError(f"cannot read optimizer state {file}: {exc}")
     for name, p in params.items():
         key = f"master::{name}"
         if key not in state:
@@ -124,8 +127,11 @@ def load_optimizer_state(path, params: dict[str, Tensor],
             raise CheckpointError(f"master shape mismatch for tensor {name!r}")
         p.data = master.astype(np.float64)
     if optimizer is not None:
-        optimizer.state.step = int(state["step"])
-        for name in params:
-            if f"m::{name}" in state:
-                optimizer.state.m[name] = state[f"m::{name}"].astype(np.float64)
-                optimizer.state.v[name] = state[f"v::{name}"].astype(np.float64)
+        try:
+            optimizer.state.step = int(state["step"])
+            for name in params:
+                if f"m::{name}" in state:
+                    optimizer.state.m[name] = state[f"m::{name}"].astype(np.float64)
+                    optimizer.state.v[name] = state[f"v::{name}"].astype(np.float64)
+        except KeyError as exc:
+            raise CheckpointError(f"optimizer state {file} has no entry {exc}")

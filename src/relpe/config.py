@@ -66,22 +66,15 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("run config must be a JSON object")
-        data = dict(data)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigError(f"unknown keys in run config: {sorted(unknown)}")
         if "model" not in data or "schedule" not in data:
             raise ConfigError("run config requires 'model' and 'schedule' sections")
+        data = dict(data)
         data["model"] = _from_mapping(EncoderConfig, data["model"], "model config")
         data["schedule"] = _from_mapping(LrSchedule, data["schedule"], "schedule config")
         if "precision" in data:
             data["precision"] = _from_mapping(PrecisionPolicy, data["precision"],
                                               "precision config")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"invalid run config: {exc}")
+        return _from_mapping(cls, data, "run config")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

@@ -39,10 +39,7 @@ class EncoderConfig:
         self.scheme = Scheme(self.scheme)
         if self.ffn_size is None:
             self.ffn_size = 4 * self.d_model
-        if self.d_model % self.num_heads != 0:
-            raise ValueError("d_model must be divisible by num_heads")
-        if self.scheme is Scheme.FRPE and (self.d_model // self.num_heads) % 2 != 0:
-            raise ValueError("FRPE requires an even per-head hidden size")
+        self.attention_config()  # validates the head geometry
         if self.prpe_clip < 1:
             raise ValueError("prpe_clip must be >= 1")
 
@@ -116,11 +113,11 @@ class EncoderModel:
                                              rng_seed=int(rng.integers(2**31)),
                                              clip=cfg.prpe_clip)
 
-        attn_cfg = self.cfg.attention_config()
+        self.attn_cfg = cfg.attention_config()
         self.layers: list[LayerParameters] = []
         for i in range(cfg.num_layers):
             self.layers.append(LayerParameters(
-                attn=init_head_weights(attn_cfg, rng),
+                attn=init_head_weights(self.attn_cfg, rng),
                 ln1_gamma=ones(f"layer{i}.ln1.gamma", d),
                 ln1_beta=zeros(f"layer{i}.ln1.beta", d),
                 ffn_w1=normal(f"layer{i}.ffn.w1", (d, ffn)),
@@ -213,7 +210,7 @@ class EncoderModel:
                       mask: np.ndarray | None = None,
                       rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.cfg
-        attn = multi_head_attention(x, layer.attn, cfg.attention_config(),
+        attn = multi_head_attention(x, layer.attn, self.attn_cfg,
                                     table=self.rel_table, mask=mask, rng=rng)
         if rng is not None:
             attn = dropout(attn, cfg.hidden_dropout, rng)

@@ -254,6 +254,11 @@ class Tensor:
     def T(self):
         return self.transpose()
 
+    @property
+    def mT(self):
+        """Swap only the last two axes, like numpy's ``ndarray.mT``."""
+        return self.transpose((*range(self.ndim - 2), self.ndim - 1, self.ndim - 2))
+
     def __getitem__(self, key):
         def bwd(g):
             full = np.zeros_like(self.data)
@@ -287,18 +292,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis),
-                        tuple(tensors), bwd)
 
 
 def _offset_view(a: np.ndarray) -> np.ndarray:

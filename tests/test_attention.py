@@ -5,7 +5,7 @@ from relpe.attention import (AttentionConfig, HeadWeights, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
 from relpe.optim import round_half
-from relpe.posenc import Scheme, build_rel_table, frpe_vector
+from relpe.posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
 from relpe.tensor import Tensor, softmax, value_filter
 
 
@@ -163,6 +163,87 @@ class TestOffsetRowAttention:
         else:
             assert table.max_len == max_len
             np.testing.assert_array_equal(table.rows, rows_before)
+
+
+class TestStackedHeads:
+    """Heads on a leading axis agree with one 2-D call per head."""
+
+    @pytest.mark.parametrize("scheme, max_len, n", [
+        (Scheme.FRPE, 8, 5),       # inside the built table
+        (Scheme.FRPE, 4, 8),       # twice the built table's length
+        (Scheme.PRPE, 7, 7),       # clip 2 < n
+    ])
+    def test_matches_per_head_calls(self, scheme, max_len, n):
+        rng = np.random.default_rng(21)
+        heads, d_z = 3, 4
+        table = build_rel_table(max_len, d_z, scheme, rng_seed=5, clip=2)
+        qkv = [rng.normal(size=(heads, n, d_z)) for _ in range(3)]
+        alpha = softmax(Tensor(rng.normal(size=(heads, n, n)))).data
+        g1, g2 = rng.normal(size=(heads, n, n)), rng.normal(size=(heads, n, d_z))
+
+        def run(per_head):
+            """Scores, outputs, q/k/v/alpha gradients and bank gradients."""
+            for p in table.parameters().values():
+                p.zero_grad()
+            index = range(heads) if per_head else [slice(None)]
+            groups = [[Tensor(a[h], requires_grad=True) for a in (*qkv, alpha)]
+                      for h in index]
+            loss, values = Tensor(0.0), []
+            for (q, k, v, al), h in zip(groups, index):
+                s, o = attention_scores(q, k, table), attention_output(al, v, table)
+                loss = loss + (s * Tensor(g1[h])).sum() + (o * Tensor(g2[h])).sum()
+                values += [s.data, o.data]
+            loss.backward()
+            grads = [t.grad for group in groups for t in group]
+            banks = [p.grad for p in table.parameters().values()]
+            # one array per quantity, with the heads (or the one group) stacked first
+            return ([np.stack(values[i::2]) for i in range(2)]
+                    + [np.stack(grads[i::4]) for i in range(4)] + banks)
+
+        stacked, per_head = run(per_head=False), run(per_head=True)
+        assert len(stacked) == (8 if scheme is Scheme.PRPE else 6)
+        for got, want in zip(stacked, per_head):
+            np.testing.assert_allclose(got.reshape(want.shape), want, rtol=0, atol=1e-12)
+
+    def test_attention_dropout_draws_head_masks_in_order(self):
+        rate, n = 0.3, 6
+        cfg = AttentionConfig(num_heads=3, d_model=12, scheme=Scheme.FRPE,
+                              attn_dropout=rate)
+        weights = make_weights(cfg, seed=22)
+        table = build_rel_table(n, cfg.d_z, Scheme.FRPE)
+        x = np.random.default_rng(23).normal(size=(n, 12))
+        got = multi_head_attention(Tensor(x), weights, cfg, table,
+                                   rng=np.random.default_rng(24)).data
+
+        rng, d_z, heads = np.random.default_rng(24), cfg.d_z, []
+        for h in range(cfg.num_heads):
+            cols = slice(h * d_z, (h + 1) * d_z)
+            q, k, v = (Tensor(x @ w.data[:, cols])
+                       for w in (weights.wq, weights.wk, weights.wv))
+            alpha = softmax(attention_scores(q, k, table)).data
+            keep = (rng.random((n, n)) >= rate) / (1.0 - rate)
+            heads.append(attention_output(Tensor(alpha * keep), v, table).data)
+        expected = np.concatenate(heads, axis=1) @ weights.wo.data + weights.bo.data
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        without = multi_head_attention(Tensor(x), weights, cfg, table).data
+        assert not np.allclose(got, without)
+
+    def test_prpe_layer_builds_offset_rows_once_per_role(self, monkeypatch):
+        roles = []
+        block = RelPositionTable.block
+
+        def counted(table, n, role="K"):
+            roles.append(role)
+            return block(table, n, role)
+
+        monkeypatch.setattr(RelPositionTable, "block", counted)
+        cfg = AttentionConfig(num_heads=4, d_model=16, scheme=Scheme.PRPE)
+        table = build_rel_table(6, cfg.d_z, Scheme.PRPE, rng_seed=3, clip=2)
+        x = Tensor(np.random.default_rng(25).normal(size=(6, 16)))
+        out = multi_head_attention(x, make_weights(cfg, seed=26), cfg, table)
+        (out * out).sum().backward()
+        assert sorted(roles) == ["K", "V"]
+        assert np.any(table.bank_k.grad != 0) and np.any(table.bank_v.grad != 0)
 
 
 class TestMultiHeadAttention:

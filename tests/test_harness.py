@@ -57,6 +57,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="head_size"):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("model", [
+        {"num_heads": 3},                      # d_model 8 does not split in 3
+        {"num_heads": 0},
+        {"num_heads": 8, "scheme": "frpe"},    # odd d_z = 1
+    ])
+    def test_invalid_head_geometry_rejected(self, model):
+        d = tiny_run_config().to_dict()
+        d["model"].update(model)
+        with pytest.raises(ConfigError, match="model config"):
+            RunConfig.from_dict(d)
+
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"optimizer": "lamb"})
@@ -139,6 +150,32 @@ class TestCheckpoint:
         (tmp_path / "ckpt" / "params.bin").write_bytes(blob[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "ckpt", self.params())
+
+    def test_truncated_optimizer_state_detected(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", self.params(), None, {}, step=0)
+        state = tmp_path / "ckpt" / "optstate.bin"
+        blob = state.read_bytes()
+        state.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(CheckpointError, match="optstate.bin"):
+            load_optimizer_state(tmp_path / "ckpt", self.params(),
+                                 AdamOptimizer(weight_decay=0.0))
+
+    @pytest.mark.parametrize("entry", ["step", "v::embed.token"])
+    def test_missing_optimizer_entry_named(self, tmp_path, entry):
+        params = self.params()
+        opt = AdamOptimizer(weight_decay=0.0)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step(params, lr=0.01)
+        save_checkpoint(tmp_path / "ckpt", params, opt, {}, step=1)
+        state = tmp_path / "ckpt" / "optstate.bin"
+        with np.load(state) as npz:
+            kept = {k: npz[k] for k in npz.files if k != entry}
+        with open(state, "wb") as fh:
+            np.savez(fh, **kept)
+        with pytest.raises(CheckpointError, match=entry):
+            load_optimizer_state(tmp_path / "ckpt", self.params(),
+                                 AdamOptimizer(weight_decay=0.0))
 
     def test_format_version_checked(self, tmp_path):
         params = self.params()

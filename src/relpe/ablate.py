@@ -1,9 +1,14 @@
 """Ablation grid over positional-encoding scheme, masking strategy, and length.
 
-Each cell trains a tiny model on the offset-copy task at the training length
-and evaluates at both the training and the extrapolated length. Absolute
-encodings built for the training length cannot address longer sequences;
-that failure is recorded as an out-of-range cell rather than a crash.
+Each cell is a ``RunConfig`` trained by ``Trainer`` on a pool of offset-copy
+examples drawn once from the cell seed, then evaluated at both the training
+and the extrapolated length. Absolute encodings built for the training
+length cannot address longer sequences; that failure is recorded as an
+out-of-range cell rather than a crash.
+
+Offset-copy examples are masked the same way under either masking strategy
+(the query positions are the masked ones), so the strategy axis changes only
+the cell seed.
 """
 
 from __future__ import annotations
@@ -14,14 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
-from .encoder import EncoderConfig, EncoderModel
-from .optim import LrSchedule, lr_at_step, make_optimizer
-from .posenc import Scheme
+from .config import ConfigError, RunConfig
 from .synth import make_offset_copy_examples
-from .tensor import Tensor
-from .train import evaluate
-from .encoder import pretrain_loss
+from .train import Trainer, evaluate
 
 DEFAULT_OFFSET = -3
 
@@ -45,47 +45,39 @@ class AblationGrid:
     pape_max_position: int | None = None  # default: sl_train (hard length limit)
 
 
-def _cell_config(grid: AblationGrid, scheme: str) -> EncoderConfig:
+def _cell_config(grid: AblationGrid, scheme: str, strategy: str) -> RunConfig:
+    """The run config a cell trains under; a bad grid raises ConfigError."""
+    for n in (grid.sl_train, grid.sl_eval):
+        try:  # zero examples: only the task geometry is checked
+            make_offset_copy_examples(0, n, grid.num_symbols, grid.offset, rng=None)
+        except ValueError as exc:
+            raise ConfigError(f"invalid ablation grid: {exc}") from None
     maxpos = grid.pape_max_position or grid.sl_train
-    return EncoderConfig(
-        vocab_size=5 + grid.num_symbols,
-        d_model=grid.d_model,
-        num_layers=grid.num_layers,
-        num_heads=grid.num_heads,
-        ffn_size=2 * grid.d_model,
-        max_seq_len=maxpos if scheme == "pape" else grid.sl_train,
-        scheme=Scheme(scheme),
-    )
-
-
-def train_offset_copy(model: EncoderModel, grid: AblationGrid, seed: int):
-    """LAMB training on freshly sampled offset-copy batches."""
-    params = model.parameters()
-    optimizer = make_optimizer(grid.optimizer, weight_decay=0.0)
-    schedule = LrSchedule(lr_max=grid.lr_max,
-                          warmup_steps=max(1, grid.steps // 10),
-                          total_steps=grid.steps)
-    for t in range(1, grid.steps + 1):
-        rng = np.random.default_rng([seed, t])
-        batch = make_offset_copy_examples(grid.batch_size, grid.sl_train,
-                                          grid.num_symbols, grid.offset, rng)
-        for p in params.values():
-            p.zero_grad()
-        total = Tensor(0.0)
-        for ex in batch:
-            out = model.pretrain_forward(ex)
-            loss, _ = pretrain_loss(out, ex)
-            total = total + loss
-        (total / float(len(batch))).backward()
-        optimizer.step(params, lr_at_step(schedule, t))
+    return RunConfig.from_dict({
+        "model": {"vocab_size": 5 + grid.num_symbols, "d_model": grid.d_model,
+                  "num_layers": grid.num_layers, "num_heads": grid.num_heads,
+                  "ffn_size": 2 * grid.d_model,
+                  "max_seq_len": maxpos if scheme == "pape" else grid.sl_train,
+                  "scheme": scheme},
+        "schedule": {"lr_max": grid.lr_max, "warmup_steps": max(1, grid.steps // 10),
+                     "total_steps": grid.steps},
+        "optimizer": grid.optimizer, "weight_decay": 0.0,
+        "masking_strategy": strategy, "batch_size": grid.batch_size,
+        "total_steps": grid.steps, "checkpoint_every": 0,
+        "seed": grid.seed + hash_cell(scheme, strategy) % 1000,
+    })
 
 
 def run_cell(grid: AblationGrid, scheme: str, strategy: str) -> dict:
     """Train one grid cell and measure accuracy at both sequence lengths."""
-    seed = grid.seed + hash_cell(scheme, strategy) % 1000
-    cfg = _cell_config(grid, scheme)
-    model = EncoderModel(cfg, seed=seed)
-    train_offset_copy(model, grid, seed)
+    config = _cell_config(grid, scheme, strategy)
+    seed = config.seed
+    pool = make_offset_copy_examples(grid.steps * grid.batch_size, grid.sl_train,
+                                     grid.num_symbols, grid.offset,
+                                     np.random.default_rng([seed, 0]))
+    trainer = Trainer(config, pool)
+    for t in range(1, grid.steps + 1):
+        trainer.run_step(t)
 
     eval_rng = np.random.default_rng([seed, 999_999])
     train_len_examples = make_offset_copy_examples(
@@ -95,13 +87,14 @@ def run_cell(grid: AblationGrid, scheme: str, strategy: str) -> dict:
 
     row = {"scheme": scheme, "strategy": strategy,
            "sl_train": grid.sl_train, "sl_eval": grid.sl_eval,
-           "accuracy_train_len": evaluate(model, train_len_examples)["mlm_accuracy"]}
+           "accuracy_train_len": evaluate(trainer.model, train_len_examples)["mlm_accuracy"]}
     try:
-        row["accuracy_eval_len"] = evaluate(model, eval_len_examples)["mlm_accuracy"]
+        row["accuracy_eval_len"] = evaluate(trainer.model, eval_len_examples)["mlm_accuracy"]
         row["status"] = "ok"
     except IndexError as exc:
         row["accuracy_eval_len"] = None
         row["status"] = f"out-of-range: {exc}"
+    row["run_config"] = config.to_dict()
     return row
 
 
@@ -110,12 +103,18 @@ def hash_cell(scheme: str, strategy: str) -> int:
     return sum(ord(c) * (i + 1) for i, c in enumerate(scheme + ":" + strategy))
 
 
-def run_grid(grid: AblationGrid, out_dir, config: RunConfig | None = None) -> list[dict]:
-    """Run every cell; write results.tsv and results.json to ``out_dir``."""
+def run_grid(grid: AblationGrid, out_dir) -> list[dict]:
+    """Run every cell; write results.tsv and results.json to ``out_dir``.
+
+    Every cell's config is built before the first cell trains, so a bad grid
+    fails before any work is done.
+    """
+    cells = [(scheme, strategy) for scheme in grid.schemes for strategy in grid.strategies]
+    for scheme, strategy in cells:
+        _cell_config(grid, scheme, strategy)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [run_cell(grid, scheme, strategy)
-            for scheme in grid.schemes for strategy in grid.strategies]
+    rows = [run_cell(grid, scheme, strategy) for scheme, strategy in cells]
 
     columns = ["scheme", "strategy", "sl_train", "sl_eval",
                "accuracy_train_len", "accuracy_eval_len", "status"]
@@ -127,7 +126,6 @@ def run_grid(grid: AblationGrid, out_dir, config: RunConfig | None = None) -> li
     payload = {
         "grid": {k: getattr(grid, k) for k in vars(grid)},
         "seed": grid.seed,
-        "run_config": config.to_dict() if config is not None else None,
         "rows": rows,
     }
     (out_dir / "results.json").write_text(json.dumps(payload, indent=2) + "\n",

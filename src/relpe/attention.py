@@ -41,6 +41,8 @@ class AttentionConfig:
                              f"d_model={self.d_model}")
         if self.scheme is Scheme.FRPE and self.d_z % 2 != 0:
             raise ValueError(f"FRPE requires an even per-head size, got d_z={self.d_z}")
+        if not 0.0 <= self.attn_dropout < 1.0:
+            raise ValueError(f"attn_dropout={self.attn_dropout} must be in [0, 1)")
 
     @property
     def d_z(self) -> int:

@@ -54,8 +54,8 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.masking_strategy not in ("char", "wwm"):
             raise ConfigError(f"unknown masking strategy {self.masking_strategy!r}")
-        if self.batch_size < 1 or self.total_steps < 0:
-            raise ConfigError("batch_size must be >= 1 and total_steps >= 0")
+        if self.batch_size < 1 or self.total_steps < 0 or self.seed < 0:
+            raise ConfigError("batch_size must be >= 1, total_steps and seed >= 0")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

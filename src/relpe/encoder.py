@@ -39,9 +39,11 @@ class EncoderConfig:
         self.scheme = Scheme(self.scheme)
         if self.ffn_size is None:
             self.ffn_size = 4 * self.d_model
-        self.attention_config()  # validates the head geometry
-        if self.prpe_clip < 1:
-            raise ValueError("prpe_clip must be >= 1")
+        self.attention_config()  # validates the head geometry and attn_dropout
+        if self.max_seq_len < 1 or self.prpe_clip < 1:
+            raise ValueError("max_seq_len and prpe_clip must be >= 1")
+        if not 0.0 <= self.hidden_dropout < 1.0:
+            raise ValueError(f"hidden_dropout={self.hidden_dropout} must be in [0, 1)")
 
     @property
     def d_z(self) -> int:
@@ -85,15 +87,20 @@ class EncoderModel:
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         d, ffn = cfg.d_model, cfg.ffn_size
+        self._params: dict[str, Tensor] = {}
+
+        def register(name, data):
+            self._params[name] = Tensor(data, requires_grad=True, name=name)
+            return self._params[name]
 
         def normal(name, shape):
-            return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True, name=name)
+            return register(name, rng.normal(0.0, 0.02, shape))
 
         def zeros(name, shape):
-            return Tensor(np.zeros(shape), requires_grad=True, name=name)
+            return register(name, np.zeros(shape))
 
         def ones(name, shape):
-            return Tensor(np.ones(shape), requires_grad=True, name=name)
+            return register(name, np.ones(shape))
 
         self.token_embedding = normal("embed.token", (cfg.vocab_size, d))
         self.segment_embedding = normal("embed.segment", (cfg.type_vocab_size, d))
@@ -104,6 +111,7 @@ class EncoderModel:
         if cfg.scheme is Scheme.PAPE or cfg.add_absolute_input_embeddings:
             self.abs_table = build_abs_table(cfg.max_seq_len, d,
                                              rng_seed=int(rng.integers(2**31)))
+            self._params.update(self.abs_table.parameters())
 
         self.rel_table: RelPositionTable | None = None
         if cfg.scheme is Scheme.FRPE:
@@ -112,12 +120,17 @@ class EncoderModel:
             self.rel_table = build_rel_table(cfg.max_seq_len, cfg.d_z, Scheme.PRPE,
                                              rng_seed=int(rng.integers(2**31)),
                                              clip=cfg.prpe_clip)
+        if self.rel_table is not None:
+            self._params.update(self.rel_table.parameters())
 
         self.attn_cfg = cfg.attention_config()
         self.layers: list[LayerParameters] = []
         for i in range(cfg.num_layers):
+            attn = init_head_weights(self.attn_cfg, rng)
+            for key, t in attn.parameters().items():
+                self._params[f"layer{i}.attn.{key}"] = t
             self.layers.append(LayerParameters(
-                attn=init_head_weights(self.attn_cfg, rng),
+                attn=attn,
                 ln1_gamma=ones(f"layer{i}.ln1.gamma", d),
                 ln1_beta=zeros(f"layer{i}.ln1.beta", d),
                 ffn_w1=normal(f"layer{i}.ffn.w1", (d, ffn)),
@@ -140,42 +153,9 @@ class EncoderModel:
         self.nsp_w = normal("nsp.w", (d, 2))
         self.nsp_b = zeros("nsp.b", 2)
 
-    # -- parameter registry ----------------------------------------------
-
     def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {
-            "embed.token": self.token_embedding,
-            "embed.segment": self.segment_embedding,
-            "embed.ln.gamma": self.embed_ln_gamma,
-            "embed.ln.beta": self.embed_ln_beta,
-        }
-        if self.abs_table is not None:
-            params.update(self.abs_table.parameters())
-        if self.rel_table is not None:
-            params.update(self.rel_table.parameters())
-        for i, layer in enumerate(self.layers):
-            for key, t in layer.attn.parameters().items():
-                params[f"layer{i}.attn.{key}"] = t
-            params[f"layer{i}.ln1.gamma"] = layer.ln1_gamma
-            params[f"layer{i}.ln1.beta"] = layer.ln1_beta
-            params[f"layer{i}.ffn.w1"] = layer.ffn_w1
-            params[f"layer{i}.ffn.b1"] = layer.ffn_b1
-            params[f"layer{i}.ffn.w2"] = layer.ffn_w2
-            params[f"layer{i}.ffn.b2"] = layer.ffn_b2
-            params[f"layer{i}.ln2.gamma"] = layer.ln2_gamma
-            params[f"layer{i}.ln2.beta"] = layer.ln2_beta
-        params.update({
-            "mlm.dense.w": self.mlm_dense_w,
-            "mlm.dense.b": self.mlm_dense_b,
-            "mlm.ln.gamma": self.mlm_ln_gamma,
-            "mlm.ln.beta": self.mlm_ln_beta,
-            "mlm.output_bias": self.mlm_output_bias,
-            "pooler.w": self.pooler_w,
-            "pooler.b": self.pooler_b,
-            "nsp.w": self.nsp_w,
-            "nsp.b": self.nsp_b,
-        })
-        return params
+        """Every learnable tensor by name, in construction order."""
+        return dict(self._params)
 
     # -- forward passes ---------------------------------------------------
 

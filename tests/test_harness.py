@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relpe.ablate import hash_cell
 from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
                               load_optimizer_state, save_checkpoint)
 from relpe.cli import main as cli_main
@@ -61,6 +62,12 @@ class TestRunConfig:
         {"num_heads": 3},                      # d_model 8 does not split in 3
         {"num_heads": 0},
         {"num_heads": 8, "scheme": "frpe"},    # odd d_z = 1
+        {"max_seq_len": 0},
+        {"hidden_dropout": 1.0},
+        {"hidden_dropout": -0.1},
+        {"attn_dropout": 1.0},
+        {"attn_dropout": 1.5},
+        {"attn_dropout": -0.1},
     ])
     def test_invalid_head_geometry_rejected(self, model):
         d = tiny_run_config().to_dict()
@@ -416,3 +423,44 @@ class TestCli:
         assert cli_main(["prepare-data", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "corpus" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "1"],                      # no room for warmup
+        ["--schemes", "frpe,bogus"],
+        ["--strategies", "char,bogus"],
+        ["--sl-train", "4"],                   # too short for two offset queries
+        ["--sl-eval", "0"],
+        ["--pape-max-position", "-1"],
+        ["--seed", "-1000"],                   # every cell seed negative
+    ])
+    def test_ablate_rejects_bad_grid_before_training(self, tmp_path, capsys, flags):
+        out = tmp_path / "grid"
+        assert cli_main(["ablate", "--out", str(out), "--steps", "5", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_ablate_tiny_grid(self, tmp_path, capsys):
+        def run(out):
+            assert cli_main(["ablate", "--out", str(out), "--schemes", "pape,frpe",
+                             "--strategies", "char", "--steps", "5",
+                             "--sl-train", "16", "--sl-eval", "24"]) == 0
+            return (out / "results.json").read_bytes()
+
+        first = run(tmp_path / "a")
+        results = json.loads(first)
+        lines = (tmp_path / "a" / "results.tsv").read_text().splitlines()
+        assert lines[0].split("\t") == ["scheme", "strategy", "sl_train", "sl_eval",
+                                        "accuracy_train_len", "accuracy_eval_len",
+                                        "status"]
+        pape, frpe = (line.split("\t") for line in lines[1:])
+        assert pape[:4] == ["pape", "char", "16", "24"] and pape[5] == ""
+        assert pape[6].startswith("out-of-range")
+        assert frpe[:4] == ["frpe", "char", "16", "24"] and frpe[6] == "ok"
+        assert 0.0 <= float(frpe[5]) <= 1.0
+
+        for row in results["rows"]:
+            config = row["run_config"]
+            assert config["seed"] == results["seed"] + hash_cell(row["scheme"], "char") % 1000
+            assert config["model"]["scheme"] == row["scheme"]
+            assert config["total_steps"] == 5
+        assert run(tmp_path / "b") == first

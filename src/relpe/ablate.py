@@ -52,7 +52,9 @@ def _cell_config(grid: AblationGrid, scheme: str, strategy: str) -> RunConfig:
             make_offset_copy_examples(0, n, grid.num_symbols, grid.offset, rng=None)
         except ValueError as exc:
             raise ConfigError(f"invalid ablation grid: {exc}") from None
-    maxpos = grid.pape_max_position or grid.sl_train
+    maxpos = grid.sl_train if grid.pape_max_position is None else grid.pape_max_position
+    if maxpos < 1:
+        raise ConfigError(f"invalid ablation grid: pape_max_position={maxpos} must be >= 1")
     return RunConfig.from_dict({
         "model": {"vocab_size": 5 + grid.num_symbols, "d_model": grid.d_model,
                   "num_layers": grid.num_layers, "num_heads": grid.num_heads,

@@ -72,7 +72,11 @@ def init_head_weights(cfg: AttentionConfig, rng: np.random.Generator) -> HeadWei
 
 
 def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
-    """Set padded columns to exactly MASK_FILL.
+    """Set padded key columns to exactly MASK_FILL.
+
+    ``mask`` marks valid positions. A (n,) mask applies to every score row;
+    a (..., n) mask holds one row per sequence of a batch and broadcasts
+    over heads and query rows, so scores are (..., H, n, n).
 
     The fill replaces the score (score * 0 + fill) rather than adding to it,
     so no score + fill sum exists that could round past binary16's range.
@@ -81,8 +85,10 @@ def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
         return scores
     n = scores.shape[-1]
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"mask shape {mask.shape} does not match sequence length {n}")
+    if mask.ndim > 1:
+        mask = mask[..., None, None, :]
+    if mask.shape[-1:] != (n,) or np.broadcast_shapes(mask.shape, scores.shape) != scores.shape:
+        raise ValueError(f"mask shape {mask.shape} does not fit scores of shape {scores.shape}")
     return scores * Tensor(mask.astype(np.float64)) + Tensor(np.where(mask, 0.0, MASK_FILL))
 
 
@@ -126,21 +132,24 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
                          rng: np.random.Generator | None = None) -> Tensor:
     """Full attention block: project, score, softmax and combine all heads, then W^O.
 
-    Heads ride on a leading axis: head h owns columns h*d_z:(h+1)*d_z of
-    each projection. The same relative table serves every head. ``mask``
-    marks valid positions.
+    ``x`` is (n, d_model) or a batch (..., n, d_model). Heads ride on an axis
+    next to the sequence axis, (..., H, n, d_z): head h owns columns
+    h*d_z:(h+1)*d_z of each projection. The same relative offset rows serve
+    every sequence and head. ``mask`` marks valid positions, (n,) or (..., n).
     """
-    n, d_model = x.shape
+    *lead, n, d_model = x.shape
     if d_model != cfg.d_model:
         raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
-    split = (n, cfg.num_heads, cfg.d_z)
+    split = (*lead, n, cfg.num_heads, cfg.d_z)
+    b = len(lead)
+    swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
 
-    def heads(w: Tensor) -> Tensor:               # (n, d) -> (H, n, d_z)
-        return (x @ w).reshape(split).transpose((1, 0, 2))
+    def heads(w: Tensor) -> Tensor:
+        return (x @ w).reshape(split).transpose(swap)
 
     q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
     alpha = softmax(attention_scores(q, k, table, mask), axis=-1)
     if cfg.attn_dropout > 0.0 and rng is not None:
         alpha = dropout(alpha, cfg.attn_dropout, rng)
-    merged = attention_output(alpha, v, table).transpose((1, 0, 2)).reshape(n, d_model)
+    merged = attention_output(alpha, v, table).transpose(swap).reshape(*lead, n, d_model)
     return merged @ weights.wo + weights.bo

@@ -30,18 +30,19 @@ class UserError(Exception):
 
 
 def _load_run_config(args) -> RunConfig:
+    """The --config file with the --seed/--out/--strategy/--scheme overrides."""
     if not getattr(args, "config", None):
         raise UserError("--config is required for this command")
-    config = RunConfig.from_json(args.config)
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "out", None):
-        config.out_dir = args.out
+        overrides["out_dir"] = args.out
     if getattr(args, "strategy", None):
-        config.masking_strategy = args.strategy
+        overrides["masking_strategy"] = args.strategy
     if getattr(args, "scheme", None):
-        config.model.scheme = Scheme(args.scheme)
-    return config
+        overrides["model"] = {"scheme": args.scheme}
+    return RunConfig.from_json(args.config, overrides)
 
 
 def cmd_build_vocab(args) -> int:
@@ -98,15 +99,10 @@ def cmd_eval(args) -> int:
     config = RunConfig.from_dict(manifest["config"])
     model = EncoderModel(config.model, seed=config.seed)
     load_checkpoint(args.checkpoint, model.parameters())
-    examples = read_examples(args.examples)
-    if not examples:
-        report = {"num_examples": 0, "num_predictions": 0,
-                  "mlm_loss": 0.0, "mlm_accuracy": 0.0, "nsp_accuracy": 0.0}
-    else:
-        try:
-            report = evaluate(model, examples)
-        except IndexError as exc:
-            raise UserError(f"evaluation failed: {exc}")
+    try:
+        report = evaluate(model, read_examples(args.examples))
+    except IndexError as exc:
+        raise UserError(f"evaluation failed: {exc}")
     report["run_config"] = config.to_dict()
     report["seed"] = config.seed
     text = json.dumps(report, indent=2)
@@ -122,7 +118,7 @@ def cmd_ablate(args) -> int:
         strategies=args.strategies.split(","),
         sl_train=args.sl_train, sl_eval=args.sl_eval,
         steps=args.steps, seed=args.seed if args.seed is not None else 0)
-    if args.pape_max_position:
+    if args.pape_max_position is not None:
         grid.pape_max_position = args.pape_max_position
     rows = ablate_mod.run_grid(grid, args.out)
     for row in rows:

@@ -4,6 +4,10 @@ Post-layer-norm residual blocks, GeLU feed-forward, tied MLM decoder, and a
 tanh pooler feeding the NSP classifier. Position information enters either
 through the attention-level relative table (FRPE / PRPE) or through learned
 absolute embeddings added to the inputs (PAPE).
+
+A batch of examples runs as one (B, n, d_model) pass: shorter examples are
+padded with [PAD] to the longest one, and a (B, n) validity mask keeps the
+padded keys out of every attention row. A single example is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
+from .data import PAD_ID, PretrainExample
 from .posenc import (AbsPositionTable, RelPositionTable, Scheme, build_abs_table,
                      build_rel_table)
 from .tensor import Tensor, dropout, gelu, layer_norm, log_softmax
@@ -69,11 +74,11 @@ class LayerParameters:
 
 @dataclass
 class ForwardOutput:
-    states: Tensor            # (n, d_model)
-    pooled: Tensor            # (1, d_model)
-    mlm_logits: Tensor        # (num_predictions, vocab)
-    nsp_logits: Tensor        # (1, 2)
-    predict_positions: np.ndarray
+    states: Tensor                 # (B, n, d_model), n the batch's longest length
+    pooled: Tensor                 # (B, d_model)
+    mlm_logits: Tensor             # (P, vocab): every prediction, in example order
+    nsp_logits: Tensor             # (B, 2)
+    predict_examples: np.ndarray   # (P,) batch index of each prediction's example
 
 
 class EncoderModel:
@@ -161,18 +166,19 @@ class EncoderModel:
 
     def embed_inputs(self, token_ids, segment_ids,
                      rng: np.random.Generator | None = None) -> Tensor:
+        """Normalized input embeddings (..., n, d_model) of (..., n) id arrays."""
         token_ids = np.asarray(token_ids, dtype=np.intp)
         segment_ids = np.asarray(segment_ids, dtype=np.intp)
         if token_ids.shape != segment_ids.shape:
             raise ValueError("token_ids and segment_ids must have equal length")
-        bad = np.nonzero((token_ids < 0) | (token_ids >= self.cfg.vocab_size))[0]
+        bad = np.argwhere((token_ids < 0) | (token_ids >= self.cfg.vocab_size))
         if bad.size:
-            raise IndexError(f"token id out of range at position {bad[0]}: "
-                             f"{token_ids[bad[0]]} (vocab {self.cfg.vocab_size})")
-        bad = np.nonzero((segment_ids < 0) | (segment_ids >= self.cfg.type_vocab_size))[0]
+            raise IndexError(f"token id out of range at {_where(bad[0])}: "
+                             f"{token_ids[tuple(bad[0])]} (vocab {self.cfg.vocab_size})")
+        bad = np.argwhere((segment_ids < 0) | (segment_ids >= self.cfg.type_vocab_size))
         if bad.size:
-            raise IndexError(f"segment id out of range at position {bad[0]}")
-        n = token_ids.shape[0]
+            raise IndexError(f"segment id out of range at {_where(bad[0])}")
+        n = token_ids.shape[-1]
         x = self.token_embedding.take_rows(token_ids) \
             + self.segment_embedding.take_rows(segment_ids)
         if self.cfg.scheme is Scheme.PAPE or self.cfg.add_absolute_input_embeddings:
@@ -202,60 +208,106 @@ class EncoderModel:
 
     def encode(self, token_ids, segment_ids, mask=None,
                rng: np.random.Generator | None = None) -> Tensor:
+        """Final hidden states (..., n, d_model); ``mask`` marks valid positions."""
         x = self.embed_inputs(token_ids, segment_ids, rng=rng)
         for layer in self.layers:
             x = self.layer_forward(x, layer, mask=mask, rng=rng)
         return x
 
-    def pretrain_forward(self, example, mask=None,
+    def pretrain_forward(self, examples,
                          rng: np.random.Generator | None = None) -> ForwardOutput:
-        positions = np.asarray(example.predict_positions, dtype=np.intp)
-        n = len(example.tokens)
-        if positions.size and (positions.min() < 0 or positions.max() >= n):
-            raise IndexError(f"prediction position out of range for length-{n} sequence")
-        states = self.encode(example.tokens, example.segments, mask=mask, rng=rng)
+        """Encode a batch of examples in one pass and apply the MLM and NSP heads.
 
-        pooled = ((states.take_rows([0]) @ self.pooler_w) + self.pooler_b).tanh()
+        ``examples`` is a sequence of PretrainExample, or one example (a batch
+        of one). Each dropout site draws one mask of the whole batch's shape.
+        """
+        if isinstance(examples, PretrainExample):
+            examples = [examples]
+        if not examples:
+            raise ValueError("no examples to encode")
+        lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
+        b, n = len(examples), int(lengths.max())
+        tokens = np.full((b, n), PAD_ID, dtype=np.intp)
+        segments = np.zeros((b, n), dtype=np.intp)
+        positions, owners = [], []
+        for i, (ex, length) in enumerate(zip(examples, lengths)):
+            if length < 1 or len(ex.segments) != length:
+                raise ValueError(f"batch example {i}: token_ids and segment_ids must "
+                                 f"have equal, nonzero length")
+            tokens[i, :length] = ex.tokens
+            segments[i, :length] = ex.segments
+            pos = np.asarray(ex.predict_positions, dtype=np.intp)
+            if pos.size and (pos.min() < 0 or pos.max() >= length):
+                raise IndexError(f"prediction position out of range for "
+                                 f"length-{length} sequence")
+            positions.append(pos)
+            owners.append(np.full(pos.size, i, dtype=np.intp))
+        positions, owners = np.concatenate(positions), np.concatenate(owners)
+        mask = None if lengths.min() == n else np.arange(n) < lengths[:, None]
+        states = self.encode(tokens, segments, mask=mask, rng=rng)
+
+        rows = states.reshape(b * n, self.cfg.d_model)
+        pooled = ((rows.take_rows(np.arange(b) * n) @ self.pooler_w) + self.pooler_b).tanh()
         nsp_logits = pooled @ self.nsp_w + self.nsp_b
 
         if positions.size:
-            h = states.take_rows(positions)
+            h = rows.take_rows(owners * n + positions)
             h = gelu(h @ self.mlm_dense_w + self.mlm_dense_b)
             h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta, self.cfg.ln_eps)
             mlm_logits = h @ self.token_embedding.T + self.mlm_output_bias
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
         return ForwardOutput(states=states, pooled=pooled, mlm_logits=mlm_logits,
-                             nsp_logits=nsp_logits, predict_positions=positions)
+                             nsp_logits=nsp_logits, predict_examples=owners)
 
 
-def pretrain_loss(output: ForwardOutput, example) -> tuple[Tensor, dict]:
-    """Joint loss: mean MLM cross-entropy plus NSP cross-entropy.
+def _where(index) -> str:
+    """Name an entry of a (n,) or (B, n) id array."""
+    return f"position {index[-1]}" + (f" of batch example {index[0]}" if len(index) > 1 else "")
 
-    Returns the scalar loss tensor and a metrics bundle with the parts and
-    MLM top-1 accuracy.
+
+def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
+    """Joint loss: the mean over examples of (mean MLM NLL + NSP NLL).
+
+    ``examples`` is what :meth:`EncoderModel.pretrain_forward` encoded. An
+    example without predictions adds no MLM loss. Returns the scalar loss and
+    a metrics bundle: the loss and its parts; ``mlm_accuracy``, the mean
+    top-1 accuracy of the examples that have predictions (NaN if none do);
+    and the counts ``num_predictions``, ``mlm_correct``, ``nsp_correct`` and
+    the summed MLM NLL ``mlm_nll_sum``, which add up across batches.
     """
-    labels = np.asarray(example.predict_labels, dtype=np.intp)
-    if labels.shape[0] != output.predict_positions.shape[0]:
+    if isinstance(examples, PretrainExample):
+        examples = [examples]
+    b = len(examples)
+    owners = output.predict_examples
+    counts = np.bincount(owners, minlength=b)
+    labels = [np.asarray(ex.predict_labels, dtype=np.intp) for ex in examples]
+    if [l.size for l in labels] != counts.tolist():
         raise ValueError("label count does not match prediction position count")
-    num_pred = labels.shape[0]
+    labels = np.concatenate(labels)
+    num_pred = labels.size
     if num_pred:
-        lp = log_softmax(output.mlm_logits, axis=-1)
-        picked = lp[np.arange(num_pred), labels]
-        mlm_loss = -(picked.sum() / float(num_pred))
-        mlm_acc = float(np.mean(output.mlm_logits.data.argmax(axis=-1) == labels))
+        picked = log_softmax(output.mlm_logits, axis=-1)[np.arange(num_pred), labels]
+        mlm_loss = (picked * Tensor(-1.0 / (b * counts[owners]))).sum()
+        nll = -picked.data
+        correct = output.mlm_logits.data.argmax(axis=-1) == labels
     else:
         mlm_loss = Tensor(0.0)
-        mlm_acc = float("nan")
-    nsp_lp = log_softmax(output.nsp_logits, axis=-1)
-    nsp_loss = -nsp_lp[0, int(example.nsp_label)]
+        nll = correct = np.zeros(0)
+    nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)
+    nsp_picked = log_softmax(output.nsp_logits, axis=-1)[np.arange(b), nsp_labels]
+    nsp_loss = nsp_picked.sum() * (-1.0 / b)
     total = mlm_loss + nsp_loss
+    has = counts > 0
+    accuracy = np.bincount(owners, correct, minlength=b)[has] / counts[has]
     metrics = {
         "loss": float(total.data),
         "mlm_loss": float(mlm_loss.data),
         "nsp_loss": float(nsp_loss.data),
-        "mlm_accuracy": mlm_acc,
+        "mlm_accuracy": float(accuracy.mean()) if accuracy.size else float("nan"),
         "num_predictions": num_pred,
-        "nsp_correct": float(output.nsp_logits.data.argmax() == int(example.nsp_label)),
+        "mlm_correct": int(np.sum(correct)),
+        "mlm_nll_sum": float(np.sum(nll)),
+        "nsp_correct": int(np.sum(output.nsp_logits.data.argmax(axis=-1) == nsp_labels)),
     }
     return total, metrics

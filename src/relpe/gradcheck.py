@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 class NonDeterministicLossError(RuntimeError):
@@ -35,14 +35,18 @@ def check_gradients(loss_fn, params: dict[str, Tensor], step: float = 1e-4,
 
     ``loss_fn`` must be a deterministic scalar-valued function of ``params``
     (evaluated with the parameters' current data). Coordinates are sampled
-    when a parameter has more than ``samples_per_param`` entries.
+    when a parameter has more than ``samples_per_param`` entries. Only the
+    analytic pass builds a graph; the determinism probes and every perturbed
+    evaluation run under :func:`no_grad`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    base = loss_fn().item()
-    if loss_fn().item() != base:
+    with no_grad():
+        base = loss_fn().item()
+        repeat = loss_fn().item()
+    if repeat != base:
         raise NonDeterministicLossError(
             "loss function is not deterministic; gradient check is meaningless")
 
@@ -59,33 +63,35 @@ def check_gradients(loss_fn, params: dict[str, Tensor], step: float = 1e-4,
     worst_name = ""
     per_parameter = {}
     checked = 0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n <= samples_per_param:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=samples_per_param, replace=False)
-        param_worst = 0.0
-        for c in coords:
-            orig = flat[c]
-            a = analytic[name].reshape(-1)[c]
-            # Two step sizes: the small one bounds truncation error, the large
-            # one bounds float64 roundoff when the true gradient is near zero.
-            err = np.inf
-            for h in (step, 8.0 * step):
-                flat[c] = orig + h
-                f_plus = loss_fn().item()
-                flat[c] = orig - h
-                f_minus = loss_fn().item()
-                flat[c] = orig
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                err = min(err, _relative_error(a, numeric))
-            param_worst = max(param_worst, err)
-            checked += 1
-        per_parameter[name] = param_worst
-        if param_worst > worst:
-            worst = param_worst
-            worst_name = name
+    with no_grad():
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            n = flat.size
+            if n <= samples_per_param:
+                coords = np.arange(n)
+            else:
+                coords = rng.choice(n, size=samples_per_param, replace=False)
+            param_worst = 0.0
+            for c in coords:
+                orig = flat[c]
+                a = analytic[name].reshape(-1)[c]
+                # Two step sizes: the small one bounds truncation error, the
+                # large one bounds float64 roundoff when the true gradient is
+                # near zero.
+                err = np.inf
+                for h in (step, 8.0 * step):
+                    flat[c] = orig + h
+                    f_plus = loss_fn().item()
+                    flat[c] = orig - h
+                    f_minus = loss_fn().item()
+                    flat[c] = orig
+                    numeric = (f_plus - f_minus) / (2.0 * h)
+                    err = min(err, _relative_error(a, numeric))
+                param_worst = max(param_worst, err)
+                checked += 1
+            per_parameter[name] = param_worst
+            if param_worst > worst:
+                worst = param_worst
+                worst_name = name
     return GradCheckReport(max_relative_error=worst, worst_parameter=worst_name,
                            per_parameter=per_parameter, checked_coordinates=checked)

@@ -6,6 +6,7 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
+Under :func:`no_grad` no graph is recorded at all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # Module-level hook applied to op outputs and gradient accumulations.
 _value_filter: Optional[Callable[[np.ndarray], np.ndarray]] = None
+# False inside no_grad(): results keep no parents and no backward closure.
+_grad_enabled = True
 
 
 @contextlib.contextmanager
@@ -38,6 +41,22 @@ def value_filter(fn):
         yield
     finally:
         _value_filter = prev
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph: every result has ``requires_grad=False`` and no parents.
+
+    For forward passes that are never differentiated (evaluation, finite
+    differences); each intermediate is freed as soon as nothing uses it.
+    """
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _filtered(a: np.ndarray) -> np.ndarray:
@@ -115,7 +134,7 @@ class Tensor:
     @staticmethod
     def _make(out_data, parents, backward) -> "Tensor":
         out = Tensor(_filtered(np.asarray(out_data, dtype=np.float64)))
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .data import PretrainExample
 from .encoder import EncoderModel, pretrain_loss
 from .optim import lr_at_step, make_optimizer, training_step
-from .tensor import Tensor
+from .tensor import no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,27 +56,7 @@ class Trainer:
         def loss_fn():
             rng = (np.random.default_rng([self.config.seed, 2, t])
                    if dropout_active else None)
-            total = Tensor(0.0)
-            agg = {"loss": 0.0, "mlm_loss": 0.0, "nsp_loss": 0.0,
-                   "mlm_accuracy": 0.0, "num_predictions": 0, "nsp_correct": 0.0}
-            n_with_pred = 0
-            for ex in batch:
-                out = self.model.pretrain_forward(ex, rng=rng)
-                loss, metrics = pretrain_loss(out, ex)
-                total = total + loss
-                for key in ("loss", "mlm_loss", "nsp_loss", "nsp_correct"):
-                    agg[key] += metrics[key]
-                agg["num_predictions"] += metrics["num_predictions"]
-                if metrics["num_predictions"]:
-                    agg["mlm_accuracy"] += metrics["mlm_accuracy"]
-                    n_with_pred += 1
-            b = len(batch)
-            total = total / float(b)
-            for key in ("loss", "mlm_loss", "nsp_loss", "nsp_correct"):
-                agg[key] /= b
-            agg["mlm_accuracy"] = (agg["mlm_accuracy"] / n_with_pred
-                                   if n_with_pred else float("nan"))
-            return total, agg
+            return pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
 
         return loss_fn
 
@@ -144,26 +124,47 @@ class Trainer:
                 log_fh.close()
 
 
-def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
-    """MLM loss/accuracy and NSP accuracy over an example set."""
-    n_pred = 0
-    mlm_loss_sum = 0.0
-    mlm_correct = 0.0
-    nsp_correct = 0
+# Most padded tokens (examples x longest length) in one evaluation pass.
+_EVAL_CHUNK_TOKENS = 512
+
+
+def _eval_chunks(examples: list[PretrainExample]):
+    """(start index, chunk) for consecutive runs of examples whose padded
+    size fits _EVAL_CHUNK_TOKENS; a longer example forms a chunk of its own.
+    """
+    start, chunk, longest = 0, [], 0
     for ex in examples:
-        out = model.pretrain_forward(ex)
-        _, metrics = pretrain_loss(out, ex)
-        k = metrics["num_predictions"]
-        n_pred += k
-        if k:
-            mlm_loss_sum += metrics["mlm_loss"] * k
-            mlm_correct += metrics["mlm_accuracy"] * k
-        nsp_correct += int(metrics["nsp_correct"])
-    n = len(examples)
+        n = max(longest, len(ex.tokens))
+        if chunk and n * (len(chunk) + 1) > _EVAL_CHUNK_TOKENS:
+            yield start, chunk
+            start, chunk, n = start + len(chunk), [], len(ex.tokens)
+        chunk.append(ex)
+        longest = n
+    if chunk:
+        yield start, chunk
+
+
+def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
+    """MLM loss/accuracy per prediction and NSP accuracy over an example set.
+
+    Runs the training step's batched forward and loss on chunks of examples,
+    without building a graph.
+    """
+    totals = dict.fromkeys(("num_predictions", "mlm_nll_sum", "mlm_correct",
+                            "nsp_correct"), 0)
+    with no_grad():
+        for start, chunk in _eval_chunks(examples):
+            try:
+                _, metrics = pretrain_loss(model.pretrain_forward(chunk), chunk)
+            except (IndexError, ValueError) as exc:   # name the examples, not the chunk
+                raise type(exc)(f"examples {start}-{start + len(chunk) - 1}: {exc}") from None
+            for key in totals:
+                totals[key] += metrics[key]
+    n, n_pred = len(examples), totals["num_predictions"]
     return {
         "num_examples": n,
         "num_predictions": n_pred,
-        "mlm_loss": mlm_loss_sum / n_pred if n_pred else 0.0,
-        "mlm_accuracy": mlm_correct / n_pred if n_pred else 0.0,
-        "nsp_accuracy": nsp_correct / n if n else 0.0,
+        "mlm_loss": totals["mlm_nll_sum"] / n_pred if n_pred else 0.0,
+        "mlm_accuracy": totals["mlm_correct"] / n_pred if n_pred else 0.0,
+        "nsp_accuracy": totals["nsp_correct"] / n if n else 0.0,
     }

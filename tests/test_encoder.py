@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import relpe.attention
+from relpe.attention import MASK_FILL
 from relpe.data import PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.gradcheck import check_gradients
+from relpe.optim import round_half
 from relpe.posenc import Scheme
-from relpe.tensor import Tensor
+from relpe.tensor import Tensor, value_filter
 
 
 def tiny_config(**kw):
@@ -120,8 +123,8 @@ class TestEmbedInputs:
 class TestForward:
     def test_shapes(self):
         model = EncoderModel(tiny_config(), seed=2)
-        out = model.pretrain_forward(tiny_example())
-        assert out.states.data.shape == (7, 8)
+        out = model.pretrain_forward(tiny_example())   # a batch of one
+        assert out.states.data.shape == (1, 7, 8)
         assert out.pooled.data.shape == (1, 8)
         assert out.mlm_logits.data.shape == (2, 16)
         assert out.nsp_logits.data.shape == (1, 2)
@@ -244,3 +247,183 @@ class TestPretrainLoss:
                                  samples_per_param=8,
                                  rng=np.random.default_rng(0))
         assert report.max_relative_error < 1e-4, report.worst_parameter
+
+
+def mixed_batch(vocab_size=16, lengths=(9, 6, 9, 4), seed=0):
+    """Examples of mixed lengths; the second has no predictions."""
+    rng = np.random.default_rng(seed)
+    batch = []
+    for i, n in enumerate(lengths):
+        k = 0 if i == 1 else int(rng.integers(1, 4))
+        batch.append(PretrainExample(
+            tokens=[int(t) for t in rng.integers(0, vocab_size, n)],
+            segments=[0] * (n // 2) + [1] * (n - n // 2),
+            predict_positions=sorted(int(p) for p in rng.choice(n, k, replace=False)),
+            predict_labels=[int(t) for t in rng.integers(0, vocab_size, k)],
+            nsp_label=i % 2))
+    return batch
+
+
+class SlicedDraws:
+    """Stands in for a Generator in a batch-of-one forward of example ``b``.
+
+    Each ``random(shape)`` call returns example b's slice of the next
+    batch-shaped draw: index b on the batch axis, the leading part of every
+    other axis (padding sits at the end of each sequence axis).
+    """
+
+    def __init__(self, draws, b):
+        self.draws, self.b = iter(draws), b
+
+    def random(self, shape):
+        full = next(self.draws)
+        return full[(self.b, *(slice(0, size) for size in shape[1:]))][None]
+
+
+def run_batched(model, batch, rng=None):
+    for p in model.parameters().values():
+        p.zero_grad()
+    loss, metrics = pretrain_loss(model.pretrain_forward(batch, rng=rng), batch)
+    loss.backward()
+    return loss.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
+
+
+def run_per_example(model, batch, rngs=None):
+    """One batch-of-one graph per example, summed the way a batch loss is defined."""
+    for p in model.parameters().values():
+        p.zero_grad()
+    total, parts = Tensor(0.0), []
+    for i, ex in enumerate(batch):
+        loss, m = pretrain_loss(model.pretrain_forward(ex, rng=rngs and rngs[i]), ex)
+        total, parts = total + loss, parts + [m]
+    total = total / float(len(batch))
+    total.backward()
+    metrics = {key: float(np.mean([m[key] for m in parts]))
+               for key in ("loss", "mlm_loss", "nsp_loss")}
+    scored = [m["mlm_accuracy"] for m in parts if m["num_predictions"]]
+    metrics["mlm_accuracy"] = float(np.mean(scored)) if scored else float("nan")
+    for key in ("num_predictions", "mlm_correct", "mlm_nll_sum", "nsp_correct"):
+        metrics[key] = sum(m[key] for m in parts)
+    return total.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
+
+
+def assert_runs_agree(got, want):
+    assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+    assert got[1].keys() == want[1].keys()
+    for key in want[1]:
+        assert got[1][key] == pytest.approx(want[1][key], rel=0, abs=1e-12,
+                                            nan_ok=True), key
+    for name, grad in want[2].items():
+        if grad is None:            # a head no prediction reached
+            assert got[2][name] is None, name
+            continue
+        np.testing.assert_allclose(got[2][name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+BATCH_CASES = {
+    "none": dict(scheme=Scheme.NONE),
+    "pape": dict(scheme=Scheme.PAPE),
+    "prpe-clip-below-n": dict(scheme=Scheme.PRPE, prpe_clip=2),
+    "frpe": dict(scheme=Scheme.FRPE),
+    "frpe-past-max-len": dict(scheme=Scheme.FRPE, max_seq_len=4),
+}
+
+
+class TestBatchedForward:
+    """One (B, n, d) pass equals a batch-of-one pass per example."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_matches_per_example_forward(self, case):
+        model = EncoderModel(tiny_config(**BATCH_CASES[case]), seed=11)
+        batch = mixed_batch()
+        got, want = run_batched(model, batch), run_per_example(model, batch)
+        assert_runs_agree(got, want)
+        assert got[1]["num_predictions"] == sum(len(ex.predict_positions) for ex in batch)
+
+    def test_padding_is_invisible_to_each_example(self):
+        model = EncoderModel(tiny_config(), seed=12)
+        batch = mixed_batch()
+        out = model.pretrain_forward(batch)
+        alone = model.pretrain_forward(batch[3])        # the shortest example
+        n = len(batch[3].tokens)
+        np.testing.assert_allclose(out.states.data[3, :n], alone.states.data[0],
+                                   rtol=0, atol=1e-12)
+        assert out.states.data.shape == (4, 9, 8)
+        np.testing.assert_array_equal(out.predict_examples,
+                                      np.repeat(np.arange(4), [len(ex.predict_positions)
+                                                               for ex in batch]))
+
+    def test_batch_without_predictions(self):
+        model = EncoderModel(tiny_config(), seed=13)
+        batch = mixed_batch()
+        for ex in batch:
+            ex.predict_positions, ex.predict_labels = [], []
+        got, want = run_batched(model, batch), run_per_example(model, batch)
+        assert got[1]["mlm_loss"] == 0.0 and np.isnan(got[1]["mlm_accuracy"])
+        assert_runs_agree(got, want)
+
+    def test_dropout_draws_one_batch_shaped_mask_per_site(self):
+        cfg = tiny_config(hidden_dropout=0.2, attn_dropout=0.3)
+        model = EncoderModel(cfg, seed=14)
+        batch = mixed_batch()
+        b, n, d, heads = len(batch), 9, cfg.d_model, cfg.num_heads
+        # site order: embeddings, then per layer attention weights, the
+        # attention output and the feed-forward output
+        shapes = [(b, n, d)] + [(b, heads, n, n), (b, n, d), (b, n, d)] * cfg.num_layers
+        source = np.random.default_rng(5)
+        draws = [source.random(shape) for shape in shapes]
+
+        got = run_batched(model, batch, rng=np.random.default_rng(5))
+        rngs = [SlicedDraws(draws, i) for i in range(b)]
+        want = run_per_example(model, batch, rngs)
+        assert_runs_agree(got, want)
+        for r in rngs:
+            assert next(r.draws, None) is None    # every draw was used
+        without = run_batched(model, batch)
+        assert abs(without[0] - got[0]) > 1e-6
+
+    def test_binary16_padding_mask_gives_finite_scores(self, monkeypatch):
+        scores = []
+        original = relpe.attention.attention_scores
+
+        def recorded(*args, **kwargs):
+            scores.append(original(*args, **kwargs))
+            return scores[-1]
+
+        monkeypatch.setattr(relpe.attention, "attention_scores", recorded)
+        model = EncoderModel(tiny_config(), seed=15)
+        batch = mixed_batch()
+        params = model.parameters()
+        masters = {k: p.data for k, p in params.items()}
+        for p in params.values():
+            p.data = round_half(p.data)
+        with value_filter(round_half):
+            loss, metrics = pretrain_loss(model.pretrain_forward(batch), batch)
+            (loss * 1024.0).backward()
+        for k, p in params.items():
+            p.data = masters[k]
+        assert len(scores) == 2
+        for s in scores:
+            assert np.all(np.isfinite(s.data))
+            assert np.all(s.data[3, :, :, 4:] == MASK_FILL)    # example 3 has 4 tokens
+        assert np.isfinite(metrics["loss"])
+        assert all(np.all(np.isfinite(p.grad)) for p in params.values())
+        reference = run_batched(model, batch)[1]
+        assert metrics["loss"] == pytest.approx(reference["loss"], rel=1e-2)
+
+    def test_example_errors_are_named(self):
+        model = EncoderModel(tiny_config(), seed=16)
+        batch = mixed_batch()
+        batch[2].predict_positions = [9]
+        with pytest.raises(IndexError, match="length-9"):
+            model.pretrain_forward(batch)
+        batch = mixed_batch()
+        batch[1].segments = batch[1].segments[:-1]
+        with pytest.raises(ValueError, match="batch example 1"):
+            model.pretrain_forward(batch)
+        batch = mixed_batch()
+        batch[3].tokens[2] = 99
+        with pytest.raises(IndexError, match="position 2 of batch example 3"):
+            model.pretrain_forward(batch)
+        with pytest.raises(ValueError):
+            model.pretrain_forward([])

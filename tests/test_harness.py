@@ -11,12 +11,12 @@ from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
 from relpe.data import CLS_ID, MASK_ID, read_examples
-from relpe.encoder import EncoderConfig
+from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
                          partner, toy_words)
 from relpe.tensor import Tensor
-from relpe.train import Trainer
+from relpe.train import Trainer, _eval_chunks, evaluate
 
 
 def tiny_run_config(**kw):
@@ -289,6 +289,60 @@ class TestTrainer:
             Trainer(tiny_run_config(), [])
 
 
+class TestEvaluate:
+    def examples(self):
+        rng = np.random.default_rng(4)
+        examples = [ex for n in (12, 40, 13, 30, 16) * 8
+                    for ex in make_offset_copy_examples(1, n, 8, -3, rng)]
+        examples[3].predict_positions, examples[3].predict_labels = [], []
+        return examples
+
+    def test_matches_graph_building_reference(self):
+        model = EncoderModel(tiny_run_config(model=EncoderConfig(
+            vocab_size=13, d_model=8, num_layers=2, num_heads=2, ffn_size=16,
+            max_seq_len=12, scheme="prpe", prpe_clip=3)).model, seed=5)
+        examples = self.examples()
+        got = evaluate(model, examples)
+
+        nll = correct = nsp = 0.0
+        for ex in examples:
+            out = model.pretrain_forward(ex)
+            loss, _ = pretrain_loss(out, ex)
+            assert loss.requires_grad     # the reference builds every graph
+            k = len(ex.predict_labels)
+            if k:
+                lp = out.mlm_logits.data - out.mlm_logits.data.max(axis=-1, keepdims=True)
+                lp -= np.log(np.exp(lp).sum(axis=-1, keepdims=True))
+                nll -= lp[np.arange(k), ex.predict_labels].sum()
+                correct += np.sum(out.mlm_logits.data.argmax(-1) == ex.predict_labels)
+            nsp += out.nsp_logits.data.argmax() == ex.nsp_label
+        n_pred = sum(len(ex.predict_labels) for ex in examples)
+        assert got["num_examples"] == len(examples)
+        assert got["num_predictions"] == n_pred
+        assert got["mlm_loss"] == pytest.approx(nll / n_pred, rel=0, abs=1e-12)
+        assert got["mlm_accuracy"] == pytest.approx(correct / n_pred, rel=0, abs=1e-12)
+        assert got["nsp_accuracy"] == pytest.approx(nsp / len(examples), rel=0, abs=1e-12)
+
+    def test_chunks_are_consecutive_and_capped(self):
+        examples = self.examples()
+        examples.insert(7, make_offset_copy_examples(1, 600, 8, -3,
+                                                     np.random.default_rng(0))[0])
+        starts, chunks = zip(*_eval_chunks(examples))
+        assert [ex for chunk in chunks for ex in chunk] == examples
+        assert list(starts) == [0, *np.cumsum([len(chunk) for chunk in chunks])[:-1]]
+        for chunk in chunks:
+            padded = len(chunk) * max(len(ex.tokens) for ex in chunk)
+            assert padded <= 512 or len(chunk) == 1
+        assert [len(ex.tokens) for ex in chunks[1]] == [600]
+        assert len(chunks) < len(examples) // 4
+        examples[9].tokens[2] = 99
+        with pytest.raises(IndexError, match=r"examples 8-\d+: .* of batch example 1"):
+            evaluate(EncoderModel(tiny_run_config().model), examples)
+        assert evaluate(EncoderModel(tiny_run_config().model), []) == {
+            "num_examples": 0, "num_predictions": 0, "mlm_loss": 0.0,
+            "mlm_accuracy": 0.0, "nsp_accuracy": 0.0}
+
+
 class TestSynth:
     def test_partner_is_a_bijection(self):
         for alphabet in (8, 48, 200):
@@ -418,6 +472,31 @@ class TestCli:
                          "--examples", str(tmp_path / "nope.jsonl")]) == 1
         capsys.readouterr()
 
+    def write_init_only_config(self, tmp_path):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        cfg_path, _ = self.write_config(tmp_path, train_examples=str(examples_path),
+                                        out_dir=str(tmp_path / "run"), total_steps=0)
+        return cfg_path
+
+    def test_pretrain_rejects_negative_seed_override(self, tmp_path, capsys):
+        cfg_path = self.write_init_only_config(tmp_path)
+        assert cli_main(["pretrain", "--config", str(cfg_path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run config") and "seed" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_pretrain_applies_valid_overrides(self, tmp_path):
+        cfg_path = self.write_init_only_config(tmp_path)
+        out = tmp_path / "other"
+        assert cli_main(["pretrain", "--config", str(cfg_path),
+                         "--seed", "9", "--out", str(out)]) == 0
+        manifest = load_manifest(out / "checkpoint-init")
+        assert manifest["config"]["seed"] == 9
+        assert manifest["config"]["out_dir"] == str(out)
+        assert not (tmp_path / "run").exists()
+
     def test_prepare_data_without_corpus_is_user_error(self, tmp_path, capsys):
         cfg_path, _ = self.write_config(tmp_path, out_dir=str(tmp_path / "d"))
         assert cli_main(["prepare-data", "--config", str(cfg_path)]) == 1
@@ -431,6 +510,7 @@ class TestCli:
         ["--sl-train", "4"],                   # too short for two offset queries
         ["--sl-eval", "0"],
         ["--pape-max-position", "-1"],
+        ["--pape-max-position", "0"],          # was taken as unset
         ["--seed", "-1000"],                   # every cell seed negative
     ])
     def test_ablate_rejects_bad_grid_before_training(self, tmp_path, capsys, flags):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
-from relpe.tensor import (Tensor, gelu, layer_norm, log_softmax, rel_gather,
+from relpe.tensor import (Tensor, gelu, layer_norm, log_softmax, no_grad, rel_gather,
                           rel_scatter, softmax, value_filter)
 
 
@@ -253,7 +253,52 @@ class TestOffsetMaps:
             rel_scatter(Tensor(np.zeros(shape)))
 
 
+class TestNoGrad:
+    def test_results_record_no_graph(self):
+        a = Tensor(rand((3, 4)), requires_grad=True)
+        with no_grad():
+            outs = [a + 1.0, a @ a.T, softmax(a), layer_norm(a, Tensor(1.0), Tensor(0.0)),
+                    a.take_rows([2, 0]), (a * a).sum()]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        # values are the same as with a graph
+        np.testing.assert_array_equal(outs[1].data, (a @ a.T).data)
+
+    def test_restores_on_exit_and_on_exceptions(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        out = (a * a).sum()
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+
+    def test_nests(self):
+        a = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (a * 2.0).requires_grad
+            assert not (a * 2.0).requires_grad   # the outer context still holds
+        assert (a * 2.0).requires_grad
+
+
 class TestCheckGradients:
+    def test_only_the_analytic_pass_builds_a_graph(self):
+        p = Tensor(rand(6, seed=9), requires_grad=True)
+        graphs = []
+
+        def loss():
+            out = (p * p).sum()
+            graphs.append(out.requires_grad)
+            return out
+
+        report = check_gradients(loss, {"p": p})
+        assert report.max_relative_error < 1e-7
+        # two determinism probes, then the analytic pass, then 4 per coordinate
+        assert graphs == [False, False, True] + [False] * (4 * 6)
+
     def test_sum_of_squares(self):
         p = Tensor(rand(20, seed=7), requires_grad=True)
         report = check_gradients(lambda: (p * p).sum(), {"p": p})

@@ -12,8 +12,7 @@ from .encoder import EncoderConfig, EncoderModel, pretrain_loss
 from .gradcheck import check_gradients
 from .optim import (AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy,
                     lr_at_step, round_half, training_step)
-from .posenc import (AbsPositionTable, RelPositionTable, Scheme, build_abs_table,
-                     build_rel_table, frpe_vector, pape_lookup, rel_lookup)
+from .posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
 from .tensor import Tensor, gelu, layer_norm, log_softmax, softmax
 from .train import Trainer, evaluate
 

@@ -39,11 +39,10 @@ class CorpusError(ValueError):
 @dataclass
 class Vocabulary:
     tokens: list[str]
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {t: i for i, t in enumerate(self.tokens)}
+        self.index = {t: i for i, t in enumerate(self.tokens)}
         for i, name in enumerate(SPECIAL_TOKENS):
             if self.tokens[i] != name:
                 raise ValueError(f"special token {name} missing at id {i}")
@@ -103,7 +102,7 @@ def build_vocab(corpus_paths, min_count: int = 1,
 @dataclass
 class Lexicon:
     words: set[str]
-    max_word_len: int = 1
+    max_word_len: int = field(init=False)
 
     def __post_init__(self):
         self.words = {w for w in self.words if len(w) >= 2}
@@ -270,10 +269,22 @@ class PretrainExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PretrainExample":
-        return cls(tokens=list(d["tokens"]), segments=list(d["segments"]),
-                   predict_positions=list(d["predict_positions"]),
-                   predict_labels=list(d["predict_labels"]),
-                   nsp_label=int(d["nsp_label"]))
+        """Read one example record; a record the encoder cannot run is a ValueError."""
+        ex = cls(tokens=list(d["tokens"]), segments=list(d["segments"]),
+                 predict_positions=list(d["predict_positions"]),
+                 predict_labels=list(d["predict_labels"]),
+                 nsp_label=int(d["nsp_label"]))
+        n = len(ex.tokens)
+        if n == 0 or len(ex.segments) != n:
+            raise ValueError(f"{n} tokens and {len(ex.segments)} segments; "
+                             f"need equal, nonzero counts")
+        if len(ex.predict_positions) != len(ex.predict_labels):
+            raise ValueError(f"{len(ex.predict_positions)} predict_positions but "
+                             f"{len(ex.predict_labels)} predict_labels")
+        if any(not 0 <= p < n for p in ex.predict_positions):
+            raise ValueError(f"predict_positions {ex.predict_positions} "
+                             f"outside the length-{n} sequence")
+        return ex
 
 
 def _truncate_pair(a: str, b: str, budget: int) -> tuple[str, str]:

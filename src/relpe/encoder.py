@@ -18,8 +18,7 @@ import numpy as np
 
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
 from .data import PAD_ID, PretrainExample
-from .posenc import (AbsPositionTable, RelPositionTable, Scheme, build_abs_table,
-                     build_rel_table)
+from .posenc import RelPositionTable, Scheme, build_rel_table
 from .tensor import Tensor, dropout, gelu, layer_norm, log_softmax
 
 
@@ -37,8 +36,6 @@ class EncoderConfig:
     hidden_dropout: float = 0.0
     attn_dropout: float = 0.0
     ln_eps: float = 1e-12
-    # FRPE/PRPE runs carry no absolute input embeddings unless forced on.
-    add_absolute_input_embeddings: bool = False
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
@@ -112,11 +109,11 @@ class EncoderModel:
         self.embed_ln_gamma = ones("embed.ln.gamma", d)
         self.embed_ln_beta = zeros("embed.ln.beta", d)
 
-        self.abs_table: AbsPositionTable | None = None
-        if cfg.scheme is Scheme.PAPE or cfg.add_absolute_input_embeddings:
-            self.abs_table = build_abs_table(cfg.max_seq_len, d,
-                                             rng_seed=int(rng.integers(2**31)))
-            self._params.update(self.abs_table.parameters())
+        self.position_embedding: Tensor | None = None
+        if cfg.scheme is Scheme.PAPE:   # rows 0 .. max_seq_len-1, from a derived seed
+            pos_rng = np.random.default_rng(int(rng.integers(2**31)))
+            self.position_embedding = register(
+                "abspos.table", pos_rng.normal(0.0, 0.02, (cfg.max_seq_len, d)))
 
         self.rel_table: RelPositionTable | None = None
         if cfg.scheme is Scheme.FRPE:
@@ -181,12 +178,12 @@ class EncoderModel:
         n = token_ids.shape[-1]
         x = self.token_embedding.take_rows(token_ids) \
             + self.segment_embedding.take_rows(segment_ids)
-        if self.cfg.scheme is Scheme.PAPE or self.cfg.add_absolute_input_embeddings:
-            if n > self.abs_table.max_position:
+        if self.position_embedding is not None:
+            if n > self.cfg.max_seq_len:
                 raise IndexError(
                     f"sequence length {n} exceeds learned absolute position table "
-                    f"(max_position={self.abs_table.max_position})")
-            x = x + self.abs_table.table.take_rows(np.arange(n))
+                    f"(max_position={self.cfg.max_seq_len})")
+            x = x + self.position_embedding.take_rows(np.arange(n))
         x = layer_norm(x, self.embed_ln_gamma, self.embed_ln_beta, self.cfg.ln_eps)
         if rng is not None:
             x = dropout(x, self.cfg.hidden_dropout, rng)

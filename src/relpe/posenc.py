@@ -7,8 +7,8 @@ offsets, so relative attention needs O(n^2 + n*d_z) memory per head. FRPE
 vectors are a pure function of the signed offset j - i: any length works,
 lookups never modify the table, and the table registers no parameters. PRPE
 keeps two learned banks (key and value roles) indexed by the clipped offset.
-PAPE is a learned per-position table added to the input embeddings and
-hard-fails past its last row.
+PAPE's learned per-position rows are an encoder parameter (``abspos.table``)
+added to the input embeddings; only the scheme name lives here.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ class Scheme(str, Enum):
         return self in (Scheme.FRPE, Scheme.PRPE)
 
 
-def frpe_vector(delta: int, d_z: int) -> np.ndarray:
-    """Sinusoidal encoding of one signed offset; see :func:`_frpe_block`."""
-    return _frpe_block(np.asarray(delta), d_z)
-
-
-def _frpe_block(deltas: np.ndarray, d_z: int) -> np.ndarray:
-    """Sinusoidal encodings of an array of signed offsets, shape deltas.shape + (d_z,).
+def frpe_vector(deltas, d_z: int) -> np.ndarray:
+    """Sinusoidal encodings of signed offsets, shape np.shape(deltas) + (d_z,).
 
     Component 2k is sin(delta / 10000^(2k/d_z)), component 2k+1 the matching
     cosine; wavelengths form a geometric progression from 2*pi to 10000*2*pi.
+    One int offset gives one (d_z,) vector.
     """
     if d_z % 2 != 0 or d_z <= 0:
         raise ValueError(f"d_z must be a positive even integer, got {d_z}")
@@ -58,30 +54,22 @@ def _frpe_block(deltas: np.ndarray, d_z: int) -> np.ndarray:
 class RelPositionTable:
     """Encoding vectors a_delta of signed offsets delta = j - i.
 
-    ``fixed`` tables hold one sinusoidal bank shared by the key and value
-    roles, built once over [-(max_len-1), max_len-1] and never modified;
-    offsets past it are computed from the same formula. Learned tables hold
-    separate banks clipped at ``clip`` offsets.
+    An FRPE table holds ``rows``: one sinusoidal bank shared by the key and
+    value roles, built once over [-(max_len-1), max_len-1] and never
+    modified; offsets past it are computed from the same formula. A PRPE
+    table holds separate learned banks clipped at ``clip`` offsets.
     """
     d_z: int
     max_len: int
-    fixed: bool
     clip: int = 0
-    rows: np.ndarray | None = None          # fixed bank, offset-indexed
-    bank_k: Tensor | None = None            # learned key bank
-    bank_v: Tensor | None = None            # learned value bank
+    rows: np.ndarray | None = None          # FRPE bank, offset-indexed
+    bank_k: Tensor | None = None            # PRPE key bank
+    bank_v: Tensor | None = None            # PRPE value bank
 
     def parameters(self) -> dict[str, Tensor]:
-        if self.fixed:
+        if self.rows is not None:
             return {}
         return {"relpos.bank_k": self.bank_k, "relpos.bank_v": self.bank_v}
-
-    def row(self, delta: int, role: str = "K"):
-        if self.fixed:
-            return frpe_vector(int(delta), self.d_z)
-        idx = int(np.clip(delta, -self.clip, self.clip)) + self.clip
-        bank = self.bank_k if role == "K" else self.bank_v
-        return bank.data[idx]
 
     def block(self, n: int, role: str = "K") -> Tensor:
         """Offset rows R of shape (2n-1, d_z), with R[o] = a_{o-(n-1)}.
@@ -90,10 +78,10 @@ class RelPositionTable:
         length is allowed, since FRPE rows are a function of the offset.
         """
         offsets = np.arange(-(n - 1), n)
-        if self.fixed:
+        if self.rows is not None:
             if n <= self.max_len:   # the built rows already hold these offsets
                 return Tensor(self.rows[self.max_len - n:self.max_len + n - 1])
-            return Tensor(_frpe_block(offsets, self.d_z))
+            return Tensor(frpe_vector(offsets, self.d_z))
         bank = self.bank_k if role == "K" else self.bank_v
         return bank.take_rows(np.clip(offsets, -self.clip, self.clip) + self.clip)
 
@@ -108,51 +96,13 @@ def build_rel_table(max_len: int, d_z: int, scheme: Scheme,
         raise ValueError(f"build_rel_table only handles relative schemes, got {scheme.value}")
     if scheme is Scheme.FRPE:
         offsets = np.arange(-(max_len - 1), max_len)
-        return RelPositionTable(d_z=d_z, max_len=max_len, fixed=True,
-                                rows=_frpe_block(offsets, d_z))
+        return RelPositionTable(d_z=d_z, max_len=max_len, rows=frpe_vector(offsets, d_z))
     if clip < 1:
         raise ValueError("clip distance must be >= 1")
     rng = np.random.default_rng(rng_seed)
     shape = (2 * clip + 1, d_z)
     return RelPositionTable(
-        d_z=d_z, max_len=max_len, fixed=False, clip=clip,
+        d_z=d_z, max_len=max_len, clip=clip,
         bank_k=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True, name="relpos.bank_k"),
         bank_v=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True, name="relpos.bank_v"),
     )
-
-
-def rel_lookup(table: RelPositionTable, i: int, j: int, role: str = "K") -> np.ndarray:
-    """Encoding vector for the pair (i, j); FRPE recomputes out-of-range offsets."""
-    if role not in ("K", "V"):
-        raise ValueError(f"role must be 'K' or 'V', got {role!r}")
-    return np.asarray(table.row(j - i, role))
-
-
-@dataclass
-class AbsPositionTable:
-    """Learned absolute position embeddings, rows 0 .. max_position - 1."""
-    table: Tensor
-
-    @property
-    def max_position(self) -> int:
-        return self.table.shape[0]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"abspos.table": self.table}
-
-
-def build_abs_table(max_position: int, d_model: int, rng_seed: int = 0) -> AbsPositionTable:
-    if max_position < 1:
-        raise ValueError("max_position must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    t = Tensor(rng.normal(0.0, 0.02, (max_position, d_model)),
-               requires_grad=True, name="abspos.table")
-    return AbsPositionTable(table=t)
-
-
-def pape_lookup(table: AbsPositionTable, pos: int) -> Tensor:
-    """Learned row for an absolute position; out-of-range positions are an error."""
-    if not 0 <= pos < table.max_position:
-        raise IndexError(
-            f"position {pos} is outside the learned table (max_position={table.max_position})")
-    return table.table.take_rows([pos]).reshape(table.table.shape[1])

@@ -105,9 +105,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -25,11 +25,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def write_metrics_header(fh, config: RunConfig):
-    fh.write(json.dumps({"type": "header", "run_config": config.to_dict(),
-                         "seed": config.seed}) + "\n")
-
-
 class Trainer:
     def __init__(self, config: RunConfig, examples: list[PretrainExample]):
         if not examples:
@@ -106,7 +101,8 @@ class Trainer:
             if append:
                 log_fh.write(json.dumps({"type": "resume", "from_step": start_step}) + "\n")
             else:
-                write_metrics_header(log_fh, config)
+                log_fh.write(json.dumps({"type": "header", "run_config": config.to_dict(),
+                                         "seed": config.seed}) + "\n")
             last = None
             if config.total_steps == 0:
                 self.save(out_dir / "checkpoint-init")

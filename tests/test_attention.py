@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,25 @@ from relpe.attention import (AttentionConfig, HeadWeights, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
 from relpe.optim import round_half
-from relpe.posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
+from relpe.posenc import RelPositionTable, Scheme, build_rel_table
 from relpe.tensor import Tensor, softmax, value_filter
+
+
+def frpe_oracle(delta, d_z):
+    """FRPE vector of one offset, one math.sin / math.cos call per component."""
+    out = np.empty(d_z)
+    for k in range(d_z // 2):
+        angle = delta / 10000.0 ** (2 * k / d_z)
+        out[2 * k], out[2 * k + 1] = math.sin(angle), math.cos(angle)
+    return out
+
+
+def rel_row(table, delta, role):
+    """a_delta for one role: the FRPE formula, or the learned bank's clipped row."""
+    if table.rows is not None:
+        return frpe_oracle(delta, table.d_z)
+    bank = table.bank_k if role == "K" else table.bank_v
+    return bank.data[int(np.clip(delta, -table.clip, table.clip)) + table.clip]
 
 
 def reference_multi_head(x, weights, cfg, table=None, mask=None):
@@ -24,7 +43,7 @@ def reference_multi_head(x, weights, cfg, table=None, mask=None):
             for j in range(n):
                 k_j = x[j] @ wk
                 if table is not None:
-                    k_j = k_j + table.row(j - i, "K")
+                    k_j = k_j + rel_row(table, j - i, "K")
                 e[i, j] = q_i @ k_j / np.sqrt(d_z)
                 if mask is not None and not mask[j]:
                     e[i, j] += -1e9
@@ -35,7 +54,7 @@ def reference_multi_head(x, weights, cfg, table=None, mask=None):
             for j in range(n):
                 v_j = x[j] @ wv
                 if table is not None:
-                    v_j = v_j + table.row(j - i, "V")
+                    v_j = v_j + rel_row(table, j - i, "V")
                 z_i += alpha[j] * v_j
             head_outputs[i, h * d_z:(h + 1) * d_z] = z_i
     return head_outputs @ weights.wo.data + weights.bo.data
@@ -67,7 +86,7 @@ class TestAttentionScores:
         expected = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
-                expected[i, j] = q.data[i] @ (k.data[j] + frpe_vector(j - i, 2)) / np.sqrt(2)
+                expected[i, j] = q.data[i] @ (k.data[j] + frpe_oracle(j - i, 2)) / np.sqrt(2)
         np.testing.assert_allclose(scores.data, expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -90,7 +109,7 @@ class TestAttentionOutput:
         alpha = Tensor(np.full((n, n), 1.0 / n))
         out = attention_output(alpha, Tensor(np.zeros((n, d_z))), table)
         for i in range(n):
-            expected = np.mean([frpe_vector(j - i, d_z) for j in range(n)], axis=0)
+            expected = np.mean([frpe_oracle(j - i, d_z) for j in range(n)], axis=0)
             np.testing.assert_allclose(out.data[i], expected, atol=1e-12)
 
     def test_random_case_matches_double_loop(self):
@@ -104,7 +123,7 @@ class TestAttentionOutput:
         expected = np.zeros((n, d_z))
         for i in range(n):
             for j in range(n):
-                expected[i] += alpha_raw[i, j] * (v[j] + frpe_vector(j - i, d_z))
+                expected[i] += alpha_raw[i, j] * (v[j] + frpe_oracle(j - i, d_z))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -124,7 +143,7 @@ class TestOffsetRowAttention:
         d_bank = {"K": {}, "V": {}}
         for i in range(n):
             for j in range(n):
-                a_k, a_v = table.row(j - i, "K"), table.row(j - i, "V")
+                a_k, a_v = rel_row(table, j - i, "K"), rel_row(table, j - i, "V")
                 scores[i, j] = q[i] @ (k[j] + a_k) * s
                 out[i] += alpha[i, j] * (v[j] + a_v)
                 dq[i] += g1[i, j] * (k[j] + a_k) * s
@@ -253,7 +272,7 @@ class TestMultiHeadAttention:
         table = build_rel_table(1, cfg.d_z, Scheme.FRPE)
         x = np.random.default_rng(3).normal(size=(1, 8))
         out = multi_head_attention(Tensor(x), weights, cfg, table)
-        a0 = frpe_vector(0, cfg.d_z)
+        a0 = frpe_oracle(0, cfg.d_z)
         per_head = [x @ weights.wv.data[:, h * 4:(h + 1) * 4] + a0 for h in range(2)]
         expected = np.concatenate(per_head, axis=1) @ weights.wo.data + weights.bo.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)

@@ -41,6 +41,13 @@ class TestVocabulary:
         loaded = Vocabulary.load(tmp_path / "vocab.txt")
         assert loaded.tokens == v.tokens and loaded.index == v.index
 
+    def test_derived_fields_are_not_arguments(self):
+        # index follows tokens and max_word_len follows words; neither is settable
+        with pytest.raises(TypeError):
+            Vocabulary(tokens=list(SPECIAL_TOKENS) + ["a"], index={"a": 0})
+        with pytest.raises(TypeError):
+            Lexicon(words={"abc"}, max_word_len=1)
+
 
 class TestBuildVocab:
     def test_frequency_order_with_codepoint_ties(self, tmp_path):
@@ -314,6 +321,21 @@ class TestCorpusIO:
         good = json.dumps(PretrainExample([2, 3], [0, 0], [], [], 1).to_dict())
         path.write_text(good + "\n{not json}\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
+            read_examples(path)
+
+    @pytest.mark.parametrize("fields, problem", [
+        (dict(tokens=[], segments=[]), "nonzero"),
+        (dict(segments=[0, 0]), "3 tokens and 2 segments"),
+        (dict(predict_labels=[6, 7]), "1 predict_positions but 2 predict_labels"),
+        (dict(predict_positions=[3]), "outside the length-3 sequence"),
+        (dict(predict_positions=[-1]), "outside the length-3 sequence"),
+    ])
+    def test_example_the_encoder_cannot_run_is_rejected(self, tmp_path, fields, problem):
+        record = {**PretrainExample([2, 5, 3], [0, 0, 0], [1], [6], 0).to_dict(), **fields}
+        path = tmp_path / "ex.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match=f"ex.jsonl: malformed example on line 1: .*{problem}"):
             read_examples(path)
 
 

@@ -472,6 +472,24 @@ class TestCli:
                          "--examples", str(tmp_path / "nope.jsonl")]) == 1
         capsys.readouterr()
 
+    def test_eval_of_malformed_examples_is_user_error(self, tmp_path, capsys):
+        cfg_path = self.write_init_only_config(tmp_path)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        bad = tmp_path / "bad.jsonl"
+        record = tiny_examples()[0].to_dict()
+        record["segments"] = record["segments"][:-1]
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint-init"),
+                         "--examples", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.jsonl" in err and "line 1" in err
+        (tmp_path / "p").mkdir()
+        cfg_path, _ = self.write_config(tmp_path / "p", train_examples=str(bad),
+                                        out_dir=str(tmp_path / "p" / "run"), total_steps=1)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert "bad.jsonl" in capsys.readouterr().err
+
     def write_init_only_config(self, tmp_path):
         examples_path = tmp_path / "train.jsonl"
         from relpe.data import write_examples

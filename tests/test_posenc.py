@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer
-from relpe.posenc import (AbsPositionTable, Scheme, _frpe_block, build_abs_table,
-                          build_rel_table, frpe_vector, pape_lookup, rel_lookup)
+from relpe.posenc import Scheme, build_rel_table, frpe_vector
 from relpe.tensor import Tensor
+
+from test_attention import frpe_oracle, rel_row
+from test_encoder import mixed_batch
+
+# Formula against oracle: the bound criterion 01 holds frpe_vector to against
+# a 50-digit oracle for |offset| <= 512. numpy's vectorised power and sin/cos
+# may round the angle differently from math, and that gap grows with |offset|.
+FRPE_ATOL = 1e-12
 
 
 class TestFrpeVector:
@@ -41,7 +49,8 @@ class TestFrpeVector:
     @pytest.mark.parametrize("d_z", [2, 8, 64])
     def test_vector_is_bitwise_row_of_block(self, d_z):
         offsets = np.arange(-300, 301)
-        block = _frpe_block(offsets, d_z)
+        block = frpe_vector(offsets, d_z)
+        assert block.shape == (601, d_z)
         for row, delta in zip(block, offsets):
             np.testing.assert_array_equal(frpe_vector(int(delta), d_z), row)
 
@@ -74,8 +83,8 @@ class TestBuildRelTable:
         table = build_rel_table(3, 4, Scheme.FRPE)
         assert table.rows.shape == (5, 4)
         for delta in range(-2, 3):
-            np.testing.assert_allclose(rel_lookup(table, 0, delta),
-                                       frpe_vector(delta, 4), atol=0)
+            np.testing.assert_allclose(table.rows[delta + 2], frpe_oracle(delta, 4),
+                                       rtol=0, atol=FRPE_ATOL)
 
     @pytest.mark.parametrize("scheme", [Scheme.PAPE, Scheme.NONE])
     def test_wrong_constructor_rejected(self, scheme):
@@ -100,11 +109,13 @@ class TestBuildRelTable:
     @pytest.mark.parametrize("n", [1, 3, 6])    # inside and past max_len
     def test_block_holds_one_row_per_offset(self, scheme, n):
         table = build_rel_table(3, 4, scheme, rng_seed=4, clip=2)
+        atol = FRPE_ATOL if scheme is Scheme.FRPE else 0.0   # PRPE rows are bank rows
         for role in ("K", "V"):
             rows = table.block(n, role).data
             assert rows.shape == (2 * n - 1, 4)
             for o in range(2 * n - 1):
-                np.testing.assert_array_equal(rows[o], table.row(o - (n - 1), role))
+                np.testing.assert_allclose(rows[o], rel_row(table, o - (n - 1), role),
+                                           rtol=0, atol=atol)
 
     def test_prpe_has_separate_banks(self):
         table = build_rel_table(8, 4, Scheme.PRPE, rng_seed=3, clip=2)
@@ -115,55 +126,82 @@ class TestBuildRelTable:
 
 
 class TestRelLookup:
+    """Relative rows as attention reads them: ``block(n, role)[o]`` is a_{o-(n-1)}."""
+
     def test_identity_offset(self):
         table = build_rel_table(4, 6, Scheme.FRPE)
-        np.testing.assert_array_equal(rel_lookup(table, 2, 2), [0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(table.block(4).data[3], [0, 1, 0, 1, 0, 1])
 
     def test_prpe_clipping(self):
         table = build_rel_table(16, 4, Scheme.PRPE, clip=2)
-        np.testing.assert_array_equal(rel_lookup(table, 0, 7), rel_lookup(table, 0, 2))
-        np.testing.assert_array_equal(rel_lookup(table, 9, 0), rel_lookup(table, 2, 0))
+        for role, bank in (("K", table.bank_k), ("V", table.bank_v)):
+            rows = table.block(10, role).data           # offset d sits at row d + 9
+            np.testing.assert_array_equal(rows[7 + 9], rows[2 + 9])
+            np.testing.assert_array_equal(rows[-9 + 9], rows[-2 + 9])
+            np.testing.assert_array_equal(rows[2 + 9], bank.data[4])
+            np.testing.assert_array_equal(rows[-9 + 9], bank.data[0])
 
     def test_frpe_extrapolates_past_built_range(self):
         table = build_rel_table(32, 8, Scheme.FRPE)
         rows = table.rows.copy()
-        got = rel_lookup(table, 0, 40)
-        np.testing.assert_allclose(got, frpe_vector(40, 8), atol=0)
-        table.block(64)
+        got = table.block(64).data[40 + 63]
+        np.testing.assert_allclose(got, frpe_oracle(40, 8), rtol=0, atol=FRPE_ATOL)
+        np.testing.assert_array_equal(got, frpe_vector(40, 8))
         assert table.max_len == 32
         np.testing.assert_array_equal(table.rows, rows)
 
     def test_lookup_depends_on_offset_only(self):
+        # the cached slice (n <= max_len) and the computed rows (n > max_len)
+        # agree on every offset they share
         table = build_rel_table(32, 8, Scheme.FRPE)
-        for shift in (1, 5, 11):
-            np.testing.assert_array_equal(rel_lookup(table, 3, 9),
-                                          rel_lookup(table, 3 + shift, 9 + shift))
-
-    def test_bad_role_rejected(self):
-        table = build_rel_table(4, 4, Scheme.FRPE)
-        with pytest.raises(ValueError):
-            rel_lookup(table, 0, 1, role="Q")
+        long = table.block(40).data
+        for n in (1, 5, 32):
+            np.testing.assert_array_equal(table.block(n).data, long[40 - n:39 + n])
 
 
 class TestAbsTable:
+    """PAPE's learned rows, ``abspos.table``, as the encoder adds them."""
+
+    @staticmethod
+    def model(seed=0, max_seq_len=8):
+        cfg = EncoderConfig(vocab_size=16, d_model=8, num_layers=1, num_heads=2,
+                            max_seq_len=max_seq_len, scheme=Scheme.PAPE)
+        return EncoderModel(cfg, seed=seed)
+
     def test_row_zero(self):
-        table = build_abs_table(8, 4, rng_seed=1)
-        np.testing.assert_array_equal(pape_lookup(table, 0).data, table.table.data[0])
+        model = self.model(seed=1)
+        table = model.parameters()["abspos.table"]
+        assert table.shape == (8, 8)
+        tokens, segments = [5, 6, 7], [0, 0, 1]
+        x = (model.token_embedding.data[tokens] + model.segment_embedding.data[segments]
+             + table.data[:3])
+        x = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
+                                                         + model.cfg.ln_eps)
+        np.testing.assert_allclose(model.embed_inputs(tokens, segments).data, x,
+                                   rtol=0, atol=1e-12)
 
     def test_boundary_is_an_error(self):
-        table = build_abs_table(8, 4)
-        with pytest.raises(IndexError):
-            pape_lookup(table, 8)
+        model = self.model(max_seq_len=4)
+        model.embed_inputs([[1] * 4] * 2, [[0] * 4] * 2)
+        with pytest.raises(IndexError, match="sequence length 5 .*max_position=4"):
+            model.embed_inputs([[1] * 5] * 2, [[0] * 5] * 2)
 
     def test_gradient_step_touches_only_used_row(self):
-        table = build_abs_table(8, 4, rng_seed=2)
-        before = table.table.data.copy()
-        loss = (pape_lookup(table, 3) * pape_lookup(table, 3)).sum()
-        loss.backward()
+        model = self.model(seed=2)
+        table = model.parameters()["abspos.table"]
+        before = table.data.copy()
+        x = model.embed_inputs([5, 9, 3], [0, 0, 1])
+        (x * x * Tensor(np.arange(8.0))).sum().backward()
         opt = AdamOptimizer(weight_decay=0.0)
-        opt.step(table.parameters(), lr=0.01)
-        after = table.table.data
-        assert not np.array_equal(after[3], before[3])
-        mask = np.ones(8, dtype=bool)
-        mask[3] = False
-        np.testing.assert_array_equal(after[mask], before[mask])
+        opt.step({"abspos.table": table}, lr=0.01)
+        assert np.all(np.any(table.data[:3] != before[:3], axis=1))
+        np.testing.assert_array_equal(table.data[3:], before[3:])
+
+    def test_rows_past_batch_length_get_zero_gradient(self):
+        model = self.model(seed=3, max_seq_len=16)
+        batch = mixed_batch(vocab_size=16)                 # longest example: 9 tokens
+        loss, _ = pretrain_loss(model.pretrain_forward(batch), batch)
+        loss.backward()
+        grad = model.parameters()["abspos.table"].grad
+        assert np.all(np.any(grad[:9] != 0, axis=1))
+        np.testing.assert_array_equal(grad[9:], 0.0)

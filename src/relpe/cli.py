@@ -45,6 +45,21 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig.from_json(args.config, overrides)
 
 
+def _read_examples(path, model: EncoderConfig):
+    """The examples of ``path``; an id outside the model's embeddings is a UserError."""
+    examples = read_examples(path)
+    for i, ex in enumerate(examples):
+        for kind, ids, field in (("token", ex.tokens, "vocab_size"),
+                                 ("predict label", ex.predict_labels, "vocab_size"),
+                                 ("segment", ex.segments, "type_vocab_size")):
+            size = getattr(model, field)
+            bad = [t for t in ids if not 0 <= t < size]
+            if bad:
+                raise UserError(f"{path}: example {i} has {kind} {bad[0]} "
+                                f"outside [0, {field}={size})")
+    return examples
+
+
 def cmd_build_vocab(args) -> int:
     vocab = build_vocab(args.corpus, min_count=args.min_count, max_size=args.max_size)
     out = Path(args.out)
@@ -84,7 +99,7 @@ def cmd_pretrain(args) -> int:
     config = _load_run_config(args)
     if not config.train_examples:
         raise UserError("config.train_examples is required for pretrain")
-    examples = read_examples(config.train_examples)
+    examples = _read_examples(config.train_examples, config.model)
     trainer = Trainer(config, examples)
     last = trainer.train(out_dir=config.out_dir, resume_from=args.resume)
     if last is not None:
@@ -100,7 +115,7 @@ def cmd_eval(args) -> int:
     model = EncoderModel(config.model, seed=config.seed)
     load_checkpoint(args.checkpoint, model.parameters())
     try:
-        report = evaluate(model, read_examples(args.examples))
+        report = evaluate(model, _read_examples(args.examples, config.model))
     except IndexError as exc:
         raise UserError(f"evaluation failed: {exc}")
     report["run_config"] = config.to_dict()

@@ -284,6 +284,10 @@ class PretrainExample:
         if any(not 0 <= p < n for p in ex.predict_positions):
             raise ValueError(f"predict_positions {ex.predict_positions} "
                              f"outside the length-{n} sequence")
+        if any(label < 0 for label in ex.predict_labels):
+            raise ValueError(f"predict_labels {ex.predict_labels} must be >= 0")
+        if ex.nsp_label not in (0, 1):
+            raise ValueError(f"nsp_label {ex.nsp_label} must be 0 or 1")
         return ex
 
 

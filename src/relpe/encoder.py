@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
 from .data import PAD_ID, PretrainExample
 from .posenc import RelPositionTable, Scheme, build_rel_table
-from .tensor import Tensor, dropout, gelu, layer_norm, log_softmax
+from .tensor import Tensor, dropout, gelu, layer_norm, nll_loss
 
 
 @dataclass
@@ -283,17 +283,10 @@ def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
         raise ValueError("label count does not match prediction position count")
     labels = np.concatenate(labels)
     num_pred = labels.size
-    if num_pred:
-        picked = log_softmax(output.mlm_logits, axis=-1)[np.arange(num_pred), labels]
-        mlm_loss = (picked * Tensor(-1.0 / (b * counts[owners]))).sum()
-        nll = -picked.data
-        correct = output.mlm_logits.data.argmax(axis=-1) == labels
-    else:
-        mlm_loss = Tensor(0.0)
-        nll = correct = np.zeros(0)
+    mlm_loss, nll = nll_loss(output.mlm_logits, labels, 1.0 / (b * counts[owners]))
+    correct = output.mlm_logits.data.argmax(axis=-1) == labels
     nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)
-    nsp_picked = log_softmax(output.nsp_logits, axis=-1)[np.arange(b), nsp_labels]
-    nsp_loss = nsp_picked.sum() * (-1.0 / b)
+    nsp_loss, _ = nll_loss(output.nsp_logits, nsp_labels, np.full(b, 1.0 / b))
     total = mlm_loss + nsp_loss
     has = counts > 0
     accuracy = np.bincount(owners, correct, minlength=b)[has] / counts[has]

@@ -6,7 +6,10 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
-Under :func:`no_grad` no graph is recorded at all.
+Softmax, GeLU, layer norm and the weighted log-softmax + NLL are fused: each
+is one node with a closed-form backward pass, so to the value filter it is a
+single primitive whose output alone is filtered. Under :func:`no_grad` no
+graph is recorded at all.
 """
 
 from __future__ import annotations
@@ -363,49 +366,92 @@ def rel_scatter(a) -> Tensor:
     return Tensor._make(_scatter_offsets(a.data), (a,), bwd)
 
 
+def _check_finite(op: str, a: np.ndarray):
+    """Raise ValueError naming the first non-finite entry of ``op``'s input."""
+    if not np.all(np.isfinite(a)):
+        bad = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{op} input is not finite at index {tuple(int(i) for i in bad)}")
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+    """Numerically stable softmax along ``axis``, as one node.
 
     Raises ValueError naming the first offending index when the input is
     not finite.
     """
     x = as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        bad = np.argwhere(~np.isfinite(x.data))[0]
-        raise ValueError(
-            f"softmax input is not finite at index {tuple(int(i) for i in bad)}")
-    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shift.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    _check_finite("softmax", x.data)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    def bwd(g):
+        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+    return Tensor._make(y, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        bad = np.argwhere(~np.isfinite(x.data))[0]
-        raise ValueError(
-            f"log_softmax input is not finite at index {tuple(int(i) for i in bad)}")
+    _check_finite("log_softmax", x.data)
     shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shift - shift.exp().sum(axis=axis, keepdims=True).log()
 
 
+def nll_loss(logits: Tensor, labels, weights) -> tuple[Tensor, np.ndarray]:
+    """Weighted negative log-likelihood of ``labels`` under softmax rows, as one node.
+
+    ``logits`` is (P, C), ``labels`` (P,) class indices and ``weights`` (P,)
+    constants. Returns the scalar ``sum_i weights[i] * nll[i]`` and the
+    per-row ``nll[i] = -log softmax(logits[i])[labels[i]]`` as an array. P may
+    be 0, which gives a loss of 0.
+    """
+    logits = as_tensor(logits)
+    _check_finite("log_softmax", logits.data)
+    labels = np.asarray(labels, dtype=np.intp)
+    rows = np.arange(labels.size)
+    weights = np.asarray(weights, dtype=np.float64)
+    shift = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shift)
+    total = e.sum(axis=-1, keepdims=True)
+    nll = np.log(total[:, 0]) - shift[rows, labels]
+    def bwd(g):
+        d = e / total
+        d[rows, labels] -= 1.0
+        logits._accumulate(d * (g * weights)[:, None])
+    return Tensor._make(np.sum(nll * weights), (logits,), bwd), nll
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GeLU: x * Phi(x) with Phi the standard normal CDF."""
+    """Exact-erf GeLU: x * Phi(x) with Phi the standard normal CDF, as one node."""
     x = as_tensor(x)
-    return x * 0.5 * ((x * (1.0 / _SQRT2)).erf() + 1.0)
+    erf1 = _np_erf(x.data * (1.0 / _SQRT2)) + 1.0      # 2 * Phi(x)
+    def bwd(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
+        x._accumulate(g * (0.5 * erf1 + x.data * pdf))
+    return Tensor._make(x.data * 0.5 * erf1, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to mean 0 / population variance 1, then affine."""
+    """Normalize the last axis to mean 0 / population variance 1, then affine.
+
+    One node with parents (x, gamma, beta); gamma and beta broadcast against
+    the last axis.
+    """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    x = as_tensor(x)
-    n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / float(n)
-    centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / float(n)
-    normed = centered / ((var + eps) ** 0.5)
-    return normed * as_tensor(gamma) + as_tensor(beta)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    n = float(x.shape[-1])
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + eps) ** 0.5
+    normed = centered / std
+    def bwd(g):
+        if gamma.requires_grad:
+            gamma._accumulate(g * normed)
+        if beta.requires_grad:
+            beta._accumulate(g, copy=True)
+        if x.requires_grad:
+            gn = g * gamma.data
+            x._accumulate((gn - gn.sum(axis=-1, keepdims=True) / n
+                           - normed * (gn * normed).sum(axis=-1, keepdims=True) / n) / std)
+    return Tensor._make(normed * gamma.data + beta.data, (x, gamma, beta), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

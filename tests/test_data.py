@@ -329,6 +329,8 @@ class TestCorpusIO:
         (dict(predict_labels=[6, 7]), "1 predict_positions but 2 predict_labels"),
         (dict(predict_positions=[3]), "outside the length-3 sequence"),
         (dict(predict_positions=[-1]), "outside the length-3 sequence"),
+        (dict(predict_labels=[-1]), "must be >= 0"),
+        (dict(nsp_label=2), "nsp_label 2 must be 0 or 1"),
     ])
     def test_example_the_encoder_cannot_run_is_rejected(self, tmp_path, fields, problem):
         record = {**PretrainExample([2, 5, 3], [0, 0, 0], [1], [6], 0).to_dict(), **fields}

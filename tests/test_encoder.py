@@ -8,6 +8,7 @@ from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.gradcheck import check_gradients
 from relpe.optim import round_half
 from relpe.posenc import Scheme
+from relpe.synth import make_offset_copy_examples
 from relpe.tensor import Tensor, value_filter
 
 
@@ -427,3 +428,40 @@ class TestBatchedForward:
             model.pretrain_forward(batch)
         with pytest.raises(ValueError):
             model.pretrain_forward([])
+
+
+def graph_nodes(loss: Tensor) -> int:
+    """Recorded nodes (tensors with a backward pass) reachable from ``loss``."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+class TestNodeBudget:
+    """The graph a training step records stays as small as the fused ops made it.
+
+    Layer norm, softmax, GeLU and log-softmax + NLL are one node each; before
+    they were fused these graphs had 188 and 192 nodes. A change that lowers a
+    count updates the number here; one that raises it says why in CHANGES.md.
+    """
+
+    def test_acceptance_gradcheck_config(self):
+        # test 03's model and example: FRPE, n=12, d_model 64
+        cfg = EncoderConfig(vocab_size=128, d_model=64, num_layers=2, num_heads=2,
+                            max_seq_len=32, scheme=Scheme.FRPE)
+        example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
+        example.nsp_label = 1
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
+        assert graph_nodes(loss) == 88
+
+    def test_toy_mlm_batch(self):
+        # the toy-MLM benchmark model (test 09's config) on a padded batch of four
+        cfg = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
+                            ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
+        batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
+        assert graph_nodes(loss) == 92

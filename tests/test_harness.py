@@ -490,6 +490,34 @@ class TestCli:
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
         assert "bad.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("nsp_label", 2, "line 3: nsp_label 2 must be 0 or 1"),
+        ("predict_labels", 999, "example 2 has predict label 999 outside [0, vocab_size=13)"),
+        ("segments", 2, "example 2 has segment 2 outside [0, type_vocab_size=2)"),
+    ])
+    def test_out_of_range_ids_are_user_errors(self, tmp_path, capsys, field, value, problem):
+        cfg_path = self.write_init_only_config(tmp_path)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        records = [ex.to_dict() for ex in tiny_examples()]
+        if field == "nsp_label":
+            records[2][field] = value
+        else:
+            records[2][field][-1] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        (tmp_path / "p").mkdir()
+        bad_cfg, _ = self.write_config(tmp_path / "p", train_examples=str(bad),
+                                       out_dir=str(tmp_path / "p" / "run"), total_steps=1)
+        capsys.readouterr()
+        assert cli_main(["pretrain", "--config", str(bad_cfg)]) == 1
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint-init"),
+                         "--examples", str(bad)]) == 1
+        errors = capsys.readouterr().err.splitlines()     # one for pretrain, one for eval
+        assert len(errors) == 2
+        for line in errors:
+            assert line.startswith("error: ") and "bad.jsonl" in line and problem in line
+        assert not (tmp_path / "p" / "run").exists()
+
     def write_init_only_config(self, tmp_path):
         examples_path = tmp_path / "train.jsonl"
         from relpe.data import write_examples

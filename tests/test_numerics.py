@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relpe.attention import MASK_FILL
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
-from relpe.tensor import (Tensor, gelu, layer_norm, log_softmax, no_grad, rel_gather,
-                          rel_scatter, softmax, value_filter)
+from relpe.tensor import (Tensor, gelu, layer_norm, log_softmax, nll_loss, no_grad,
+                          rel_gather, rel_scatter, softmax, value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -123,6 +124,7 @@ class TestAutodiffPrimitives:
         "take_rows": lambda a, b: a.take_rows([0, 2, 2, 1]),
         "softmax": lambda a, b: softmax(a, axis=-1) * b,
         "log_softmax": lambda a, b: log_softmax(a, axis=-1),
+        "nll_loss": lambda a, b: nll_loss(a, [0, 2, 2], [0.5, 1.0, 2.0])[0],
         "gelu": lambda a, b: gelu(a),
         "layer_norm": lambda a, b: layer_norm(a, b.reshape(-1)[:4], b.reshape(-1)[4:8]),
         "broadcast_row": lambda a, b: a * b.reshape(-1)[:4],
@@ -171,6 +173,151 @@ class TestAutodiffPrimitives:
         with value_filter(lambda a: np.round(a)):
             out = x + 0.4
         assert out.item() == 1.0
+
+
+# The composite formulas the fused ops replaced, built from the primitives
+# (exp, log, erf, **, /, sum) that keep their own gradients.
+
+def softmax_composite(x, axis=-1):
+    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    e = shift.exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layer_norm_composite(x, gamma, beta, eps=1e-12):
+    n = float(x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    return centered / ((var + eps) ** 0.5) * gamma + beta
+
+
+def gelu_composite(x):
+    return x * 0.5 * ((x * (1.0 / math.sqrt(2.0))).erf() + 1.0)
+
+
+def nll_composite(logits, labels, weights):
+    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
+    logp = shift - shift.exp().sum(axis=-1, keepdims=True).log()
+    picked = logp[np.arange(len(labels)), labels]
+    return (picked * Tensor(-np.asarray(weights))).sum(), -picked.data
+
+
+def run_with_upstream(op, arrays, seed):
+    """Output, per-input gradients and auxiliary outputs of ``op`` under a
+    random upstream gradient."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out, *aux = op(*inputs)
+    (out * Tensor(rand(out.shape, seed=seed))).sum().backward()
+    return [out.data, *aux], [t.grad for t in inputs]
+
+
+def nll_case(labels, weights):
+    return (lambda x: nll_loss(x, labels, weights),
+            lambda x: nll_composite(x, labels, weights))
+
+
+def masked_scores():
+    x = rand((2, 3, 5, 5), seed=20, scale=4.0)
+    x[0, :, :, 3:] = MASK_FILL          # example 0 has 3 valid keys
+    x[1, :, :, 4] = MASK_FILL
+    return x
+
+
+def single(op):
+    return lambda *args: (op(*args),)
+
+
+def layer_norm_inputs(seed, gamma, beta):
+    return [rand((2, 5, 8), seed=seed, scale=3.0), gamma, beta]
+
+
+FUSED_CASES = {
+    "softmax-masked-rows": (single(softmax), single(softmax_composite), [masked_scores()]),
+    "layer_norm-vector-affine": (
+        single(layer_norm), single(layer_norm_composite),
+        layer_norm_inputs(21, rand(8, seed=22) + 1.0, rand(8, seed=23))),
+    "layer_norm-scalar-affine": (
+        single(layer_norm), single(layer_norm_composite),
+        layer_norm_inputs(24, np.array(1.3), np.array(-0.4))),
+    "gelu": (single(gelu), single(gelu_composite),
+             [np.concatenate([[0.0, 10.0, -10.0], rand(29, seed=25, scale=4.0)])]),
+    "nll-repeated-labels-unequal-weights": (
+        *nll_case([1, 3, 3, 0, 3, 1], [0.5, 0.25, 1.0, 0.0, 2.0, 0.125]),
+        [rand((6, 5), seed=26, scale=5.0)]),
+    "nll-no-rows": (*nll_case([], []), [np.zeros((0, 5))]),
+}
+
+
+class TestFusedOpsMatchComposites:
+    """Each fused node equals the composite it replaced: forward and every gradient."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_forward_and_gradients(self, name):
+        fused, composite, arrays = FUSED_CASES[name]
+        got_out, got_grads = run_with_upstream(fused, arrays, seed=30)
+        want_out, want_grads = run_with_upstream(composite, arrays, seed=30)
+        for got, want in zip(got_out, want_out, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for i, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"input {i}")
+
+    def test_masked_columns_get_zero_weight_and_gradient(self):
+        x = Tensor(masked_scores(), requires_grad=True)
+        y = softmax(x, axis=-1)
+        (y * Tensor(rand(y.shape, seed=31))).sum().backward()
+        assert np.all(y.data[0, :, :, 3:] == 0.0) and np.all(x.grad[0, :, :, 3:] == 0.0)
+
+    def test_nll_rejects_nonfinite_logits(self):
+        x = np.zeros((2, 3))
+        x[1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"input is not finite at index \(1, 0\)"):
+            nll_loss(Tensor(x), [0, 1], [1.0, 1.0])
+
+
+class CountingFilter:
+    """A value filter that records every array it is applied to."""
+
+    def __init__(self, fn=np.copy):
+        self.fn, self.seen = fn, []
+
+    def __call__(self, a):
+        self.seen.append(a.copy())
+        return self.fn(a)
+
+
+FUSED_FORWARDS = {
+    "softmax": (softmax, [masked_scores()]),
+    "layer_norm": (layer_norm, layer_norm_inputs(32, rand(8, seed=33) + 1.0, rand(8, seed=34))),
+    "gelu": (gelu, [rand((4, 6), seed=35, scale=4.0)]),
+    "nll_loss": (lambda x: nll_loss(x, [2, 0, 2], [0.5, 0.25, 1.0])[0],
+                 [rand((3, 7), seed=36, scale=5.0)]),
+}
+
+
+class TestFusedOpsUnderValueFilter:
+    """A fused op is one primitive to the value filter: only its output is filtered."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_FORWARDS))
+    def test_filter_sees_only_the_output(self, name):
+        op, arrays = FUSED_FORWARDS[name]
+        exact = op(*map(Tensor, arrays)).data
+        counter = CountingFilter()
+        with value_filter(counter):
+            out = op(*map(Tensor, arrays))
+        assert len(counter.seen) == 1
+        np.testing.assert_array_equal(counter.seen[0], exact)
+        np.testing.assert_array_equal(out.data, exact)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_FORWARDS))
+    def test_round_half_output_rounds_the_exact_result(self, name):
+        op, arrays = FUSED_FORWARDS[name]
+        arrays = [round_half(a) for a in arrays]      # binary16 inputs, as in a mixed step
+        exact = op(*map(Tensor, arrays)).data
+        counter = CountingFilter(round_half)
+        with value_filter(counter):
+            out = op(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert len(counter.seen) == 1
+        np.testing.assert_array_equal(out.data, round_half(exact))
 
 
 class TestStackedMatmul:

@@ -282,7 +282,11 @@ def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
     if [l.size for l in labels] != counts.tolist():
         raise ValueError("label count does not match prediction position count")
     labels = np.concatenate(labels)
-    num_pred = labels.size
+    num_pred, vocab = labels.size, output.mlm_logits.shape[-1]
+    bad = np.flatnonzero((labels < 0) | (labels >= vocab))
+    if bad.size:
+        raise IndexError(f"batch example {owners[bad[0]]}: predict label {labels[bad[0]]} "
+                         f"outside the vocabulary of {vocab}")
     mlm_loss, nll = nll_loss(output.mlm_logits, labels, 1.0 / (b * counts[owners]))
     correct = output.mlm_logits.data.argmax(axis=-1) == labels
     nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)

@@ -8,6 +8,7 @@ the gradients, and applies the optimizer update to the masters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,36 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
+class _Layout:
+    """Flat float64 masters ``w``, moments ``m``/``v``, gradient ``g`` and scratch ``a``
+    of the blocks ``key[1]`` ((name, tensor, shape), ...); block i is ``spans[i]``."""
+
+    def __init__(self, key, excluded: list[bool], trust_scaling: bool):
+        ends = np.cumsum([math.prod(shape) for _, _, shape in key[1]]).tolist()
+        self.key, self.spans = key, list(zip([0] + ends[:-1], ends))
+        self.excluded = [span for span, x in zip(self.spans, excluded) if x]
+        self.scaled = [span for span, x in zip(self.spans, excluded) if trust_scaling and not x]
+        self.w, self.m, self.v, self.g, self.a = (np.zeros(ends[-1]) for _ in range(5))
+        self.wv, self.mv, self.vv = map(self.split, (self.w, self.m, self.v))
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[lo:hi].reshape(k[2]) for (lo, hi), k in zip(self.spans, self.key[1])]
+
+    def gather(self, grads) -> np.ndarray:
+        grads = [np.zeros(w.shape) if g is None else g for g, w in zip(grads, self.wv)]
+        return np.concatenate(grads, axis=None, out=self.g)
+
+
+def _bound(view: np.ndarray, array) -> np.ndarray:
+    """``view``, first overwritten with ``array`` (zeros for None) unless it is ``array``."""
+    if array is not view:
+        view[...] = 0.0 if array is None else array
+    return view
+
+
 class _MomentOptimizer:
-    """Shared Adam-style moment machinery; subclasses scale the update."""
+    """Shared Adam-style moment machinery; subclasses scale the update. ``p.data`` and
+    ``state.m``/``state.v`` are views of one ``_Layout``; replaced arrays are copied in."""
 
     trust_scaling = False
 
@@ -109,40 +138,51 @@ class _MomentOptimizer:
         self.state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps,
                                     weight_decay=weight_decay,
                                     use_exclusion_list=use_exclusion_list)
+        self._flat: _Layout | None = None
 
-    def _excluded(self, name: str) -> bool:
-        return self.state.use_exclusion_list and default_exclusion(name)
-
-    def step(self, params: dict[str, Tensor], lr: float,
-             grads: dict[str, np.ndarray] | None = None):
-        """One update over all blocks; the step counter advances once per call."""
+    def _layout(self, params: dict[str, Tensor]) -> _Layout:
+        """The layout of ``params``, with every ``p.data`` bound to its master view."""
         st = self.state
+        key = (st.use_exclusion_list, tuple((n, p, p.data.shape) for n, p in params.items()))
+        if self._flat is None or self._flat.key != key:
+            excluded = [st.use_exclusion_list and default_exclusion(name) for name in params]
+            self._flat = _Layout(key, excluded, self.trust_scaling)
+        for p, w in zip(params.values(), self._flat.wv):
+            p.data = _bound(w, p.data)
+        return self._flat
+
+    def step(self, params: dict[str, Tensor], lr: float, grads: dict | np.ndarray | None = None):
+        """One update over all blocks; the step counter advances once per call. ``grads``
+        maps names to gradients (default: each ``p.grad``) or is the layout's flat ``g``."""
+        st, lay = self.state, self._layout(params)
+        if grads is not lay.g:
+            lay.gather(p.grad if grads is None else grads[name] for name, p in params.items())
+        g, m, v, w, a = lay.g, lay.m, lay.v, lay.w, lay.a
+        if not np.isfinite(g).all():
+            name = next(n for n, x in zip(params, lay.split(g)) if not np.isfinite(x).all())
+            raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
+        for name, mv, vv in zip(params, lay.mv, lay.vv):
+            st.m[name], st.v[name] = _bound(mv, st.m.get(name)), _bound(vv, st.v.get(name))
         st.step += 1
-        t = st.step
-        for name, p in params.items():
-            g = grads[name] if grads is not None else p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            g = np.asarray(g, dtype=np.float64)
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
-            if name not in st.m:
-                st.m[name] = np.zeros_like(p.data)
-                st.v[name] = np.zeros_like(p.data)
-            st.m[name] = st.beta1 * st.m[name] + (1.0 - st.beta1) * g
-            st.v[name] = st.beta2 * st.v[name] + (1.0 - st.beta2) * g * g
-            m_hat = st.m[name] / (1.0 - st.beta1 ** t)
-            v_hat = st.v[name] / (1.0 - st.beta2 ** t)
-            r = m_hat / (np.sqrt(v_hat) + st.eps)
-            decay = 0.0 if self._excluded(name) else st.weight_decay
-            u = r + decay * p.data
-            scale = lr
-            if self.trust_scaling and not self._excluded(name):
-                w_norm = float(np.linalg.norm(p.data))
-                u_norm = float(np.linalg.norm(u))
-                trust = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
-                scale = lr * trust
-            p.data = p.data - scale * u
+        # The per-block update in place: a becomes u, and g (spent) the per-element scale.
+        m *= st.beta1
+        m += np.multiply(g, 1.0 - st.beta1, out=a)
+        v *= st.beta2
+        v += np.multiply(np.multiply(g, 1.0 - st.beta2, out=a), g, out=a)
+        np.divide(m, 1.0 - st.beta1 ** st.step, out=a)
+        np.sqrt(np.divide(v, 1.0 - st.beta2 ** st.step, out=g), out=g)
+        a /= np.add(g, st.eps, out=g)
+        np.multiply(w, st.weight_decay, out=g)
+        for lo, hi in lay.excluded:
+            np.multiply(w[lo:hi], 0.0, out=g[lo:hi])
+        a += g
+        g.fill(lr)
+        for lo, hi in lay.scaled:   # ||x|| reduces as np.linalg.norm does
+            w_norm = math.sqrt(w[lo:hi].dot(w[lo:hi]))
+            u_norm = math.sqrt(a[lo:hi].dot(a[lo:hi]))
+            if w_norm > 0.0 and u_norm > 0.0:
+                g[lo:hi] = lr * (w_norm / u_norm)
+        w -= np.multiply(a, g, out=a)
 
 
 class LambOptimizer(_MomentOptimizer):
@@ -199,25 +239,19 @@ def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
         optimizer.step(params, lr)
         return metrics, False
 
-    masters = {name: p.data for name, p in params.items()}
+    lay = optimizer._layout(params)
     try:
-        for p in params.values():
-            p.data = round_half(p.data)
+        for p, working in zip(params.values(), lay.split(round_half(lay.w))):
+            p.data = working
         with value_filter(round_half):
             loss, metrics = loss_fn()
-            scaled = loss * policy.loss_scale
-            scaled.backward()
-        grads = {}
-        overflow = False
-        for name, p in params.items():
-            g = np.zeros_like(p.data) if p.grad is None else p.grad.astype(np.float64)
-            g = g / policy.loss_scale
-            if not np.all(np.isfinite(g)):
-                overflow = True
-            grads[name] = g
+            (loss * policy.loss_scale).backward()
+        grads = lay.gather(p.grad for p in params.values())
+        grads /= policy.loss_scale
+        overflow = not np.isfinite(grads).all()
     finally:
-        for name, p in params.items():
-            p.data = masters[name]
+        for p, w in zip(params.values(), lay.wv):
+            p.data = w
 
     if overflow:
         if not policy.skip_on_overflow:

@@ -230,28 +230,11 @@ class Tensor:
 
     # -- elementwise functions -------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        def bwd(g):
-            self._accumulate(g * out_data)
-        return Tensor._make(out_data, (self,), bwd)
-
-    def log(self):
-        def bwd(g):
-            self._accumulate(g / self.data)
-        return Tensor._make(np.log(self.data), (self,), bwd)
-
     def tanh(self):
         out_data = np.tanh(self.data)
         def bwd(g):
             self._accumulate(g * (1.0 - out_data * out_data))
         return Tensor._make(out_data, (self,), bwd)
-
-    def erf(self):
-        def bwd(g):
-            self._accumulate(g * 2.0 * _INV_SQRT_2PI * _SQRT2
-                             * np.exp(-self.data * self.data))
-        return Tensor._make(_np_erf(self.data), (self,), bwd)
 
     # -- shape manipulation ----------------------------------------------
 
@@ -303,10 +286,6 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
         return Tensor._make(out_data, (self,), bwd)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
 
 def as_tensor(x) -> Tensor:
@@ -386,13 +365,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def bwd(g):
         x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
     return Tensor._make(y, (x,), bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    _check_finite("log_softmax", x.data)
-    shift = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
 
 
 def nll_loss(logits: Tensor, labels, weights) -> tuple[Tensor, np.ndarray]:

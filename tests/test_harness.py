@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relpe.optim
 from relpe.ablate import hash_cell
 from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
                               load_optimizer_state, save_checkpoint)
@@ -12,7 +13,7 @@ from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
 from relpe.data import CLS_ID, MASK_ID, read_examples
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
-from relpe.optim import AdamOptimizer, LrSchedule, PrecisionPolicy
+from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
                          partner, toy_words)
 from relpe.tensor import Tensor
@@ -215,6 +216,43 @@ class TestTrainer:
                               "lr", "skipped", "wall_time"}
             assert math.isfinite(r["loss"])
 
+    @pytest.mark.parametrize("mode", ["full", "mixed_emulated"])
+    def test_tracer_sees_every_update_and_master_rounding(self, monkeypatch, mode):
+        # perfbench/tracer.py wraps LambOptimizer.step and the module global
+        # relpe.optim.round_half at runtime, so each must see the work it names.
+        config = tiny_run_config(precision=PrecisionPolicy(mode=mode), checkpoint_every=0)
+        trainer = Trainer(config, tiny_examples())
+        params = trainer.params
+        numel = sum(p.data.size for p in params.values())
+
+        def snapshot():
+            return {name: p.data.copy() for name, p in params.items()}
+
+        exits, untouched_between, masters_rounded = [snapshot()], [], []
+        real_step, real_round = LambOptimizer.step, relpe.optim.round_half
+
+        def traced_step(self, *args, **kwargs):
+            entry = snapshot()
+            untouched_between.append(all(np.array_equal(entry[k], exits[-1][k]) for k in entry))
+            real_step(self, *args, **kwargs)
+            exits.append(snapshot())
+
+        def traced_round(x):
+            if np.size(x) == numel and all(np.shares_memory(x, p.data) for p in params.values()):
+                masters_rounded.append(trainer.step + 1)
+            return real_round(x)
+
+        monkeypatch.setattr(LambOptimizer, "step", traced_step)
+        monkeypatch.setattr(relpe.optim, "round_half", traced_round)
+        records = [trainer.run_step(t) for t in range(1, 6)]
+        assert not any(r["skipped"] for r in records)
+        assert untouched_between == [True] * 5
+        for before, after in zip(exits, exits[1:]):
+            assert any(not np.array_equal(before[k], after[k]) for k in before)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, exits[-1][name])
+        assert masters_rounded == ([1, 2, 3, 4, 5] if mode == "mixed_emulated" else [])
+
     def test_identical_seeds_reproduce_bitwise(self, tmp_path):
         config = tiny_run_config(total_steps=4, checkpoint_every=0)
         t1 = Trainer(config, tiny_examples())
@@ -287,6 +325,17 @@ class TestTrainer:
     def test_requires_examples(self):
         with pytest.raises(ValueError):
             Trainer(tiny_run_config(), [])
+
+    @pytest.mark.parametrize("label", [13, 999, -1])
+    def test_label_outside_vocabulary_is_named(self, tmp_path, label):
+        examples = tiny_examples(n=2)
+        examples[1].predict_labels[-1] = label
+        problem = rf"batch example 1: predict label {label} outside the vocabulary of 13"
+        with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
+            evaluate(EncoderModel(tiny_run_config().model), examples)
+        trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
+        with pytest.raises(IndexError, match="batch example 0: predict label"):
+            trainer.train(out_dir=tmp_path / "run")
 
 
 class TestEvaluate:

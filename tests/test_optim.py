@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relpe.optim import (HALF_MAX, AdamOptimizer, LambOptimizer, LrSchedule,
-                         NonFiniteGradientError, PrecisionPolicy,
+                         NonFiniteGradientError, OptimizerState, PrecisionPolicy,
                          default_exclusion, lr_at_step, make_optimizer,
                          round_half, training_step)
 from relpe.tensor import Tensor
@@ -265,6 +265,174 @@ class TestOptimizers:
             ((p - Tensor(target)) ** 2.0).sum().backward()
             opt.step({"w": p}, lr=0.05 * (1.0 - t / 400.0))
         np.testing.assert_allclose(p.data, target, atol=5e-3)
+
+
+def _per_block_step(st: OptimizerState, data: dict, grads: dict, lr: float,
+                    trust_scaling: bool) -> dict:
+    """The optimizer update as a loop over blocks, on plain arrays.
+
+    ``data`` maps names to weights and ``grads`` to gradients (None for no
+    gradient); returns the new weights and advances ``st`` in place.
+    """
+    st.step += 1
+    t = st.step
+    out = {}
+    for name, w in data.items():
+        g = grads[name]
+        if g is None:
+            g = np.zeros_like(w)
+        g = np.asarray(g, dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
+        if name not in st.m:
+            st.m[name] = np.zeros_like(w)
+            st.v[name] = np.zeros_like(w)
+        st.m[name] = st.beta1 * st.m[name] + (1.0 - st.beta1) * g
+        st.v[name] = st.beta2 * st.v[name] + (1.0 - st.beta2) * g * g
+        m_hat = st.m[name] / (1.0 - st.beta1 ** t)
+        v_hat = st.v[name] / (1.0 - st.beta2 ** t)
+        r = m_hat / (np.sqrt(v_hat) + st.eps)
+        excluded = st.use_exclusion_list and default_exclusion(name)
+        decay = 0.0 if excluded else st.weight_decay
+        u = r + decay * w
+        scale = lr
+        if trust_scaling and not excluded:
+            w_norm = float(np.linalg.norm(w))
+            u_norm = float(np.linalg.norm(u))
+            trust = w_norm / u_norm if w_norm > 0.0 and u_norm > 0.0 else 1.0
+            scale = lr * trust
+        out[name] = w - scale * u
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestFlatUpdateMatchesPerBlockLoop:
+    """The in-place update over flat buffers equals the per-block loop bit for bit."""
+
+    SHAPES = {"embed.token": (7, 4), "embed.ln.gamma": (4,), "embed.ln.beta": (4,),
+              "layer0.attn.wq": (4, 4), "layer0.attn.bo": (4,), "relpos.bank_k": (5, 2),
+              "layer0.ffn.w1": (4, 3, 2), "zero.w": (3, 2), "mlm.output_bias": (7,),
+              "unused.w": (2, 2), "pooler.w": (1,)}
+
+    def init(self, seed=0, shapes=None):
+        rng = np.random.default_rng(seed)
+        data = {name: rng.normal(0.0, 1.0, shape)
+                for name, shape in (shapes or self.SHAPES).items()}
+        if "zero.w" in data:
+            data["zero.w"][...] = 0.0          # zero weight norm: trust ratio falls back to 1
+        return data
+
+    def grads(self, data, step, seed=1):
+        rng = np.random.default_rng([seed, step])
+        grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), w.shape)
+                 for name, w in data.items()}
+        if "unused.w" in grads:
+            grads["unused.w"] = None           # no gradient reached this block
+        if "zero.w" in grads and step == 1:
+            grads["zero.w"][...] = 0.0         # zero update norm on the first step
+        return grads
+
+    def assert_same(self, params, data, opt, st):
+        assert opt.state.step == st.step
+        assert opt.state.m.keys() == st.m.keys() and opt.state.v.keys() == st.v.keys()
+        for name, w in data.items():
+            np.testing.assert_array_equal(_bits(params[name].data), _bits(w), err_msg=name)
+        for name in st.m:
+            np.testing.assert_array_equal(_bits(opt.state.m[name]), _bits(st.m[name]), err_msg=name)
+            np.testing.assert_array_equal(_bits(opt.state.v[name]), _bits(st.v[name]), err_msg=name)
+
+    @pytest.mark.parametrize("exclusion", [True, False], ids=["exclusion", "no-exclusion"])
+    @pytest.mark.parametrize("via", ["p.grad", "grads="])
+    @pytest.mark.parametrize("kind", ["lamb", "adam"])
+    def test_matches_over_steps(self, kind, via, exclusion):
+        data = self.init()
+        params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
+        opt = make_optimizer(kind, weight_decay=0.01, use_exclusion_list=exclusion)
+        st = OptimizerState(weight_decay=0.01, use_exclusion_list=exclusion)
+        for t in range(1, 7):
+            grads = self.grads(data, t)
+            lr = 0.01 * t
+            if via == "grads=":
+                opt.step(params, lr, grads={k: None if g is None else g.copy()
+                                            for k, g in grads.items()})
+            else:
+                for name, p in params.items():
+                    p.grad = grads[name]
+                opt.step(params, lr)
+            data = _per_block_step(st, data, grads, lr, kind == "lamb")
+            self.assert_same(params, data, opt, st)
+
+    @pytest.mark.parametrize("kind", ["lamb", "adam"])
+    def test_arrays_replaced_mid_run_are_copied_in(self, kind):
+        data = self.init()
+        params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
+        opt, st = make_optimizer(kind), OptimizerState()
+        for t in range(1, 9):
+            if t == 3:
+                # what load_checkpoint and load_optimizer_state do: fresh arrays
+                for name, p in params.items():
+                    data[name] = p.data.astype("<f4").astype(np.float64)
+                    p.data = data[name].copy()
+                    for mine, theirs in ((opt.state.m, st.m), (opt.state.v, st.v)):
+                        theirs[name] = theirs[name] * 0.5
+                        mine[name] = theirs[name].copy()
+                opt.state.step = st.step = 7
+            if t == 5:
+                # a caller hands in a fresh Tensor for one block
+                params["layer0.attn.wq"] = Tensor(data["layer0.attn.wq"] + 1.0,
+                                                  requires_grad=True)
+                data["layer0.attn.wq"] = data["layer0.attn.wq"] + 1.0
+            if t == 7:
+                # and drops the moments of another: they restart from zero
+                for moments in (opt.state.m, opt.state.v, st.m, st.v):
+                    del moments["embed.token"]
+            grads = self.grads(data, t)
+            data = _per_block_step(st, data, grads, 0.02, kind == "lamb")
+            opt.step(params, 0.02, grads=grads)
+            self.assert_same(params, data, opt, st)
+
+    def test_second_parameter_set_on_one_optimizer(self):
+        # Set 1 shares one block name with set 0; set 2 has set 0's names and
+        # shapes but its own tensors. Moments are shared by name, weights never.
+        sets = [self.init(seed=2),
+                self.init(seed=3, shapes={"other.w": (3, 3), "embed.token": (7, 4),
+                                          "other.b": (3,)}),
+                self.init(seed=4)]
+        params = [{name: Tensor(w.copy(), requires_grad=True) for name, w in d.items()}
+                  for d in sets]
+        opt, st = LambOptimizer(), OptimizerState()
+        for t, i in enumerate([0, 1, 0, 2, 1, 2, 0, 0, 1, 1, 2], start=1):
+            grads = self.grads(sets[i], t)
+            sets[i] = _per_block_step(st, sets[i], grads, 0.01, True)
+            opt.step(params[i], 0.01, grads=grads)
+            for d, ps in zip(sets, params):
+                self.assert_same(ps, d, opt, st)
+
+    @pytest.mark.parametrize("warm", [0, 2])
+    def test_nonfinite_middle_block_leaves_everything_untouched(self, warm):
+        data = self.init()
+        params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
+        opt = LambOptimizer()
+        for t in range(1, warm + 1):
+            opt.step(params, 0.01, grads=self.grads(data, t))
+        before = {name: p.data.copy() for name, p in params.items()}
+        moments = {name: (m.copy(), opt.state.v[name].copy())
+                   for name, m in opt.state.m.items()}
+        grads = self.grads(data, warm + 1)
+        grads["layer0.attn.wq"][1, 2] = np.nan          # a middle block
+        grads["mlm.output_bias"][0] = np.inf            # a later one
+        with pytest.raises(NonFiniteGradientError, match="'layer0.attn.wq'"):
+            opt.step(params, 0.01, grads=grads)
+        assert opt.state.step == warm
+        assert opt.state.m.keys() == moments.keys()
+        for name, p in params.items():
+            np.testing.assert_array_equal(_bits(p.data), _bits(before[name]))
+        for name, (m, v) in moments.items():
+            np.testing.assert_array_equal(_bits(opt.state.m[name]), _bits(m))
+            np.testing.assert_array_equal(_bits(opt.state.v[name]), _bits(v))
 
 
 class TestPrecisionPolicy:

@@ -1,14 +1,10 @@
-"""Ablation grid over positional-encoding scheme, masking strategy, and length.
+"""Ablation grid over positional-encoding scheme and sequence length.
 
 Each cell is a ``RunConfig`` trained by ``Trainer`` on a pool of offset-copy
 examples drawn once from the cell seed, then evaluated at both the training
 and the extrapolated length. Absolute encodings built for the training
 length cannot address longer sequences; that failure is recorded as an
 out-of-range cell rather than a crash.
-
-Offset-copy examples are masked the same way under either masking strategy
-(the query positions are the masked ones), so the strategy axis changes only
-the cell seed.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ DEFAULT_OFFSET = -3
 @dataclass
 class AblationGrid:
     schemes: list[str] = field(default_factory=lambda: ["pape", "prpe", "frpe"])
-    strategies: list[str] = field(default_factory=lambda: ["char", "wwm"])
     sl_train: int = 32
     sl_eval: int = 64
     steps: int = 1500
@@ -45,7 +40,7 @@ class AblationGrid:
     pape_max_position: int | None = None  # default: sl_train (hard length limit)
 
 
-def _cell_config(grid: AblationGrid, scheme: str, strategy: str) -> RunConfig:
+def _cell_config(grid: AblationGrid, scheme: str) -> RunConfig:
     """The run config a cell trains under; a bad grid raises ConfigError."""
     for n in (grid.sl_train, grid.sl_eval):
         try:  # zero examples: only the task geometry is checked
@@ -64,15 +59,17 @@ def _cell_config(grid: AblationGrid, scheme: str, strategy: str) -> RunConfig:
         "schedule": {"lr_max": grid.lr_max, "warmup_steps": max(1, grid.steps // 10),
                      "total_steps": grid.steps},
         "optimizer": grid.optimizer, "weight_decay": 0.0,
-        "masking_strategy": strategy, "batch_size": grid.batch_size,
-        "total_steps": grid.steps, "checkpoint_every": 0,
-        "seed": grid.seed + hash_cell(scheme, strategy) % 1000,
+        "batch_size": grid.batch_size, "total_steps": grid.steps, "checkpoint_every": 0,
+        # Offset-copy queries are the masked positions under either masking
+        # strategy, so the grid has no strategy axis. The seed still hashes
+        # "char", so each cell trains exactly as its former char cell did.
+        "seed": grid.seed + hash_cell(scheme, "char") % 1000,
     })
 
 
-def run_cell(grid: AblationGrid, scheme: str, strategy: str) -> dict:
+def run_cell(grid: AblationGrid, scheme: str) -> dict:
     """Train one grid cell and measure accuracy at both sequence lengths."""
-    config = _cell_config(grid, scheme, strategy)
+    config = _cell_config(grid, scheme)
     seed = config.seed
     pool = make_offset_copy_examples(grid.steps * grid.batch_size, grid.sl_train,
                                      grid.num_symbols, grid.offset,
@@ -87,8 +84,7 @@ def run_cell(grid: AblationGrid, scheme: str, strategy: str) -> dict:
     eval_len_examples = make_offset_copy_examples(
         64, grid.sl_eval, grid.num_symbols, grid.offset, eval_rng)
 
-    row = {"scheme": scheme, "strategy": strategy,
-           "sl_train": grid.sl_train, "sl_eval": grid.sl_eval,
+    row = {"scheme": scheme, "sl_train": grid.sl_train, "sl_eval": grid.sl_eval,
            "accuracy_train_len": evaluate(trainer.model, train_len_examples)["mlm_accuracy"]}
     try:
         row["accuracy_eval_len"] = evaluate(trainer.model, eval_len_examples)["mlm_accuracy"]
@@ -111,14 +107,13 @@ def run_grid(grid: AblationGrid, out_dir) -> list[dict]:
     Every cell's config is built before the first cell trains, so a bad grid
     fails before any work is done.
     """
-    cells = [(scheme, strategy) for scheme in grid.schemes for strategy in grid.strategies]
-    for scheme, strategy in cells:
-        _cell_config(grid, scheme, strategy)
+    for scheme in grid.schemes:
+        _cell_config(grid, scheme)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [run_cell(grid, scheme, strategy) for scheme, strategy in cells]
+    rows = [run_cell(grid, scheme) for scheme in grid.schemes]
 
-    columns = ["scheme", "strategy", "sl_train", "sl_eval",
+    columns = ["scheme", "sl_train", "sl_eval",
                "accuracy_train_len", "accuracy_eval_len", "status"]
     with open(out_dir / "results.tsv", "w", encoding="utf-8") as fh:
         fh.write("\t".join(columns) + "\n")

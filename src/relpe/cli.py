@@ -130,14 +130,13 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     grid = ablate_mod.AblationGrid(
         schemes=args.schemes.split(","),
-        strategies=args.strategies.split(","),
         sl_train=args.sl_train, sl_eval=args.sl_eval,
         steps=args.steps, seed=args.seed if args.seed is not None else 0)
     if args.pape_max_position is not None:
         grid.pape_max_position = args.pape_max_position
     rows = ablate_mod.run_grid(grid, args.out)
     for row in rows:
-        print(f"{row['scheme']:>5} {row['strategy']:>4} "
+        print(f"{row['scheme']:>5} "
               f"train@{row['sl_train']}={row['accuracy_train_len']:.3f} "
               f"eval@{row['sl_eval']}="
               + (f"{row['accuracy_eval_len']:.3f}" if row["accuracy_eval_len"] is not None
@@ -213,10 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the scheme/masking/length grid")
+    p = sub.add_parser("ablate", help="run the scheme/length grid")
     p.add_argument("--out", required=True)
     p.add_argument("--schemes", default="pape,prpe,frpe")
-    p.add_argument("--strategies", default="char,wwm")
     p.add_argument("--sl-train", type=int, default=32)
     p.add_argument("--sl-eval", type=int, default=64)
     p.add_argument("--steps", type=int, default=1200)

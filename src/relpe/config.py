@@ -38,7 +38,6 @@ class RunConfig:
     precision: PrecisionPolicy = field(default_factory=PrecisionPolicy)
     optimizer: str = "lamb"
     weight_decay: float = 0.01
-    use_exclusion_list: bool = True
     train_examples: str | None = None
     corpus: str | None = None
     lexicon: str | None = None

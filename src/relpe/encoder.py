@@ -35,15 +35,16 @@ class EncoderConfig:
     type_vocab_size: int = 2
     hidden_dropout: float = 0.0
     attn_dropout: float = 0.0
-    ln_eps: float = 1e-12
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
         if self.ffn_size is None:
             self.ffn_size = 4 * self.d_model
+        for name in ("vocab_size", "d_model", "ffn_size", "num_layers", "max_seq_len",
+                     "prpe_clip", "type_vocab_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         self.attention_config()  # validates the head geometry and attn_dropout
-        if self.max_seq_len < 1 or self.prpe_clip < 1:
-            raise ValueError("max_seq_len and prpe_clip must be >= 1")
         if not 0.0 <= self.hidden_dropout < 1.0:
             raise ValueError(f"hidden_dropout={self.hidden_dropout} must be in [0, 1)")
 
@@ -184,7 +185,7 @@ class EncoderModel:
                     f"sequence length {n} exceeds learned absolute position table "
                     f"(max_position={self.cfg.max_seq_len})")
             x = x + self.position_embedding.take_rows(np.arange(n))
-        x = layer_norm(x, self.embed_ln_gamma, self.embed_ln_beta, self.cfg.ln_eps)
+        x = layer_norm(x, self.embed_ln_gamma, self.embed_ln_beta)
         if rng is not None:
             x = dropout(x, self.cfg.hidden_dropout, rng)
         return x
@@ -197,11 +198,11 @@ class EncoderModel:
                                     table=self.rel_table, mask=mask, rng=rng)
         if rng is not None:
             attn = dropout(attn, cfg.hidden_dropout, rng)
-        y = layer_norm(x + attn, layer.ln1_gamma, layer.ln1_beta, cfg.ln_eps)
+        y = layer_norm(x + attn, layer.ln1_gamma, layer.ln1_beta)
         h = gelu(y @ layer.ffn_w1 + layer.ffn_b1) @ layer.ffn_w2 + layer.ffn_b2
         if rng is not None:
             h = dropout(h, cfg.hidden_dropout, rng)
-        return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta, cfg.ln_eps)
+        return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta)
 
     def encode(self, token_ids, segment_ids, mask=None,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -250,7 +251,7 @@ class EncoderModel:
         if positions.size:
             h = rows.take_rows(owners * n + positions)
             h = gelu(h @ self.mlm_dense_w + self.mlm_dense_b)
-            h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta, self.cfg.ln_eps)
+            h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta)
             mlm_logits = h @ self.token_embedding.T + self.mlm_output_bias
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))

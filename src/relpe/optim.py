@@ -17,7 +17,7 @@ from .tensor import Tensor, value_filter
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient was NaN/inf where the policy does not allow skipping."""
+    """A gradient handed to ``step`` was NaN/inf."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +46,12 @@ def round_half(x):
 
 @dataclass
 class LrSchedule:
-    kind: str = "linear_warmup_linear_decay"     # or linear_warmup_poly_decay
+    """Linear warmup to ``lr_max``, then linear decay to 0 at ``total_steps``."""
     lr_max: float = 1e-3
     warmup_steps: int = 100
     total_steps: int = 1000
-    poly_power: float = 1.0
-
-    KINDS = ("linear_warmup_linear_decay", "linear_warmup_poly_decay")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("need 0 < warmup_steps < total_steps")
 
@@ -70,10 +65,7 @@ def lr_at_step(schedule: LrSchedule, t: int) -> float:
         return 0.0
     if t <= w:
         return schedule.lr_max * t / w
-    frac = (total - t) / (total - w)
-    if schedule.kind == "linear_warmup_poly_decay":
-        frac = frac ** schedule.poly_power
-    return schedule.lr_max * frac
+    return schedule.lr_max * ((total - t) / (total - w))
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +80,13 @@ def default_exclusion(name: str) -> bool:
     return leaf.startswith("b") and not leaf.startswith("bank")
 
 
+# Moment decay rates and denominator epsilon (You et al. 2019).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-6
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
     weight_decay: float = 0.01
-    use_exclusion_list: bool = True
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -102,10 +94,10 @@ class OptimizerState:
 
 class _Layout:
     """Flat float64 masters ``w``, moments ``m``/``v``, gradient ``g`` and scratch ``a``
-    of the blocks ``key[1]`` ((name, tensor, shape), ...); block i is ``spans[i]``."""
+    of the blocks ``key`` ((name, tensor, shape), ...); block i is ``spans[i]``."""
 
     def __init__(self, key, excluded: list[bool], trust_scaling: bool):
-        ends = np.cumsum([math.prod(shape) for _, _, shape in key[1]]).tolist()
+        ends = np.cumsum([math.prod(shape) for _, _, shape in key]).tolist()
         self.key, self.spans = key, list(zip([0] + ends[:-1], ends))
         self.excluded = [span for span, x in zip(self.spans, excluded) if x]
         self.scaled = [span for span, x in zip(self.spans, excluded) if trust_scaling and not x]
@@ -113,7 +105,7 @@ class _Layout:
         self.wv, self.mv, self.vv = map(self.split, (self.w, self.m, self.v))
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[lo:hi].reshape(k[2]) for (lo, hi), k in zip(self.spans, self.key[1])]
+        return [flat[lo:hi].reshape(k[2]) for (lo, hi), k in zip(self.spans, self.key)]
 
     def gather(self, grads) -> np.ndarray:
         grads = [np.zeros(w.shape) if g is None else g for g, w in zip(grads, self.wv)]
@@ -133,19 +125,15 @@ class _MomentOptimizer:
 
     trust_scaling = False
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-6, weight_decay=0.01,
-                 use_exclusion_list=True):
-        self.state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps,
-                                    weight_decay=weight_decay,
-                                    use_exclusion_list=use_exclusion_list)
+    def __init__(self, weight_decay=0.01):
+        self.state = OptimizerState(weight_decay=weight_decay)
         self._flat: _Layout | None = None
 
     def _layout(self, params: dict[str, Tensor]) -> _Layout:
         """The layout of ``params``, with every ``p.data`` bound to its master view."""
-        st = self.state
-        key = (st.use_exclusion_list, tuple((n, p, p.data.shape) for n, p in params.items()))
+        key = tuple((n, p, p.data.shape) for n, p in params.items())
         if self._flat is None or self._flat.key != key:
-            excluded = [st.use_exclusion_list and default_exclusion(name) for name in params]
+            excluded = [default_exclusion(name) for name in params]
             self._flat = _Layout(key, excluded, self.trust_scaling)
         for p, w in zip(params.values(), self._flat.wv):
             p.data = _bound(w, p.data)
@@ -165,13 +153,13 @@ class _MomentOptimizer:
             st.m[name], st.v[name] = _bound(mv, st.m.get(name)), _bound(vv, st.v.get(name))
         st.step += 1
         # The per-block update in place: a becomes u, and g (spent) the per-element scale.
-        m *= st.beta1
-        m += np.multiply(g, 1.0 - st.beta1, out=a)
-        v *= st.beta2
-        v += np.multiply(np.multiply(g, 1.0 - st.beta2, out=a), g, out=a)
-        np.divide(m, 1.0 - st.beta1 ** st.step, out=a)
-        np.sqrt(np.divide(v, 1.0 - st.beta2 ** st.step, out=g), out=g)
-        a /= np.add(g, st.eps, out=g)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=a), g, out=a)
+        np.divide(m, 1.0 - BETA1 ** st.step, out=a)
+        np.sqrt(np.divide(v, 1.0 - BETA2 ** st.step, out=g), out=g)
+        a /= np.add(g, EPS, out=g)
         np.multiply(w, st.weight_decay, out=g)
         for lo, hi in lay.excluded:
             np.multiply(w[lo:hi], 0.0, out=g[lo:hi])
@@ -195,11 +183,11 @@ class AdamOptimizer(_MomentOptimizer):
     trust_scaling = False
 
 
-def make_optimizer(kind: str, **kwargs) -> _MomentOptimizer:
+def make_optimizer(kind: str, weight_decay=0.01) -> _MomentOptimizer:
     if kind == "lamb":
-        return LambOptimizer(**kwargs)
+        return LambOptimizer(weight_decay)
     if kind == "adam":
-        return AdamOptimizer(**kwargs)
+        return AdamOptimizer(weight_decay)
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
@@ -210,14 +198,13 @@ def make_optimizer(kind: str, **kwargs) -> _MomentOptimizer:
 @dataclass
 class PrecisionPolicy:
     mode: str = "full"                 # "full" or "mixed_emulated"
-    loss_scale: float = 1024.0
-    skip_on_overflow: bool = True
+    loss_scale: float = 1024.0         # an overflowing step is skipped
 
     def __post_init__(self):
         if self.mode not in ("full", "mixed_emulated"):
             raise ValueError(f"unknown precision mode {self.mode!r}")
         s = self.loss_scale
-        if s < 1.0 or 2.0 ** round(np.log2(s)) != s:
+        if not s >= 1.0 or math.frexp(s)[0] != 0.5:   # inf and nan fail too
             raise ValueError("loss_scale must be a power of two >= 1")
 
 
@@ -226,9 +213,10 @@ def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
     """Run one optimizer step under the precision policy.
 
     ``loss_fn`` builds the scalar loss tensor from the parameters' current
-    data and returns (loss, metrics). Returns (metrics, skipped). In mixed
-    mode the parameters' data holds the master weights; working binary16
-    copies exist only inside this call.
+    data and returns (loss, metrics). Returns (metrics, skipped): a mixed
+    step whose unscaled gradient is not finite leaves weights and moments
+    untouched. In mixed mode the parameters' data holds the master weights;
+    working binary16 copies exist only inside this call.
     """
     for p in params.values():
         p.zero_grad()
@@ -253,10 +241,6 @@ def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
         for p, w in zip(params.values(), lay.wv):
             p.data = w
 
-    if overflow:
-        if not policy.skip_on_overflow:
-            raise NonFiniteGradientError(
-                "non-finite gradient under mixed precision with overflow-skip disabled")
-        return metrics, True
-    optimizer.step(params, lr, grads)
-    return metrics, False
+    if not overflow:
+        optimizer.step(params, lr, grads)
+    return metrics, overflow

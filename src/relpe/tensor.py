@@ -185,9 +185,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         def bwd(g):
@@ -207,9 +204,6 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(-g * self.data / (other.data * other.data))
         return Tensor._make(self.data / other.data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __pow__(self, exponent: float):
         e = float(exponent)

@@ -33,9 +33,7 @@ class Trainer:
         self.examples = examples
         self.model = EncoderModel(config.model, seed=config.seed)
         self.params = self.model.parameters()
-        self.optimizer = make_optimizer(config.optimizer,
-                                        weight_decay=config.weight_decay,
-                                        use_exclusion_list=config.use_exclusion_list)
+        self.optimizer = make_optimizer(config.optimizer, config.weight_decay)
         self.step = 0
 
     def _batch_for_step(self, t: int) -> list[PretrainExample]:
@@ -82,22 +80,19 @@ class Trainer:
         self.step = int(manifest["step"])
         return self.step
 
-    def train(self, out_dir=None, resume_from=None, log_fh=None):
+    def train(self, out_dir=None, resume_from=None):
         """Run from the current step to config.total_steps, logging every step."""
         config = self.config
         out_dir = Path(out_dir if out_dir is not None else config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         start_step = self.resume(resume_from) if resume_from else 0
 
-        own_log = log_fh is None
         log_path = out_dir / "metrics.jsonl"
         # Resuming into the run's own directory continues its log: earlier
         # records stay, and a resume record marks where the replayed steps
         # start (they supersede any records of the same steps above it).
-        append = own_log and bool(resume_from) and log_path.exists()
-        if own_log:
-            log_fh = open(log_path, "a" if append else "w", encoding="utf-8")
-        try:
+        append = bool(resume_from) and log_path.exists()
+        with open(log_path, "a" if append else "w", encoding="utf-8") as log_fh:
             if append:
                 log_fh.write(json.dumps({"type": "resume", "from_step": start_step}) + "\n")
             else:
@@ -115,9 +110,6 @@ class Trainer:
             if config.total_steps > 0:
                 self.save(out_dir / "checkpoint-final", metrics=last)
             return last
-        finally:
-            if own_log:
-                log_fh.close()
 
 
 # Most padded tokens (examples x longest length) in one evaluation pass.

@@ -139,10 +139,10 @@ def test_05_length_extrapolation():
     """Offset-copy: relative sinusoids trained at length 32 hold at 64; the
     absolute table either cannot address 64 or collapses."""
     grid = AblationGrid()
-    frpe = run_cell(grid, "frpe", "char")
-    pape32 = run_cell(grid, "pape", "char")
+    frpe = run_cell(grid, "frpe")
+    pape32 = run_cell(grid, "pape")
     grid64 = AblationGrid(pape_max_position=64)
-    pape64 = run_cell(grid64, "pape", "char")
+    pape64 = run_cell(grid64, "pape")
 
     frpe_ok = (frpe["status"] == "ok"
                and frpe["accuracy_train_len"] >= 0.95

@@ -69,6 +69,13 @@ class TestRunConfig:
         {"attn_dropout": 1.0},
         {"attn_dropout": 1.5},
         {"attn_dropout": -0.1},
+        {"vocab_size": 0},
+        {"d_model": 0},
+        {"ffn_size": -4},
+        {"ffn_size": 0},
+        {"num_layers": -1},
+        {"num_layers": 0},
+        {"type_vocab_size": 0},
     ])
     def test_invalid_head_geometry_rejected(self, model):
         d = tiny_run_config().to_dict()
@@ -93,6 +100,15 @@ class TestRunConfig:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.from_json(tmp_path / "missing.json")
+
+    def test_readme_minimal_config_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A minimal `run.json`:", 1)[1].split("```json", 1)[1]
+        documented = json.loads(block.split("```", 1)[0])
+        d = RunConfig.from_dict(documented).to_dict()
+        for key, value in documented.items():
+            assert d[key] == ({**d[key], **value} if isinstance(value, dict) else value), key
+        assert RunConfig.from_dict(d).to_dict() == d
 
 
 class TestCheckpoint:
@@ -601,7 +617,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--steps", "1"],                      # no room for warmup
         ["--schemes", "frpe,bogus"],
-        ["--strategies", "char,bogus"],
+        ["--schemes", ""],
         ["--sl-train", "4"],                   # too short for two offset queries
         ["--sl-eval", "0"],
         ["--pape-max-position", "-1"],
@@ -617,21 +633,21 @@ class TestCli:
     def test_ablate_tiny_grid(self, tmp_path, capsys):
         def run(out):
             assert cli_main(["ablate", "--out", str(out), "--schemes", "pape,frpe",
-                             "--strategies", "char", "--steps", "5",
+                             "--steps", "5",
                              "--sl-train", "16", "--sl-eval", "24"]) == 0
             return (out / "results.json").read_bytes()
 
         first = run(tmp_path / "a")
         results = json.loads(first)
         lines = (tmp_path / "a" / "results.tsv").read_text().splitlines()
-        assert lines[0].split("\t") == ["scheme", "strategy", "sl_train", "sl_eval",
+        assert lines[0].split("\t") == ["scheme", "sl_train", "sl_eval",
                                         "accuracy_train_len", "accuracy_eval_len",
                                         "status"]
         pape, frpe = (line.split("\t") for line in lines[1:])
-        assert pape[:4] == ["pape", "char", "16", "24"] and pape[5] == ""
-        assert pape[6].startswith("out-of-range")
-        assert frpe[:4] == ["frpe", "char", "16", "24"] and frpe[6] == "ok"
-        assert 0.0 <= float(frpe[5]) <= 1.0
+        assert pape[:3] == ["pape", "16", "24"] and pape[4] == ""
+        assert pape[5].startswith("out-of-range")
+        assert frpe[:3] == ["frpe", "16", "24"] and frpe[5] == "ok"
+        assert 0.0 <= float(frpe[4]) <= 1.0
 
         for row in results["rows"]:
             config = row["run_config"]

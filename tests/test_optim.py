@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from relpe.optim import (HALF_MAX, AdamOptimizer, LambOptimizer, LrSchedule,
-                         NonFiniteGradientError, OptimizerState, PrecisionPolicy,
-                         default_exclusion, lr_at_step, make_optimizer,
+from relpe.optim import (BETA1, BETA2, EPS, HALF_MAX, AdamOptimizer, LambOptimizer,
+                         LrSchedule, NonFiniteGradientError, OptimizerState,
+                         PrecisionPolicy, default_exclusion, lr_at_step, make_optimizer,
                          round_half, training_step)
 from relpe.tensor import Tensor
 
@@ -115,8 +117,6 @@ class TestExclusionList:
 class TestLrSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LrSchedule(kind="cosine")
-        with pytest.raises(ValueError):
             LrSchedule(warmup_steps=0, total_steps=10)
         with pytest.raises(ValueError):
             LrSchedule(warmup_steps=10, total_steps=10)
@@ -132,18 +132,6 @@ class TestLrSchedule:
         assert lr_at_step(s, 55) == pytest.approx(1.0)
         assert lr_at_step(s, 100) == 0.0
         assert lr_at_step(s, 101) == 0.0
-
-    def test_poly_decay(self):
-        s = LrSchedule(kind="linear_warmup_poly_decay", lr_max=1.0,
-                       warmup_steps=10, total_steps=110, poly_power=2.0)
-        assert lr_at_step(s, 60) == pytest.approx(0.25)
-
-    def test_poly_power_one_equals_linear(self):
-        lin = LrSchedule(lr_max=1.0, warmup_steps=10, total_steps=100)
-        poly = LrSchedule(kind="linear_warmup_poly_decay", lr_max=1.0,
-                          warmup_steps=10, total_steps=100, poly_power=1.0)
-        for t in range(0, 105, 7):
-            assert lr_at_step(lin, t) == pytest.approx(lr_at_step(poly, t))
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +158,7 @@ class TestOptimizers:
         # the trust ratio ||w||/||u|| = 1+eps cancels it, so w' = 1 - lr exactly
         p = Tensor(np.ones(4), requires_grad=True)
         p.grad = np.ones(4)
-        opt = LambOptimizer(weight_decay=0.0, eps=1e-6)
+        opt = LambOptimizer(weight_decay=0.0)
         opt.step({"w": p}, lr=0.1)
         np.testing.assert_allclose(p.data, 0.9, rtol=1e-14)
 
@@ -197,7 +185,7 @@ class TestOptimizers:
         rng = np.random.default_rng(4)
         grads = [rng.normal(size=5) for _ in range(10)]
         p = Tensor(np.zeros(5), requires_grad=True)
-        opt = AdamOptimizer(weight_decay=0.0, eps=1e-6)
+        opt = AdamOptimizer(weight_decay=0.0)
         w = np.zeros(5)
         for r in reference_moment_updates(grads, 0.9, 0.999, 1e-6):
             w = w - 0.01 * r
@@ -224,13 +212,6 @@ class TestOptimizers:
         opt.step({"ln.gamma": gamma, "dense.w": w}, lr=0.1)
         np.testing.assert_array_equal(gamma.data, 2.0)      # no decay applied
         assert np.all(w.data < 2.0)                          # decayed
-
-    def test_exclusion_list_can_be_disabled(self):
-        gamma = Tensor(np.full(4, 2.0), requires_grad=True)
-        gamma.grad = np.zeros(4)
-        opt = LambOptimizer(weight_decay=0.5, use_exclusion_list=False)
-        opt.step({"ln.gamma": gamma}, lr=0.1)
-        assert np.all(gamma.data < 2.0)
 
     def test_step_counter_advances_once_per_call(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -287,12 +268,12 @@ def _per_block_step(st: OptimizerState, data: dict, grads: dict, lr: float,
         if name not in st.m:
             st.m[name] = np.zeros_like(w)
             st.v[name] = np.zeros_like(w)
-        st.m[name] = st.beta1 * st.m[name] + (1.0 - st.beta1) * g
-        st.v[name] = st.beta2 * st.v[name] + (1.0 - st.beta2) * g * g
-        m_hat = st.m[name] / (1.0 - st.beta1 ** t)
-        v_hat = st.v[name] / (1.0 - st.beta2 ** t)
-        r = m_hat / (np.sqrt(v_hat) + st.eps)
-        excluded = st.use_exclusion_list and default_exclusion(name)
+        st.m[name] = BETA1 * st.m[name] + (1.0 - BETA1) * g
+        st.v[name] = BETA2 * st.v[name] + (1.0 - BETA2) * g * g
+        m_hat = st.m[name] / (1.0 - BETA1 ** t)
+        v_hat = st.v[name] / (1.0 - BETA2 ** t)
+        r = m_hat / (np.sqrt(v_hat) + EPS)
+        excluded = default_exclusion(name)
         decay = 0.0 if excluded else st.weight_decay
         u = r + decay * w
         scale = lr
@@ -348,10 +329,13 @@ class TestFlatUpdateMatchesPerBlockLoop:
     @pytest.mark.parametrize("via", ["p.grad", "grads="])
     @pytest.mark.parametrize("kind", ["lamb", "adam"])
     def test_matches_over_steps(self, kind, via, exclusion):
-        data = self.init()
+        # without exclusion: a parameter set with no norm or bias block, so
+        # every block is decayed and (under LAMB) trust-scaled
+        data = self.init(shapes=None if exclusion else {
+            name: shape for name, shape in self.SHAPES.items() if not default_exclusion(name)})
         params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
-        opt = make_optimizer(kind, weight_decay=0.01, use_exclusion_list=exclusion)
-        st = OptimizerState(weight_decay=0.01, use_exclusion_list=exclusion)
+        opt = make_optimizer(kind, weight_decay=0.01)
+        st = OptimizerState(weight_decay=0.01)
         for t in range(1, 7):
             grads = self.grads(data, t)
             lr = 0.01 * t
@@ -440,7 +424,7 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):
             PrecisionPolicy(mode="bf16")
 
-    @pytest.mark.parametrize("scale", [0.5, 3.0, 1000.0])
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 1000.0, math.inf, math.nan, 1.5e308])
     def test_loss_scale_must_be_power_of_two(self, scale):
         with pytest.raises(ValueError):
             PrecisionPolicy(mode="mixed_emulated", loss_scale=scale)
@@ -504,14 +488,6 @@ class TestPrecisionPolicy:
         assert skipped
         np.testing.assert_array_equal(p.data, [300.0])
         assert opt.state.step == 0 and opt.state.m == {}
-
-    def test_overflow_raises_when_skip_disabled(self):
-        p = Tensor(np.array([300.0]), requires_grad=True)
-        policy = PrecisionPolicy(mode="mixed_emulated", loss_scale=1024.0,
-                                 skip_on_overflow=False)
-        with pytest.raises(NonFiniteGradientError):
-            training_step(policy, self.quadratic(p, np.zeros(1)), {"w": p},
-                          AdamOptimizer(), lr=0.1)
 
     def test_gradients_are_unscaled_before_update(self):
         # one step of mixed precision on a linear loss: the update must not

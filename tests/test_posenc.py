@@ -176,7 +176,7 @@ class TestAbsTable:
         x = (model.token_embedding.data[tokens] + model.segment_embedding.data[segments]
              + table.data[:3])
         x = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
-                                                         + model.cfg.ln_eps)
+                                                         + 1e-12)
         np.testing.assert_allclose(model.embed_inputs(tokens, segments).data, x,
                                    rtol=0, atol=1e-12)
 

@@ -11,16 +11,26 @@ is scored against every offset at once, q @ R^K.T of shape (n, 2n-1), and
 other way: ``rel_scatter`` puts alpha_ij into bucket j - i of row i, and one
 matmul with R^V sums each bucket's encoding. Both terms are dense matmuls
 plus O(n^2) index maps, so a head needs O(n^2 + n*d_z) memory.
+
+A block runs as two autodiff nodes. :func:`attention` projects, scores,
+masks, softmaxes, drops out and sums every head in one NumPy forward and has
+a closed-form backward pass; W^O and its bias are one ``affine`` node. Under
+the value filter each rounds only its output and each input gradient.
+``attention_scores`` and ``attention_output`` compute the same scores and
+outputs as differentiable composites of single-op nodes (``rel_gather``,
+``rel_scatter``, ``softmax``): the oracles the tests check the fused node
+against, and check against the double-loop definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import Tensor, dropout, rel_gather, rel_scatter, softmax
+from .tensor import (Tensor, _check_finite, _gather_offsets, _scatter_offsets, affine,
+                     as_tensor, rel_gather, rel_scatter)
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -83,13 +93,19 @@ def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
     """
     if mask is None:
         return scores
-    n = scores.shape[-1]
+    valid, fill = _mask_arrays(mask, scores.shape)
+    return scores * Tensor(valid) + Tensor(fill)
+
+
+def _mask_arrays(mask: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The 1/0 multiplier and the 0/MASK_FILL addend of ``mask`` for scores of ``shape``."""
+    n = shape[-1]
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim > 1:
         mask = mask[..., None, None, :]
-    if mask.shape[-1:] != (n,) or np.broadcast_shapes(mask.shape, scores.shape) != scores.shape:
-        raise ValueError(f"mask shape {mask.shape} does not fit scores of shape {scores.shape}")
-    return scores * Tensor(mask.astype(np.float64)) + Tensor(np.where(mask, 0.0, MASK_FILL))
+    if mask.shape[-1:] != (n,) or np.broadcast_shapes(mask.shape, shape) != shape:
+        raise ValueError(f"mask shape {mask.shape} does not fit scores of shape {shape}")
+    return mask.astype(np.float64), np.where(mask, 0.0, MASK_FILL)
 
 
 def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None,
@@ -126,30 +142,121 @@ def attention_output(alpha: Tensor, v: Tensor,
     return out
 
 
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
+              r_k: Tensor | None = None, r_v: Tensor | None = None,
+              mask: np.ndarray | None = None, dropout_rate: float = 0.0,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Every head of one attention block, merged to (..., n, d_model), as one node.
+
+    Computes what the composite ``attention_output(dropout(softmax(
+    attention_scores(q, k, table, mask))), v, table)`` does on the heads
+    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z), with the same
+    expressions in the same order, so the forward is bitwise equal to it.
+    ``r_k``/``r_v`` are the (2n-1, d_z) offset rows of ``table.block`` or None
+    for no relative terms. Attention dropout (``dropout_rate > 0`` and an
+    ``rng``) draws one mask of the weights' shape, as ``dropout`` does.
+
+    The backward pass is closed form (FlashAttention's algebra plus the
+    relative-shift terms), with P the softmax weights, A = P * keep the
+    dropped-out ones and dO the merged-heads gradient split per head:
+    dA = dO v^T + gather(dO R_V^T), dS = P (dA keep - rowsum(dA keep P)) / sqrt(d_z),
+    dq = dS k + scatter(dS) R_K, dk = dS^T q, dv = A^T dO,
+    dR_K = sum scatter(dS)^T q and dR_V = sum scatter(A)^T dO.
+    """
+    x = as_tensor(x)
+    *lead, n, d_model = x.shape
+    if d_model % num_heads != 0:
+        raise ValueError(f"num_heads={num_heads} does not divide d_model={d_model}")
+    d_z = d_model // num_heads
+    for r in (r_k, r_v):
+        if r is not None and r.shape != (2 * n - 1, d_z):
+            raise ValueError(f"offset rows of shape {r.shape}, expected {(2 * n - 1, d_z)}")
+    split = (*lead, n, num_heads, d_z)
+    b = len(lead)
+    swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
+    if mask is not None:
+        valid, fill = _mask_arrays(mask, (*lead, num_heads, n, n))
+    scale = 1.0 / np.sqrt(d_z)
+
+    q, k, v = ((x.data @ w.data).reshape(split).transpose(swap) for w in (wq, wk, wv))
+    p = q @ np.swapaxes(k, -1, -2)
+    if r_k is not None:
+        p += _gather_offsets(q @ r_k.data.T)
+    p *= scale
+    if mask is not None:
+        p *= valid
+        p += fill
+    _check_finite("softmax", p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    keep = None
+    if dropout_rate > 0.0 and rng is not None:
+        keep = (rng.random(p.shape) >= dropout_rate) / (1.0 - dropout_rate)
+    a = p if keep is None else p * keep
+    out = a @ v
+    if r_v is not None:
+        out += _scatter_offsets(a) @ r_v.data
+
+    def bwd(g):
+        g_o = g.reshape(split).transpose(swap)
+        d_s = g_o @ np.swapaxes(v, -1, -2)
+        if r_v is not None:
+            d_s += _gather_offsets(g_o @ r_v.data.T)
+            if r_v.requires_grad:
+                r_v._accumulate(_rows(_scatter_offsets(a)).T @ _rows(g_o))
+        d_v = np.swapaxes(a, -1, -2) @ g_o
+        if keep is not None:
+            d_s *= keep
+        d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+        d_s *= p
+        if mask is not None:
+            d_s *= valid
+        d_s *= scale
+        d_q = d_s @ k
+        if r_k is not None:
+            d_rel = _scatter_offsets(d_s)
+            d_q += d_rel @ r_k.data
+            if r_k.requires_grad:
+                r_k._accumulate(_rows(d_rel).T @ _rows(q))
+        d_k = np.swapaxes(d_s, -1, -2) @ q
+        x_rows, d_x = _rows(x.data), 0.0
+        for w, d in ((wq, d_q), (wk, d_k), (wv, d_v)):
+            d = d.transpose(swap).reshape(-1, d_model)
+            if w.requires_grad:
+                w._accumulate(x_rows.T @ d)
+            if x.requires_grad:
+                d_x = d_x + d @ w.data.T
+        if x.requires_grad:
+            x._accumulate(d_x.reshape(x.shape))
+
+    parents = tuple(t for t in (x, wq, wk, wv, r_k, r_v) if t is not None)
+    return Tensor._make(out.transpose(swap).reshape(*lead, n, d_model), parents, bwd)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix of its last axis: (prod of leading axes, last)."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
                          table: RelPositionTable | None = None,
                          mask: np.ndarray | None = None,
                          rng: np.random.Generator | None = None) -> Tensor:
-    """Full attention block: project, score, softmax and combine all heads, then W^O.
+    """Full attention block: one :func:`attention` node, then W^O as one ``affine`` node.
 
-    ``x`` is (n, d_model) or a batch (..., n, d_model). Heads ride on an axis
-    next to the sequence axis, (..., H, n, d_z): head h owns columns
-    h*d_z:(h+1)*d_z of each projection. The same relative offset rows serve
-    every sequence and head. ``mask`` marks valid positions, (n,) or (..., n).
+    ``x`` is (n, d_model) or a batch (..., n, d_model). The same relative
+    offset rows serve every sequence and head. ``mask`` marks valid
+    positions, (n,) or (..., n).
     """
     *lead, n, d_model = x.shape
     if d_model != cfg.d_model:
         raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
-    split = (*lead, n, cfg.num_heads, cfg.d_z)
-    b = len(lead)
-    swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
-
-    def heads(w: Tensor) -> Tensor:
-        return (x @ w).reshape(split).transpose(swap)
-
-    q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
-    alpha = softmax(attention_scores(q, k, table, mask), axis=-1)
-    if cfg.attn_dropout > 0.0 and rng is not None:
-        alpha = dropout(alpha, cfg.attn_dropout, rng)
-    merged = attention_output(alpha, v, table).transpose(swap).reshape(*lead, n, d_model)
-    return merged @ weights.wo + weights.bo
+    r_k = r_v = None
+    if table is not None:
+        if table.d_z != cfg.d_z:
+            raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={cfg.d_z}")
+        r_k, r_v = table.block(n, role="K"), table.block(n, role="V")
+    merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,
+                       mask, cfg.attn_dropout, rng)
+    return affine(merged, weights.wo, weights.bo)

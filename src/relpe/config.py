@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .encoder import EncoderConfig
-from .optim import LrSchedule, PrecisionPolicy
+from .optim import LrSchedule, PrecisionPolicy, require_number
 
 
 class ConfigError(ValueError):
@@ -53,8 +53,10 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.masking_strategy not in ("char", "wwm"):
             raise ConfigError(f"unknown masking strategy {self.masking_strategy!r}")
-        if self.batch_size < 1 or self.total_steps < 0 or self.seed < 0:
-            raise ConfigError("batch_size must be >= 1, total_steps and seed >= 0")
+        for name, kind, low in (("weight_decay", float, 0), ("batch_size", int, 1),
+                                ("total_steps", int, 0), ("checkpoint_every", int, 0),
+                                ("seed", int, 0)):
+            require_number(self, name, kind, low, ConfigError)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

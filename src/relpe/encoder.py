@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
 from .data import PAD_ID, PretrainExample
 from .posenc import RelPositionTable, Scheme, build_rel_table
-from .tensor import Tensor, dropout, gelu, layer_norm, nll_loss
+from .tensor import Tensor, affine, dropout, gelu, layer_norm, nll_loss
 
 
 @dataclass
@@ -199,7 +199,7 @@ class EncoderModel:
         if rng is not None:
             attn = dropout(attn, cfg.hidden_dropout, rng)
         y = layer_norm(x + attn, layer.ln1_gamma, layer.ln1_beta)
-        h = gelu(y @ layer.ffn_w1 + layer.ffn_b1) @ layer.ffn_w2 + layer.ffn_b2
+        h = affine(gelu(affine(y, layer.ffn_w1, layer.ffn_b1)), layer.ffn_w2, layer.ffn_b2)
         if rng is not None:
             h = dropout(h, cfg.hidden_dropout, rng)
         return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta)
@@ -245,14 +245,14 @@ class EncoderModel:
         states = self.encode(tokens, segments, mask=mask, rng=rng)
 
         rows = states.reshape(b * n, self.cfg.d_model)
-        pooled = ((rows.take_rows(np.arange(b) * n) @ self.pooler_w) + self.pooler_b).tanh()
-        nsp_logits = pooled @ self.nsp_w + self.nsp_b
+        pooled = affine(rows.take_rows(np.arange(b) * n), self.pooler_w, self.pooler_b).tanh()
+        nsp_logits = affine(pooled, self.nsp_w, self.nsp_b)
 
         if positions.size:
             h = rows.take_rows(owners * n + positions)
-            h = gelu(h @ self.mlm_dense_w + self.mlm_dense_b)
+            h = gelu(affine(h, self.mlm_dense_w, self.mlm_dense_b))
             h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta)
-            mlm_logits = h @ self.token_embedding.T + self.mlm_output_bias
+            mlm_logits = affine(h, self.token_embedding.T, self.mlm_output_bias)
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
         return ForwardOutput(states=states, pooled=pooled, mlm_logits=mlm_logits,

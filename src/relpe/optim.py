@@ -44,6 +44,19 @@ def round_half(x):
 # learning-rate schedules
 # ---------------------------------------------------------------------------
 
+def require_number(owner, name: str, kind: type, low, error=ValueError):
+    """Raise ``error`` unless ``owner.<name>`` is a finite ``kind`` >= ``low``.
+
+    A ``float`` setting also takes an int; a bool is never a number here.
+    """
+    value = getattr(owner, name)
+    types = (int, float) if kind is float else (kind,)
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or not math.isfinite(value) or value < low):
+        what = "a finite number" if kind is float else f"an {kind.__name__}"
+        raise error(f"{name}={value!r} must be {what} >= {low}")
+
+
 @dataclass
 class LrSchedule:
     """Linear warmup to ``lr_max``, then linear decay to 0 at ``total_steps``."""
@@ -52,6 +65,7 @@ class LrSchedule:
     total_steps: int = 1000
 
     def __post_init__(self):
+        require_number(self, "lr_max", float, 0)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("need 0 < warmup_steps < total_steps")
 

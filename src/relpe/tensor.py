@@ -6,10 +6,12 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
-Softmax, GeLU, layer norm and the weighted log-softmax + NLL are fused: each
-is one node with a closed-form backward pass, so to the value filter it is a
-single primitive whose output alone is filtered. Under :func:`no_grad` no
-graph is recorded at all.
+Softmax, GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
+(``x @ w + b``) are fused: each is one node with a closed-form backward pass,
+so to the value filter it is a single primitive: the filter rounds its output
+once and each input gradient once, and its intermediates stay float64. The
+attention block's node (``relpe.attention.attention``) follows the same rule.
+Under :func:`no_grad` no graph is recorded at all.
 """
 
 from __future__ import annotations
@@ -383,6 +385,24 @@ def nll_loss(logits: Tensor, labels, weights) -> tuple[Tensor, np.ndarray]:
         d[rows, labels] -= 1.0
         logits._accumulate(d * (g * weights)[:, None])
     return Tensor._make(np.sum(nll * weights), (logits,), bwd), nll
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: x is (..., d_in), w (d_in, d_out) and b (d_out,).
+
+    The forward is the composite's expression, so it is bitwise equal to it;
+    the weight and bias gradients sum over every leading axis of x.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.reshape(-1, x.shape[-1]).T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+    return Tensor._make(x.data @ w.data + b.data, (x, w, b), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:

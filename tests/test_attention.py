@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from relpe.attention import (AttentionConfig, HeadWeights, attention_output,
+import relpe.encoder
+from relpe.attention import (AttentionConfig, HeadWeights, attention, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
 from relpe.optim import round_half
 from relpe.posenc import RelPositionTable, Scheme, build_rel_table
-from relpe.tensor import Tensor, softmax, value_filter
+from relpe.tensor import Tensor, dropout, no_grad, softmax, value_filter
 
 
 def frpe_oracle(delta, d_z):
@@ -399,3 +400,140 @@ class TestMultiHeadAttention:
         report = check_gradients(loss, params, step=1e-5)
         assert report.max_relative_error < 1e-5
         assert report.per_parameter["relpos.bank_k"] >= 0  # banks were checked
+
+
+def composite_multi_head_attention(x, weights, cfg, table=None, mask=None, rng=None):
+    """The attention block as single-op nodes: the composite the fused
+    ``attention`` + ``affine`` nodes replaced, kept as their oracle."""
+    *lead, n, d_model = x.shape
+    split = (*lead, n, cfg.num_heads, cfg.d_z)
+    b = len(lead)
+    swap = (*range(b), b + 1, b, b + 2)
+
+    def heads(w):
+        return (x @ w).reshape(split).transpose(swap)
+
+    q, k, v = heads(weights.wq), heads(weights.wk), heads(weights.wv)
+    alpha = softmax(attention_scores(q, k, table, mask), axis=-1)
+    if cfg.attn_dropout > 0.0 and rng is not None:
+        alpha = dropout(alpha, cfg.attn_dropout, rng)
+    merged = attention_output(alpha, v, table).transpose(swap).reshape(*lead, n, d_model)
+    return merged @ weights.wo + weights.bo
+
+
+def lengths_mask(lengths, n):
+    return np.arange(n) < np.asarray(lengths)[:, None]
+
+
+# (scheme, heads, d_z, table max_len, PRPE clip, x shape, mask, attention dropout)
+FUSED_ATTENTION_CASES = {
+    "none-batch-mask": (Scheme.NONE, 2, 4, 0, 0, (4, 7, 8), lengths_mask([7, 4, 7, 2], 7), 0.0),
+    "pape-no-table": (Scheme.PAPE, 3, 2, 0, 0, (2, 5, 6), None, 0.0),
+    "frpe-batch-mask": (Scheme.FRPE, 2, 4, 8, 0, (3, 6, 8), lengths_mask([6, 3, 5], 6), 0.0),
+    "frpe-past-max-len": (Scheme.FRPE, 2, 2, 3, 0, (2, 8, 4), lengths_mask([8, 5], 8), 0.0),
+    "frpe-vector-mask": (Scheme.FRPE, 2, 4, 6, 0, (6, 8), np.arange(6) < 4, 0.0),
+    "prpe-clip-below-n": (Scheme.PRPE, 2, 4, 7, 2, (3, 7, 8), lengths_mask([7, 2, 6], 7), 0.0),
+    "frpe-no-valid-key": (Scheme.FRPE, 2, 4, 6, 0, (3, 6, 8), lengths_mask([6, 0, 3], 6), 0.0),
+    "prpe-dropout": (Scheme.PRPE, 2, 4, 7, 2, (2, 7, 8), lengths_mask([7, 4], 7), 0.3),
+    "frpe-dropout": (Scheme.FRPE, 4, 2, 5, 0, (2, 5, 8), lengths_mask([3, 5], 5), 0.2),
+    "none-dropout-unbatched": (Scheme.NONE, 1, 4, 0, 0, (5, 4), None, 0.4),
+}
+
+
+def run_attention_case(block, case, seed=31):
+    """Output and every gradient (x, the five weights, the PRPE banks) of
+    ``block`` on a case, under a random upstream gradient."""
+    scheme, heads, d_z, max_len, clip, shape, mask, rate = case
+    cfg = AttentionConfig(num_heads=heads, d_model=heads * d_z, scheme=scheme,
+                          attn_dropout=rate)
+    weights = make_weights(cfg, seed=seed)
+    table = (build_rel_table(max_len, d_z, scheme, rng_seed=seed, clip=clip)
+             if scheme.relative else None)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = block(x, weights, cfg, table, mask, np.random.default_rng(seed + 1))
+    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    leaves = {"x": x, **weights.parameters(),
+              **(table.parameters() if table is not None else {})}
+    return out.data, {name: t.grad for name, t in leaves.items()}
+
+
+class TestFusedAttentionMatchesComposite:
+    """The fused block equals the composite: forward bit for bit, gradients to 1e-12."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_ATTENTION_CASES))
+    def test_forward_and_gradients(self, name):
+        case = FUSED_ATTENTION_CASES[name]
+        got_out, got = run_attention_case(multi_head_attention, case)
+        want_out, want = run_attention_case(composite_multi_head_attention, case)
+        np.testing.assert_array_equal(got_out, want_out)
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
+        if case[0] is Scheme.PRPE:
+            assert np.any(got["relpos.bank_k"] != 0) and np.any(got["relpos.bank_v"] != 0)
+
+    def test_no_grad_forward_is_the_same_and_records_nothing(self):
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.PRPE)
+        weights = make_weights(cfg, seed=30)
+        table = build_rel_table(7, 4, Scheme.PRPE, rng_seed=30, clip=2)
+        x = Tensor(np.random.default_rng(30).normal(size=(3, 7, 8)), requires_grad=True)
+        mask = lengths_mask([7, 2, 6], 7)
+        want = multi_head_attention(x, weights, cfg, table, mask).data
+        with no_grad():
+            out = multi_head_attention(x, weights, cfg, table, mask)
+            merged = attention(x, weights.wq, weights.wk, weights.wv, 2, mask=mask)
+        np.testing.assert_array_equal(out.data, want)
+        for t in (out, merged):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+
+    @pytest.mark.parametrize("mask", [np.ones((3, 5), dtype=bool),    # batch of 3, not 2
+                                      np.ones((2, 6), dtype=bool),    # 6 keys, not 5
+                                      np.ones(4, dtype=bool)])
+    def test_misfit_mask_raises_the_composite_error(self, mask):
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.FRPE)
+        weights, table = make_weights(cfg, seed=32), build_rel_table(5, 4, Scheme.FRPE)
+        x = Tensor(np.random.default_rng(33).normal(size=(2, 5, 8)))
+        with pytest.raises(ValueError) as composite:
+            composite_multi_head_attention(x, weights, cfg, table, mask)
+        with pytest.raises(ValueError) as fused:
+            multi_head_attention(x, weights, cfg, table, mask)
+        assert str(fused.value) == str(composite.value)
+
+    def test_nonfinite_input_raises_the_composite_error(self):
+        cfg = AttentionConfig(num_heads=2, d_model=8)
+        weights = make_weights(cfg, seed=36)
+        x = np.random.default_rng(37).normal(size=(2, 5, 8))
+        x[1, 3, 2] = np.nan
+        with pytest.raises(ValueError, match="softmax input is not finite") as composite:
+            composite_multi_head_attention(Tensor(x), weights, cfg)
+        with pytest.raises(ValueError) as fused:
+            multi_head_attention(Tensor(x), weights, cfg)
+        assert str(fused.value) == str(composite.value)
+
+    @pytest.mark.parametrize("scheme", [Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE])
+    def test_encoder_with_composite_blocks(self, scheme, monkeypatch):
+        # the whole model, padded batch and dropout: same loss bit for bit
+        from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
+        from test_encoder import mixed_batch
+
+        # FRPE runs past its table (n = 9 > 6); PAPE's table must hold n
+        cfg = EncoderConfig(vocab_size=16, d_model=8, num_layers=2, num_heads=2,
+                            ffn_size=16, max_seq_len=12 if scheme is Scheme.PAPE else 6,
+                            scheme=scheme, prpe_clip=2,
+                            hidden_dropout=0.1, attn_dropout=0.2)
+
+        def run():
+            model, batch = EncoderModel(cfg, seed=34), mixed_batch()
+            loss, _ = pretrain_loss(
+                model.pretrain_forward(batch, rng=np.random.default_rng(35)), batch)
+            loss.backward()
+            return loss.data, {k: p.grad for k, p in model.parameters().items()}
+
+        got = run()
+        monkeypatch.setattr(relpe.encoder, "multi_head_attention",
+                            composite_multi_head_attention)
+        want = run()
+        np.testing.assert_array_equal(got[0], want[0])
+        for key, grad in want[1].items():
+            np.testing.assert_allclose(got[1][key], grad, rtol=0, atol=1e-12, err_msg=key)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import relpe.attention
-from relpe.attention import MASK_FILL
-from relpe.data import PretrainExample
+from relpe.data import PAD_ID, PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.gradcheck import check_gradients
 from relpe.optim import round_half
@@ -384,29 +383,43 @@ class TestBatchedForward:
         assert abs(without[0] - got[0]) > 1e-6
 
     def test_binary16_padding_mask_gives_finite_scores(self, monkeypatch):
-        scores = []
-        original = relpe.attention.attention_scores
+        # The fused attention node raises on a non-finite score before its
+        # softmax; here its outputs and every gradient must be finite too.
+        outputs = []
+        fused = relpe.attention.attention
 
         def recorded(*args, **kwargs):
-            scores.append(original(*args, **kwargs))
-            return scores[-1]
+            outputs.append(fused(*args, **kwargs))
+            return outputs[-1]
 
-        monkeypatch.setattr(relpe.attention, "attention_scores", recorded)
+        monkeypatch.setattr(relpe.attention, "attention", recorded)
         model = EncoderModel(tiny_config(), seed=15)
         batch = mixed_batch()
         params = model.parameters()
         masters = {k: p.data for k, p in params.items()}
         for p in params.values():
             p.data = round_half(p.data)
+        tokens = np.full((4, 9), PAD_ID)
+        segments = np.zeros((4, 9), dtype=int)
+        for i, ex in enumerate(batch):
+            tokens[i, :len(ex.tokens)], segments[i, :len(ex.segments)] = ex.tokens, ex.segments
+        other = tokens.copy()
+        other[3, 4:] = [5, 9, 1, 12, 7]             # example 3 has 4 tokens
+        mask = np.arange(9) < np.array([len(ex.tokens) for ex in batch])[:, None]
         with value_filter(round_half):
             loss, metrics = pretrain_loss(model.pretrain_forward(batch), batch)
             (loss * 1024.0).backward()
+            states = [model.encode(ids, segments, mask=mask).data for ids in (tokens, other)]
         for k, p in params.items():
             p.data = masters[k]
-        assert len(scores) == 2
-        for s in scores:
-            assert np.all(np.isfinite(s.data))
-            assert np.all(s.data[3, :, :, 4:] == MASK_FILL)    # example 3 has 4 tokens
+        assert len(outputs) == 6
+        for out in outputs[:2]:                       # the training step's two layers
+            assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(out.grad))
+        for padded, changed in ((outputs[2].data, outputs[4].data),
+                                (outputs[3].data, outputs[5].data), states):
+            np.testing.assert_array_equal(padded[:3], changed[:3])
+            np.testing.assert_array_equal(padded[3, :4], changed[3, :4])
+            assert not np.array_equal(padded[3, 4:], changed[3, 4:])
         assert np.isfinite(metrics["loss"])
         assert all(np.all(np.isfinite(p.grad)) for p in params.values())
         reference = run_batched(model, batch)[1]
@@ -444,9 +457,11 @@ def graph_nodes(loss: Tensor) -> int:
 class TestNodeBudget:
     """The graph a training step records stays as small as the fused ops made it.
 
-    Layer norm, softmax, GeLU and log-softmax + NLL are one node each; before
-    they were fused these graphs had 188 and 192 nodes. A change that lowers a
-    count updates the number here; one that raises it says why in CHANGES.md.
+    Layer norm, softmax, GeLU, log-softmax + NLL, every ``x @ W + b`` and each
+    attention block's heads are one node each; before the first four were
+    fused these graphs had 188 and 192 nodes, and 88 and 92 before the last
+    two. A change that lowers a count updates the number here; one that
+    raises it says why in CHANGES.md.
     """
 
     def test_acceptance_gradcheck_config(self):
@@ -456,7 +471,7 @@ class TestNodeBudget:
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
-        assert graph_nodes(loss) == 88
+        assert graph_nodes(loss) == 36
 
     def test_toy_mlm_batch(self):
         # the toy-MLM benchmark model (test 09's config) on a padded batch of four
@@ -464,4 +479,4 @@ class TestNodeBudget:
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
-        assert graph_nodes(loss) == 92
+        assert graph_nodes(loss) == 36

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -91,6 +92,20 @@ class TestRunConfig:
         d = tiny_run_config().to_dict()
         d["schedule"]["warmup_steps"] = 0
         with pytest.raises(ConfigError, match="schedule"):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, key, value", [
+        *(("schedule", "lr_max", v) for v in (math.nan, math.inf, -math.inf, -1.0)),
+        *((None, "weight_decay", v) for v in (math.nan, math.inf, -math.inf, -0.01)),
+        (None, "checkpoint_every", -1),
+        (None, "checkpoint_every", -2),
+        (None, "checkpoint_every", 2.0),
+        (None, "batch_size", True),
+    ])
+    def test_bad_number_names_the_key(self, section, key, value):
+        d = tiny_run_config().to_dict()
+        (d[section] if section else d)[key] = value
+        with pytest.raises(ConfigError, match=rf"{section or 'run'} config: {key}="):
             RunConfig.from_dict(d)
 
     def test_invalid_optimizer_rejected(self):
@@ -598,6 +613,23 @@ class TestCli:
         assert err.startswith("error: invalid run config") and "seed" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("schedule", "lr_max", math.nan),
+        ("schedule", "lr_max", -1.0),
+        (None, "weight_decay", math.nan),
+        (None, "checkpoint_every", -2),
+    ])
+    def test_pretrain_rejects_bad_number_before_training(self, tmp_path, capsys,
+                                                          section, key, value):
+        cfg_path = self.write_init_only_config(tmp_path)
+        d = json.loads(cfg_path.read_text(encoding="utf-8"))
+        (d[section] if section else d)[key] = value
+        cfg_path.write_text(json.dumps(d), encoding="utf-8")
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ") and f"{key}=" in err
+        assert not (tmp_path / "run").exists()
+
     def test_pretrain_applies_valid_overrides(self, tmp_path):
         cfg_path = self.write_init_only_config(tmp_path)
         out = tmp_path / "other"
@@ -655,3 +687,30 @@ class TestCli:
             assert config["model"]["scheme"] == row["scheme"]
             assert config["total_steps"] == 5
         assert run(tmp_path / "b") == first
+
+
+class TestBenchTracer:
+    """perfbench/tracer.py wraps relpe names at runtime; a refactor that drops
+    one, or a wrapper that outlives ``uninstall``, fails here."""
+
+    @staticmethod
+    def load_tracer_module():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_install_traces_a_step_and_uninstall_restores_every_name(self):
+        tracer = self.load_tracer_module().Tracer()
+        trainer = Trainer(tiny_run_config(checkpoint_every=0), tiny_examples())
+        tracer.install()                 # getattr of each wrapped name: all must exist
+        try:
+            patches = list(tracer._patches)
+            trainer.run_step(1)
+        finally:
+            tracer.uninstall()
+        assert {"attention.layer0", "tensor.backward", "optim.step"} <= {
+            span[0] for span in tracer.spans}
+        for owner, attr, original in patches:
+            assert vars(owner).get(attr) is original, f"{owner.__name__}.{attr}"

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as np_erf
 
-from relpe.attention import MASK_FILL
+from relpe.attention import MASK_FILL, attention
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
-from relpe.tensor import (Tensor, gelu, layer_norm, nll_loss, no_grad, rel_gather,
+from relpe.posenc import frpe_vector
+from relpe.tensor import (Tensor, affine, gelu, layer_norm, nll_loss, no_grad, rel_gather,
                           rel_scatter, softmax, value_filter)
 
 
@@ -130,6 +131,25 @@ class TestLayerNorm:
         np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 
+# A batch of two sequences (3 and 2 valid positions) for the attention cases.
+TWO_LENGTHS = np.array([[True, True, True], [True, True, False]])
+
+
+def attention_case(scheme):
+    """One-head attention on a as two length-3 sequences of width 2; b holds
+    the projections and, for PRPE, both clip-1 banks (clip 1 < n = 3)."""
+    def op(a, b):
+        w = b.reshape(3, 2, 2)
+        r_k = r_v = None
+        if scheme == "frpe":
+            r_k = r_v = Tensor(frpe_vector(np.arange(-2, 3), 2))
+        elif scheme == "prpe":
+            clipped = np.clip(np.arange(-2, 3), -1, 1) + 1
+            r_k, r_v = b[:, :2].take_rows(clipped), b[:, 2:].take_rows(clipped)
+        return attention(a.reshape(2, 3, 2), w[0], w[1], w[2], 1, r_k, r_v, mask=TWO_LENGTHS)
+    return op
+
+
 class TestAutodiffPrimitives:
     """Every differentiable op agrees with central differences at 1e-5."""
 
@@ -157,6 +177,11 @@ class TestAutodiffPrimitives:
         "layer_norm": lambda a, b: layer_norm(a, b.reshape(-1)[:4], b.reshape(-1)[4:8]),
         "broadcast_row": lambda a, b: a * b.reshape(-1)[:4],
         "mean": lambda a, b: mean(a, axis=1),
+        "affine": lambda a, b: affine(a, b.T, b[0, :3]),
+        "affine_batched": lambda a, b: affine(a.reshape(3, 2, 2), b[:2], b[2]),
+        "attention_none": attention_case("none"),
+        "attention_frpe": attention_case("frpe"),
+        "attention_prpe_clipped": attention_case("prpe"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -229,6 +254,10 @@ def nll_composite(logits, labels, weights):
     return (picked * Tensor(-np.asarray(weights))).sum(), -picked.data
 
 
+def affine_composite(x, w, b):
+    return x @ w + b
+
+
 def run_with_upstream(op, arrays, seed):
     """Output, per-input gradients and auxiliary outputs of ``op`` under a
     random upstream gradient."""
@@ -272,6 +301,10 @@ FUSED_CASES = {
         *nll_case([1, 3, 3, 0, 3, 1], [0.5, 0.25, 1.0, 0.0, 2.0, 0.125]),
         [rand((6, 5), seed=26, scale=5.0)]),
     "nll-no-rows": (*nll_case([], []), [np.zeros((0, 5))]),
+    "affine-2d": (single(affine), single(affine_composite),
+                  [rand((5, 4), seed=27), rand((4, 3), seed=28), rand(3, seed=29)]),
+    "affine-batched": (single(affine), single(affine_composite),
+                       [rand((2, 5, 4), seed=27), rand((4, 3), seed=28), rand(3, seed=29)]),
 }
 
 
@@ -287,6 +320,12 @@ class TestFusedOpsMatchComposites:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for i, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"input {i}")
+
+    @pytest.mark.parametrize("name", ["affine-2d", "affine-batched"])
+    def test_affine_forward_is_bitwise(self, name):
+        _, _, arrays = FUSED_CASES[name]
+        x, w, b = map(Tensor, arrays)
+        np.testing.assert_array_equal(affine(x, w, b).data, affine_composite(x, w, b).data)
 
     def test_masked_columns_get_zero_weight_and_gradient(self):
         x = Tensor(masked_scores(), requires_grad=True)
@@ -318,6 +357,12 @@ FUSED_FORWARDS = {
     "gelu": (gelu, [rand((4, 6), seed=35, scale=4.0)]),
     "nll_loss": (lambda x: nll_loss(x, [2, 0, 2], [0.5, 0.25, 1.0])[0],
                  [rand((3, 7), seed=36, scale=5.0)]),
+    "affine": (affine, [rand((2, 5, 4), seed=37), rand((4, 6), seed=38), rand(6, seed=39)]),
+    "attention": (lambda x, wq, wk, wv, r_k, r_v: attention(x, wq, wk, wv, 2, r_k, r_v,
+                                                            mask=TWO_LENGTHS),
+                  [rand((2, 3, 4), seed=40, scale=2.0),
+                   *(rand((4, 4), seed=s, scale=2.0) for s in (41, 42, 43)),
+                   rand((5, 2), seed=44), rand((5, 2), seed=45)]),
 }
 
 
@@ -345,6 +390,18 @@ class TestFusedOpsUnderValueFilter:
             out = op(*(Tensor(a, requires_grad=True) for a in arrays))
         assert len(counter.seen) == 1
         np.testing.assert_array_equal(out.data, round_half(exact))
+
+    @pytest.mark.parametrize("name", sorted(FUSED_FORWARDS))
+    def test_filter_sees_each_input_gradient_once(self, name):
+        op, arrays = FUSED_FORWARDS[name]
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        counter = CountingFilter()
+        with value_filter(counter):
+            out = op(*inputs)
+            counter.seen.clear()
+            out._backward(rand(out.shape, seed=46))
+        assert len(counter.seen) == len(inputs)
+        assert all(t.grad is not None for t in inputs)
 
 
 class TestStackedMatmul:

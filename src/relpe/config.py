@@ -57,6 +57,10 @@ class RunConfig:
                                 ("total_steps", int, 0), ("checkpoint_every", int, 0),
                                 ("seed", int, 0)):
             require_number(self, name, kind, low, ConfigError)
+        if self.total_steps > self.schedule.total_steps:
+            # the steps past the schedule's end would all train at lr 0
+            raise ConfigError(f"total_steps={self.total_steps} must be <= schedule "
+                              f"total_steps={self.schedule.total_steps}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

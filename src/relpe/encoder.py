@@ -18,6 +18,7 @@ import numpy as np
 
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
 from .data import PAD_ID, PretrainExample
+from .optim import require_number
 from .posenc import RelPositionTable, Scheme, build_rel_table
 from .tensor import Tensor, affine, dropout, gelu, layer_norm, nll_loss
 
@@ -40,10 +41,9 @@ class EncoderConfig:
         self.scheme = Scheme(self.scheme)
         if self.ffn_size is None:
             self.ffn_size = 4 * self.d_model
-        for name in ("vocab_size", "d_model", "ffn_size", "num_layers", "max_seq_len",
-                     "prpe_clip", "type_vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
+        for name in ("vocab_size", "d_model", "ffn_size", "num_layers", "num_heads",
+                     "max_seq_len", "prpe_clip", "type_vocab_size"):
+            require_number(self, name, int, 1)
         self.attention_config()  # validates the head geometry and attn_dropout
         if not 0.0 <= self.hidden_dropout < 1.0:
             raise ValueError(f"hidden_dropout={self.hidden_dropout} must be in [0, 1)")

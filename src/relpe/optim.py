@@ -66,8 +66,11 @@ class LrSchedule:
 
     def __post_init__(self):
         require_number(self, "lr_max", float, 0)
-        if not 0 < self.warmup_steps < self.total_steps:
-            raise ValueError("need 0 < warmup_steps < total_steps")
+        require_number(self, "warmup_steps", int, 1)
+        require_number(self, "total_steps", int, 1)
+        if not self.warmup_steps < self.total_steps:
+            raise ValueError(f"warmup_steps={self.warmup_steps} must be < "
+                             f"total_steps={self.total_steps}")
 
 
 def lr_at_step(schedule: LrSchedule, t: int) -> float:
@@ -108,13 +111,16 @@ class OptimizerState:
 
 class _Layout:
     """Flat float64 masters ``w``, moments ``m``/``v``, gradient ``g`` and scratch ``a``
-    of the blocks ``key`` ((name, tensor, shape), ...); block i is ``spans[i]``."""
+    of the blocks ``key`` ((name, tensor, shape), ...); block i is ``spans[i]``.
+    ``decay`` holds each element's weight decay: 0.0 on excluded blocks."""
 
-    def __init__(self, key, excluded: list[bool], trust_scaling: bool):
-        ends = np.cumsum([math.prod(shape) for _, _, shape in key]).tolist()
+    def __init__(self, key, excluded: list[bool], trust_scaling: bool, weight_decay: float):
+        sizes = [math.prod(shape) for _, _, shape in key]
+        ends = np.cumsum(sizes).tolist()
         self.key, self.spans = key, list(zip([0] + ends[:-1], ends))
-        self.excluded = [span for span, x in zip(self.spans, excluded) if x]
         self.scaled = [span for span, x in zip(self.spans, excluded) if trust_scaling and not x]
+        self.weight_decay = weight_decay
+        self.decay = np.repeat([0.0 if x else weight_decay for x in excluded], sizes)
         self.w, self.m, self.v, self.g, self.a = (np.zeros(ends[-1]) for _ in range(5))
         self.wv, self.mv, self.vv = map(self.split, (self.w, self.m, self.v))
 
@@ -146,9 +152,10 @@ class _MomentOptimizer:
     def _layout(self, params: dict[str, Tensor]) -> _Layout:
         """The layout of ``params``, with every ``p.data`` bound to its master view."""
         key = tuple((n, p, p.data.shape) for n, p in params.items())
-        if self._flat is None or self._flat.key != key:
+        decay = self.state.weight_decay
+        if self._flat is None or self._flat.key != key or self._flat.weight_decay != decay:
             excluded = [default_exclusion(name) for name in params]
-            self._flat = _Layout(key, excluded, self.trust_scaling)
+            self._flat = _Layout(key, excluded, self.trust_scaling, decay)
         for p, w in zip(params.values(), self._flat.wv):
             p.data = _bound(w, p.data)
         return self._flat
@@ -174,10 +181,7 @@ class _MomentOptimizer:
         np.divide(m, 1.0 - BETA1 ** st.step, out=a)
         np.sqrt(np.divide(v, 1.0 - BETA2 ** st.step, out=g), out=g)
         a /= np.add(g, EPS, out=g)
-        np.multiply(w, st.weight_decay, out=g)
-        for lo, hi in lay.excluded:
-            np.multiply(w[lo:hi], 0.0, out=g[lo:hi])
-        a += g
+        a += np.multiply(w, lay.decay, out=g)
         g.fill(lr)
         for lo, hi in lay.scaled:   # ||x|| reduces as np.linalg.norm does
             w_norm = math.sqrt(w[lo:hi].dot(w[lo:hi]))
@@ -247,7 +251,9 @@ def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
             p.data = working
         with value_filter(round_half):
             loss, metrics = loss_fn()
-            (loss * policy.loss_scale).backward()
+            # The seed is the loss scale's binary16 value: a power of two past
+            # HALF_MAX rounds to inf.
+            loss.backward(policy.loss_scale if policy.loss_scale <= HALF_MAX else math.inf)
         grads = lay.gather(p.grad for p in params.values())
         grads /= policy.loss_scale
         overflow = not np.isfinite(grads).all()

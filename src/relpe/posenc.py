@@ -13,7 +13,7 @@ added to the input embeddings; only the scheme name lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -56,8 +56,9 @@ class RelPositionTable:
 
     An FRPE table holds ``rows``: one sinusoidal bank shared by the key and
     value roles, built once over [-(max_len-1), max_len-1] and never
-    modified; offsets past it are computed from the same formula. A PRPE
-    table holds separate learned banks clipped at ``clip`` offsets.
+    modified. Offsets past it come from the same formula, in a wider bank
+    built once for the longest length asked for. A PRPE table holds separate
+    learned banks clipped at ``clip`` offsets.
     """
     d_z: int
     max_len: int
@@ -65,6 +66,7 @@ class RelPositionTable:
     rows: np.ndarray | None = None          # FRPE bank, offset-indexed
     bank_k: Tensor | None = None            # PRPE key bank
     bank_v: Tensor | None = None            # PRPE value bank
+    _wide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> dict[str, Tensor]:
         if self.rows is not None:
@@ -79,9 +81,13 @@ class RelPositionTable:
         """
         offsets = np.arange(-(n - 1), n)
         if self.rows is not None:
-            if n <= self.max_len:   # the built rows already hold these offsets
-                return Tensor(self.rows[self.max_len - n:self.max_len + n - 1])
-            return Tensor(frpe_vector(offsets, self.d_z))
+            rows = self.rows
+            if n > self.max_len:
+                if self._wide is None or len(self._wide) < 2 * n - 1:
+                    self._wide = frpe_vector(offsets, self.d_z)
+                rows = self._wide
+            mid = (len(rows) + 1) // 2              # rows[mid - 1] is offset 0
+            return Tensor(rows[mid - n:mid + n - 1])
         bank = self.bank_k if role == "K" else self.bank_v
         return bank.take_rows(np.clip(offsets, -self.clip, self.clip) + self.clip)
 

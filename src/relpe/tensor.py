@@ -6,6 +6,17 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
+Ops that only move, copy or negate values are exact and skip the filter:
+the outputs of ``reshape``, ``transpose``, ``take_rows``, negation and the
+offset maps, their gradients (a ``take_rows`` scatter only when its indices
+are unique), the gradient copies ``+`` hands its parents and the
+``backward()`` seed. This relies on one invariant of a filtered graph: every
+tensor is an op output or a working copy the caller already filtered (the
+mixed-precision step rounds its working weights), so the filter would return
+an exact op's values unchanged. A constant leaf fed to an exact op keeps its
+float64 values. A second gradient accumulation is a sum and is filtered,
+unless one addend is zero wherever the other is not (a unique-row scatter
+into rows whose gradient is still zero).
 Softmax, GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
 (``x @ w + b``) are fused: each is one node with a closed-form backward pass,
 so to the value filter it is a single primitive: the filter rounds its output
@@ -17,6 +28,7 @@ Under :func:`no_grad` no graph is recorded at all.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +36,8 @@ from scipy.special import erf as _np_erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Scattered rows from which np.bincount beats np.add.at (see _scatter_rows).
+_BINCOUNT_MIN_ROWS = 10
 
 # Module-level hook applied to op outputs and gradient accumulations.
 _value_filter: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -117,33 +131,47 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray, copy: bool = False):
+    def _accumulate(self, g: np.ndarray, copy: bool = False, exact: bool = False,
+                    rows=None):
         """Add ``g`` into ``grad``, which never shares memory with another array.
 
         A fresh ``g`` is kept as it is; a view of another array, or a ``g``
-        the caller still holds (``copy=True``), is copied first.
+        the caller still holds (``copy=True``), is copied first. An ``exact``
+        ``g`` moves filtered values without arithmetic, so its first
+        accumulation skips the filter; summing it over broadcast axes does
+        not. Adding it to a gradient skips the filter only when ``g`` is zero
+        outside ``rows`` and the gradient is zero on them.
         """
-        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != self.data.shape:
+            g, exact = _unbroadcast(g, self.data.shape), False
         if self.grad is not None:
-            self.grad = _filtered(self.grad + g)
-        elif _value_filter is not None:
-            self.grad = _value_filter(g)
-        else:
+            exact = exact and rows is not None and not self.grad[rows].any()
+            self.grad = self.grad + g if exact else _filtered(self.grad + g)
+        elif exact or _value_filter is None:
             self.grad = g.copy() if copy or g.base is not None else g
+        else:
+            self.grad = _value_filter(g)
 
     # -- graph construction ----------------------------------------------
 
     @staticmethod
-    def _make(out_data, parents, backward) -> "Tensor":
-        out = Tensor(_filtered(np.asarray(out_data, dtype=np.float64)))
+    def _make(out_data, parents, backward, exact: bool = False) -> "Tensor":
+        """A node holding ``out_data``, filtered unless the op is ``exact``."""
+        out_data = np.asarray(out_data, dtype=np.float64)
+        out = Tensor(out_data if exact else _filtered(out_data))
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out
 
-    def backward(self):
-        """Reverse sweep from a scalar; fills ``grad`` on every tracked node."""
+    def backward(self, seed: float = 1.0):
+        """Reverse sweep from a scalar; fills ``grad`` on every tracked node.
+
+        ``seed`` is the scalar's own gradient (a mixed step's loss scale), a
+        value the filter keeps.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -160,7 +188,7 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.full_like(self.data, seed), exact=True)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -172,17 +200,17 @@ class Tensor:
         def bwd(g):
             # g is this node's own gradient, so neither parent may keep it.
             if self.requires_grad:
-                self._accumulate(g, copy=True)
+                self._accumulate(g, copy=True, exact=True)
             if other.requires_grad:
-                other._accumulate(g, copy=True)
+                other._accumulate(g, copy=True, exact=True)
         return Tensor._make(self.data + other.data, (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
         def bwd(g):
-            self._accumulate(-g)
-        return Tensor._make(-self.data, (self,), bwd)
+            self._accumulate(-g, exact=True)
+        return Tensor._make(-self.data, (self,), bwd, exact=True)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -239,14 +267,14 @@ class Tensor:
             shape = tuple(shape[0])
         old = self.data.shape
         def bwd(g):
-            self._accumulate(g.reshape(old))
-        return Tensor._make(self.data.reshape(shape), (self,), bwd)
+            self._accumulate(g.reshape(old), exact=True)
+        return Tensor._make(self.data.reshape(shape), (self,), bwd, exact=True)
 
     def transpose(self, axes=None):
         def bwd(g):
             inv = None if axes is None else np.argsort(axes)
-            self._accumulate(g.transpose(inv))
-        return Tensor._make(self.data.transpose(axes), (self,), bwd)
+            self._accumulate(g.transpose(inv), exact=True)
+        return Tensor._make(self.data.transpose(axes), (self,), bwd, exact=True)
 
     @property
     def T(self):
@@ -265,13 +293,17 @@ class Tensor:
         return Tensor._make(self.data[key], (self,), bwd)
 
     def take_rows(self, indices):
-        """Gather rows by an integer index array; grads scatter-add back."""
+        """Gather rows by a non-negative integer index array; grads scatter-add back.
+
+        The scatter only moves values when no row is taken twice, which is
+        checked only while a filter is active.
+        """
         idx = np.asarray(indices, dtype=np.intp)
         def bwd(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            self._accumulate(full)
-        return Tensor._make(self.data[idx], (self,), bwd)
+            unique = (_value_filter is not None and idx.size <= len(self.data)
+                      and np.unique(idx).size == idx.size)
+            self._accumulate(_scatter_rows(g, idx, self.data.shape), exact=unique, rows=idx)
+        return Tensor._make(self.data[idx], (self,), bwd, exact=True)
 
     # -- reductions -------------------------------------------------------
 
@@ -286,6 +318,22 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
+    """Zeros of ``shape`` with each row ``g[k]`` added into row ``idx[k]``, in order.
+
+    Bitwise equal to ``np.add.at``: ``np.bincount`` over the flattened
+    row-major positions adds its weights in the same order, from the same
+    +0.0. It pays off from a handful of rows; below that ``np.add.at`` is faster.
+    """
+    if idx.size < _BINCOUNT_MIN_ROWS:
+        full = np.zeros(shape)
+        np.add.at(full, idx, g)
+        return full
+    width = math.prod(shape[1:])
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, g.reshape(-1), shape[0] * width).reshape(shape)
 
 
 def _offset_view(a: np.ndarray) -> np.ndarray:
@@ -323,8 +371,8 @@ def rel_gather(x) -> Tensor:
     if n < 1 or x.shape[-1] != 2 * n - 1:
         raise ValueError(f"rel_gather needs shape (..., n, 2n-1) with n >= 1, got {x.shape}")
     def bwd(g):
-        x._accumulate(_scatter_offsets(g))
-    return Tensor._make(_gather_offsets(x.data), (x,), bwd)
+        x._accumulate(_scatter_offsets(g), exact=True)
+    return Tensor._make(_gather_offsets(x.data), (x,), bwd, exact=True)
 
 
 def rel_scatter(a) -> Tensor:
@@ -337,8 +385,8 @@ def rel_scatter(a) -> Tensor:
     if a.ndim < 2 or a.shape[-1] < 1 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"rel_scatter needs shape (..., n, n) with n >= 1, got {a.shape}")
     def bwd(g):
-        a._accumulate(_gather_offsets(g))
-    return Tensor._make(_scatter_offsets(a.data), (a,), bwd)
+        a._accumulate(_gather_offsets(g), exact=True)
+    return Tensor._make(_scatter_offsets(a.data), (a,), bwd, exact=True)
 
 
 def _check_finite(op: str, a: np.ndarray):

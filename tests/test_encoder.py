@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import relpe.attention
+import relpe.optim
 from relpe.data import PAD_ID, PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.gradcheck import check_gradients
-from relpe.optim import round_half
+from relpe.optim import PrecisionPolicy, make_optimizer, round_half, training_step
 from relpe.posenc import Scheme
 from relpe.synth import make_offset_copy_examples
 from relpe.tensor import Tensor, value_filter
@@ -480,3 +481,83 @@ class TestNodeBudget:
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
         assert graph_nodes(loss) == 36
+
+
+def force_exact_off(monkeypatch):
+    """Send every exact op's output and gradient through the value filter again."""
+    make, accumulate = Tensor._make, Tensor._accumulate
+    monkeypatch.setattr(Tensor, "_make", staticmethod(
+        lambda data, parents, backward, exact=False: make(data, parents, backward)))
+    monkeypatch.setattr(Tensor, "_accumulate",
+                        lambda self, g, copy=False, exact=False, rows=None: accumulate(self, g, copy))
+
+
+def mixed_steps(scheme, steps=2):
+    """Two mixed-precision LAMB steps of the tiny model with dropout on a mixed-length batch.
+
+    Returns each step's loss and, after the last step, the (scaled)
+    gradients, the masters and the moments.
+    """
+    model = EncoderModel(tiny_config(scheme=scheme, hidden_dropout=0.1, attn_dropout=0.1),
+                         seed=21)
+    params, batch = model.parameters(), mixed_batch()
+    optimizer = make_optimizer("lamb")
+    policy = PrecisionPolicy(mode="mixed_emulated", loss_scale=1024.0)
+    losses = []
+    for t in range(1, steps + 1):
+        def loss_fn():
+            rng = np.random.default_rng([5, t])
+            return pretrain_loss(model.pretrain_forward(batch, rng=rng), batch)
+        metrics, skipped = training_step(policy, loss_fn, params, optimizer, lr=1e-2)
+        assert not skipped
+        losses.append(metrics["loss"])
+    state = optimizer.state
+    return (losses, {k: p.grad for k, p in params.items()},
+            {k: p.data for k, p in params.items()}, state.m, state.v)
+
+
+SCHEMES = [Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE]
+
+
+class TestExactOpsInAMixedStep:
+    """Reshapes, transposes, row gathers, sign flips, the gradient copies of ``+``
+    and the backward seed skip the binary16 filter without changing a bit."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    def test_bitwise_equal_with_exact_forced_off(self, scheme, monkeypatch):
+        on = mixed_steps(scheme)
+        with monkeypatch.context() as m:
+            force_exact_off(m)
+            off = mixed_steps(scheme)
+        assert on[0] == off[0]
+        for got, want in zip(on[1:], off[1:]):
+            assert got.keys() == want.keys()
+            for name in got:
+                np.testing.assert_array_equal(got[name].view(np.uint64),
+                                              want[name].view(np.uint64), err_msg=name)
+
+
+class TestRoundingBudget:
+    """The binary16 roundings one mixed step makes, counted at ``relpe.optim.round_half``
+    (the name the bench tracer wraps), and as many again with the exact ops
+    forced back through the filter. A change that lowers a count updates the
+    number here; one that raises it says why in CHANGES.md."""
+
+    @pytest.mark.parametrize("scheme, calls, forced_off", [
+        (Scheme.NONE, 106, 128), (Scheme.PAPE, 108, 133), (Scheme.PRPE, 112, 140),
+        (Scheme.FRPE, 106, 128)], ids=lambda v: getattr(v, "value", v))
+    def test_calls_per_step(self, scheme, calls, forced_off, monkeypatch):
+        count = [0]
+        real = relpe.optim.round_half
+
+        def counted(x):
+            count[0] += 1
+            return real(x)
+
+        monkeypatch.setattr(relpe.optim, "round_half", counted)
+        mixed_steps(scheme, steps=1)
+        assert count[0] == calls
+        count[0] = 0
+        force_exact_off(monkeypatch)
+        mixed_steps(scheme, steps=1)
+        assert count[0] == forced_off

@@ -101,6 +101,14 @@ class TestRunConfig:
         (None, "checkpoint_every", -2),
         (None, "checkpoint_every", 2.0),
         (None, "batch_size", True),
+        ("model", "vocab_size", 16.5),
+        ("model", "d_model", 8.0),
+        ("model", "num_heads", True),
+        ("model", "max_seq_len", "12"),
+        ("schedule", "warmup_steps", 1.5),
+        ("schedule", "warmup_steps", 0),
+        ("schedule", "total_steps", 12.0),
+        (None, "total_steps", 13),            # past the schedule's 12 steps
     ])
     def test_bad_number_names_the_key(self, section, key, value):
         d = tiny_run_config().to_dict()
@@ -618,6 +626,8 @@ class TestCli:
         ("schedule", "lr_max", -1.0),
         (None, "weight_decay", math.nan),
         (None, "checkpoint_every", -2),
+        ("model", "vocab_size", 16.5),
+        (None, "total_steps", 13),
     ])
     def test_pretrain_rejects_bad_number_before_training(self, tmp_path, capsys,
                                                           section, key, value):

@@ -10,8 +10,8 @@ from relpe.attention import MASK_FILL, attention
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
 from relpe.posenc import frpe_vector
-from relpe.tensor import (Tensor, affine, gelu, layer_norm, nll_loss, no_grad, rel_gather,
-                          rel_scatter, softmax, value_filter)
+from relpe.tensor import (Tensor, _scatter_rows, affine, gelu, layer_norm, nll_loss, no_grad,
+                          rel_gather, rel_scatter, softmax, value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -170,6 +170,7 @@ class TestAutodiffPrimitives:
         "mT": lambda a, b: a.reshape(3, 2, 2).mT * b.reshape(3, 2, 2),
         "slice": lambda a, b: a[1:, :2] * 3.0,
         "take_rows": lambda a, b: a.take_rows([0, 2, 2, 1]),
+        "take_rows_many": lambda a, b: a.take_rows([0, 2, 2, 1, 0, 1, 2, 2, 0, 1, 1, 2]),
         "softmax": lambda a, b: softmax(a, axis=-1) * b,
         "log_softmax": lambda a, b: log_softmax(a, axis=-1),
         "nll_loss": lambda a, b: nll_loss(a, [0, 2, 2], [0.5, 1.0, 2.0])[0],
@@ -402,6 +403,105 @@ class TestFusedOpsUnderValueFilter:
             out._backward(rand(out.shape, seed=46))
         assert len(counter.seen) == len(inputs)
         assert all(t.grad is not None for t in inputs)
+
+
+class TestExactOpsSkipTheFilter:
+    """Ops that only move, copy or negate values never reach the value filter;
+    every arithmetic result still does, once."""
+
+    @staticmethod
+    def leaf(shape=(3, 4), seed=50):
+        return Tensor(round_half(rand(shape, seed=seed, scale=3.0)), requires_grad=True)
+
+    @pytest.mark.parametrize("shape, op", [
+        ((3, 4), lambda a: a.reshape(4, 3)),
+        ((3, 4), lambda a: a.T),
+        ((2, 2, 3), lambda a: a.mT),
+        ((3, 4), lambda a: -a),
+        ((3, 4), lambda a: a.take_rows([2, 0])),
+        ((2, 3), rel_gather),
+        ((2, 2), rel_scatter),
+    ], ids=["reshape", "T", "mT", "neg", "take_rows", "rel_gather", "rel_scatter"])
+    def test_outputs_and_gradients_are_not_filtered(self, shape, op):
+        a = self.leaf(shape)
+        with no_grad():
+            want = op(Tensor(a.data)).data
+        counter = CountingFilter()
+        with value_filter(counter):
+            out = op(a)
+            g = round_half(rand(out.shape, seed=51))
+            out._backward(g)
+        assert counter.seen == []
+        np.testing.assert_array_equal(out.data, want)
+        assert a.grad is not None and not np.shares_memory(a.grad, g)
+
+    def test_add_hands_both_parents_unfiltered_copies(self):
+        a, b = self.leaf(seed=52), self.leaf(seed=53)
+        counter = CountingFilter()
+        with value_filter(counter):
+            out = a + b
+            counter.seen.clear()
+            out._backward(round_half(rand(out.shape, seed=54)))
+        assert counter.seen == []
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_sums_over_broadcast_axes_are_filtered(self):
+        a, row = self.leaf(seed=55), self.leaf(shape=(4,), seed=56)
+        counter = CountingFilter(round_half)
+        with value_filter(counter):
+            out = a + row
+            counter.seen.clear()
+            out._backward(round_half(rand(out.shape, seed=57)))
+        assert len(counter.seen) == 1 and counter.seen[0].shape == (4,)
+
+    @pytest.mark.parametrize("first, second, filtered", [
+        ([0, 1], [2], 0),          # disjoint unique rows: every sum has a zero addend
+        ([0, 1], [1, 2], 1),       # row 1 is taken by both: a real sum
+        ([0, 0], [2], 1),          # a repeated row is a sum inside the scatter
+    ])
+    def test_row_scatters(self, first, second, filtered):
+        a = self.leaf()
+        counter = CountingFilter(round_half)
+        with value_filter(counter):
+            x, y = a.take_rows(first), a.take_rows(second)
+            counter.seen.clear()
+            x._backward(round_half(rand(x.shape, seed=58)))
+            y._backward(round_half(rand(y.shape, seed=59)))
+        assert len(counter.seen) == filtered
+        want = np.zeros(a.shape)
+        np.add.at(want, first, round_half(rand(x.shape, seed=58)))
+        np.add.at(want, second, round_half(rand(y.shape, seed=59)))
+        np.testing.assert_array_equal(a.grad, round_half(want))
+
+    @pytest.mark.parametrize("seed", [1.0, 1024.0, math.inf])
+    def test_backward_seed_is_the_root_gradient(self, seed):
+        a = self.leaf()
+        counter = CountingFilter()
+        with value_filter(counter):
+            loss = nll_loss(a, [0, 3, 1], [1.0, 1.0, 1.0])[0]
+            counter.seen.clear()
+            (-loss).backward(seed)
+        assert len(counter.seen) == 1                 # the nll gradient, not the seed
+        assert loss.grad == -seed
+
+
+class TestScatterRows:
+    """``take_rows``' gradient scatter is bitwise equal to ``np.add.at``, the oracle."""
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9, 10, 11, 37, 200])
+    def test_bitwise_equal_to_add_at(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            shape = (int(rng.integers(1, 12)),) + tuple(rng.integers(1, 4, rng.integers(0, 3)))
+            idx = rng.integers(shape[0], size=(k,) if rng.random() < 0.5 else (2, k))
+            g = rng.normal(size=idx.shape + shape[1:]) * 10.0 ** rng.integers(
+                -12, 12, idx.shape + shape[1:])
+            g[rng.random(g.shape) < 0.2] = -0.0
+            want = np.zeros(shape)
+            np.add.at(want, idx, g)
+            got = _scatter_rows(g, idx, shape)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestStackedMatmul:

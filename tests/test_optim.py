@@ -378,6 +378,19 @@ class TestFlatUpdateMatchesPerBlockLoop:
             opt.step(params, 0.02, grads=grads)
             self.assert_same(params, data, opt, st)
 
+    def test_weight_decay_set_mid_run_applies(self):
+        # each element's decay is laid out with the buffers; a new rate lays them out again
+        data = self.init()
+        params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
+        opt, st = LambOptimizer(), OptimizerState()
+        for t in range(1, 5):
+            if t == 3:
+                opt.state.weight_decay = st.weight_decay = 0.5
+            grads = self.grads(data, t)
+            data = _per_block_step(st, data, grads, 0.02, True)
+            opt.step(params, 0.02, grads=grads)
+            self.assert_same(params, data, opt, st)
+
     def test_second_parameter_set_on_one_optimizer(self):
         # Set 1 shares one block name with set 0; set 2 has set 0's names and
         # shapes but its own tensors. Moments are shared by name, weights never.

@@ -150,6 +150,28 @@ class TestRelLookup:
         assert table.max_len == 32
         np.testing.assert_array_equal(table.rows, rows)
 
+    def test_rows_past_the_table_are_built_once_per_length(self, monkeypatch):
+        import relpe.posenc
+        table = build_rel_table(32, 8, Scheme.FRPE)
+        rows = table.rows.copy()
+        calls = []
+
+        def counted(deltas, d_z):
+            calls.append(np.size(deltas))
+            return frpe_vector(deltas, d_z)
+
+        monkeypatch.setattr(relpe.posenc, "frpe_vector", counted)
+        for _ in range(2):                            # two passes, each over two layers
+            for n in (64, 64, 40, 64):
+                for role in ("K", "V"):
+                    got = table.block(n, role).data
+                    np.testing.assert_array_equal(
+                        got.view(np.uint64), frpe_vector(np.arange(1 - n, n), 8).view(np.uint64))
+        assert calls == [127]                         # n = 40 is a slice of the n = 64 rows
+        table.block(80)
+        assert calls == [127, 159]
+        np.testing.assert_array_equal(table.rows, rows)
+
     def test_lookup_depends_on_offset_only(self):
         # the cached slice (n <= max_len) and the computed rows (n > max_len)
         # agree on every offset they share

@@ -4,22 +4,33 @@ Scores are q_i . (k_j + a^K_{j-i}) / sqrt(d_z) and outputs are
 sum_j alpha_ij (v_j + a^V_{j-i}); with no table both relative terms vanish
 and the block degrades to vanilla scaled dot-product attention.
 
-The relative terms use the 2n-1 offset rows R (row o holds a_{o-(n-1)}),
-the relative-shift trick of Transformer-XL and Music Transformer: a query
-is scored against every offset at once, q @ R^K.T of shape (n, 2n-1), and
-``rel_gather`` picks entry (i, j - i + n - 1) for each pair. Values go the
-other way: ``rel_scatter`` puts alpha_ij into bucket j - i of row i, and one
-matmul with R^V sums each bucket's encoding. Both terms are dense matmuls
-plus O(n^2) index maps, so a head needs O(n^2 + n*d_z) memory.
+FRPE's a_{j-i} is a fixed sinusoid of the offset, so the angle-addition
+identity (the one RoPE is built on) turns each relative term into a rotation
+and a product with the n absolute rows P (row j holds a_j): q_i . a_{j-i}
+is (q_i C_i + (q_i J) S_i) . a_j, the query rotated by its own position,
+and sum_j alpha_ij a_{j-i} is y_i C_i + (y_i J^T) S_i with y = alpha P. C and
+S repeat P's cosine and sine columns over each (sin, cos) pair and J turns
+each pair. Both terms are (n, d_z) x (d_z, n) matmuls plus O(n * d_z)
+elementwise work, and a head needs O(n^2 + n*d_z) memory.
+
+PRPE's learned a_{j-i} has no such identity. It uses the 2n-1 offset rows
+R (row o holds a_{o-(n-1)}) and the relative-shift trick of Transformer-XL
+and Music Transformer: a query is scored against every offset at once,
+q @ R^K.T of shape (n, 2n-1), and ``rel_gather`` picks entry
+(i, j - i + n - 1) for each pair. Values go the other way: ``rel_scatter``
+puts alpha_ij into bucket j - i of row i, and one matmul with R^V sums each
+bucket's encoding. Both are dense matmuls plus O(n^2) index maps through
+(n, 2n-1) arrays.
 
 A block runs as two autodiff nodes. :func:`attention` projects, scores,
 masks, softmaxes, drops out and sums every head in one NumPy forward and has
 a closed-form backward pass; W^O and its bias are one ``affine`` node. Under
 the value filter each rounds only its output and each input gradient.
 ``attention_scores`` and ``attention_output`` compute the same scores and
-outputs as differentiable composites of single-op nodes (``rel_gather``,
-``rel_scatter``, ``softmax``): the oracles the tests check the fused node
-against, and check against the double-loop definition.
+outputs as differentiable composites of single-op nodes (``*``, ``+``, ``@``
+on constant FRPE terms, or ``rel_gather``, ``rel_scatter``; ``softmax``):
+the oracles the tests check the fused node against, and check against the
+double-loop definition.
 """
 
 from __future__ import annotations
@@ -108,11 +119,23 @@ def _mask_arrays(mask: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray
     return mask.astype(np.float64), np.where(mask, 0.0, MASK_FILL)
 
 
+def _rotation(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C, S and J of the angle-addition identity for FRPE rows P = a_0 .. a_{n-1}.
+
+    C and S repeat P's cosine and sine columns over each (sin, cos) pair, and
+    J turns each pair: (x J)[2k] = x[2k+1] and (x J)[2k+1] = -x[2k].
+    """
+    even = np.arange(0, rows.shape[1], 2)
+    turn = np.zeros((rows.shape[1], rows.shape[1]))
+    turn[even + 1, even], turn[even, even + 1] = 1.0, -1.0
+    return np.repeat(rows[:, 1::2], 2, axis=1), np.repeat(rows[:, 0::2], 2, axis=1), turn
+
+
 def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None,
                      mask: np.ndarray | None = None) -> Tensor:
     """Pre-softmax scores for projected q and k of shape (..., n, d_z).
 
-    Leading axes (one per head) share the table's offset rows.
+    Leading axes (one per head) share the table's rows.
     """
     if q.shape != k.shape:
         raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
@@ -122,8 +145,13 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
     scale = 1.0 / np.sqrt(d_z)
     scores = q @ k.mT
     if table is not None:
-        r_k = table.block(n, role="K")           # (2n-1, d_z)
-        scores = scores + rel_gather(q @ r_k.T)
+        if table.rows is not None:
+            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+            c, s, turn = map(Tensor, _rotation(rows))
+            scores = scores + (q * c + (q @ turn) * s) @ Tensor(rows).T
+        else:
+            r_k = table.block(n, role="K")       # (2n-1, d_z)
+            scores = scores + rel_gather(q @ r_k.T)
     return _apply_mask(scores * scale, mask)
 
 
@@ -137,40 +165,54 @@ def attention_output(alpha: Tensor, v: Tensor,
     if table is not None:
         if table.d_z != d_z:
             raise ValueError(f"table d_z={table.d_z} does not match v d_z={d_z}")
-        r_v = table.block(n, role="V")           # (2n-1, d_z)
-        out = out + rel_scatter(alpha) @ r_v
+        if table.rows is not None:
+            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+            c, s, turn = map(Tensor, _rotation(rows))
+            y = alpha @ Tensor(rows)
+            out = out + (y * c + (y @ turn.T) * s)
+        else:
+            r_v = table.block(n, role="V")       # (2n-1, d_z)
+            out = out + rel_scatter(alpha) @ r_v
     return out
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
               r_k: Tensor | None = None, r_v: Tensor | None = None,
               mask: np.ndarray | None = None, dropout_rate: float = 0.0,
-              rng: np.random.Generator | None = None) -> Tensor:
+              rng: np.random.Generator | None = None,
+              frpe_rows: np.ndarray | None = None) -> Tensor:
     """Every head of one attention block, merged to (..., n, d_model), as one node.
 
     Computes what the composite ``attention_output(dropout(softmax(
     attention_scores(q, k, table, mask))), v, table)`` does on the heads
     q, k, v = x @ wq, wk, wv split to (..., H, n, d_z), with the same
     expressions in the same order, so the forward is bitwise equal to it.
-    ``r_k``/``r_v`` are the (2n-1, d_z) offset rows of ``table.block`` or None
-    for no relative terms. Attention dropout (``dropout_rate > 0`` and an
-    ``rng``) draws one mask of the weights' shape, as ``dropout`` does.
+    The relative terms come from one of two sources, or none:
+    ``r_k``/``r_v`` are (2n-1, d_z) offset-row tensors (PRPE's
+    ``table.block``), used through the relative shift; ``frpe_rows`` is the
+    (n, d_z) array P of FRPE rows a_0 .. a_{n-1}, a constant used through
+    the angle-addition identity with the C, S and J of :func:`_rotation`.
+    Attention dropout (``dropout_rate > 0`` and an ``rng``) draws one mask of
+    the weights' shape, as ``dropout`` does.
 
     The backward pass is closed form (FlashAttention's algebra plus the
-    relative-shift terms), with P the softmax weights, A = P * keep the
-    dropped-out ones and dO the merged-heads gradient split per head:
-    dA = dO v^T + gather(dO R_V^T), dS = P (dA keep - rowsum(dA keep P)) / sqrt(d_z),
-    dq = dS k + scatter(dS) R_K, dk = dS^T q, dv = A^T dO,
-    dR_K = sum scatter(dS)^T q and dR_V = sum scatter(A)^T dO.
+    relative terms), with W the softmax weights, A = W * keep the dropped-out
+    ones and dO the merged-heads gradient split per head:
+    dA = dO v^T + rel_A, dS = W (dA keep - rowsum(dA keep W)) / sqrt(d_z),
+    dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With offset rows,
+    rel_A = gather(dO R_V^T), rel_q = scatter(dS) R_K, dR_K = sum scatter(dS)^T q
+    and dR_V = sum scatter(A)^T dO. With FRPE rows,
+    rel_A = (dO C + (dO J) S) P^T and, with y' = dS P, rel_q = y' C + (y' J^T) S;
+    the rows are constants and get no gradient.
     """
     x = as_tensor(x)
     *lead, n, d_model = x.shape
     if d_model % num_heads != 0:
         raise ValueError(f"num_heads={num_heads} does not divide d_model={d_model}")
     d_z = d_model // num_heads
-    for r in (r_k, r_v):
-        if r is not None and r.shape != (2 * n - 1, d_z):
-            raise ValueError(f"offset rows of shape {r.shape}, expected {(2 * n - 1, d_z)}")
+    for r, m in ((r_k, 2 * n - 1), (r_v, 2 * n - 1), (frpe_rows, n)):
+        if r is not None and r.shape != (m, d_z):
+            raise ValueError(f"relative rows of shape {r.shape}, expected {(m, d_z)}")
     split = (*lead, n, num_heads, d_z)
     b = len(lead)
     swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
@@ -182,6 +224,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     p = q @ np.swapaxes(k, -1, -2)
     if r_k is not None:
         p += _gather_offsets(q @ r_k.data.T)
+    if frpe_rows is not None:
+        c, s, turn = _rotation(frpe_rows)
+        p += (q * c + (q @ turn) * s) @ frpe_rows.T
     p *= scale
     if mask is not None:
         p *= valid
@@ -196,7 +241,13 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     a = p if keep is None else p * keep
     out = a @ v
     if r_v is not None:
-        out += _scatter_offsets(a) @ r_v.data
+        a_rel = _scatter_offsets(a)
+        out += a_rel @ r_v.data
+        if not r_v.requires_grad:
+            a_rel = None                          # only dR_V reads it
+    if frpe_rows is not None:
+        y = a @ frpe_rows
+        out += y * c + (y @ turn.T) * s
 
     def bwd(g):
         g_o = g.reshape(split).transpose(swap)
@@ -204,7 +255,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         if r_v is not None:
             d_s += _gather_offsets(g_o @ r_v.data.T)
             if r_v.requires_grad:
-                r_v._accumulate(_rows(_scatter_offsets(a)).T @ _rows(g_o))
+                r_v._accumulate(_rows(a_rel).T @ _rows(g_o))
+        if frpe_rows is not None:
+            d_s += (g_o * c + (g_o @ turn) * s) @ frpe_rows.T
         d_v = np.swapaxes(a, -1, -2) @ g_o
         if keep is not None:
             d_s *= keep
@@ -219,6 +272,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
             d_q += d_rel @ r_k.data
             if r_k.requires_grad:
                 r_k._accumulate(_rows(d_rel).T @ _rows(q))
+        if frpe_rows is not None:
+            d_y = d_s @ frpe_rows
+            d_q += d_y * c + (d_y @ turn.T) * s
         d_k = np.swapaxes(d_s, -1, -2) @ q
         x_rows, d_x = _rows(x.data), 0.0
         for w, d in ((wq, d_q), (wk, d_k), (wv, d_v)):
@@ -246,17 +302,21 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
     """Full attention block: one :func:`attention` node, then W^O as one ``affine`` node.
 
     ``x`` is (n, d_model) or a batch (..., n, d_model). The same relative
-    offset rows serve every sequence and head. ``mask`` marks valid
-    positions, (n,) or (..., n).
+    rows serve every sequence and head: FRPE's n absolute rows from one
+    ``table.block`` call, or PRPE's offset rows of each role. ``mask`` marks
+    valid positions, (n,) or (..., n).
     """
     *lead, n, d_model = x.shape
     if d_model != cfg.d_model:
         raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
-    r_k = r_v = None
+    r_k = r_v = rows = None
     if table is not None:
         if table.d_z != cfg.d_z:
             raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={cfg.d_z}")
-        r_k, r_v = table.block(n, role="K"), table.block(n, role="V")
+        if table.rows is not None:
+            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+        else:
+            r_k, r_v = table.block(n, role="K"), table.block(n, role="V")
     merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,
-                       mask, cfg.attn_dropout, rng)
+                       mask, cfg.attn_dropout, rng, rows)
     return affine(merged, weights.wo, weights.bo)

@@ -57,6 +57,11 @@ class RunConfig:
                                 ("total_steps", int, 0), ("checkpoint_every", int, 0),
                                 ("seed", int, 0)):
             require_number(self, name, kind, low, ConfigError)
+        for name in ("train_examples", "corpus", "lexicon", "out_dir"):
+            value, optional = getattr(self, name), name != "out_dir"
+            if not (isinstance(value, str) or (optional and value is None)):
+                raise ConfigError(f"{name}={value!r} must be a path string"
+                                  + (" or null" if optional else ""))
         if self.total_steps > self.schedule.total_steps:
             # the steps past the schedule's end would all train at lr 0
             raise ConfigError(f"total_steps={self.total_steps} must be <= schedule "

@@ -221,9 +221,9 @@ class PrecisionPolicy:
     def __post_init__(self):
         if self.mode not in ("full", "mixed_emulated"):
             raise ValueError(f"unknown precision mode {self.mode!r}")
-        s = self.loss_scale
-        if not s >= 1.0 or math.frexp(s)[0] != 0.5:   # inf and nan fail too
-            raise ValueError("loss_scale must be a power of two >= 1")
+        require_number(self, "loss_scale", float, 1)
+        if math.frexp(self.loss_scale)[0] != 0.5:
+            raise ValueError(f"loss_scale={self.loss_scale!r} must be a power of two >= 1")
 
 
 def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],

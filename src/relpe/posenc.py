@@ -1,12 +1,15 @@
 """Positional encodings: fixed sinusoidal relative, learned relative, learned absolute.
 
-Three schemes are supported. Both relative schemes hand attention the 2n-1
-distinct offset rows a_{-(n-1)} .. a_{n-1} of a length-n sequence as one
-(2n-1, d_z) array; attention maps scores and weights between positions and
-offsets, so relative attention needs O(n^2 + n*d_z) memory per head. FRPE
-vectors are a pure function of the signed offset j - i: any length works,
-lookups never modify the table, and the table registers no parameters. PRPE
-keeps two learned banks (key and value roles) indexed by the clipped offset.
+Three schemes are supported. ``RelPositionTable.block(n, role)`` returns the
+2n-1 distinct offset rows a_{-(n-1)} .. a_{n-1} of a length-n sequence as
+one (2n-1, d_z) array. FRPE vectors are a pure function of the signed offset
+j - i: any length works, lookups never modify the table, and the table
+registers no parameters. Attention reads one FRPE block per layer and uses
+only its upper half, the n absolute rows a_0 .. a_{n-1}, through the
+angle-addition identity. PRPE keeps two learned banks (key and value roles)
+indexed by the clipped offset; attention reads one block per role and maps
+scores and weights between positions and offsets with the relative shift.
+Either way relative attention needs O(n^2 + n*d_z) memory per head.
 PAPE's learned per-position rows are an encoder parameter (``abspos.table``)
 added to the input embeddings; only the scheme name lives here.
 """

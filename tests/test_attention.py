@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import relpe.attention
 import relpe.encoder
+import relpe.tensor
 from relpe.attention import (AttentionConfig, HeadWeights, attention, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
@@ -537,3 +539,132 @@ class TestFusedAttentionMatchesComposite:
         np.testing.assert_array_equal(got[0], want[0])
         for key, grad in want[1].items():
             np.testing.assert_allclose(got[1][key], grad, rtol=0, atol=1e-12, err_msg=key)
+
+
+def frpe_block_rows(x, weights, cfg, rows, g):
+    """Double-loop FRPE block on query ``rows``: their outputs, and dx of
+    sum(g * out) for a ``g`` that is zero off those rows."""
+    n, d_z = x.shape[0], cfg.d_z
+    enc = {delta: frpe_oracle(delta, d_z) for delta in range(-(n - 1), n)}
+    s = 1.0 / np.sqrt(d_z)
+    out, dx = np.tile(weights.bo.data, (len(rows), 1)), np.zeros_like(x)
+    for h in range(cfg.num_heads):
+        cols = slice(h * d_z, (h + 1) * d_z)
+        wq, wk, wv = (w.data[:, cols] for w in (weights.wq, weights.wk, weights.wv))
+        wo = weights.wo.data[cols]
+        q, k, v = x @ wq, x @ wk, x @ wv
+        dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        for r, i in enumerate(rows):
+            e = np.array([q[i] @ (k[j] + enc[j - i]) * s for j in range(n)])
+            alpha = np.exp(e - e.max())
+            alpha /= alpha.sum()
+            z = np.zeros(d_z)
+            for j in range(n):
+                z += alpha[j] * (v[j] + enc[j - i])
+            out[r] += z @ wo
+            g_z = wo @ g[i]
+            d_alpha = np.array([g_z @ (v[j] + enc[j - i]) for j in range(n)])
+            d_e = alpha * (d_alpha - alpha @ d_alpha) * s
+            for j in range(n):
+                dq[i] += d_e[j] * (k[j] + enc[j - i])
+                dk[j] += d_e[j] * q[i]
+                dv[j] += alpha[j] * g_z
+        dx += dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return out, dx
+
+
+class TestFrpePastTheTable:
+    """FRPE at n = 300 on a table built to 64: absolute angles up to 299 rad,
+    through the wide rows, against the sin/cos double loop on sampled rows."""
+
+    N, ROWS = 300, [0, 1, 150, 298, 299]
+
+    def test_fused_block_matches_double_loop(self):
+        n, rows = self.N, self.ROWS
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.FRPE)
+        rng = np.random.default_rng(41)
+        weights = HeadWeights(*(Tensor(rng.normal(0.0, 0.5, (8, 8)), requires_grad=True)
+                                for _ in range(4)), bo=Tensor(rng.normal(size=8)))
+        table = build_rel_table(64, cfg.d_z, Scheme.FRPE)
+        x = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
+        g = np.zeros((n, 8))
+        g[rows] = rng.normal(size=(len(rows), 8))
+        out = multi_head_attention(x, weights, cfg, table)
+        (out * Tensor(g)).sum().backward()
+
+        want_out, want_dx = frpe_block_rows(x.data, weights, cfg, rows, g)
+        np.testing.assert_allclose(out.data[rows], want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want_dx, rtol=0, atol=1e-12)
+
+    def test_composite_matches_double_loop(self):
+        n, rows, d_z = self.N, self.ROWS, 4
+        rng = np.random.default_rng(42)
+        table = build_rel_table(64, d_z, Scheme.FRPE)
+        rows_before = table.rows.copy()
+        q, k, v = (rng.normal(size=(n, d_z)) for _ in range(3))
+        alpha = softmax(Tensor(rng.normal(size=(n, n)))).data
+        g1, g2 = np.zeros((n, n)), np.zeros((n, d_z))
+        g1[rows], g2[rows] = rng.normal(size=(len(rows), n)), rng.normal(size=(len(rows), d_z))
+        q_t, alpha_t = Tensor(q, requires_grad=True), Tensor(alpha, requires_grad=True)
+        scores = attention_scores(q_t, Tensor(k), table)
+        out = attention_output(alpha_t, Tensor(v), table)
+        ((scores * Tensor(g1)).sum() + (out * Tensor(g2)).sum()).backward()
+
+        s = 1.0 / np.sqrt(d_z)
+        want = {name: np.zeros((len(rows),) + shape) for name, shape in
+                (("scores", (n,)), ("out", (d_z,)), ("dq", (d_z,)), ("dalpha", (n,)))}
+        for r, i in enumerate(rows):
+            for j in range(n):
+                a = frpe_oracle(j - i, d_z)
+                want["scores"][r, j] = q[i] @ (k[j] + a) * s
+                want["out"][r] += alpha[i, j] * (v[j] + a)
+                want["dq"][r] += g1[i, j] * (k[j] + a) * s
+                want["dalpha"][r, j] = g2[i] @ (v[j] + a)
+        for got, key in ((scores.data[rows], "scores"), (out.data[rows], "out"),
+                         (q_t.grad[rows], "dq"), (alpha_t.grad[rows], "dalpha")):
+            np.testing.assert_allclose(got, want[key], rtol=0, atol=1e-12, err_msg=key)
+        off = np.setdiff1d(np.arange(n), rows)
+        assert not q_t.grad[off].any() and not alpha_t.grad[off].any()
+        np.testing.assert_array_equal(table.rows, rows_before)
+
+
+class TestRelativeShiftOnlyForLearnedRows:
+    """FRPE scores and sums its relative terms through the n absolute rows:
+    no offset map, so no (..., n, 2n-1) array. PRPE's learned rows still use
+    the relative shift."""
+
+    @staticmethod
+    def run_block(scheme, block=multi_head_attention):
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=scheme, attn_dropout=0.2)
+        table = build_rel_table(4, cfg.d_z, scheme, rng_seed=3, clip=2)
+        x = Tensor(np.random.default_rng(43).normal(size=(3, 6, 8)), requires_grad=True)
+        out = block(x, make_weights(cfg, seed=44), cfg, table, lengths_mask([6, 3, 5], 6),
+                    np.random.default_rng(45))
+        (out * out).sum().backward()
+        assert np.all(np.isfinite(x.grad))
+
+    @pytest.mark.parametrize("block", [multi_head_attention, composite_multi_head_attention])
+    def test_frpe_block_calls_no_offset_map(self, block, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"offset map called on shape {a.shape}")
+
+        for module in (relpe.attention, relpe.tensor):
+            monkeypatch.setattr(module, "_gather_offsets", refuse)
+            monkeypatch.setattr(module, "_scatter_offsets", refuse)
+        calls = []
+        lookup = RelPositionTable.block
+        monkeypatch.setattr(RelPositionTable, "block",
+                            lambda table, n, role="K": calls.append(role) or lookup(table, n, role))
+        self.run_block(Scheme.FRPE, block)
+        assert len(calls) == (1 if block is multi_head_attention else 2)
+
+    def test_prpe_block_uses_each_offset_map_once_per_pass(self, monkeypatch):
+        calls = []
+        for name in ("_gather_offsets", "_scatter_offsets"):
+            fn = getattr(relpe.attention, name)
+            monkeypatch.setattr(relpe.attention, name,
+                                lambda a, fn=fn, name=name: calls.append(name) or fn(a))
+        self.run_block(Scheme.PRPE)
+        # forward: scores gather, outputs scatter; backward: dA gather, dq scatter
+        # (dR_V reuses the forward's scatter)
+        assert calls == ["_gather_offsets", "_scatter_offsets"] * 2

@@ -109,6 +109,14 @@ class TestRunConfig:
         ("schedule", "warmup_steps", 0),
         ("schedule", "total_steps", 12.0),
         (None, "total_steps", 13),            # past the schedule's 12 steps
+        (None, "train_examples", True),
+        (None, "train_examples", 5),
+        (None, "corpus", 1.5),
+        (None, "lexicon", ["words.txt"]),
+        (None, "out_dir", 7),
+        (None, "out_dir", None),
+        ("precision", "loss_scale", True),
+        ("precision", "loss_scale", "1024"),
     ])
     def test_bad_number_names_the_key(self, section, key, value):
         d = tiny_run_config().to_dict()
@@ -628,6 +636,10 @@ class TestCli:
         (None, "checkpoint_every", -2),
         ("model", "vocab_size", 16.5),
         (None, "total_steps", 13),
+        (None, "train_examples", True),
+        (None, "train_examples", 5),
+        (None, "out_dir", 7),
+        ("precision", "loss_scale", True),
     ])
     def test_pretrain_rejects_bad_number_before_training(self, tmp_path, capsys,
                                                           section, key, value):

@@ -22,6 +22,14 @@ puts alpha_ij into bucket j - i of row i, and one matmul with R^V sums each
 bucket's encoding. Both are dense matmuls plus O(n^2) index maps through
 (n, 2n-1) arrays.
 
+A block can compute only some query rows, given as a (..., r) position
+index: keys and values still come from all n rows, and the scores, softmax
+rows, weighted sums and output are (..., r, .). FRPE takes C and S at the
+query positions; PRPE maps offsets through an explicit (..., r, n) index,
+because the strided shift only covers all n rows (at full rows it is several
+times faster, so full-row calls keep it). The encoder runs its last layer
+this way, at the rows its pretraining heads read.
+
 A block runs as two autodiff nodes. :func:`attention` projects, scores,
 masks, softmaxes, drops out and sums every head in one NumPy forward and has
 a closed-form backward pass; W^O and its bias are one ``affine`` node. Under
@@ -40,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import (Tensor, _check_finite, _gather_offsets, _scatter_offsets, affine,
-                     as_tensor, rel_gather, rel_scatter)
+from .tensor import (Tensor, _check_finite, _gather_offsets, _scatter_offsets, _scatter_rows,
+                     affine, as_tensor, keep_mask, query_index, rel_gather, rel_scatter,
+                     take_queries)
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -180,7 +189,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
               r_k: Tensor | None = None, r_v: Tensor | None = None,
               mask: np.ndarray | None = None, dropout_rate: float = 0.0,
               rng: np.random.Generator | None = None,
-              frpe_rows: np.ndarray | None = None) -> Tensor:
+              frpe_rows: np.ndarray | None = None,
+              queries: np.ndarray | None = None) -> Tensor:
     """Every head of one attention block, merged to (..., n, d_model), as one node.
 
     Computes what the composite ``attention_output(dropout(softmax(
@@ -195,6 +205,16 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     Attention dropout (``dropout_rate > 0`` and an ``rng``) draws one mask of
     the weights' shape, as ``dropout`` does.
 
+    ``queries`` (..., r), one row of positions per sequence, computes only
+    those query rows: keys and values still come from all n rows, and the
+    output is (..., r, d_model), row m being what the full call gives at
+    position ``queries[..., m]``. Positions may repeat. FRPE then takes the
+    rows of C and S at the query positions; PRPE gathers and scatters through
+    an explicit (..., r, n) offset index instead of the strided relative
+    shift, which only covers all n rows. The dropout mask is drawn at the
+    full (..., H, n, n) shape and its query rows kept, so the RNG stream and
+    every mask value match the full call.
+
     The backward pass is closed form (FlashAttention's algebra plus the
     relative terms), with W the softmax weights, A = W * keep the dropped-out
     ones and dO the merged-heads gradient split per head:
@@ -203,7 +223,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     rel_A = gather(dO R_V^T), rel_q = scatter(dS) R_K, dR_K = sum scatter(dS)^T q
     and dR_V = sum scatter(A)^T dO. With FRPE rows,
     rel_A = (dO C + (dO J) S) P^T and, with y' = dS P, rel_q = y' C + (y' J^T) S;
-    the rows are constants and get no gradient.
+    the rows are constants and get no gradient. With ``queries``, the
+    query projection's dx is scattered back to the query positions.
     """
     x = as_tensor(x)
     *lead, n, d_model = x.shape
@@ -213,19 +234,32 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     for r, m in ((r_k, 2 * n - 1), (r_v, 2 * n - 1), (frpe_rows, n)):
         if r is not None and r.shape != (m, d_z):
             raise ValueError(f"relative rows of shape {r.shape}, expected {(m, d_z)}")
-    split = (*lead, n, num_heads, d_z)
+    x_q, n_q, index, offsets = x.data, n, None, None
+    if queries is not None:
+        queries = np.asarray(queries, dtype=np.intp)
+        if (queries.shape[:-1] != tuple(lead) or queries.ndim != len(lead) + 1
+                or queries.size == 0 or queries.min() < 0 or queries.max() >= n):
+            raise ValueError(f"queries of shape {queries.shape} must hold positions in "
+                             f"[0, {n}), one nonempty row per sequence of {tuple(lead)}")
+        x_q, n_q, index = take_queries(x.data, queries), queries.shape[-1], query_index(queries, n)
+        if r_k is not None or r_v is not None:
+            # column j - i + n - 1 of query row i, one index for every head
+            offsets = np.expand_dims(np.arange(n) - queries[..., None] + (n - 1), -3)
     b = len(lead)
     swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
     if mask is not None:
-        valid, fill = _mask_arrays(mask, (*lead, num_heads, n, n))
+        valid, fill = _mask_arrays(mask, (*lead, num_heads, n_q, n))
     scale = 1.0 / np.sqrt(d_z)
 
-    q, k, v = ((x.data @ w.data).reshape(split).transpose(swap) for w in (wq, wk, wv))
+    q, k, v = ((inp @ w.data).reshape(*lead, m, num_heads, d_z).transpose(swap)
+               for inp, w, m in ((x_q, wq, n_q), (x.data, wk, n), (x.data, wv, n)))
     p = q @ np.swapaxes(k, -1, -2)
     if r_k is not None:
-        p += _gather_offsets(q @ r_k.data.T)
+        p += _gather(q @ r_k.data.T, offsets)
     if frpe_rows is not None:
         c, s, turn = _rotation(frpe_rows)
+        if queries is not None:
+            c, s = (np.expand_dims(t[queries], -3) for t in (c, s))
         p += (q * c + (q @ turn) * s) @ frpe_rows.T
     p *= scale
     if mask is not None:
@@ -237,11 +271,11 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     p /= p.sum(axis=-1, keepdims=True)
     keep = None
     if dropout_rate > 0.0 and rng is not None:
-        keep = (rng.random(p.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        keep = keep_mask(rng, dropout_rate, p.shape, queries, n)
     a = p if keep is None else p * keep
     out = a @ v
     if r_v is not None:
-        a_rel = _scatter_offsets(a)
+        a_rel = _scatter(a, offsets)
         out += a_rel @ r_v.data
         if not r_v.requires_grad:
             a_rel = None                          # only dR_V reads it
@@ -250,10 +284,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         out += y * c + (y @ turn.T) * s
 
     def bwd(g):
-        g_o = g.reshape(split).transpose(swap)
+        g_o = g.reshape(*lead, n_q, num_heads, d_z).transpose(swap)
         d_s = g_o @ np.swapaxes(v, -1, -2)
         if r_v is not None:
-            d_s += _gather_offsets(g_o @ r_v.data.T)
+            d_s += _gather(g_o @ r_v.data.T, offsets)
             if r_v.requires_grad:
                 r_v._accumulate(_rows(a_rel).T @ _rows(g_o))
         if frpe_rows is not None:
@@ -268,7 +302,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         d_s *= scale
         d_q = d_s @ k
         if r_k is not None:
-            d_rel = _scatter_offsets(d_s)
+            d_rel = _scatter(d_s, offsets)
             d_q += d_rel @ r_k.data
             if r_k.requires_grad:
                 r_k._accumulate(_rows(d_rel).T @ _rows(q))
@@ -277,17 +311,34 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
             d_q += d_y * c + (d_y @ turn.T) * s
         d_k = np.swapaxes(d_s, -1, -2) @ q
         x_rows, d_x = _rows(x.data), 0.0
-        for w, d in ((wq, d_q), (wk, d_k), (wv, d_v)):
+        for w, d, inp, at in ((wq, d_q, x_q, index), (wk, d_k, x.data, None),
+                              (wv, d_v, x.data, None)):
             d = d.transpose(swap).reshape(-1, d_model)
             if w.requires_grad:
-                w._accumulate(x_rows.T @ d)
+                w._accumulate(_rows(inp).T @ d)
             if x.requires_grad:
-                d_x = d_x + d @ w.data.T
+                d = d @ w.data.T
+                d_x = d_x + (d if at is None else _scatter_rows(d, at, x_rows.shape))
         if x.requires_grad:
             x._accumulate(d_x.reshape(x.shape))
 
     parents = tuple(t for t in (x, wq, wk, wv, r_k, r_v) if t is not None)
-    return Tensor._make(out.transpose(swap).reshape(*lead, n, d_model), parents, bwd)
+    return Tensor._make(out.transpose(swap).reshape(*lead, n_q, d_model), parents, bwd)
+
+
+def _gather(x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+    """Offset-indexed (..., r, 2n-1) to position-indexed (..., r, n): the strided
+    relative shift for all n rows, else entry (i, offsets[..., i, j]) of each row."""
+    return _gather_offsets(x) if offsets is None else np.take_along_axis(x, offsets, axis=-1)
+
+
+def _scatter(a: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+    """The inverse of :func:`_gather`: zeros of (..., r, 2n-1) with a's entries placed."""
+    if offsets is None:
+        return _scatter_offsets(a)
+    out = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
+    np.put_along_axis(out, offsets, a, axis=-1)
+    return out
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -298,13 +349,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
 def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
                          table: RelPositionTable | None = None,
                          mask: np.ndarray | None = None,
-                         rng: np.random.Generator | None = None) -> Tensor:
+                         rng: np.random.Generator | None = None,
+                         queries: np.ndarray | None = None) -> Tensor:
     """Full attention block: one :func:`attention` node, then W^O as one ``affine`` node.
 
     ``x`` is (n, d_model) or a batch (..., n, d_model). The same relative
     rows serve every sequence and head: FRPE's n absolute rows from one
     ``table.block`` call, or PRPE's offset rows of each role. ``mask`` marks
-    valid positions, (n,) or (..., n).
+    valid positions, (n,) or (..., n). ``queries`` (..., r) computes only
+    those query rows, and the block's output is (..., r, d_model).
     """
     *lead, n, d_model = x.shape
     if d_model != cfg.d_model:
@@ -318,5 +371,5 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
         else:
             r_k, r_v = table.block(n, role="K"), table.block(n, role="V")
     merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,
-                       mask, cfg.attn_dropout, rng, rows)
+                       mask, cfg.attn_dropout, rng, rows, queries)
     return affine(merged, weights.wo, weights.bo)

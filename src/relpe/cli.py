@@ -11,17 +11,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import ablate as ablate_mod
 from .checkpoint import CheckpointError, load_checkpoint, load_manifest
 from .config import ConfigError, RunConfig
 from .data import (CorpusError, Lexicon, Vocabulary, build_vocab, load_corpus,
                    make_examples, masking_stats, read_examples, write_examples)
-from .encoder import EncoderConfig, EncoderModel, pretrain_loss
-from .gradcheck import check_gradients
-from .posenc import Scheme
-from .synth import make_offset_copy_examples
+from .encoder import EncoderConfig, EncoderModel
+from .gradcheck import check_full_model
 from .train import Trainer, evaluate
 
 
@@ -150,20 +146,7 @@ def cmd_gradcheck(args) -> int:
     threshold = args.threshold
     failures = []
     for name in schemes:
-        cfg = EncoderConfig(vocab_size=128, d_model=64, num_layers=2, num_heads=2,
-                            max_seq_len=32, scheme=Scheme(name))
-        model = EncoderModel(cfg, seed=args.seed if args.seed is not None else 0)
-        rng = np.random.default_rng(7)
-        example = make_offset_copy_examples(1, 12, cfg.vocab_size - 5, -3, rng,
-                                            queries_per_seq=2)[0]
-        example.nsp_label = 1
-
-        def loss_fn():
-            loss, _ = pretrain_loss(model.pretrain_forward(example), example)
-            return loss
-
-        report = check_gradients(loss_fn, model.parameters(),
-                                 rng=np.random.default_rng(11))
+        report = check_full_model(name, seed=args.seed if args.seed is not None else 0)
         status = "pass" if report.passed(threshold) else "FAIL"
         print(f"{name:>5}: max relative error {report.max_relative_error:.2e} "
               f"(worst: {report.worst_parameter}) {status}")

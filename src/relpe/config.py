@@ -59,8 +59,9 @@ class RunConfig:
             require_number(self, name, kind, low, ConfigError)
         for name in ("train_examples", "corpus", "lexicon", "out_dir"):
             value, optional = getattr(self, name), name != "out_dir"
-            if not (isinstance(value, str) or (optional and value is None)):
-                raise ConfigError(f"{name}={value!r} must be a path string"
+            # an empty path would resolve to the current directory
+            if not ((isinstance(value, str) and value) or (optional and value is None)):
+                raise ConfigError(f"{name}={value!r} must be a nonempty path string"
                                   + (" or null" if optional else ""))
         if self.total_steps > self.schedule.total_steps:
             # the steps past the schedule's end would all train at lr 0

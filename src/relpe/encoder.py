@@ -8,6 +8,14 @@ absolute embeddings added to the inputs (PAPE).
 A batch of examples runs as one (B, n, d_model) pass: shorter examples are
 padded with [PAD] to the longest one, and a (B, n) validity mask keeps the
 padded keys out of every attention row. A single example is a batch of one.
+
+The pretraining heads read only a few rows of the last layer: NSP reads the
+[CLS] row and MLM the prediction positions. So the last layer runs only at
+those query rows (every earlier layer's rows are keys and values of the next,
+so only the last can be cut): its attention computes only their query rows
+against all n keys, and its residual, layer norms and feed-forward run on
+(B, r, d_model) rows. A caller that needs every final state calls
+:meth:`EncoderModel.encode` without ``queries``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_he
 from .data import PAD_ID, PretrainExample
 from .optim import require_number
 from .posenc import RelPositionTable, Scheme, build_rel_table
-from .tensor import Tensor, affine, dropout, gelu, layer_norm, nll_loss
+from .tensor import Tensor, affine, dropout, gelu, layer_norm, nll_loss, query_index
 
 
 @dataclass
@@ -72,7 +80,11 @@ class LayerParameters:
 
 @dataclass
 class ForwardOutput:
-    states: Tensor                 # (B, n, d_model), n the batch's longest length
+    # Final-layer states only at the query slots, (B, r, d_model): slot 0 is
+    # [CLS], then the example's prediction positions in order, padded with
+    # position 0 up to r = 1 + the most predictions of any example.
+    slot_states: Tensor
+    slot_positions: np.ndarray     # (B, r) the position each slot holds
     pooled: Tensor                 # (B, d_model)
     mlm_logits: Tensor             # (P, vocab): every prediction, in example order
     nsp_logits: Tensor             # (B, 2)
@@ -192,25 +204,40 @@ class EncoderModel:
 
     def layer_forward(self, x: Tensor, layer: LayerParameters,
                       mask: np.ndarray | None = None,
-                      rng: np.random.Generator | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None,
+                      queries: np.ndarray | None = None) -> Tensor:
+        """One encoder layer on x (..., n, d_model).
+
+        With ``queries`` (..., r) positions the layer runs only at those rows
+        and returns (..., r, d_model); keys and values still span all n rows,
+        and each dropout mask is drawn at its full-row shape.
+        """
         cfg = self.cfg
-        attn = multi_head_attention(x, layer.attn, self.attn_cfg,
-                                    table=self.rel_table, mask=mask, rng=rng)
+        n, d = x.shape[-2:]
+        attn = multi_head_attention(x, layer.attn, self.attn_cfg, table=self.rel_table,
+                                    mask=mask, rng=rng, queries=queries)
+        if queries is not None:
+            x = x.reshape(-1, d).take_rows(query_index(queries, n)).reshape(attn.shape)
         if rng is not None:
-            attn = dropout(attn, cfg.hidden_dropout, rng)
+            attn = dropout(attn, cfg.hidden_dropout, rng, queries, n)
         y = layer_norm(x + attn, layer.ln1_gamma, layer.ln1_beta)
         h = affine(gelu(affine(y, layer.ffn_w1, layer.ffn_b1)), layer.ffn_w2, layer.ffn_b2)
         if rng is not None:
-            h = dropout(h, cfg.hidden_dropout, rng)
+            h = dropout(h, cfg.hidden_dropout, rng, queries, n)
         return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta)
 
     def encode(self, token_ids, segment_ids, mask=None,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Final hidden states (..., n, d_model); ``mask`` marks valid positions."""
+               rng: np.random.Generator | None = None,
+               queries: np.ndarray | None = None) -> Tensor:
+        """Final hidden states (..., n, d_model); ``mask`` marks valid positions.
+
+        With ``queries`` (..., r) positions the last layer runs only at those
+        rows, and the result is their final states (..., r, d_model).
+        """
         x = self.embed_inputs(token_ids, segment_ids, rng=rng)
-        for layer in self.layers:
+        for layer in self.layers[:-1]:
             x = self.layer_forward(x, layer, mask=mask, rng=rng)
-        return x
+        return self.layer_forward(x, self.layers[-1], mask=mask, rng=rng, queries=queries)
 
     def pretrain_forward(self, examples,
                          rng: np.random.Generator | None = None) -> ForwardOutput:
@@ -218,6 +245,8 @@ class EncoderModel:
 
         ``examples`` is a sequence of PretrainExample, or one example (a batch
         of one). Each dropout site draws one mask of the whole batch's shape.
+        The last layer runs only at the slots the heads read (see
+        :class:`ForwardOutput`).
         """
         if isinstance(examples, PretrainExample):
             examples = [examples]
@@ -241,21 +270,28 @@ class EncoderModel:
             positions.append(pos)
             owners.append(np.full(pos.size, i, dtype=np.intp))
         positions, owners = np.concatenate(positions), np.concatenate(owners)
+        counts = np.bincount(owners, minlength=b)
+        slot = np.arange(1 + int(counts.max()))
+        predicted = (slot > 0) & (slot <= counts[:, None])    # slots 1 .. count of each example
+        slot_positions = np.zeros((b, slot.size), dtype=np.intp)   # 0: [CLS] and padding
+        slot_positions[predicted] = positions
         mask = None if lengths.min() == n else np.arange(n) < lengths[:, None]
-        states = self.encode(tokens, segments, mask=mask, rng=rng)
+        slot_states = self.encode(tokens, segments, mask=mask, rng=rng, queries=slot_positions)
 
-        rows = states.reshape(b * n, self.cfg.d_model)
-        pooled = affine(rows.take_rows(np.arange(b) * n), self.pooler_w, self.pooler_b).tanh()
+        rows = slot_states.reshape(-1, self.cfg.d_model)
+        pooled = affine(rows.take_rows(np.arange(b) * slot.size), self.pooler_w,
+                        self.pooler_b).tanh()
         nsp_logits = affine(pooled, self.nsp_w, self.nsp_b)
 
         if positions.size:
-            h = rows.take_rows(owners * n + positions)
+            h = rows.take_rows(np.flatnonzero(predicted))
             h = gelu(affine(h, self.mlm_dense_w, self.mlm_dense_b))
             h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta)
             mlm_logits = affine(h, self.token_embedding.T, self.mlm_output_bias)
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
-        return ForwardOutput(states=states, pooled=pooled, mlm_logits=mlm_logits,
+        return ForwardOutput(slot_states=slot_states, slot_positions=slot_positions,
+                             pooled=pooled, mlm_logits=mlm_logits,
                              nsp_logits=nsp_logits, predict_examples=owners)
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoder import EncoderConfig, EncoderModel, pretrain_loss
+from .synth import make_offset_copy_examples
 from .tensor import Tensor, no_grad
 
 
@@ -95,3 +97,24 @@ def check_gradients(loss_fn, params: dict[str, Tensor], step: float = 1e-4,
                 worst_name = name
     return GradCheckReport(max_relative_error=worst, worst_parameter=worst_name,
                            per_parameter=per_parameter, checked_coordinates=checked)
+
+
+def check_full_model(scheme, seed: int = 0) -> GradCheckReport:
+    """Gradient check of the whole pretraining loss for one positional scheme.
+
+    The model is a 2-layer encoder (d_model 64, 2 heads, vocabulary 128,
+    ``max_seq_len`` 32) built from ``seed``, on one length-12 offset-copy
+    example with two masked queries and NSP label 1.
+    """
+    cfg = EncoderConfig(vocab_size=128, d_model=64, num_layers=2, num_heads=2,
+                        max_seq_len=32, scheme=scheme)
+    model = EncoderModel(cfg, seed=seed)
+    example = make_offset_copy_examples(1, 12, cfg.vocab_size - 5, -3,
+                                        np.random.default_rng(7))[0]
+    example.nsp_label = 1
+
+    def loss_fn():
+        loss, _ = pretrain_loss(model.pretrain_forward(example), example)
+        return loss
+
+    return check_gradients(loss_fn, model.parameters(), rng=np.random.default_rng(11))

@@ -488,9 +488,44 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     return Tensor._make(normed * gamma.data + beta.data, (x, gamma, beta), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
+def take_queries(a: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Rows ``queries`` (..., r) of axis -2 of ``a`` (..., n, m) or (..., H, n, m).
+
+    The leading axes of ``queries`` match those of ``a``; the heads axis, if
+    any, shares one index. Returns (..., r, m) or (..., H, r, m).
+    """
+    extra = (1,) * (a.ndim - queries.ndim - 1)
+    return np.take_along_axis(a, queries.reshape(*queries.shape[:-1], *extra, -1, 1), axis=-2)
+
+
+def query_index(queries: np.ndarray, n: int) -> np.ndarray:
+    """Flat row numbers of positions ``queries`` (..., r) in a (..., n, m) array
+    viewed as (prod(...) * n, m) rows."""
+    lead = queries.shape[:-1]
+    return (np.arange(math.prod(lead)).reshape(*lead, 1) * n + queries).reshape(-1)
+
+
+def keep_mask(rng: np.random.Generator, rate: float, shape: tuple,
+              queries: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
+    """Inverted-dropout multipliers, 0 or 1/(1 - rate), for an array of ``shape``.
+
+    With ``queries``, ``shape`` holds only those rows of axis -2 out of ``n``:
+    the draw is still made at the full shape and then its rows are taken, so
+    the RNG stream and every kept value match a full-row mask.
+    """
+    if queries is None:
+        return (rng.random(shape) >= rate) / (1.0 - rate)
+    draw = take_queries(rng.random((*shape[:-2], n, shape[-1])), queries)
+    return (draw >= rate) / (1.0 - rate)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator,
+            queries: np.ndarray | None = None, n: int | None = None) -> Tensor:
+    """Inverted dropout; identity when rate == 0.
+
+    ``x`` may hold only the rows ``queries`` of an (..., n, m) activation;
+    see :func:`keep_mask`.
+    """
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    return x * Tensor(keep_mask(rng, rate, x.shape, queries, n))

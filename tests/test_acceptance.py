@@ -15,8 +15,8 @@ from relpe.attention import AttentionConfig, attention_scores, init_head_weights
 from relpe.config import RunConfig
 from relpe.data import (MASK_ID, Lexicon, build_pairs, build_vocab, load_corpus,
                         make_example, make_examples, masking_stats, segment_words)
-from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
-from relpe.gradcheck import check_gradients
+from relpe.encoder import EncoderConfig, EncoderModel
+from relpe.gradcheck import check_full_model
 from relpe.optim import (AdamOptimizer, LambOptimizer, LrSchedule,
                          PrecisionPolicy, round_half, training_step)
 from relpe.posenc import Scheme, build_rel_table, frpe_vector
@@ -85,19 +85,7 @@ def test_03_full_model_gradient_checks():
     worst = 0.0
     details = []
     for scheme in (Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE):
-        cfg = EncoderConfig(vocab_size=128, d_model=64, num_layers=2, num_heads=2,
-                            max_seq_len=32, scheme=scheme)
-        model = EncoderModel(cfg, seed=0)
-        example = make_offset_copy_examples(1, 12, 123, -3,
-                                            np.random.default_rng(7))[0]
-        example.nsp_label = 1
-
-        def loss_fn():
-            loss, _ = pretrain_loss(model.pretrain_forward(example), example)
-            return loss
-
-        rep = check_gradients(loss_fn, model.parameters(),
-                              rng=np.random.default_rng(11))
+        rep = check_full_model(scheme)
         details.append(f"{scheme.value}={rep.max_relative_error:.1e}")
         worst = max(worst, rep.max_relative_error)
     report(3, "full-model gradient checks", worst < 1e-4, ", ".join(details))

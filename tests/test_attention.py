@@ -404,9 +404,11 @@ class TestMultiHeadAttention:
         assert report.per_parameter["relpos.bank_k"] >= 0  # banks were checked
 
 
-def composite_multi_head_attention(x, weights, cfg, table=None, mask=None, rng=None):
+def composite_multi_head_attention(x, weights, cfg, table=None, mask=None, rng=None,
+                                   queries=None):
     """The attention block as single-op nodes: the composite the fused
-    ``attention`` + ``affine`` nodes replaced, kept as their oracle."""
+    ``attention`` + ``affine`` nodes replaced, kept as their oracle. With
+    ``queries`` (..., r) it runs on every row, then takes the query rows."""
     *lead, n, d_model = x.shape
     split = (*lead, n, cfg.num_heads, cfg.d_z)
     b = len(lead)
@@ -420,14 +422,19 @@ def composite_multi_head_attention(x, weights, cfg, table=None, mask=None, rng=N
     if cfg.attn_dropout > 0.0 and rng is not None:
         alpha = dropout(alpha, cfg.attn_dropout, rng)
     merged = attention_output(alpha, v, table).transpose(swap).reshape(*lead, n, d_model)
-    return merged @ weights.wo + weights.bo
+    out = merged @ weights.wo + weights.bo
+    if queries is None:
+        return out
+    rows = np.arange(math.prod(lead)).reshape(*lead, 1) * n + queries
+    return out.reshape(-1, d_model).take_rows(rows.reshape(-1)).reshape(*queries.shape, d_model)
 
 
 def lengths_mask(lengths, n):
     return np.arange(n) < np.asarray(lengths)[:, None]
 
 
-# (scheme, heads, d_z, table max_len, PRPE clip, x shape, mask, attention dropout)
+# (scheme, heads, d_z, table max_len, PRPE clip, x shape, mask, attention dropout[,
+#  query rows])
 FUSED_ATTENTION_CASES = {
     "none-batch-mask": (Scheme.NONE, 2, 4, 0, 0, (4, 7, 8), lengths_mask([7, 4, 7, 2], 7), 0.0),
     "pape-no-table": (Scheme.PAPE, 3, 2, 0, 0, (2, 5, 6), None, 0.0),
@@ -439,13 +446,19 @@ FUSED_ATTENTION_CASES = {
     "prpe-dropout": (Scheme.PRPE, 2, 4, 7, 2, (2, 7, 8), lengths_mask([7, 4], 7), 0.3),
     "frpe-dropout": (Scheme.FRPE, 4, 2, 5, 0, (2, 5, 8), lengths_mask([3, 5], 5), 0.2),
     "none-dropout-unbatched": (Scheme.NONE, 1, 4, 0, 0, (5, 4), None, 0.4),
+    # query rows: [CLS] first, repeated positions, padding slots at position 0
+    "none-queries-unbatched": (Scheme.NONE, 1, 4, 0, 0, (5, 4), None, 0.4, np.array([0, 3, 3])),
+    "frpe-queries-past-max-len": (Scheme.FRPE, 2, 2, 3, 0, (2, 8, 4), lengths_mask([8, 5], 8),
+                                  0.2, np.array([[0, 7, 2], [0, 4, 0]])),
+    "prpe-queries-clip-below-n": (Scheme.PRPE, 2, 4, 7, 2, (3, 7, 8), lengths_mask([7, 2, 6], 7),
+                                  0.3, np.array([[0, 6], [0, 0], [5, 1]])),
 }
 
 
 def run_attention_case(block, case, seed=31):
     """Output and every gradient (x, the five weights, the PRPE banks) of
     ``block`` on a case, under a random upstream gradient."""
-    scheme, heads, d_z, max_len, clip, shape, mask, rate = case
+    scheme, heads, d_z, max_len, clip, shape, mask, rate, *queries = case
     cfg = AttentionConfig(num_heads=heads, d_model=heads * d_z, scheme=scheme,
                           attn_dropout=rate)
     weights = make_weights(cfg, seed=seed)
@@ -453,7 +466,7 @@ def run_attention_case(block, case, seed=31):
              if scheme.relative else None)
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
-    out = block(x, weights, cfg, table, mask, np.random.default_rng(seed + 1))
+    out = block(x, weights, cfg, table, mask, np.random.default_rng(seed + 1), *queries)
     (out * Tensor(rng.normal(size=out.shape))).sum().backward()
     leaves = {"x": x, **weights.parameters(),
               **(table.parameters() if table is not None else {})}

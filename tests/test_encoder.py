@@ -4,12 +4,12 @@ import pytest
 import relpe.attention
 import relpe.optim
 from relpe.data import PAD_ID, PretrainExample
-from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
+from relpe.encoder import EncoderConfig, EncoderModel, ForwardOutput, pretrain_loss
 from relpe.gradcheck import check_gradients
 from relpe.optim import PrecisionPolicy, make_optimizer, round_half, training_step
 from relpe.posenc import Scheme
 from relpe.synth import make_offset_copy_examples
-from relpe.tensor import Tensor, value_filter
+from relpe.tensor import Tensor, affine, gelu, layer_norm, value_filter
 
 
 def tiny_config(**kw):
@@ -124,8 +124,11 @@ class TestEmbedInputs:
 class TestForward:
     def test_shapes(self):
         model = EncoderModel(tiny_config(), seed=2)
-        out = model.pretrain_forward(tiny_example())   # a batch of one
-        assert out.states.data.shape == (1, 7, 8)
+        ex = tiny_example()
+        out = model.pretrain_forward(ex)                # a batch of one
+        assert out.slot_states.data.shape == (1, 3, 8)  # [CLS] and two predictions
+        np.testing.assert_array_equal(out.slot_positions, [[0, 1, 4]])
+        assert model.encode([ex.tokens], [ex.segments]).data.shape == (1, 7, 8)
         assert out.pooled.data.shape == (1, 8)
         assert out.mlm_logits.data.shape == (2, 16)
         assert out.nsp_logits.data.shape == (1, 2)
@@ -144,8 +147,8 @@ class TestForward:
         a = model.pretrain_forward(ex, rng=np.random.default_rng(1))
         b = model.pretrain_forward(ex, rng=np.random.default_rng(1))
         c = model.pretrain_forward(ex, rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(a.states.data, b.states.data)
-        assert not np.array_equal(a.states.data, c.states.data)
+        np.testing.assert_array_equal(a.slot_states.data, b.slot_states.data)
+        assert not np.array_equal(a.slot_states.data, c.slot_states.data)
 
     def test_pooled_is_tanh_bounded(self):
         model = EncoderModel(tiny_config(), seed=3)
@@ -281,6 +284,16 @@ class SlicedDraws:
         return full[(self.b, *(slice(0, size) for size in shape[1:]))][None]
 
 
+def padded(batch):
+    """Token and segment ids padded to (B, n), and the (B, n) validity mask."""
+    n = max(len(ex.tokens) for ex in batch)
+    tokens = np.full((len(batch), n), PAD_ID)
+    segments = np.zeros((len(batch), n), dtype=int)
+    for i, ex in enumerate(batch):
+        tokens[i, :len(ex.tokens)], segments[i, :len(ex.segments)] = ex.tokens, ex.segments
+    return tokens, segments, np.arange(n) < np.array([len(ex.tokens) for ex in batch])[:, None]
+
+
 def run_batched(model, batch, rng=None):
     for p in model.parameters().values():
         p.zero_grad()
@@ -346,10 +359,17 @@ class TestBatchedForward:
         batch = mixed_batch()
         out = model.pretrain_forward(batch)
         alone = model.pretrain_forward(batch[3])        # the shortest example
-        n = len(batch[3].tokens)
-        np.testing.assert_allclose(out.states.data[3, :n], alone.states.data[0],
+        k = 1 + len(batch[3].predict_positions)
+        np.testing.assert_allclose(out.slot_states.data[3, :k], alone.slot_states.data[0],
                                    rtol=0, atol=1e-12)
-        assert out.states.data.shape == (4, 9, 8)
+        assert out.slot_states.data.shape == (4, 4, 8)  # 1 + the most predictions
+        tokens, segments, mask = padded(batch)
+        states = model.encode(tokens, segments, mask=mask).data
+        n = len(batch[3].tokens)
+        np.testing.assert_allclose(
+            states[3, :n], model.encode([batch[3].tokens], [batch[3].segments]).data[0],
+            rtol=0, atol=1e-12)
+        assert states.shape == (4, 9, 8)
         np.testing.assert_array_equal(out.predict_examples,
                                       np.repeat(np.arange(4), [len(ex.predict_positions)
                                                                for ex in batch]))
@@ -444,6 +464,67 @@ class TestBatchedForward:
             model.pretrain_forward([])
 
 
+def full_rows_forward(model, examples, rng=None):
+    """The forward before the last layer ran only at the heads' rows, kept as
+    the oracle: every final state from ``encode``, then the heads on the
+    gathered rows. Its slots are every position."""
+    tokens, segments, mask = padded(examples)
+    b, n = tokens.shape
+    states = model.encode(tokens, segments, mask=None if mask.all() else mask, rng=rng)
+    positions = [np.asarray(ex.predict_positions, dtype=np.intp) for ex in examples]
+    owners = np.repeat(np.arange(b), [pos.size for pos in positions])
+    positions = np.concatenate(positions)
+    rows = states.reshape(b * n, model.cfg.d_model)
+    pooled = affine(rows.take_rows(np.arange(b) * n), model.pooler_w, model.pooler_b).tanh()
+    nsp_logits = affine(pooled, model.nsp_w, model.nsp_b)
+    if positions.size:
+        h = rows.take_rows(owners * n + positions)
+        h = gelu(affine(h, model.mlm_dense_w, model.mlm_dense_b))
+        h = layer_norm(h, model.mlm_ln_gamma, model.mlm_ln_beta)
+        mlm_logits = affine(h, model.token_embedding.T, model.mlm_output_bias)
+    else:
+        mlm_logits = Tensor(np.zeros((0, model.cfg.vocab_size)))
+    return ForwardOutput(slot_states=states, slot_positions=np.tile(np.arange(n), (b, 1)),
+                         pooled=pooled, mlm_logits=mlm_logits, nsp_logits=nsp_logits,
+                         predict_examples=owners)
+
+
+class TestLastLayerAtQueryRows:
+    """The pruned last layer gives the full-row forward's logits, loss,
+    metrics and every gradient."""
+
+    @staticmethod
+    def run(model, batch, forward, rng_seed):
+        for p in model.parameters().values():
+            p.zero_grad()
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        out = forward(model, batch, rng)
+        loss, metrics = pretrain_loss(out, batch)
+        loss.backward()
+        return out, loss.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_matches_full_row_forward(self, case, dropout):
+        model = EncoderModel(tiny_config(**BATCH_CASES[case], hidden_dropout=dropout,
+                                         attn_dropout=dropout), seed=17)
+        # padded; example 1 predicts nothing, examples 2 and 3 predict position 0
+        batch = mixed_batch()
+        seed = 8 if dropout else None
+        got = self.run(model, batch, EncoderModel.pretrain_forward, seed)
+        want = self.run(model, batch, full_rows_forward, seed)
+        for name in ("pooled", "mlm_logits", "nsp_logits"):
+            np.testing.assert_allclose(getattr(got[0], name).data, getattr(want[0], name).data,
+                                       rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_array_equal(got[0].predict_examples, want[0].predict_examples)
+        slots = got[0].slot_positions
+        np.testing.assert_array_equal(slots, [[0, 4, 7, 8], [0, 0, 0, 0],
+                                              [0, 0, 4, 0], [0, 0, 2, 0]])
+        states = np.take_along_axis(want[0].slot_states.data, slots[..., None], axis=1)
+        np.testing.assert_allclose(got[0].slot_states.data, states, rtol=0, atol=1e-12)
+        assert_runs_agree(got[1:], want[1:])
+
+
 def graph_nodes(loss: Tensor) -> int:
     """Recorded nodes (tensors with a backward pass) reachable from ``loss``."""
     seen, stack = set(), [loss]
@@ -461,8 +542,10 @@ class TestNodeBudget:
     Layer norm, softmax, GeLU, log-softmax + NLL, every ``x @ W + b`` and each
     attention block's heads are one node each; before the first four were
     fused these graphs had 188 and 192 nodes, and 88 and 92 before the last
-    two. A change that lowers a count updates the number here; one that
-    raises it says why in CHANGES.md.
+    two. Running the last layer only at the heads' rows added three (a
+    reshape, a row gather and a reshape pick that layer's residual rows). A
+    change that lowers a count updates the number here; one that raises it
+    says why in CHANGES.md.
     """
 
     def test_acceptance_gradcheck_config(self):
@@ -472,7 +555,7 @@ class TestNodeBudget:
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
-        assert graph_nodes(loss) == 36
+        assert graph_nodes(loss) == 39
 
     def test_toy_mlm_batch(self):
         # the toy-MLM benchmark model (test 09's config) on a padded batch of four
@@ -480,7 +563,7 @@ class TestNodeBudget:
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
-        assert graph_nodes(loss) == 36
+        assert graph_nodes(loss) == 39
 
 
 def force_exact_off(monkeypatch):
@@ -544,8 +627,8 @@ class TestRoundingBudget:
     number here; one that raises it says why in CHANGES.md."""
 
     @pytest.mark.parametrize("scheme, calls, forced_off", [
-        (Scheme.NONE, 106, 128), (Scheme.PAPE, 108, 133), (Scheme.PRPE, 112, 140),
-        (Scheme.FRPE, 106, 128)], ids=lambda v: getattr(v, "value", v))
+        (Scheme.NONE, 106, 134), (Scheme.PAPE, 108, 139), (Scheme.PRPE, 112, 146),
+        (Scheme.FRPE, 106, 134)], ids=lambda v: getattr(v, "value", v))
     def test_calls_per_step(self, scheme, calls, forced_off, monkeypatch):
         count = [0]
         real = relpe.optim.round_half

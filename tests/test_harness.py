@@ -115,6 +115,7 @@ class TestRunConfig:
         (None, "lexicon", ["words.txt"]),
         (None, "out_dir", 7),
         (None, "out_dir", None),
+        (None, "out_dir", ""),
         ("precision", "loss_scale", True),
         ("precision", "loss_scale", "1024"),
     ])
@@ -639,6 +640,7 @@ class TestCli:
         (None, "train_examples", True),
         (None, "train_examples", 5),
         (None, "out_dir", 7),
+        (None, "out_dir", ""),
         ("precision", "loss_scale", True),
     ])
     def test_pretrain_rejects_bad_number_before_training(self, tmp_path, capsys,

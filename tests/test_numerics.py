@@ -135,19 +135,28 @@ class TestLayerNorm:
 TWO_LENGTHS = np.array([[True, True, True], [True, True, False]])
 
 
-def attention_case(scheme):
+def attention_case(scheme, queries=None):
     """One-head attention on a as two length-3 sequences of width 2; b holds
-    the projections and, for PRPE, both clip-1 banks (clip 1 < n = 3)."""
+    the projections and, for PRPE, both clip-1 banks (clip 1 < n = 3).
+    "frpe" passes FRPE vectors as offset rows, "frpe_rows" as the absolute
+    rows P; ``queries`` computes only those rows of each sequence."""
     def op(a, b):
         w = b.reshape(3, 2, 2)
-        r_k = r_v = None
+        r_k = r_v = rows = None
         if scheme == "frpe":
             r_k = r_v = Tensor(frpe_vector(np.arange(-2, 3), 2))
+        elif scheme == "frpe_rows":
+            rows = frpe_vector(np.arange(3), 2)
         elif scheme == "prpe":
             clipped = np.clip(np.arange(-2, 3), -1, 1) + 1
             r_k, r_v = b[:, :2].take_rows(clipped), b[:, 2:].take_rows(clipped)
-        return attention(a.reshape(2, 3, 2), w[0], w[1], w[2], 1, r_k, r_v, mask=TWO_LENGTHS)
+        return attention(a.reshape(2, 3, 2), w[0], w[1], w[2], 1, r_k, r_v, mask=TWO_LENGTHS,
+                         frpe_rows=rows, queries=queries)
     return op
+
+
+# Query rows of the two sequences: repeated positions and a padding slot at 0.
+QUERY_ROWS = np.array([[0, 2, 2], [1, 0, 0]])
 
 
 class TestAutodiffPrimitives:
@@ -183,6 +192,9 @@ class TestAutodiffPrimitives:
         "attention_none": attention_case("none"),
         "attention_frpe": attention_case("frpe"),
         "attention_prpe_clipped": attention_case("prpe"),
+        "attention_none_queries": attention_case("none", QUERY_ROWS),
+        "attention_frpe_rows_queries": attention_case("frpe_rows", QUERY_ROWS),
+        "attention_prpe_clipped_queries": attention_case("prpe", QUERY_ROWS),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -9,7 +9,6 @@ one exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 from pathlib import Path
@@ -33,13 +32,10 @@ def save_checkpoint(path, params: dict[str, Tensor], optimizer: _MomentOptimizer
     path.mkdir(parents=True, exist_ok=True)
     tensors = []
     offset = 0
-    payload = io.BytesIO()
     for name, p in params.items():
-        raw = np.ascontiguousarray(p.data, dtype="<f4")
         tensors.append({"name": name, "shape": list(p.data.shape),
-                        "offset": offset, "numel": int(raw.size)})
-        payload.write(raw.tobytes())
-        offset += raw.size * 4
+                        "offset": offset, "numel": p.data.size})
+        offset += p.data.size * 4
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config_dict,
@@ -48,7 +44,8 @@ def save_checkpoint(path, params: dict[str, Tensor], optimizer: _MomentOptimizer
         "metrics": metrics or {},
         "tensors": tensors,
     }
-    (path / "params.bin").write_bytes(payload.getvalue())
+    masters = np.concatenate([p.data for p in params.values()], axis=None)
+    (path / "params.bin").write_bytes(masters.astype("<f4").tobytes())
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                         encoding="utf-8")
     state = {"step": np.asarray(0 if optimizer is None else optimizer.state.step)}
@@ -102,14 +99,13 @@ def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
             raise CheckpointError(
                 f"params.bin truncated: tensor {name!r} needs bytes "
                 f"[{start}, {start + nbytes}) of {len(raw)}")
-        arr = np.frombuffer(raw[start:start + nbytes], dtype="<f4")
-        p.data = arr.astype(np.float64).reshape(p.data.shape)
+        p.data[...] = np.frombuffer(raw[start:start + nbytes], dtype="<f4").reshape(p.data.shape)
     return manifest
 
 
 def load_optimizer_state(path, params: dict[str, Tensor],
                          optimizer: _MomentOptimizer | None = None):
-    """Restore full-precision masters (into params) and optimizer moments."""
+    """Restore full-precision masters and optimizer moments, in place."""
     file = Path(path) / "optstate.bin"
     try:
         with np.load(file) as npz:
@@ -122,16 +118,21 @@ def load_optimizer_state(path, params: dict[str, Tensor],
         key = f"master::{name}"
         if key not in state:
             raise CheckpointError(f"optimizer state missing master weights for {name!r}")
-        master = state[key]
-        if master.shape != p.data.shape:
+        if state[key].shape != p.data.shape:
             raise CheckpointError(f"master shape mismatch for tensor {name!r}")
-        p.data = master.astype(np.float64)
+        p.data[...] = state[key]
     if optimizer is not None:
+        st = optimizer.state
         try:
-            optimizer.state.step = int(state["step"])
+            st.step = int(state["step"])
             for name in params:
-                if f"m::{name}" in state:
-                    optimizer.state.m[name] = state[f"m::{name}"].astype(np.float64)
-                    optimizer.state.v[name] = state[f"v::{name}"].astype(np.float64)
+                if f"m::{name}" not in state:     # saved before the first step
+                    continue
+                for key, moment in ((f"m::{name}", st.m[name]), (f"v::{name}", st.v[name])):
+                    if state[key].shape != moment.shape:
+                        raise CheckpointError(
+                            f"moment shape mismatch for {key!r}: checkpoint "
+                            f"{list(state[key].shape)}, model {list(moment.shape)}")
+                    moment[...] = state[key]
         except KeyError as exc:
             raise CheckpointError(f"optimizer state {file} has no entry {exc}")

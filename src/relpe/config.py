@@ -21,6 +21,8 @@ class ConfigError(ValueError):
 
 
 def _from_mapping(cls, data: dict, context: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object, not {data!r}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:

@@ -52,9 +52,11 @@ class EncoderConfig:
         for name in ("vocab_size", "d_model", "ffn_size", "num_layers", "num_heads",
                      "max_seq_len", "prpe_clip", "type_vocab_size"):
             require_number(self, name, int, 1)
-        self.attention_config()  # validates the head geometry and attn_dropout
-        if not 0.0 <= self.hidden_dropout < 1.0:
-            raise ValueError(f"hidden_dropout={self.hidden_dropout} must be in [0, 1)")
+        for name in ("hidden_dropout", "attn_dropout"):
+            require_number(self, name, float, 0)
+            if not getattr(self, name) < 1.0:
+                raise ValueError(f"{name}={getattr(self, name)!r} must be < 1")
+        self.attention_config()  # validates the head geometry
 
     @property
     def d_z(self) -> int:

@@ -103,75 +103,62 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-6
 
 @dataclass
 class OptimizerState:
-    weight_decay: float = 0.01
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-class _Layout:
-    """Flat float64 masters ``w``, moments ``m``/``v``, gradient ``g`` and scratch ``a``
-    of the blocks ``key`` ((name, tensor, shape), ...); block i is ``spans[i]``.
-    ``decay`` holds each element's weight decay: 0.0 on excluded blocks."""
-
-    def __init__(self, key, excluded: list[bool], trust_scaling: bool, weight_decay: float):
-        sizes = [math.prod(shape) for _, _, shape in key]
-        ends = np.cumsum(sizes).tolist()
-        self.key, self.spans = key, list(zip([0] + ends[:-1], ends))
-        self.scaled = [span for span, x in zip(self.spans, excluded) if trust_scaling and not x]
-        self.weight_decay = weight_decay
-        self.decay = np.repeat([0.0 if x else weight_decay for x in excluded], sizes)
-        self.w, self.m, self.v, self.g, self.a = (np.zeros(ends[-1]) for _ in range(5))
-        self.wv, self.mv, self.vv = map(self.split, (self.w, self.m, self.v))
-
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[lo:hi].reshape(k[2]) for (lo, hi), k in zip(self.spans, self.key)]
-
-    def gather(self, grads) -> np.ndarray:
-        grads = [np.zeros(w.shape) if g is None else g for g, w in zip(grads, self.wv)]
-        return np.concatenate(grads, axis=None, out=self.g)
-
-
-def _bound(view: np.ndarray, array) -> np.ndarray:
-    """``view``, first overwritten with ``array`` (zeros for None) unless it is ``array``."""
-    if array is not view:
-        view[...] = 0.0 if array is None else array
-    return view
-
-
 class _MomentOptimizer:
-    """Shared Adam-style moment machinery; subclasses scale the update. ``p.data`` and
-    ``state.m``/``state.v`` are views of one ``_Layout``; replaced arrays are copied in."""
+    """Shared Adam-style moment machinery; subclasses scale the update.
+
+    The constructor lays ``params`` out once in flat float64 buffers: masters
+    ``w``, moments ``m``/``v``, gradient ``g`` and scratch ``a``, block i at
+    ``spans[i]``. Every ``p.data`` and ``state.m``/``state.v`` entry is a view
+    of them from then on; ``decay`` holds each element's weight decay (0.0 on
+    excluded blocks).
+    """
 
     trust_scaling = False
 
-    def __init__(self, weight_decay=0.01):
-        self.state = OptimizerState(weight_decay=weight_decay)
-        self._flat: _Layout | None = None
+    def __init__(self, params: dict[str, Tensor], weight_decay=0.01):
+        self.params = dict(params)
+        self.shapes = [p.data.shape for p in self.params.values()]
+        sizes = [p.data.size for p in self.params.values()]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = list(zip([0] + ends[:-1], ends))
+        excluded = [default_exclusion(name) for name in self.params]
+        self.scaled = [span for span, x in zip(self.spans, excluded)
+                       if self.trust_scaling and not x]
+        self.decay = np.repeat([0.0 if x else weight_decay for x in excluded], sizes)
+        self.w = np.concatenate([p.data for p in self.params.values()], axis=None)
+        self.m, self.v, self.g, self.a = (np.zeros(self.w.size) for _ in range(4))
+        self.state = OptimizerState(m=dict(zip(self.params, self.split(self.m))),
+                                    v=dict(zip(self.params, self.split(self.v))))
+        self.bind(self.w)
 
-    def _layout(self, params: dict[str, Tensor]) -> _Layout:
-        """The layout of ``params``, with every ``p.data`` bound to its master view."""
-        key = tuple((n, p, p.data.shape) for n, p in params.items())
-        decay = self.state.weight_decay
-        if self._flat is None or self._flat.key != key or self._flat.weight_decay != decay:
-            excluded = [default_exclusion(name) for name in params]
-            self._flat = _Layout(key, excluded, self.trust_scaling, decay)
-        for p, w in zip(params.values(), self._flat.wv):
-            p.data = _bound(w, p.data)
-        return self._flat
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(self.spans, self.shapes)]
 
-    def step(self, params: dict[str, Tensor], lr: float, grads: dict | np.ndarray | None = None):
+    def bind(self, flat: np.ndarray):
+        """Point every ``p.data`` at its block of ``flat``: the masters or a working copy."""
+        for p, x in zip(self.params.values(), self.split(flat)):
+            p.data = x
+
+    def gather(self, grads) -> np.ndarray:
+        """The flat ``g`` of per-block gradients in parameter order (None: zeros)."""
+        grads = [np.zeros(shape) if g is None else g for g, shape in zip(grads, self.shapes)]
+        return np.concatenate(grads, axis=None, out=self.g)
+
+    def step(self, lr: float, grads: dict | np.ndarray | None = None):
         """One update over all blocks; the step counter advances once per call. ``grads``
-        maps names to gradients (default: each ``p.grad``) or is the layout's flat ``g``."""
-        st, lay = self.state, self._layout(params)
-        if grads is not lay.g:
-            lay.gather(p.grad if grads is None else grads[name] for name, p in params.items())
-        g, m, v, w, a = lay.g, lay.m, lay.v, lay.w, lay.a
+        maps names to gradients (default: each ``p.grad``) or is the flat ``g``."""
+        st, params = self.state, self.params
+        if grads is not self.g:
+            self.gather(p.grad if grads is None else grads[name] for name, p in params.items())
+        g, m, v, w, a = self.g, self.m, self.v, self.w, self.a
         if not np.isfinite(g).all():
-            name = next(n for n, x in zip(params, lay.split(g)) if not np.isfinite(x).all())
+            name = next(n for n, x in zip(params, self.split(g)) if not np.isfinite(x).all())
             raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
-        for name, mv, vv in zip(params, lay.mv, lay.vv):
-            st.m[name], st.v[name] = _bound(mv, st.m.get(name)), _bound(vv, st.v.get(name))
         st.step += 1
         # The per-block update in place: a becomes u, and g (spent) the per-element scale.
         m *= BETA1
@@ -181,9 +168,9 @@ class _MomentOptimizer:
         np.divide(m, 1.0 - BETA1 ** st.step, out=a)
         np.sqrt(np.divide(v, 1.0 - BETA2 ** st.step, out=g), out=g)
         a /= np.add(g, EPS, out=g)
-        a += np.multiply(w, lay.decay, out=g)
+        a += np.multiply(w, self.decay, out=g)
         g.fill(lr)
-        for lo, hi in lay.scaled:   # ||x|| reduces as np.linalg.norm does
+        for lo, hi in self.scaled:   # ||x|| reduces as np.linalg.norm does
             w_norm = math.sqrt(w[lo:hi].dot(w[lo:hi]))
             u_norm = math.sqrt(a[lo:hi].dot(a[lo:hi]))
             if w_norm > 0.0 and u_norm > 0.0:
@@ -201,11 +188,11 @@ class AdamOptimizer(_MomentOptimizer):
     trust_scaling = False
 
 
-def make_optimizer(kind: str, weight_decay=0.01) -> _MomentOptimizer:
+def make_optimizer(kind: str, params: dict[str, Tensor], weight_decay=0.01) -> _MomentOptimizer:
     if kind == "lamb":
-        return LambOptimizer(weight_decay)
+        return LambOptimizer(params, weight_decay)
     if kind == "adam":
-        return AdamOptimizer(weight_decay)
+        return AdamOptimizer(params, weight_decay)
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
@@ -226,9 +213,8 @@ class PrecisionPolicy:
             raise ValueError(f"loss_scale={self.loss_scale!r} must be a power of two >= 1")
 
 
-def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
-                  optimizer: _MomentOptimizer, lr: float):
-    """Run one optimizer step under the precision policy.
+def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer, lr: float):
+    """Run one optimizer step over ``optimizer.params`` under the precision policy.
 
     ``loss_fn`` builds the scalar loss tensor from the parameters' current
     data and returns (loss, metrics). Returns (metrics, skipped): a mixed
@@ -236,31 +222,29 @@ def training_step(policy: PrecisionPolicy, loss_fn, params: dict[str, Tensor],
     untouched. In mixed mode the parameters' data holds the master weights;
     working binary16 copies exist only inside this call.
     """
-    for p in params.values():
+    params = optimizer.params.values()
+    for p in params:
         p.zero_grad()
 
     if policy.mode == "full":
         loss, metrics = loss_fn()
         loss.backward()
-        optimizer.step(params, lr)
+        optimizer.step(lr)
         return metrics, False
 
-    lay = optimizer._layout(params)
     try:
-        for p, working in zip(params.values(), lay.split(round_half(lay.w))):
-            p.data = working
+        optimizer.bind(round_half(optimizer.w))
         with value_filter(round_half):
             loss, metrics = loss_fn()
             # The seed is the loss scale's binary16 value: a power of two past
             # HALF_MAX rounds to inf.
             loss.backward(policy.loss_scale if policy.loss_scale <= HALF_MAX else math.inf)
-        grads = lay.gather(p.grad for p in params.values())
+        grads = optimizer.gather(p.grad for p in params)
         grads /= policy.loss_scale
         overflow = not np.isfinite(grads).all()
     finally:
-        for p, w in zip(params.values(), lay.wv):
-            p.data = w
+        optimizer.bind(optimizer.w)
 
     if not overflow:
-        optimizer.step(params, lr, grads)
+        optimizer.step(lr, grads)
     return metrics, overflow

@@ -33,7 +33,7 @@ class Trainer:
         self.examples = examples
         self.model = EncoderModel(config.model, seed=config.seed)
         self.params = self.model.parameters()
-        self.optimizer = make_optimizer(config.optimizer, config.weight_decay)
+        self.optimizer = make_optimizer(config.optimizer, self.params, config.weight_decay)
         self.step = 0
 
     def _batch_for_step(self, t: int) -> list[PretrainExample]:
@@ -58,8 +58,7 @@ class Trainer:
         lr = lr_at_step(self.config.schedule, t)
         loss_fn = self._loss_fn_for_step(t)
         start = time.monotonic()
-        metrics, skipped = training_step(self.config.precision, loss_fn,
-                                         self.params, self.optimizer, lr)
+        metrics, skipped = training_step(self.config.precision, loss_fn, self.optimizer, lr)
         if self.config.precision.mode == "full" and not np.isfinite(metrics["loss"]):
             raise TrainingDiverged(f"non-finite loss at step {t}: {metrics['loss']}")
         self.step = t

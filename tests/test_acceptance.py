@@ -206,12 +206,12 @@ def test_07_layerwise_adaptive_optimizer():
     # invariant: with zero decay, each step moves w by exactly lr * ||w||
     rng = np.random.default_rng(10)
     p = Tensor(rng.normal(size=50), requires_grad=True)
-    opt = LambOptimizer(weight_decay=0.0)
+    opt = LambOptimizer({"w": p}, weight_decay=0.0)
     invariant_err = 0.0
     for t in range(100):
         before = p.data.copy()
         p.grad = rng.normal(size=50)
-        opt.step({"w": p}, lr=0.01)
+        opt.step(lr=0.01)
         step_norm = float(np.linalg.norm(p.data - before))
         expected = 0.01 * float(np.linalg.norm(before))
         invariant_err = max(invariant_err, abs(step_norm - expected))
@@ -219,17 +219,17 @@ def test_07_layerwise_adaptive_optimizer():
     # dim-100 convex quadratic
     target = np.random.default_rng(11).normal(size=100)
     q = Tensor(np.zeros(100), requires_grad=True)
-    opt2 = LambOptimizer(weight_decay=0.0)
+    opt2 = LambOptimizer({"w": q}, weight_decay=0.0)
     for t in range(2000):
         q.zero_grad()
         ((q - Tensor(target)) ** 2.0).sum().backward()
-        opt2.step({"w": q}, lr=0.05 * (1.0 - t / 2000.0))
+        opt2.step(lr=0.05 * (1.0 - t / 2000.0))
     quad_err = float(np.linalg.norm(q.data - target))
 
     # scalar first step: w=1, g=1 -> w' = 1 - lr (the trust ratio cancels eps)
     s = Tensor(np.ones(1), requires_grad=True)
     s.grad = np.ones(1)
-    LambOptimizer(weight_decay=0.0).step({"w": s}, lr=0.1)
+    LambOptimizer({"w": s}, weight_decay=0.0).step(lr=0.1)
     first_err = abs(float(s.data[0]) - 0.9)
     report(7, "layerwise adaptive optimizer",
            invariant_err < 1e-12 and quad_err < 1e-3 and first_err < 1e-9,
@@ -283,14 +283,14 @@ def test_08_binary16_and_mixed_precision(tmp_path):
 
     # a forced overflow is skipped and leaves the masters untouched
     p = Tensor(np.array([300.0]), requires_grad=True)
-    opt = AdamOptimizer(weight_decay=0.0)
+    opt = AdamOptimizer({"w": p}, weight_decay=0.0)
 
     def overflowing_loss():
         loss = (p * p).sum()
         return loss, {"loss": loss.item()}
 
     _, skipped = training_step(PrecisionPolicy(mode="mixed_emulated"),
-                               overflowing_loss, {"w": p}, opt, lr=0.1)
+                               overflowing_loss, opt, lr=0.1)
     overflow_ok = skipped and p.data[0] == 300.0 and opt.state.step == 0
     report(8, "binary16 and mixed-precision emulation",
            round_ok and rel <= 0.05 and masters_full_precision and overflow_ok,

@@ -584,14 +584,14 @@ def mixed_steps(scheme, steps=2):
     model = EncoderModel(tiny_config(scheme=scheme, hidden_dropout=0.1, attn_dropout=0.1),
                          seed=21)
     params, batch = model.parameters(), mixed_batch()
-    optimizer = make_optimizer("lamb")
+    optimizer = make_optimizer("lamb", params)
     policy = PrecisionPolicy(mode="mixed_emulated", loss_scale=1024.0)
     losses = []
     for t in range(1, steps + 1):
         def loss_fn():
             rng = np.random.default_rng([5, t])
             return pretrain_loss(model.pretrain_forward(batch, rng=rng), batch)
-        metrics, skipped = training_step(policy, loss_fn, params, optimizer, lr=1e-2)
+        metrics, skipped = training_step(policy, loss_fn, optimizer, lr=1e-2)
         assert not skipped
         losses.append(metrics["loss"])
     state = optimizer.state

@@ -118,11 +118,23 @@ class TestRunConfig:
         (None, "out_dir", ""),
         ("precision", "loss_scale", True),
         ("precision", "loss_scale", "1024"),
+        ("model", "hidden_dropout", False),
+        ("model", "attn_dropout", False),
+        ("model", "hidden_dropout", 1.0),
+        ("model", "attn_dropout", math.nan),
     ])
     def test_bad_number_names_the_key(self, section, key, value):
         d = tiny_run_config().to_dict()
         (d[section] if section else d)[key] = value
         with pytest.raises(ConfigError, match=rf"{section or 'run'} config: {key}="):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, value", [
+        ("model", 5), ("schedule", []), ("precision", "mixed"), ("precision", None)])
+    def test_section_that_is_not_an_object_is_named(self, section, value):
+        d = tiny_run_config().to_dict()
+        d[section] = value
+        with pytest.raises(ConfigError, match=rf"^{section} config must be a JSON object"):
             RunConfig.from_dict(d)
 
     def test_invalid_optimizer_rejected(self):
@@ -167,14 +179,11 @@ class TestCheckpoint:
         params = self.params()
         # give the values float64 detail that float32 storage would destroy
         params["embed.token"].data = params["embed.token"].data + 1e-12
-        opt = AdamOptimizer(weight_decay=0.0)
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        opt.step(params, lr=0.01)
+        opt = self.stepped_optimizer(params)
         save_checkpoint(tmp_path / "ckpt", params, opt, {"seed": 0}, step=1)
 
         restored = self.params(seed=99)
-        opt2 = AdamOptimizer(weight_decay=0.0)
+        opt2 = AdamOptimizer(restored, weight_decay=0.0)
         load_checkpoint(tmp_path / "ckpt", restored)
         load_optimizer_state(tmp_path / "ckpt", restored, opt2)
         assert opt2.state.step == 1
@@ -182,6 +191,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(restored[name].data, params[name].data)
             np.testing.assert_array_equal(opt2.state.m[name], opt.state.m[name])
             np.testing.assert_array_equal(opt2.state.v[name], opt.state.v[name])
+            assert np.shares_memory(restored[name].data, opt2.w)
+            assert np.shares_memory(opt2.state.m[name], opt2.m)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         params = self.params()
@@ -212,26 +223,46 @@ class TestCheckpoint:
         state = tmp_path / "ckpt" / "optstate.bin"
         blob = state.read_bytes()
         state.write_bytes(blob[:len(blob) // 2])
+        params = self.params()
         with pytest.raises(CheckpointError, match="optstate.bin"):
-            load_optimizer_state(tmp_path / "ckpt", self.params(),
-                                 AdamOptimizer(weight_decay=0.0))
+            load_optimizer_state(tmp_path / "ckpt", params,
+                                 AdamOptimizer(params, weight_decay=0.0))
+
+    @staticmethod
+    def stepped_optimizer(params):
+        opt = AdamOptimizer(params, weight_decay=0.0)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step(lr=0.01)
+        return opt
+
+    def rewrite_optimizer_state(self, tmp_path, **entries):
+        """Save one Adam step of ``self.params()``, then replace or (value None)
+        drop optstate.bin entries."""
+        params = self.params()
+        save_checkpoint(tmp_path / "ckpt", params, self.stepped_optimizer(params), {}, step=1)
+        state = tmp_path / "ckpt" / "optstate.bin"
+        with np.load(state) as npz:
+            kept = {k: entries.get(k, npz[k]) for k in npz.files}
+        with open(state, "wb") as fh:
+            np.savez(fh, **{k: v for k, v in kept.items() if v is not None})
 
     @pytest.mark.parametrize("entry", ["step", "v::embed.token"])
     def test_missing_optimizer_entry_named(self, tmp_path, entry):
+        self.rewrite_optimizer_state(tmp_path, **{entry: None})
         params = self.params()
-        opt = AdamOptimizer(weight_decay=0.0)
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        opt.step(params, lr=0.01)
-        save_checkpoint(tmp_path / "ckpt", params, opt, {}, step=1)
-        state = tmp_path / "ckpt" / "optstate.bin"
-        with np.load(state) as npz:
-            kept = {k: npz[k] for k in npz.files if k != entry}
-        with open(state, "wb") as fh:
-            np.savez(fh, **kept)
         with pytest.raises(CheckpointError, match=entry):
-            load_optimizer_state(tmp_path / "ckpt", self.params(),
-                                 AdamOptimizer(weight_decay=0.0))
+            load_optimizer_state(tmp_path / "ckpt", params,
+                                 AdamOptimizer(params, weight_decay=0.0))
+
+    @pytest.mark.parametrize("entry", ["m::embed.token", "v::layer0.ffn.w1"])
+    def test_moment_shape_mismatch_named(self, tmp_path, entry):
+        # a (1,) moment would broadcast over the whole block on the next step
+        self.rewrite_optimizer_state(tmp_path, **{entry: np.full(1, 0.7)})
+        params = self.params()
+        with pytest.raises(CheckpointError, match=f"shape mismatch for '{entry}'"):
+            load_optimizer_state(tmp_path / "ckpt", params,
+                                 AdamOptimizer(params, weight_decay=0.0))
 
     def test_format_version_checked(self, tmp_path):
         params = self.params()
@@ -327,6 +358,16 @@ class TestTrainer:
         for name, p in straight.params.items():
             np.testing.assert_array_equal(p.data, resumed.params[name].data)
 
+        # and so do the final checkpoints: params.bin byte for byte, and each
+        # optstate.bin entry bit for bit (the zip's own bytes carry timestamps)
+        def payload(run):
+            ckpt = tmp_path / run / "checkpoint-final"
+            with np.load(ckpt / "optstate.bin") as npz:
+                entries = {k: (npz[k].dtype, npz[k].shape, npz[k].tobytes()) for k in npz.files}
+            return (ckpt / "params.bin").read_bytes(), entries
+
+        assert payload("straight") == payload("resumed")
+
         # per-step metrics agree too, modulo wall-clock time
         def records(run):
             lines = (tmp_path / run / "metrics.jsonl").read_text().splitlines()
@@ -363,6 +404,26 @@ class TestTrainer:
             expected.pop("wall_time")
             r.pop("wall_time")
             assert r == expected
+
+    @staticmethod
+    def assert_optimizer_owns_memory(trainer):
+        opt = trainer.optimizer
+        for name, p in trainer.params.items():
+            assert np.shares_memory(p.data, opt.w), name
+            assert np.shares_memory(opt.state.m[name], opt.m), name
+            assert np.shares_memory(opt.state.v[name], opt.v), name
+
+    def test_parameters_and_moments_stay_views_of_the_optimizer(self, tmp_path):
+        config = tiny_run_config(precision=PrecisionPolicy(mode="mixed_emulated"))
+        trainer = Trainer(config, tiny_examples())
+        trainer.train(out_dir=tmp_path / "run")           # 12 mixed steps, 2 saves
+        self.assert_optimizer_owns_memory(trainer)
+        resumed = Trainer(config, tiny_examples())
+        resumed.resume(tmp_path / "run" / "checkpoint-6")
+        self.assert_optimizer_owns_memory(resumed)
+        assert resumed.optimizer.m.any() and resumed.optimizer.state.step == 6
+        assert not resumed.run_step(7)["skipped"]
+        self.assert_optimizer_owns_memory(resumed)
 
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         config = tiny_run_config(total_steps=0, checkpoint_every=0)
@@ -652,6 +713,17 @@ class TestCli:
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and f"{key}=" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section", ["model", "precision"])
+    def test_pretrain_names_a_section_that_is_not_an_object(self, tmp_path, capsys, section):
+        cfg_path = self.write_init_only_config(tmp_path)
+        d = ({"model": 5, "schedule": {}} if section == "model" else
+             {**json.loads(cfg_path.read_text(encoding="utf-8")), "precision": "mixed"})
+        cfg_path.write_text(json.dumps(d), encoding="utf-8")
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{section} config must be a JSON object" in err
         assert not (tmp_path / "run").exists()
 
     def test_pretrain_applies_valid_overrides(self, tmp_path):

@@ -99,10 +99,10 @@ class TestBuildRelTable:
         before = table.rows.copy()
         # the optimizer only ever sees registered parameters
         dummy = {"w": Tensor(np.ones(3), requires_grad=True), **table.parameters()}
-        opt = AdamOptimizer(weight_decay=0.0)
+        opt = AdamOptimizer(dummy, weight_decay=0.0)
         for _ in range(100):
             dummy["w"].grad = np.ones(3)
-            opt.step(dummy, lr=0.1)
+            opt.step(lr=0.1)
         np.testing.assert_array_equal(table.rows, before)
 
     @pytest.mark.parametrize("scheme", [Scheme.FRPE, Scheme.PRPE])
@@ -214,8 +214,7 @@ class TestAbsTable:
         before = table.data.copy()
         x = model.embed_inputs([5, 9, 3], [0, 0, 1])
         (x * x * Tensor(np.arange(8.0))).sum().backward()
-        opt = AdamOptimizer(weight_decay=0.0)
-        opt.step({"abspos.table": table}, lr=0.01)
+        AdamOptimizer({"abspos.table": table}, weight_decay=0.0).step(lr=0.01)
         assert np.all(np.any(table.data[:3] != before[:3], axis=1))
         np.testing.assert_array_equal(table.data[3:], before[3:])
 

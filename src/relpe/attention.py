@@ -13,22 +13,19 @@ S repeat P's cosine and sine columns over each (sin, cos) pair and J turns
 each pair. Both terms are (n, d_z) x (d_z, n) matmuls plus O(n * d_z)
 elementwise work, and a head needs O(n^2 + n*d_z) memory.
 
-PRPE's learned a_{j-i} has no such identity. It uses the 2n-1 offset rows
-R (row o holds a_{o-(n-1)}) and the relative-shift trick of Transformer-XL
-and Music Transformer: a query is scored against every offset at once,
-q @ R^K.T of shape (n, 2n-1), and ``rel_gather`` picks entry
-(i, j - i + n - 1) for each pair. Values go the other way: ``rel_scatter``
-puts alpha_ij into bucket j - i of row i, and one matmul with R^V sums each
-bucket's encoding. Both are dense matmuls plus O(n^2) index maps through
-(n, 2n-1) arrays.
+PRPE's learned a_{j-i} is row clip(j - i, -k, k) + k of a (2k+1, d_z) bank
+(Shaw et al. 2018). The fused node scores each query against every bank row,
+E = q B_K^T of shape (n, 2k+1), and gathers the entry of each key's row;
+values go the other way: F (n, 2k+1) sums each query's weights per bank row,
+and F B_V adds their encodings. A head needs O(n^2 + n*k) memory. Only the
+composite oracles widen the banks to the 2n-1 offset rows, mapped through
+(n, 2n-1) arrays by the relative shift of Transformer-XL and Music Transformer.
 
 A block can compute only some query rows, given as a (..., r) position
-index: keys and values still come from all n rows, and the scores, softmax
-rows, weighted sums and output are (..., r, .). FRPE takes C and S at the
-query positions; PRPE maps offsets through an explicit (..., r, n) index,
-because the strided shift only covers all n rows (at full rows it is several
-times faster, so full-row calls keep it). The encoder runs its last layer
-this way, at the rows its pretraining heads read.
+index: keys and values still come from all n rows, the scores, softmax rows,
+weighted sums and output are (..., r, .), and both relative terms read the
+query positions. The encoder runs its last layer this way, at the rows its
+pretraining heads read.
 
 A block runs as two autodiff nodes. :func:`attention` projects, scores,
 masks, softmaxes, drops out and sums every head in one NumPy forward and has
@@ -48,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import (Tensor, _check_finite, _gather_offsets, _scatter_offsets, _scatter_rows,
-                     affine, as_tensor, keep_mask, query_index, rel_gather, rel_scatter,
-                     take_queries)
+from .tensor import (Tensor, _check_finite, _scatter_rows, affine, as_tensor, keep_mask,
+                     query_index, rel_gather, rel_scatter, take_queries)
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -195,33 +191,33 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
 
     Computes what the composite ``attention_output(dropout(softmax(
     attention_scores(q, k, table, mask))), v, table)`` does on the heads
-    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z), with the same
-    expressions in the same order, so the forward is bitwise equal to it.
-    The relative terms come from one of two sources, or none:
-    ``r_k``/``r_v`` are (2n-1, d_z) offset-row tensors (PRPE's
-    ``table.block``), used through the relative shift; ``frpe_rows`` is the
-    (n, d_z) array P of FRPE rows a_0 .. a_{n-1}, a constant used through
-    the angle-addition identity with the C, S and J of :func:`_rotation`.
-    Attention dropout (``dropout_rate > 0`` and an ``rng``) draws one mask of
-    the weights' shape, as ``dropout`` does.
+    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z). The relative terms
+    come from PRPE's banks, FRPE's rows, or neither. ``r_k``/``r_v`` are
+    (2k+1, d_z) banks, k read from their shape (k >= n-1 clips no offset):
+    query row i reads row idx_ij = clip(j - pos_i, -k, k) + k for key j.
+    ``frpe_rows`` is the (n, d_z) constant P = a_0 .. a_{n-1}, used through
+    the C, S and J of :func:`_rotation`, C and S at the query positions. The
+    forward uses the composite's expressions in the same order, so it is
+    bitwise equal to it, except that PRPE sums each bank row's weights before
+    the bank matmul. Attention dropout (``dropout_rate > 0`` and an ``rng``)
+    draws one mask of the weights' shape, as ``dropout`` does.
 
     ``queries`` (..., r), one row of positions per sequence, computes only
-    those query rows: keys and values still come from all n rows, and the
-    output is (..., r, d_model), row m being what the full call gives at
-    position ``queries[..., m]``. Positions may repeat. FRPE then takes the
-    rows of C and S at the query positions; PRPE gathers and scatters through
-    an explicit (..., r, n) offset index instead of the strided relative
-    shift, which only covers all n rows. The dropout mask is drawn at the
-    full (..., H, n, n) shape and its query rows kept, so the RNG stream and
-    every mask value match the full call.
+    those query rows (pos_i = ``queries[..., i]``; else pos_i = i): keys and
+    values still come from all n rows, and the output is (..., r, d_model),
+    row m being what the full call gives at position ``queries[..., m]``.
+    Positions may repeat. The dropout mask is drawn at the full (..., H, n, n)
+    shape and its query rows kept, so the RNG stream and every mask value
+    match the full call.
 
     The backward pass is closed form (FlashAttention's algebra plus the
     relative terms), with W the softmax weights, A = W * keep the dropped-out
     ones and dO the merged-heads gradient split per head:
     dA = dO v^T + rel_A, dS = W (dA keep - rowsum(dA keep W)) / sqrt(d_z),
-    dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With offset rows,
-    rel_A = gather(dO R_V^T), rel_q = scatter(dS) R_K, dR_K = sum scatter(dS)^T q
-    and dR_V = sum scatter(A)^T dO. With FRPE rows,
+    dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With PRPE banks and
+    bucket() the per-bank-row sums through the forward's index,
+    rel_A = gather(dO B_V^T), rel_q = bucket(dS) B_K, dB_K = sum bucket(dS)^T q
+    and dB_V = sum bucket(A)^T dO. With FRPE rows,
     rel_A = (dO C + (dO J) S) P^T and, with y' = dS P, rel_q = y' C + (y' J^T) S;
     the rows are constants and get no gradient. With ``queries``, the
     query projection's dx is scattered back to the query positions.
@@ -231,21 +227,22 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     if d_model % num_heads != 0:
         raise ValueError(f"num_heads={num_heads} does not divide d_model={d_model}")
     d_z = d_model // num_heads
-    for r, m in ((r_k, 2 * n - 1), (r_v, 2 * n - 1), (frpe_rows, n)):
-        if r is not None and r.shape != (m, d_z):
-            raise ValueError(f"relative rows of shape {r.shape}, expected {(m, d_z)}")
-    x_q, n_q, index, offsets = x.data, n, None, None
+    if frpe_rows is not None and frpe_rows.shape != (n, d_z):
+        raise ValueError(f"relative rows of shape {frpe_rows.shape}, expected {(n, d_z)}")
+    banks = [r.shape for r in (r_k, r_v) if r is not None]
+    if banks and (banks != [banks[0][:1] + (d_z,)] * 2 or banks[0][0] % 2 == 0):
+        raise ValueError(f"relative banks r_k, r_v of shapes {banks} must share one "
+                         f"shape (2k+1, {d_z})")
+    b = len(lead)
+    x_q, n_q, index, pos = x.data, n, None, np.arange(n).reshape((1,) * b + (n,))
     if queries is not None:
         queries = np.asarray(queries, dtype=np.intp)
-        if (queries.shape[:-1] != tuple(lead) or queries.ndim != len(lead) + 1
+        if (queries.shape[:-1] != tuple(lead) or queries.ndim != b + 1
                 or queries.size == 0 or queries.min() < 0 or queries.max() >= n):
             raise ValueError(f"queries of shape {queries.shape} must hold positions in "
                              f"[0, {n}), one nonempty row per sequence of {tuple(lead)}")
-        x_q, n_q, index = take_queries(x.data, queries), queries.shape[-1], query_index(queries, n)
-        if r_k is not None or r_v is not None:
-            # column j - i + n - 1 of query row i, one index for every head
-            offsets = np.expand_dims(np.arange(n) - queries[..., None] + (n - 1), -3)
-    b = len(lead)
+        x_q, n_q, index, pos = take_queries(x.data, queries), queries.shape[-1], \
+            query_index(queries, n), queries
     swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
     if mask is not None:
         valid, fill = _mask_arrays(mask, (*lead, num_heads, n_q, n))
@@ -255,11 +252,20 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
                for inp, w, m in ((x_q, wq, n_q), (x.data, wk, n), (x.data, wv, n)))
     p = q @ np.swapaxes(k, -1, -2)
     if r_k is not None:
-        p += _gather(q @ r_k.data.T, offsets)
+        clip, width = r_k.shape[0] // 2, r_k.shape[0]
+        # bank row of (query row i, key j), one index for every head, and its
+        # bucket among the width buckets of each (..., H, r) row
+        idx = np.expand_dims(np.clip(np.arange(n) - pos[..., None], -clip, clip) + clip, -3)
+        flat = (np.arange(p.size // n).reshape(*p.shape[:-1], 1) * width + idx).reshape(-1)
+        p += np.take_along_axis(q @ r_k.data.T, idx, axis=-1)
+
+        def bucket(a):
+            """Sums (..., r, width) of (..., r, n) ``a`` over the keys of each bank row."""
+            return np.bincount(flat, a.reshape(-1), flat.size // n * width).reshape(
+                *a.shape[:-1], width)
     if frpe_rows is not None:
         c, s, turn = _rotation(frpe_rows)
-        if queries is not None:
-            c, s = (np.expand_dims(t[queries], -3) for t in (c, s))
+        c, s = (np.expand_dims(t[pos], -3) for t in (c, s))
         p += (q * c + (q @ turn) * s) @ frpe_rows.T
     p *= scale
     if mask is not None:
@@ -275,10 +281,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     a = p if keep is None else p * keep
     out = a @ v
     if r_v is not None:
-        a_rel = _scatter(a, offsets)
-        out += a_rel @ r_v.data
+        f = bucket(a)
+        out += f @ r_v.data
         if not r_v.requires_grad:
-            a_rel = None                          # only dR_V reads it
+            f = None                              # only dB_V reads it
     if frpe_rows is not None:
         y = a @ frpe_rows
         out += y * c + (y @ turn.T) * s
@@ -287,9 +293,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         g_o = g.reshape(*lead, n_q, num_heads, d_z).transpose(swap)
         d_s = g_o @ np.swapaxes(v, -1, -2)
         if r_v is not None:
-            d_s += _gather(g_o @ r_v.data.T, offsets)
+            d_s += np.take_along_axis(g_o @ r_v.data.T, idx, axis=-1)
             if r_v.requires_grad:
-                r_v._accumulate(_rows(a_rel).T @ _rows(g_o))
+                r_v._accumulate(_rows(f).T @ _rows(g_o))
         if frpe_rows is not None:
             d_s += (g_o * c + (g_o @ turn) * s) @ frpe_rows.T
         d_v = np.swapaxes(a, -1, -2) @ g_o
@@ -302,7 +308,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         d_s *= scale
         d_q = d_s @ k
         if r_k is not None:
-            d_rel = _scatter(d_s, offsets)
+            d_rel = bucket(d_s)
             d_q += d_rel @ r_k.data
             if r_k.requires_grad:
                 r_k._accumulate(_rows(d_rel).T @ _rows(q))
@@ -326,21 +332,6 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     return Tensor._make(out.transpose(swap).reshape(*lead, n_q, d_model), parents, bwd)
 
 
-def _gather(x: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
-    """Offset-indexed (..., r, 2n-1) to position-indexed (..., r, n): the strided
-    relative shift for all n rows, else entry (i, offsets[..., i, j]) of each row."""
-    return _gather_offsets(x) if offsets is None else np.take_along_axis(x, offsets, axis=-1)
-
-
-def _scatter(a: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
-    """The inverse of :func:`_gather`: zeros of (..., r, 2n-1) with a's entries placed."""
-    if offsets is None:
-        return _scatter_offsets(a)
-    out = np.zeros(a.shape[:-1] + (2 * a.shape[-1] - 1,))
-    np.put_along_axis(out, offsets, a, axis=-1)
-    return out
-
-
 def _rows(a: np.ndarray) -> np.ndarray:
     """``a`` as a matrix of its last axis: (prod of leading axes, last)."""
     return a.reshape(-1, a.shape[-1])
@@ -355,7 +346,7 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
 
     ``x`` is (n, d_model) or a batch (..., n, d_model). The same relative
     rows serve every sequence and head: FRPE's n absolute rows from one
-    ``table.block`` call, or PRPE's offset rows of each role. ``mask`` marks
+    ``table.block`` call, or PRPE's two banks. ``mask`` marks
     valid positions, (n,) or (..., n). ``queries`` (..., r) computes only
     those query rows, and the block's output is (..., r, d_model).
     """
@@ -369,7 +360,7 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
         if table.rows is not None:
             rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
         else:
-            r_k, r_v = table.block(n, role="K"), table.block(n, role="V")
+            r_k, r_v = table.bank_k, table.bank_v
     merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,
                        mask, cfg.attn_dropout, rng, rows, queries)
     return affine(merged, weights.wo, weights.bo)

@@ -73,11 +73,11 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
-    """Load stored values into ``params`` (float32 widened to float64).
+def read_checkpoint(path, params: dict[str, Tensor]) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest and each parameter's stored values (float32 widened to float64).
 
-    Refuses to load on any name or shape mismatch, naming the tensor.
-    Returns the manifest.
+    Checks every name, shape and size against ``params`` first, and raises a
+    CheckpointError naming the first tensor that does not fit.
     """
     path = Path(path)
     manifest = load_manifest(path)
@@ -88,24 +88,34 @@ def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
     if missing or extra:
         raise CheckpointError(
             f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    values = {}
     for name, p in params.items():
         t = stored[name]
-        if tuple(t["shape"]) != p.data.shape:
+        if tuple(t["shape"]) != p.data.shape or t["numel"] != p.data.size:
             raise CheckpointError(
-                f"shape mismatch for tensor {name!r}: checkpoint {t['shape']}, "
-                f"model {list(p.data.shape)}")
+                f"shape mismatch for tensor {name!r}: checkpoint {t['shape']} "
+                f"({t['numel']} values), model {list(p.data.shape)}")
         start, nbytes = t["offset"], t["numel"] * 4
         if start + nbytes > len(raw):
             raise CheckpointError(
                 f"params.bin truncated: tensor {name!r} needs bytes "
                 f"[{start}, {start + nbytes}) of {len(raw)}")
-        p.data[...] = np.frombuffer(raw[start:start + nbytes], dtype="<f4").reshape(p.data.shape)
+        values[name] = np.frombuffer(raw[start:start + nbytes], dtype="<f4").reshape(p.data.shape)
+    return manifest, values
+
+
+def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
+    """Load stored values into ``params``, once all fit; returns the manifest."""
+    manifest, values = read_checkpoint(path, params)
+    for name, p in params.items():
+        p.data[...] = values[name]
     return manifest
 
 
 def load_optimizer_state(path, params: dict[str, Tensor],
                          optimizer: _MomentOptimizer | None = None):
-    """Restore full-precision masters and optimizer moments, in place."""
+    """Restore full-precision masters and optimizer moments in place, once every
+    entry is present with its shape: a load that raises changes nothing."""
     file = Path(path) / "optstate.bin"
     try:
         with np.load(file) as npz:
@@ -114,25 +124,22 @@ def load_optimizer_state(path, params: dict[str, Tensor],
         # A truncated or corrupt zip fails in any of these ways, depending on
         # which bytes are damaged.
         raise CheckpointError(f"cannot read optimizer state {file}: {exc}")
-    for name, p in params.items():
-        key = f"master::{name}"
-        if key not in state:
-            raise CheckpointError(f"optimizer state missing master weights for {name!r}")
-        if state[key].shape != p.data.shape:
-            raise CheckpointError(f"master shape mismatch for tensor {name!r}")
-        p.data[...] = state[key]
+    live = {f"master::{name}": p.data for name, p in params.items()}
     if optimizer is not None:
-        st = optimizer.state
-        try:
-            st.step = int(state["step"])
-            for name in params:
-                if f"m::{name}" not in state:     # saved before the first step
-                    continue
-                for key, moment in ((f"m::{name}", st.m[name]), (f"v::{name}", st.v[name])):
-                    if state[key].shape != moment.shape:
-                        raise CheckpointError(
-                            f"moment shape mismatch for {key!r}: checkpoint "
-                            f"{list(state[key].shape)}, model {list(moment.shape)}")
-                    moment[...] = state[key]
-        except KeyError as exc:
-            raise CheckpointError(f"optimizer state {file} has no entry {exc}")
+        live["step"] = None                      # a scalar, not a live array
+        for name in params:
+            if f"m::{name}" in state:            # no m:: entry: saved before the first step
+                live[f"m::{name}"], live[f"v::{name}"] = optimizer.state.m[name], \
+                    optimizer.state.v[name]
+    for key, array in live.items():
+        if key not in state:
+            raise CheckpointError(f"optimizer state {file} has no entry {key!r}")
+        want = () if array is None else array.shape
+        if state[key].shape != want:
+            raise CheckpointError(f"optimizer state shape mismatch for {key!r}: checkpoint "
+                                  f"{list(state[key].shape)}, model {list(want)}")
+    for key, array in live.items():
+        if array is not None:
+            array[...] = state[key]
+    if optimizer is not None:
+        optimizer.state.step = int(state["step"])

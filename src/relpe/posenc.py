@@ -6,10 +6,10 @@ one (2n-1, d_z) array. FRPE vectors are a pure function of the signed offset
 j - i: any length works, lookups never modify the table, and the table
 registers no parameters. Attention reads one FRPE block per layer and uses
 only its upper half, the n absolute rows a_0 .. a_{n-1}, through the
-angle-addition identity. PRPE keeps two learned banks (key and value roles)
-indexed by the clipped offset; attention reads one block per role and maps
-scores and weights between positions and offsets with the relative shift.
-Either way relative attention needs O(n^2 + n*d_z) memory per head.
+angle-addition identity. PRPE keeps two learned (2k+1, d_z) banks (key and
+value roles) indexed by the offset clipped at k; attention reads the banks
+themselves, and only the composite oracles widen them through ``block``.
+FRPE attention needs O(n^2 + n*d_z) memory per head, PRPE O(n^2 + n*k).
 PAPE's learned per-position rows are an encoder parameter (``abspos.table``)
 added to the input embeddings; only the scheme name lives here.
 """

@@ -1,9 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-import relpe.attention
 import relpe.encoder
 import relpe.tensor
 from relpe.attention import (AttentionConfig, HeadWeights, attention, attention_output,
@@ -250,24 +250,6 @@ class TestStackedHeads:
         without = multi_head_attention(Tensor(x), weights, cfg, table).data
         assert not np.allclose(got, without)
 
-    def test_prpe_layer_builds_offset_rows_once_per_role(self, monkeypatch):
-        roles = []
-        block = RelPositionTable.block
-
-        def counted(table, n, role="K"):
-            roles.append(role)
-            return block(table, n, role)
-
-        monkeypatch.setattr(RelPositionTable, "block", counted)
-        cfg = AttentionConfig(num_heads=4, d_model=16, scheme=Scheme.PRPE)
-        table = build_rel_table(6, cfg.d_z, Scheme.PRPE, rng_seed=3, clip=2)
-        x = Tensor(np.random.default_rng(25).normal(size=(6, 16)))
-        out = multi_head_attention(x, make_weights(cfg, seed=26), cfg, table)
-        (out * out).sum().backward()
-        assert sorted(roles) == ["K", "V"]
-        assert np.any(table.bank_k.grad != 0) and np.any(table.bank_v.grad != 0)
-
-
 class TestMultiHeadAttention:
     def test_single_position_softmax_collapses(self):
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.FRPE)
@@ -452,6 +434,10 @@ FUSED_ATTENTION_CASES = {
                                   0.2, np.array([[0, 7, 2], [0, 4, 0]])),
     "prpe-queries-clip-below-n": (Scheme.PRPE, 2, 4, 7, 2, (3, 7, 8), lengths_mask([7, 2, 6], 7),
                                   0.3, np.array([[0, 6], [0, 0], [5, 1]])),
+    # clip n-1: every offset unclipped; clip > n: bank rows no offset reaches
+    "prpe-clip-n-minus-1": (Scheme.PRPE, 2, 4, 7, 6, (3, 7, 8), lengths_mask([7, 2, 6], 7), 0.0),
+    "prpe-queries-clip-past-n": (Scheme.PRPE, 2, 4, 7, 9, (2, 7, 8), lengths_mask([7, 4], 7),
+                                 0.3, np.array([[6, 0, 6], [3, 1, 0]])),
 }
 
 
@@ -474,19 +460,27 @@ def run_attention_case(block, case, seed=31):
 
 
 class TestFusedAttentionMatchesComposite:
-    """The fused block equals the composite: forward bit for bit, gradients to 1e-12."""
+    """The fused block equals the composite: gradients to 1e-12, and the forward
+    bit for bit, except PRPE's to 1e-12 (it sums each bank row's weights
+    before the bank matmul, where the composite sums the 2n-1 offset rows)."""
 
     @pytest.mark.parametrize("name", sorted(FUSED_ATTENTION_CASES))
     def test_forward_and_gradients(self, name):
         case = FUSED_ATTENTION_CASES[name]
         got_out, got = run_attention_case(multi_head_attention, case)
         want_out, want = run_attention_case(composite_multi_head_attention, case)
-        np.testing.assert_array_equal(got_out, want_out)
+        if case[0] is Scheme.PRPE:
+            np.testing.assert_allclose(got_out, want_out, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got_out, want_out)
         assert got.keys() == want.keys()
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
         if case[0] is Scheme.PRPE:
-            assert np.any(got["relpos.bank_k"] != 0) and np.any(got["relpos.bank_v"] != 0)
+            clip, n = case[4], case[5][-2]
+            unused = np.abs(np.arange(2 * clip + 1) - clip) > n - 1
+            for key in ("relpos.bank_k", "relpos.bank_v"):
+                assert np.any(got[key] != 0) and not np.any(got[key][unused]), key
 
     def test_no_grad_forward_is_the_same_and_records_nothing(self):
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.PRPE)
@@ -501,6 +495,14 @@ class TestFusedAttentionMatchesComposite:
         np.testing.assert_array_equal(out.data, want)
         for t in (out, merged):
             assert not t.requires_grad and t._parents == () and t._backward is None
+
+    @pytest.mark.parametrize("k_shape, v_shape", [((4, 4), (4, 4)), ((5, 2), (5, 2)),
+                                                  ((5, 4), (3, 4))],
+                             ids=["even-rows", "width-not-d_z", "different-shapes"])
+    def test_misshapen_banks_are_named(self, k_shape, v_shape):
+        x, w = Tensor(np.zeros((2, 5, 8))), Tensor(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=re.escape(f"[{k_shape}, {v_shape}]")):
+            attention(x, w, w, w, 2, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)))
 
     @pytest.mark.parametrize("mask", [np.ones((3, 5), dtype=bool),    # batch of 3, not 2
                                       np.ones((2, 6), dtype=bool),    # 6 keys, not 5
@@ -643,27 +645,27 @@ class TestFrpePastTheTable:
 
 class TestRelativeShiftOnlyForLearnedRows:
     """FRPE scores and sums its relative terms through the n absolute rows:
-    no offset map, so no (..., n, 2n-1) array. PRPE's learned rows still use
-    the relative shift."""
+    no offset map, so no (..., n, 2n-1) array. The fused PRPE block reads its
+    clipped banks directly; only the composite oracles use the relative shift."""
 
     @staticmethod
-    def run_block(scheme, block=multi_head_attention):
+    def run_block(scheme, block=multi_head_attention, queries=None):
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=scheme, attn_dropout=0.2)
         table = build_rel_table(4, cfg.d_z, scheme, rng_seed=3, clip=2)
         x = Tensor(np.random.default_rng(43).normal(size=(3, 6, 8)), requires_grad=True)
         out = block(x, make_weights(cfg, seed=44), cfg, table, lengths_mask([6, 3, 5], 6),
-                    np.random.default_rng(45))
+                    np.random.default_rng(45), queries)
         (out * out).sum().backward()
         assert np.all(np.isfinite(x.grad))
+        return table
 
     @pytest.mark.parametrize("block", [multi_head_attention, composite_multi_head_attention])
     def test_frpe_block_calls_no_offset_map(self, block, monkeypatch):
         def refuse(a):
             raise AssertionError(f"offset map called on shape {a.shape}")
 
-        for module in (relpe.attention, relpe.tensor):
-            monkeypatch.setattr(module, "_gather_offsets", refuse)
-            monkeypatch.setattr(module, "_scatter_offsets", refuse)
+        monkeypatch.setattr(relpe.tensor, "_gather_offsets", refuse)
+        monkeypatch.setattr(relpe.tensor, "_scatter_offsets", refuse)
         calls = []
         lookup = RelPositionTable.block
         monkeypatch.setattr(RelPositionTable, "block",
@@ -671,13 +673,13 @@ class TestRelativeShiftOnlyForLearnedRows:
         self.run_block(Scheme.FRPE, block)
         assert len(calls) == (1 if block is multi_head_attention else 2)
 
-    def test_prpe_block_uses_each_offset_map_once_per_pass(self, monkeypatch):
-        calls = []
-        for name in ("_gather_offsets", "_scatter_offsets"):
-            fn = getattr(relpe.attention, name)
-            monkeypatch.setattr(relpe.attention, name,
-                                lambda a, fn=fn, name=name: calls.append(name) or fn(a))
-        self.run_block(Scheme.PRPE)
-        # forward: scores gather, outputs scatter; backward: dA gather, dq scatter
-        # (dR_V reuses the forward's scatter)
-        assert calls == ["_gather_offsets", "_scatter_offsets"] * 2
+    @pytest.mark.parametrize("queries", [None, np.array([[0, 5], [2, 2], [4, 0]])],
+                             ids=["all-rows", "queries"])
+    def test_prpe_reads_banks_directly(self, queries, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("offset rows or the relative shift used in training")
+
+        monkeypatch.setattr(RelPositionTable, "block", refuse)
+        monkeypatch.setattr(relpe.tensor, "_offset_view", refuse)
+        table = self.run_block(Scheme.PRPE, queries=queries)
+        assert np.any(table.bank_k.grad != 0) and np.any(table.bank_v.grad != 0)

@@ -425,6 +425,30 @@ class TestTrainer:
         assert not resumed.run_step(7)["skipped"]
         self.assert_optimizer_owns_memory(resumed)
 
+    @pytest.mark.parametrize("damage", ["bad-last-v-entry", "wrong-shape-last-tensor"])
+    def test_failed_resume_changes_nothing(self, tmp_path, damage):
+        trainer = Trainer(tiny_run_config(total_steps=4, checkpoint_every=2), tiny_examples())
+        trainer.train(out_dir=tmp_path / "run")
+        ckpt, last = tmp_path / "run" / "checkpoint-2", list(trainer.params)[-1]
+        if damage == "bad-last-v-entry":
+            with np.load(ckpt / "optstate.bin") as npz:
+                state = {k: npz[k] for k in npz.files}
+            state[f"v::{last}"] = np.full(1, 0.7)
+            with open(ckpt / "optstate.bin", "wb") as fh:
+                np.savez(fh, **state)
+        else:
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["tensors"][-1]["shape"].append(1)
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        opt = trainer.optimizer
+        before = [a.copy() for a in (opt.w, opt.m, opt.v)]
+        with pytest.raises(CheckpointError, match=last):
+            trainer.resume(ckpt)
+        assert trainer.step == opt.state.step == 4
+        for got, want in zip((opt.w, opt.m, opt.v), before):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        self.assert_optimizer_owns_memory(trainer)
+
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         config = tiny_run_config(total_steps=0, checkpoint_every=0)
         trainer = Trainer(config, tiny_examples())

@@ -137,9 +137,10 @@ TWO_LENGTHS = np.array([[True, True, True], [True, True, False]])
 
 def attention_case(scheme, queries=None):
     """One-head attention on a as two length-3 sequences of width 2; b holds
-    the projections and, for PRPE, both clip-1 banks (clip 1 < n = 3).
-    "frpe" passes FRPE vectors as offset rows, "frpe_rows" as the absolute
-    rows P; ``queries`` computes only those rows of each sequence."""
+    the projections and, for PRPE, both (3, 2) clip-1 banks (clip 1 < n = 3).
+    "frpe" passes FRPE vectors as unclipped banks (5 rows, clip n-1),
+    "frpe_rows" as the absolute rows P; ``queries`` computes only those rows
+    of each sequence."""
     def op(a, b):
         w = b.reshape(3, 2, 2)
         r_k = r_v = rows = None
@@ -148,8 +149,7 @@ def attention_case(scheme, queries=None):
         elif scheme == "frpe_rows":
             rows = frpe_vector(np.arange(3), 2)
         elif scheme == "prpe":
-            clipped = np.clip(np.arange(-2, 3), -1, 1) + 1
-            r_k, r_v = b[:, :2].take_rows(clipped), b[:, 2:].take_rows(clipped)
+            r_k, r_v = b[:, :2], b[:, 2:]
         return attention(a.reshape(2, 3, 2), w[0], w[1], w[2], 1, r_k, r_v, mask=TWO_LENGTHS,
                          frpe_rows=rows, queries=queries)
     return op

@@ -7,6 +7,8 @@ reproduces an uninterrupted run.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import time
 from pathlib import Path
@@ -25,8 +27,27 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+@functools.cache
+def _keep_freed_memory_mapped() -> None:
+    """Set glibc's mmap and trim thresholds to 256 MiB, once per process.
+
+    Memory a step frees then stays mapped for the next step, instead of being
+    unmapped or trimmed and faulted back in. Any mallopt call freezes glibc's
+    dynamic mmap threshold, so the trim threshold is set only if the mmap
+    threshold was. Values are unaffected; hosts without glibc's mallopt skip this.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 256 << 20) == 1:      # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)           # M_TRIM_THRESHOLD
+
+
 class Trainer:
     def __init__(self, config: RunConfig, examples: list[PretrainExample]):
+        _keep_freed_memory_mapped()
         if not examples:
             raise ValueError("no training examples")
         self.config = config

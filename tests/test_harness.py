@@ -1,12 +1,18 @@
+import ctypes
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import relpe.optim
+import relpe.train
 from relpe.ablate import hash_cell
 from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
                               load_optimizer_state, save_checkpoint)
@@ -469,6 +475,123 @@ class TestTrainer:
         trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
         with pytest.raises(IndexError, match="batch example 0: predict label"):
             trainer.train(out_dir=tmp_path / "run")
+
+
+# A child interpreter that trains the test-09 (toy MLM) configuration, so the
+# allocator state it measures does not depend on the tests that ran before.
+# argv: working directory, then "faults" or "off"/"on" (the threshold helper
+# replaced by a no-op or left in place).
+_CHILD = """
+import resource, sys
+from pathlib import Path
+import relpe.train
+from relpe import data, synth
+from relpe.config import RunConfig
+from relpe.encoder import EncoderConfig
+from relpe.optim import LrSchedule, PrecisionPolicy
+
+out, task = Path(sys.argv[1]), sys.argv[2]
+if task == "off":
+    relpe.train._keep_freed_memory_mapped = lambda: None
+corpus, lexicon = synth.generate_toy_corpus(
+    out / "corpus", num_docs=10, sentences_per_doc=10, words_per_sentence=10,
+    alphabet=200, seed=0)
+examples = data.make_examples(data.load_corpus(corpus), data.build_vocab([corpus]),
+                              data.Lexicon.load(lexicon), "char", 44, seed=1)
+
+def trainer(mode, steps):
+    return relpe.train.Trainer(RunConfig(
+        model=EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
+                            ffn_size=64, max_seq_len=44),
+        schedule=LrSchedule(lr_max=0.005, warmup_steps=steps // 10, total_steps=steps),
+        precision=PrecisionPolicy(mode=mode), optimizer="lamb", batch_size=4,
+        total_steps=steps, checkpoint_every=0, seed=0), examples)
+
+if task == "faults":
+    t = trainer("full", 35)
+    for step in range(1, 6):
+        t.run_step(step)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for step in range(6, 36):
+        t.run_step(step)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+else:
+    for mode in ("full", "mixed_emulated"):
+        trainer(mode, 12).train(out_dir=out / mode)
+"""
+
+
+def run_child(tmp_path, task):
+    src = str(Path(relpe.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path), task], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+class TestMallocThresholds:
+    """Trainer fixes glibc's mmap and trim thresholds once per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        """Let the once-per-process helper run anew in each test."""
+        relpe.train._keep_freed_memory_mapped.cache_clear()
+        yield
+        relpe.train._keep_freed_memory_mapped.cache_clear()
+
+    @staticmethod
+    def fake_libc(monkeypatch, answer):
+        """Replace libc with one whose mallopt records its calls."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return answer
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def test_steady_state_steps_do_not_fault_memory_back_in(self, tmp_path):
+        # glibc's default thresholds cost this config hundreds of faults per step.
+        assert float(run_child(tmp_path, "faults")) <= 20
+
+    def test_thresholds_do_not_change_results(self, tmp_path):
+        run_child(tmp_path / "on", "on")
+        run_child(tmp_path / "off", "off")
+        for mode in ("full", "mixed_emulated"):
+            for name in ("params.bin", "optstate.bin"):
+                on, off = (tmp_path / side / mode / "checkpoint-final" / name
+                           for side in ("on", "off"))
+                assert on.read_bytes() == off.read_bytes(), (mode, name)
+
+    def test_sets_mmap_then_trim_threshold_once_per_process(self, monkeypatch, tmp_path):
+        calls = self.fake_libc(monkeypatch, answer=1)
+        for _ in range(2):   # relpe ablate builds one Trainer per cell
+            Trainer(tiny_run_config(total_steps=2, checkpoint_every=0),
+                    tiny_examples()).train(out_dir=tmp_path / "run")
+        assert calls == [(-3, 256 << 20), (-1, 256 << 20)]
+
+    def test_trim_threshold_left_alone_if_mmap_threshold_refused(self, monkeypatch):
+        # Any mallopt call freezes glibc's dynamic mmap threshold, so trimming
+        # alone would leave every block over 128 KiB mmapped.
+        calls = self.fake_libc(monkeypatch, answer=0)
+        Trainer(tiny_run_config(), tiny_examples())
+        assert calls == [(-3, 256 << 20)]
+
+    @pytest.mark.parametrize("libc", ["missing", "without_mallopt"])
+    def test_hosts_without_mallopt_train_normally(self, monkeypatch, tmp_path, libc):
+        def cdll(name):
+            if libc == "missing":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        trainer = Trainer(tiny_run_config(total_steps=2, checkpoint_every=0), tiny_examples())
+        last = trainer.train(out_dir=tmp_path / "run")
+        assert trainer.step == 2 and math.isfinite(last["loss"])
 
 
 class TestEvaluate:

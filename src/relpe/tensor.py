@@ -32,7 +32,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf as _np_erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -451,6 +450,73 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g2.sum(axis=0))
     return Tensor._make(x.data @ w.data + b.data, (x, w, b), bwd)
+
+
+# Cephes' erf/erfc coefficients (ndtr.c), highest power first; p1evl's
+# leading 1 is implied.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+# erf(26) rounds to 1 and exp(-26**2) is still a normal number.
+_ERF_SATURATES = 26.0
+
+
+def _polevl(x, coef, out=None):
+    """coef[0]*x**n + ... + coef[n] by Horner's rule, as Cephes' ``polevl``."""
+    y = np.multiply(x, coef[0], out=out)
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coef):
+    """x**n + coef[0]*x**(n-1) + ... + coef[n-1], as Cephes' ``p1evl``."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _np_erf(x) -> np.ndarray:
+    """Elementwise erf: a NumPy port of the Cephes ``erf`` that SciPy runs.
+
+    For |x| <= 1 it is ``x * polevl(x², T) / p1evl(x², U)`` with Cephes'
+    operations in Cephes' order, so it is bitwise equal to
+    ``scipy.special.erf`` there. For |x| > 1 it is ±(1 − erfc|x|), computed
+    only at those elements and within 1 ulp of SciPy (NumPy's ``exp`` is not
+    the C library's). ±inf gives ±1, NaN stays NaN, and no input raises a
+    floating-point warning.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    far = a > 1.0                                         # NaN is not far
+    has_far = far.any()
+    near = np.clip(x, -1.0, 1.0) if has_far else x       # keeps the powers finite
+    z = near * near
+    y = _polevl(z, _ERF_T, out=np.empty_like(x))
+    y *= near
+    y /= _p1evl(z, _ERF_U)
+    if has_far:
+        b = np.minimum(a[far], _ERF_SATURATES)
+        small = b < 8.0
+        p = np.where(small, _polevl(b, _ERFC_P), _polevl(b, _ERFC_R))
+        q = np.where(small, _p1evl(b, _ERFC_Q), _p1evl(b, _ERFC_S))
+        y[far] = np.copysign(1.0 - np.exp(-b * b) * p / q, x[far])
+    return y
 
 
 def gelu(x: Tensor) -> Tensor:

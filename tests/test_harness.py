@@ -521,15 +521,49 @@ else:
 """
 
 
-def run_child(tmp_path, task):
+def run_child(tmp_path, task, script=_CHILD):
     src = str(Path(relpe.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     tmp_path.mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path), task], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), task], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout
+
+
+# A child interpreter that takes relpe's run-time paths (a full and a
+# mixed_emulated training step, evaluation, a whole-model gradient check) and
+# prints the SciPy modules they imported.
+_RUNTIME_CHILD = """
+import sys
+import numpy as np
+import relpe
+from relpe.config import RunConfig
+from relpe.encoder import EncoderConfig
+from relpe.gradcheck import check_full_model
+from relpe.optim import LrSchedule, PrecisionPolicy
+from relpe.synth import make_offset_copy_examples
+from relpe.train import Trainer, evaluate
+
+examples = make_offset_copy_examples(6, 12, 8, -3, np.random.default_rng(0))
+for mode in ("full", "mixed_emulated"):
+    trainer = Trainer(RunConfig(
+        model=EncoderConfig(vocab_size=13, d_model=8, num_layers=1, num_heads=2,
+                            ffn_size=16, max_seq_len=12),
+        schedule=LrSchedule(lr_max=1e-3, warmup_steps=3, total_steps=12),
+        precision=PrecisionPolicy(mode=mode), optimizer="lamb", batch_size=2,
+        total_steps=12, checkpoint_every=0, seed=3), examples)
+    trainer.run_step(1)
+    evaluate(trainer.model, examples)
+check_full_model("none")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # relpe's only run-time dependency is NumPy; SciPy is a test oracle.
+    assert run_child(tmp_path, "", script=_RUNTIME_CHILD).strip() == "[]"
 
 
 class TestMallocThresholds:

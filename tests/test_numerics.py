@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from relpe.attention import MASK_FILL, attention
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
 from relpe.posenc import frpe_vector
-from relpe.tensor import (Tensor, _scatter_rows, affine, gelu, layer_norm, nll_loss, no_grad,
-                          rel_gather, rel_scatter, softmax, value_filter)
+from relpe.tensor import (Tensor, _np_erf, _scatter_rows, affine, gelu, layer_norm, nll_loss,
+                          no_grad, rel_gather, rel_scatter, softmax, value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -70,6 +71,53 @@ class TestSoftmax:
         x[1, 2] = np.nan
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             softmax(Tensor(x))
+
+
+def ulps(got, want):
+    """Distance in units in the last place between same-signed float64 arrays."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+class TestNumpyErf:
+    """relpe's NumPy port of Cephes' erf against SciPy (which runs Cephes) and mpmath."""
+
+    def test_bitwise_equal_to_scipy_up_to_one(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, tiny / 2, tiny, -tiny, 1e-300,
+                 np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1.0, -1.0]
+        x = np.concatenate([edges, rand(1_000_000, seed=40)])
+        np.testing.assert_array_equal(_np_erf(x).view(np.int64), np_erf(x).view(np.int64))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 8.0), (8.0, 30.0)])
+    def test_within_one_ulp_of_scipy_beyond_one(self, lo, hi):
+        # erfc's two rational functions: b < 8 and b >= 8
+        b = np.concatenate([[np.nextafter(lo, hi), np.nextafter(hi, lo)],
+                            np.random.default_rng(41).uniform(lo, hi, 200_000)])
+        x = np.concatenate([b, -b, [8.0, -8.0, 30.0, -30.0]])
+        assert ulps(_np_erf(x), np_erf(x)).max() <= 1
+
+    def test_infinities_and_nan(self):
+        got = _np_erf(np.array([np.inf, -np.inf, np.nan, 0.5]))
+        np.testing.assert_array_equal(got[:2], [1.0, -1.0])
+        assert np.isnan(got[2]) and got[3] == np_erf(0.5)
+
+    def test_no_warning_on_huge_or_infinite_inputs(self):
+        x = np.array([1e300, -1e300, np.inf, -np.inf, np.nan, 1e154, 0.25, -3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _np_erf(x)
+        np.testing.assert_array_equal(got[:4], [1.0, -1.0, 1.0, -1.0])
+        assert ulps(got[5:], np_erf(x[5:])).max() <= 1
+
+    def test_within_two_ulp_of_mpmath(self):
+        import mpmath
+        x = np.concatenate([np.linspace(-7.0, 7.0, 14_001), np.geomspace(1e-300, 1.0, 600),
+                            -np.geomspace(1e-12, 30.0, 400)])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erf(mpmath.mpf(float(v)))) for v in x])
+        assert ulps(_np_erf(x), want).max() <= 2
 
 
 class TestGelu:
@@ -333,6 +381,19 @@ class TestFusedOpsMatchComposites:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for i, (got, want) in enumerate(zip(got_grads, want_grads, strict=True)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"input {i}")
+
+    def test_gelu_sweep_across_the_erf_branch_switch(self):
+        # the NumPy erf switches from its |z| <= 1 branch to 1 - erfc at |x| = sqrt(2)
+        root2 = math.sqrt(2.0)
+        edges = [root2, -root2, np.nextafter(root2, 2.0), -np.nextafter(root2, 2.0)]
+        x = np.concatenate([np.linspace(-12.0, 12.0, 48_001), edges])
+        got_out, got_grads = run_with_upstream(single(gelu), [x], seed=31)
+        want_out, want_grads = run_with_upstream(single(gelu_composite), [x], seed=31)
+        near = np.abs(x) <= root2
+        assert near.sum() > 5_000 and (~near).sum() > 5_000
+        np.testing.assert_array_equal(got_out[0][near], want_out[0][near])
+        np.testing.assert_allclose(got_out[0][~near], want_out[0][~near], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got_grads[0], want_grads[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["affine-2d", "affine-batched"])
     def test_affine_forward_is_bitwise(self, name):

@@ -13,7 +13,7 @@ from .gradcheck import check_gradients
 from .optim import (AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy,
                     lr_at_step, round_half, training_step)
 from .posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
-from .tensor import Tensor, gelu, layer_norm, softmax
+from .tensor import Tensor, gelu, layer_norm
 from .train import Trainer, evaluate
 
 __version__ = "0.1.0"

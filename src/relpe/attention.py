@@ -17,9 +17,7 @@ PRPE's learned a_{j-i} is row clip(j - i, -k, k) + k of a (2k+1, d_z) bank
 (Shaw et al. 2018). The fused node scores each query against every bank row,
 E = q B_K^T of shape (n, 2k+1), and gathers the entry of each key's row;
 values go the other way: F (n, 2k+1) sums each query's weights per bank row,
-and F B_V adds their encodings. A head needs O(n^2 + n*k) memory. Only the
-composite oracles widen the banks to the 2n-1 offset rows, mapped through
-(n, 2n-1) arrays by the relative shift of Transformer-XL and Music Transformer.
+and F B_V adds their encodings. A head needs O(n^2 + n*k) memory.
 
 A block can compute only some query rows, given as a (..., r) position
 index: keys and values still come from all n rows, the scores, softmax rows,
@@ -32,8 +30,9 @@ masks, softmaxes, drops out and sums every head in one NumPy forward and has
 a closed-form backward pass; W^O and its bias are one ``affine`` node. Under
 the value filter each rounds only its output and each input gradient.
 ``attention_scores`` and ``attention_output`` compute the same scores and
-outputs as differentiable composites of single-op nodes (``*``, ``+``, ``@``
-on constant FRPE terms, or ``rel_gather``, ``rel_scatter``; ``softmax``):
+outputs as differentiable composites of single-op nodes: FRPE's terms are
+``*``, ``+`` and ``@`` on the constant rows, and PRPE's gather each pair's
+bank row into an (n, n, d_z) tensor, Shaw et al.'s own definition. They are
 the oracles the tests check the fused node against, and check against the
 double-loop definition.
 """
@@ -46,7 +45,7 @@ import numpy as np
 
 from .posenc import RelPositionTable, Scheme
 from .tensor import (Tensor, _check_finite, _scatter_rows, affine, as_tensor, keep_mask,
-                     query_index, rel_gather, rel_scatter, take_queries)
+                     query_index, take_queries)
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -136,6 +135,12 @@ def _rotation(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(rows[:, 1::2], 2, axis=1), np.repeat(rows[:, 0::2], 2, axis=1), turn
 
 
+def _pair_rows(bank: Tensor, n: int) -> Tensor:
+    """Row clip(j - i, -k, k) + k of a (2k+1, d_z) bank for each (i, j): (n, n, d_z)."""
+    clip, pos = bank.shape[0] // 2, np.arange(n)
+    return bank.take_rows(np.clip(pos - pos[:, None], -clip, clip) + clip)
+
+
 def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None,
                      mask: np.ndarray | None = None) -> Tensor:
     """Pre-softmax scores for projected q and k of shape (..., n, d_z).
@@ -151,12 +156,12 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
     scores = q @ k.mT
     if table is not None:
         if table.rows is not None:
-            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+            rows = table.block(n)                # P = a_0 .. a_{n-1}
             c, s, turn = map(Tensor, _rotation(rows))
             scores = scores + (q * c + (q @ turn) * s) @ Tensor(rows).T
         else:
-            r_k = table.block(n, role="K")       # (2n-1, d_z)
-            scores = scores + rel_gather(q @ r_k.T)
+            pairs = _pair_rows(table.bank_k, n)  # (n, n, d_z)
+            scores = scores + (q.reshape(*q.shape[:-1], 1, d_z) * pairs).sum(axis=-1)
     return _apply_mask(scores * scale, mask)
 
 
@@ -171,13 +176,13 @@ def attention_output(alpha: Tensor, v: Tensor,
         if table.d_z != d_z:
             raise ValueError(f"table d_z={table.d_z} does not match v d_z={d_z}")
         if table.rows is not None:
-            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+            rows = table.block(n)                # P = a_0 .. a_{n-1}
             c, s, turn = map(Tensor, _rotation(rows))
             y = alpha @ Tensor(rows)
             out = out + (y * c + (y @ turn.T) * s)
         else:
-            r_v = table.block(n, role="V")       # (2n-1, d_z)
-            out = out + rel_scatter(alpha) @ r_v
+            pairs = _pair_rows(table.bank_v, n)  # (n, n, d_z)
+            out = out + (alpha.reshape(*alpha.shape, 1) * pairs).sum(axis=-2)
     return out
 
 
@@ -198,9 +203,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     ``frpe_rows`` is the (n, d_z) constant P = a_0 .. a_{n-1}, used through
     the C, S and J of :func:`_rotation`, C and S at the query positions. The
     forward uses the composite's expressions in the same order, so it is
-    bitwise equal to it, except that PRPE sums each bank row's weights before
-    the bank matmul. Attention dropout (``dropout_rate > 0`` and an ``rng``)
-    draws one mask of the weights' shape, as ``dropout`` does.
+    bitwise equal to it, except PRPE's: it gathers scores from q B_K^T and
+    sums each bank row's weights before the bank matmul. Attention dropout
+    (``dropout_rate > 0`` and an ``rng``) draws one mask of the weights'
+    shape, as ``dropout`` does.
 
     ``queries`` (..., r), one row of positions per sequence, computes only
     those query rows (pos_i = ``queries[..., i]``; else pos_i = i): keys and
@@ -358,7 +364,7 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
         if table.d_z != cfg.d_z:
             raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={cfg.d_z}")
         if table.rows is not None:
-            rows = table.block(n).data[n - 1:]   # P = a_0 .. a_{n-1}
+            rows = table.block(n)                # P = a_0 .. a_{n-1}
         else:
             r_k, r_v = table.bank_k, table.bank_v
     merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,

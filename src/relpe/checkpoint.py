@@ -115,7 +115,8 @@ def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
 def load_optimizer_state(path, params: dict[str, Tensor],
                          optimizer: _MomentOptimizer | None = None):
     """Restore full-precision masters and optimizer moments in place, once every
-    entry is present with its shape: a load that raises changes nothing."""
+    entry is present with its shape and type (float64 arrays, a non-negative
+    integer ``step``): a load that raises changes nothing."""
     file = Path(path) / "optstate.bin"
     try:
         with np.load(file) as npz:
@@ -134,10 +135,17 @@ def load_optimizer_state(path, params: dict[str, Tensor],
     for key, array in live.items():
         if key not in state:
             raise CheckpointError(f"optimizer state {file} has no entry {key!r}")
-        want = () if array is None else array.shape
-        if state[key].shape != want:
+        entry, want = state[key], () if array is None else array.shape
+        if entry.shape != want:
             raise CheckpointError(f"optimizer state shape mismatch for {key!r}: checkpoint "
-                                  f"{list(state[key].shape)}, model {list(want)}")
+                                  f"{list(entry.shape)}, model {list(want)}")
+        if array is None:
+            fits, kind = np.issubdtype(entry.dtype, np.integer) and entry >= 0, "an integer >= 0"
+        else:
+            fits, kind = entry.dtype == np.float64, "float64 values"
+        if not fits:
+            raise CheckpointError(f"optimizer state entry {key!r} holds {entry.dtype} "
+                                  f"{entry if array is None else 'values'}, expected {kind}")
     for key, array in live.items():
         if array is not None:
             array[...] = state[key]

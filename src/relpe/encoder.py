@@ -20,7 +20,7 @@ against all n keys, and its residual, layer norms and feed-forward run on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,17 +1,16 @@
 """Positional encodings: fixed sinusoidal relative, learned relative, learned absolute.
 
-Three schemes are supported. ``RelPositionTable.block(n, role)`` returns the
-2n-1 distinct offset rows a_{-(n-1)} .. a_{n-1} of a length-n sequence as
-one (2n-1, d_z) array. FRPE vectors are a pure function of the signed offset
-j - i: any length works, lookups never modify the table, and the table
-registers no parameters. Attention reads one FRPE block per layer and uses
-only its upper half, the n absolute rows a_0 .. a_{n-1}, through the
-angle-addition identity. PRPE keeps two learned (2k+1, d_z) banks (key and
-value roles) indexed by the offset clipped at k; attention reads the banks
-themselves, and only the composite oracles widen them through ``block``.
-FRPE attention needs O(n^2 + n*d_z) memory per head, PRPE O(n^2 + n*k).
-PAPE's learned per-position rows are an encoder parameter (``abspos.table``)
-added to the input embeddings; only the scheme name lives here.
+Three schemes are supported. Relative schemes give each (query i, key j)
+pair a vector a_{j-i}. FRPE's is a fixed sinusoid of the signed offset, so
+attention reads it through the n absolute rows a_0 .. a_{n-1} and the
+angle-addition identity: ``RelPositionTable.block(n)`` returns them as one
+(n, d_z) array. Any length works, lookups never modify the table, and the
+table registers no parameters. PRPE keeps two learned (2k+1, d_z) banks (key
+and value roles), and a_{j-i} is row clip(j - i, -k, k) + k; attention reads
+the banks themselves. FRPE attention needs O(n^2 + n*d_z) memory per head,
+PRPE O(n^2 + n*k). PAPE's learned per-position rows are an encoder parameter
+(``abspos.table``) added to the input embeddings; only the scheme name lives
+here.
 """
 
 from __future__ import annotations
@@ -57,16 +56,16 @@ def frpe_vector(deltas, d_z: int) -> np.ndarray:
 class RelPositionTable:
     """Encoding vectors a_delta of signed offsets delta = j - i.
 
-    An FRPE table holds ``rows``: one sinusoidal bank shared by the key and
-    value roles, built once over [-(max_len-1), max_len-1] and never
-    modified. Offsets past it come from the same formula, in a wider bank
-    built once for the longest length asked for. A PRPE table holds separate
-    learned banks clipped at ``clip`` offsets.
+    An FRPE table holds ``rows``: the sinusoids a_0 .. a_{max_len-1}, shared
+    by the key and value roles, built once and never modified. Longer
+    sequences read the same formula from a wider bank, built once for the
+    longest length asked for. A PRPE table holds separate learned banks
+    clipped at ``clip`` offsets.
     """
     d_z: int
     max_len: int
     clip: int = 0
-    rows: np.ndarray | None = None          # FRPE bank, offset-indexed
+    rows: np.ndarray | None = None          # FRPE rows a_0 .. a_{max_len-1}
     bank_k: Tensor | None = None            # PRPE key bank
     bank_v: Tensor | None = None            # PRPE value bank
     _wide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -76,23 +75,16 @@ class RelPositionTable:
             return {}
         return {"relpos.bank_k": self.bank_k, "relpos.bank_v": self.bank_v}
 
-    def block(self, n: int, role: str = "K") -> Tensor:
-        """Offset rows R of shape (2n-1, d_z), with R[o] = a_{o-(n-1)}.
-
-        These are the 2n-1 distinct vectors a_{j-i} for i, j in [0, n); any
-        length is allowed, since FRPE rows are a function of the offset.
-        """
-        offsets = np.arange(-(n - 1), n)
-        if self.rows is not None:
-            rows = self.rows
-            if n > self.max_len:
-                if self._wide is None or len(self._wide) < 2 * n - 1:
-                    self._wide = frpe_vector(offsets, self.d_z)
-                rows = self._wide
-            mid = (len(rows) + 1) // 2              # rows[mid - 1] is offset 0
-            return Tensor(rows[mid - n:mid + n - 1])
-        bank = self.bank_k if role == "K" else self.bank_v
-        return bank.take_rows(np.clip(offsets, -self.clip, self.clip) + self.clip)
+    def block(self, n: int) -> np.ndarray:
+        """FRPE rows P of shape (n, d_z), with P[j] = a_j; any length is allowed."""
+        if self.rows is None:
+            raise ValueError("block reads FRPE rows; a PRPE table's banks are read directly")
+        rows = self.rows
+        if n > self.max_len:
+            if self._wide is None or len(self._wide) < n:
+                self._wide = frpe_vector(np.arange(n), self.d_z)
+            rows = self._wide
+        return rows[:n]
 
 
 def build_rel_table(max_len: int, d_z: int, scheme: Scheme,
@@ -104,8 +96,8 @@ def build_rel_table(max_len: int, d_z: int, scheme: Scheme,
     if scheme not in (Scheme.FRPE, Scheme.PRPE):
         raise ValueError(f"build_rel_table only handles relative schemes, got {scheme.value}")
     if scheme is Scheme.FRPE:
-        offsets = np.arange(-(max_len - 1), max_len)
-        return RelPositionTable(d_z=d_z, max_len=max_len, rows=frpe_vector(offsets, d_z))
+        return RelPositionTable(d_z=d_z, max_len=max_len,
+                                rows=frpe_vector(np.arange(max_len), d_z))
     if clip < 1:
         raise ValueError("clip distance must be >= 1")
     rng = np.random.default_rng(rng_seed)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLS_ID, MASK_ID, SEP_ID, PretrainExample
+from .data import CLS_ID, MASK_ID, PretrainExample
 
 SYMBOL_BASE = 0x4E00  # CJK block keeps the toy corpus visually word-like
 

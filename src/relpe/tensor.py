@@ -7,21 +7,22 @@ node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
 Ops that only move, copy or negate values are exact and skip the filter:
-the outputs of ``reshape``, ``transpose``, ``take_rows``, negation and the
-offset maps, their gradients (a ``take_rows`` scatter only when its indices
-are unique), the gradient copies ``+`` hands its parents and the
-``backward()`` seed. This relies on one invariant of a filtered graph: every
-tensor is an op output or a working copy the caller already filtered (the
-mixed-precision step rounds its working weights), so the filter would return
-an exact op's values unchanged. A constant leaf fed to an exact op keeps its
-float64 values. A second gradient accumulation is a sum and is filtered,
-unless one addend is zero wherever the other is not (a unique-row scatter
-into rows whose gradient is still zero).
-Softmax, GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
+the outputs of ``reshape``, ``transpose``, ``take_rows`` and negation, their
+gradients (a ``take_rows`` scatter only when its indices are unique), the
+gradient copies ``+`` hands its parents and the ``backward()`` seed. This
+relies on one invariant of a filtered graph: every tensor is an op output or
+a working copy the caller already filtered (the mixed-precision step rounds
+its working weights), so the filter would return an exact op's values
+unchanged. A constant leaf fed to an exact op keeps its float64 values. A
+second gradient accumulation is a sum and is filtered, unless one addend is
+zero wherever the other is not (a unique-row scatter into rows whose gradient
+is still zero).
+GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
 (``x @ w + b``) are fused: each is one node with a closed-form backward pass,
 so to the value filter it is a single primitive: the filter rounds its output
 once and each input gradient once, and its intermediates stay float64. The
-attention block's node (``relpe.attention.attention``) follows the same rule.
+attention block's node (``relpe.attention.attention``), which softmaxes its
+scores in place, follows the same rule.
 Under :func:`no_grad` no graph is recorded at all.
 """
 
@@ -335,79 +336,11 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     return np.bincount(flat, g.reshape(-1), shape[0] * width).reshape(shape)
 
 
-def _offset_view(a: np.ndarray) -> np.ndarray:
-    """Writable (..., n, n) view of a C-contiguous (..., n, 2n-1) array.
-
-    View element [i, j] is a[i, j - i + n - 1], the offset-(j - i) column of
-    row i: its flat position in each (n, 2n-1) matrix is
-    (n - 1) + i * (2n - 2) + j, so one strided view covers every offset.
-    """
-    n = a.shape[-2]
-    return np.lib.stride_tricks.as_strided(
-        a.reshape(-1)[n - 1:], shape=a.shape[:-1] + (n,),
-        strides=a.strides[:-2] + ((2 * n - 2) * a.itemsize, a.itemsize))
-
-
-def _gather_offsets(x: np.ndarray) -> np.ndarray:
-    return _offset_view(np.ascontiguousarray(x))
-
-
-def _scatter_offsets(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + (2 * n - 1,))
-    _offset_view(out)[...] = a
-    return out
-
-
-def rel_gather(x) -> Tensor:
-    """Offset-indexed (..., n, 2n-1) scores to position-indexed (..., n, n).
-
-    ``out[i, j] = x[i, j - i + n - 1]``: column o of ``x`` holds offset
-    o - (n - 1). The gradient is :func:`rel_scatter` of the incoming one.
-    """
-    x = as_tensor(x)
-    n = x.shape[-2] if x.ndim >= 2 else 0
-    if n < 1 or x.shape[-1] != 2 * n - 1:
-        raise ValueError(f"rel_gather needs shape (..., n, 2n-1) with n >= 1, got {x.shape}")
-    def bwd(g):
-        x._accumulate(_scatter_offsets(g), exact=True)
-    return Tensor._make(_gather_offsets(x.data), (x,), bwd, exact=True)
-
-
-def rel_scatter(a) -> Tensor:
-    """Place (..., n, n) weights into offset buckets of a (..., n, 2n-1) array.
-
-    ``out[i, j - i + n - 1] = a[i, j]`` and every other entry is zero; the
-    inverse of :func:`rel_gather`, which is also its gradient.
-    """
-    a = as_tensor(a)
-    if a.ndim < 2 or a.shape[-1] < 1 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"rel_scatter needs shape (..., n, n) with n >= 1, got {a.shape}")
-    def bwd(g):
-        a._accumulate(_gather_offsets(g), exact=True)
-    return Tensor._make(_scatter_offsets(a.data), (a,), bwd, exact=True)
-
-
 def _check_finite(op: str, a: np.ndarray):
     """Raise ValueError naming the first non-finite entry of ``op``'s input."""
     if not np.all(np.isfinite(a)):
         bad = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"{op} input is not finite at index {tuple(int(i) for i in bad)}")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``, as one node.
-
-    Raises ValueError naming the first offending index when the input is
-    not finite.
-    """
-    x = as_tensor(x)
-    _check_finite("softmax", x.data)
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    def bwd(g):
-        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-    return Tensor._make(y, (x,), bwd)
 
 
 def nll_loss(logits: Tensor, labels, weights) -> tuple[Tensor, np.ndarray]:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import relpe.encoder
-import relpe.tensor
 from relpe.attention import (AttentionConfig, HeadWeights, attention, attention_output,
                              attention_scores, init_head_weights,
                              multi_head_attention)
 from relpe.optim import round_half
 from relpe.posenc import RelPositionTable, Scheme, build_rel_table
-from relpe.tensor import Tensor, dropout, no_grad, softmax, value_filter
+from relpe.tensor import Tensor, dropout, no_grad, value_filter
+
+from test_numerics import softmax
 
 
 def frpe_oracle(delta, d_z):
@@ -461,8 +462,9 @@ def run_attention_case(block, case, seed=31):
 
 class TestFusedAttentionMatchesComposite:
     """The fused block equals the composite: gradients to 1e-12, and the forward
-    bit for bit, except PRPE's to 1e-12 (it sums each bank row's weights
-    before the bank matmul, where the composite sums the 2n-1 offset rows)."""
+    bit for bit, except PRPE's to 1e-12 (it gathers scores from q B_K^T and
+    sums each bank row's weights before the bank matmul, where the composite
+    takes each pair's bank row)."""
 
     @pytest.mark.parametrize("name", sorted(FUSED_ATTENTION_CASES))
     def test_forward_and_gradients(self, name):
@@ -644,9 +646,9 @@ class TestFrpePastTheTable:
 
 
 class TestRelativeShiftOnlyForLearnedRows:
-    """FRPE scores and sums its relative terms through the n absolute rows:
-    no offset map, so no (..., n, 2n-1) array. The fused PRPE block reads its
-    clipped banks directly; only the composite oracles use the relative shift."""
+    """No path builds offset rows or shifts them. FRPE reads the n absolute
+    rows from one ``block`` call per block (the composite makes one for its
+    scores and one for its outputs); PRPE reads its banks and never ``block``."""
 
     @staticmethod
     def run_block(scheme, block=multi_head_attention, queries=None):
@@ -661,25 +663,24 @@ class TestRelativeShiftOnlyForLearnedRows:
 
     @pytest.mark.parametrize("block", [multi_head_attention, composite_multi_head_attention])
     def test_frpe_block_calls_no_offset_map(self, block, monkeypatch):
-        def refuse(a):
-            raise AssertionError(f"offset map called on shape {a.shape}")
+        shapes, lookup = [], RelPositionTable.block
 
-        monkeypatch.setattr(relpe.tensor, "_gather_offsets", refuse)
-        monkeypatch.setattr(relpe.tensor, "_scatter_offsets", refuse)
-        calls = []
-        lookup = RelPositionTable.block
-        monkeypatch.setattr(RelPositionTable, "block",
-                            lambda table, n, role="K": calls.append(role) or lookup(table, n, role))
+        def counted(table, n):
+            rows = lookup(table, n)
+            shapes.append(rows.shape)
+            return rows
+
+        monkeypatch.setattr(RelPositionTable, "block", counted)
         self.run_block(Scheme.FRPE, block)
-        assert len(calls) == (1 if block is multi_head_attention else 2)
+        assert shapes == [(6, 4)] * (1 if block is multi_head_attention else 2)
 
     @pytest.mark.parametrize("queries", [None, np.array([[0, 5], [2, 2], [4, 0]])],
                              ids=["all-rows", "queries"])
     def test_prpe_reads_banks_directly(self, queries, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("offset rows or the relative shift used in training")
+            raise AssertionError("PRPE read through block")
 
         monkeypatch.setattr(RelPositionTable, "block", refuse)
-        monkeypatch.setattr(relpe.tensor, "_offset_view", refuse)
-        table = self.run_block(Scheme.PRPE, queries=queries)
-        assert np.any(table.bank_k.grad != 0) and np.any(table.bank_v.grad != 0)
+        for block in (multi_head_attention, composite_multi_head_attention):
+            table = self.run_block(Scheme.PRPE, block, queries)
+            assert np.any(table.bank_k.grad != 0) and np.any(table.bank_v.grad != 0)

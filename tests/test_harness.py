@@ -47,6 +47,27 @@ def tiny_examples(n=6, seed=0):
     return make_offset_copy_examples(n, 12, 8, -3, rng)
 
 
+# Damaged optstate.bin entries: (entry, its replacement given the saved value)
+# with the last parameter's name for ``{last}``.
+BAD_OPTIMIZER_ENTRIES = {
+    "bad-last-v-entry": ("v::{last}", lambda v: np.full(1, 0.7)),
+    "string-last-v-entry": ("v::{last}", lambda v: np.full(v.shape, "x")),
+    "nan-step": ("step", lambda v: np.asarray(np.nan)),
+}
+
+
+def damage_optimizer_state(ckpt, damage, last):
+    """Rewrite ``ckpt``'s optstate.bin with one BAD_OPTIMIZER_ENTRIES entry; returns its key."""
+    key, bad = BAD_OPTIMIZER_ENTRIES[damage]
+    key = key.format(last=last)
+    with np.load(ckpt / "optstate.bin") as npz:
+        state = {k: npz[k] for k in npz.files}
+    state[key] = bad(state[key])
+    with open(ckpt / "optstate.bin", "wb") as fh:
+        np.savez(fh, **state)
+    return key
+
+
 class TestRunConfig:
     def test_round_trip_through_json(self, tmp_path):
         config = tiny_run_config()
@@ -431,24 +452,21 @@ class TestTrainer:
         assert not resumed.run_step(7)["skipped"]
         self.assert_optimizer_owns_memory(resumed)
 
-    @pytest.mark.parametrize("damage", ["bad-last-v-entry", "wrong-shape-last-tensor"])
+    @pytest.mark.parametrize("damage", [*BAD_OPTIMIZER_ENTRIES, "wrong-shape-last-tensor"])
     def test_failed_resume_changes_nothing(self, tmp_path, damage):
         trainer = Trainer(tiny_run_config(total_steps=4, checkpoint_every=2), tiny_examples())
         trainer.train(out_dir=tmp_path / "run")
         ckpt, last = tmp_path / "run" / "checkpoint-2", list(trainer.params)[-1]
-        if damage == "bad-last-v-entry":
-            with np.load(ckpt / "optstate.bin") as npz:
-                state = {k: npz[k] for k in npz.files}
-            state[f"v::{last}"] = np.full(1, 0.7)
-            with open(ckpt / "optstate.bin", "wb") as fh:
-                np.savez(fh, **state)
+        if damage in BAD_OPTIMIZER_ENTRIES:
+            named = damage_optimizer_state(ckpt, damage, last)
         else:
             manifest = json.loads((ckpt / "manifest.json").read_text())
             manifest["tensors"][-1]["shape"].append(1)
             (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            named = last
         opt = trainer.optimizer
         before = [a.copy() for a in (opt.w, opt.m, opt.v)]
-        with pytest.raises(CheckpointError, match=last):
+        with pytest.raises(CheckpointError, match=named):
             trainer.resume(ckpt)
         assert trainer.step == opt.state.step == 4
         for got, want in zip((opt.w, opt.m, opt.v), before):
@@ -801,6 +819,23 @@ class TestCli:
                        "--resume", str(tmp_path / "run" / "checkpoint-3")])
         assert rc == 0
         assert (tmp_path / "run2" / "checkpoint-final" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("damage", ["string-last-v-entry", "nan-step"])
+    def test_pretrain_resume_from_bad_optimizer_state_exits_one(self, tmp_path, capsys, damage):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        cfg_path, _ = self.write_config(
+            tmp_path, train_examples=str(examples_path),
+            out_dir=str(tmp_path / "run"), total_steps=4, checkpoint_every=2)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        last = list(EncoderModel(tiny_run_config().model).parameters())[-1]
+        key = damage_optimizer_state(tmp_path / "run" / "checkpoint-2", damage, last)
+        capsys.readouterr()
+        rc = cli_main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "run2"),
+                       "--resume", str(tmp_path / "run" / "checkpoint-2")])
+        assert rc == 1
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_user_errors_exit_code_one(self, tmp_path, capsys):
         assert cli_main(["pretrain", "--config", str(tmp_path / "nope.json")]) == 1

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as np_erf
 
-from relpe.attention import MASK_FILL, attention
+from relpe.attention import MASK_FILL, attention, attention_output, attention_scores
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
-from relpe.posenc import frpe_vector
-from relpe.tensor import (Tensor, _np_erf, _scatter_rows, affine, gelu, layer_norm, nll_loss,
-                          no_grad, rel_gather, rel_scatter, softmax, value_filter)
+from relpe.posenc import Scheme, build_rel_table, frpe_vector
+from relpe.tensor import (Tensor, _check_finite, _np_erf, _scatter_rows, affine, gelu,
+                          layer_norm, nll_loss, no_grad, value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -35,6 +35,17 @@ def erf(x):
     def bwd(g):
         x._accumulate(g * (2.0 / math.sqrt(math.pi)) * np.exp(-x.data * x.data))
     return Tensor._make(np_erf(x.data), (x,), bwd)
+
+
+def softmax(x, axis=-1):
+    """Numerically stable softmax along ``axis``, as one node; a non-finite
+    input raises the ValueError the fused attention node raises."""
+    _check_finite("softmax", x.data)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    def bwd(g):
+        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+    return Tensor._make(y, (x,), bwd)
 
 
 def mean(x, axis):
@@ -492,9 +503,7 @@ class TestExactOpsSkipTheFilter:
         ((2, 2, 3), lambda a: a.mT),
         ((3, 4), lambda a: -a),
         ((3, 4), lambda a: a.take_rows([2, 0])),
-        ((2, 3), rel_gather),
-        ((2, 2), rel_scatter),
-    ], ids=["reshape", "T", "mT", "neg", "take_rows", "rel_gather", "rel_scatter"])
+    ], ids=["reshape", "T", "mT", "neg", "take_rows"])
     def test_outputs_and_gradients_are_not_filtered(self, shape, op):
         a = self.leaf(shape)
         with no_grad():
@@ -593,68 +602,97 @@ class TestStackedMatmul:
         assert report.max_relative_error < 1e-5, report.per_parameter
 
 
-def gather_oracle(x):
-    n = x.shape[0]
-    out = np.zeros((n, n))
+def offset_rows(bank, n):
+    """Row clip(j - i, -k, k) + k of a (2k+1, d_z) ``bank`` for every pair (i, j)."""
+    clip = len(bank) // 2
+    out = np.zeros((n, n, bank.shape[1]))
     for i in range(n):
         for j in range(n):
-            out[i, j] = x[i, j - i + n - 1]
-    return out
-
-
-def scatter_oracle(a):
-    n = a.shape[0]
-    out = np.zeros((n, 2 * n - 1))
-    for i in range(n):
-        for j in range(n):
-            out[i, j - i + n - 1] = a[i, j]
+            out[i, j] = bank[min(max(j - i, -clip), clip) + clip]
     return out
 
 
 class TestOffsetMaps:
-    """rel_gather / rel_scatter against the direct double-loop definition."""
+    """PRPE's map from (query i, key j) pairs to bank rows clip(j - i, -k, k) + k,
+    as the composite oracles read it, against the direct double loop: k < n-1
+    (offsets share the edge rows), k = n-1 (none do) and k > n (rows no offset
+    reaches)."""
+
+    D_Z = 4
+
+    @staticmethod
+    def clips(n):
+        return [k for k in (n - 2, n - 1, n + 1) if k >= 1]
+
+    def table(self, n, clip):
+        return build_rel_table(n, self.D_Z, Scheme.PRPE, rng_seed=n + clip, clip=clip)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_gather_matches_oracle(self, n):
-        x = Tensor(rand((n, 2 * n - 1), seed=n), requires_grad=True)
-        out = rel_gather(x)
-        np.testing.assert_allclose(out.data, gather_oracle(x.data), rtol=0, atol=1e-12)
-        g = rand((n, n), seed=n + 1)
-        (out * Tensor(g)).sum().backward()
-        np.testing.assert_allclose(x.grad, scatter_oracle(g), rtol=0, atol=1e-12)
+        for clip in self.clips(n):
+            table = self.table(n, clip)
+            q = Tensor(rand((n, self.D_Z), seed=n), requires_grad=True)
+            scores = attention_scores(q, Tensor(np.zeros((n, self.D_Z))), table)
+            g = rand((n, n), seed=n + 1)
+            (scores * Tensor(g)).sum().backward()
+            rows, s = offset_rows(table.bank_k.data, n), 1.0 / math.sqrt(self.D_Z)
+            want, dq = np.zeros((n, n)), np.zeros((n, self.D_Z))
+            d_bank = np.zeros((2 * clip + 1, self.D_Z))
+            for i in range(n):
+                for j in range(n):
+                    want[i, j] = q.data[i] @ rows[i, j] * s
+                    dq[i] += g[i, j] * rows[i, j] * s
+                    d_bank[min(max(j - i, -clip), clip) + clip] += g[i, j] * q.data[i] * s
+            for got, expected in ((scores.data, want), (q.grad, dq), (table.bank_k.grad, d_bank)):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_scatter_matches_oracle(self, n):
-        a = Tensor(rand((n, n), seed=n), requires_grad=True)
-        out = rel_scatter(a)
-        np.testing.assert_allclose(out.data, scatter_oracle(a.data), rtol=0, atol=1e-12)
-        g = rand((n, 2 * n - 1), seed=n + 1)
-        (out * Tensor(g)).sum().backward()
-        np.testing.assert_allclose(a.grad, gather_oracle(g), rtol=0, atol=1e-12)
+        for clip in self.clips(n):
+            table = self.table(n, clip)
+            alpha = Tensor(rand((n, n), seed=n), requires_grad=True)
+            out = attention_output(alpha, Tensor(np.zeros((n, self.D_Z))), table)
+            g = rand((n, self.D_Z), seed=n + 1)
+            (out * Tensor(g)).sum().backward()
+            rows = offset_rows(table.bank_v.data, n)
+            want, d_alpha = np.zeros((n, self.D_Z)), np.zeros((n, n))
+            d_bank = np.zeros((2 * clip + 1, self.D_Z))
+            for i in range(n):
+                for j in range(n):
+                    want[i] += alpha.data[i, j] * rows[i, j]
+                    d_alpha[i, j] = g[i] @ rows[i, j]
+                    d_bank[min(max(j - i, -clip), clip) + clip] += alpha.data[i, j] * g[i]
+            for got, expected in ((out.data, want), (alpha.grad, d_alpha),
+                                  (table.bank_v.grad, d_bank)):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_gradchecks(self, n):
-        x = Tensor(rand((n, 2 * n - 1), seed=n + 2), requires_grad=True)
-        a = Tensor(rand((n, n), seed=n + 3), requires_grad=True)
-        for loss in (lambda: (rel_gather(x) ** 2).sum(),
-                     lambda: (rel_scatter(a) ** 2).sum()):
-            report = check_gradients(loss, {"x": x, "a": a}, step=1e-5)
+        for clip in self.clips(n):
+            table = self.table(n, clip)
+            q, k, v = (Tensor(rand((n, self.D_Z), seed=n + i), requires_grad=True)
+                       for i in range(3))
+            alpha = Tensor(rand((n, n), seed=n + 3), requires_grad=True)
+
+            def loss():
+                scores = attention_scores(q, k, table)
+                out = attention_output(alpha, v, table)
+                return (scores * scores).sum() + (out * out).sum()
+
+            report = check_gradients(loss, {"q": q, "k": k, "v": v, "alpha": alpha,
+                                            **table.parameters()}, step=1e-5)
             assert report.max_relative_error < 1e-5, report.per_parameter
 
     def test_leading_axes_map_each_matrix(self):
-        x = rand((2, 3, 4, 7), seed=4)
-        out = rel_gather(Tensor(x)).data
-        back = rel_scatter(Tensor(out)).data
+        n, table = 5, self.table(5, 2)
+        q, alpha = rand((2, 3, n, self.D_Z), seed=4), rand((2, 3, n, n), seed=5)
+        scores = attention_scores(Tensor(q), Tensor(np.zeros(q.shape)), table).data
+        out = attention_output(Tensor(alpha), Tensor(np.zeros(q.shape)), table).data
         for b in np.ndindex(2, 3):
-            np.testing.assert_array_equal(out[b], gather_oracle(x[b]))
-            np.testing.assert_array_equal(back[b], scatter_oracle(out[b]))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (3, 6), (4,), (0, 0)])
-    def test_bad_shapes_rejected(self, shape):
-        with pytest.raises(ValueError):
-            rel_gather(Tensor(np.zeros(shape)))
-        with pytest.raises(ValueError):
-            rel_scatter(Tensor(np.zeros(shape)))
+            np.testing.assert_allclose(scores[b], attention_scores(
+                Tensor(q[b]), Tensor(np.zeros((n, self.D_Z))), table).data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[b], attention_output(
+                Tensor(alpha[b]), Tensor(np.zeros((n, self.D_Z))), table).data, rtol=0, atol=1e-12)
 
 
 class TestNoGrad:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relpe.attention import _pair_rows
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer
 from relpe.posenc import Scheme, build_rel_table, frpe_vector
@@ -81,10 +82,12 @@ class TestBuildRelTable:
 
     def test_frpe_rows_match_direct_formula(self):
         table = build_rel_table(3, 4, Scheme.FRPE)
-        assert table.rows.shape == (5, 4)
-        for delta in range(-2, 3):
-            np.testing.assert_allclose(table.rows[delta + 2], frpe_oracle(delta, 4),
-                                       rtol=0, atol=FRPE_ATOL)
+        assert table.rows.shape == (3, 4)
+        for delta in range(-2, 3):       # negative offsets through the formula the rows use
+            want = frpe_oracle(delta, 4)
+            np.testing.assert_allclose(frpe_vector(delta, 4), want, rtol=0, atol=FRPE_ATOL)
+            if delta >= 0:
+                np.testing.assert_allclose(table.rows[delta], want, rtol=0, atol=FRPE_ATOL)
 
     @pytest.mark.parametrize("scheme", [Scheme.PAPE, Scheme.NONE])
     def test_wrong_constructor_rejected(self, scheme):
@@ -108,14 +111,23 @@ class TestBuildRelTable:
     @pytest.mark.parametrize("scheme", [Scheme.FRPE, Scheme.PRPE])
     @pytest.mark.parametrize("n", [1, 3, 6])    # inside and past max_len
     def test_block_holds_one_row_per_offset(self, scheme, n):
+        """FRPE's block row o is a_o; PRPE pairs (i, j) read a_{j-i} from the
+        banks, and its tables have no block."""
         table = build_rel_table(3, 4, scheme, rng_seed=4, clip=2)
-        atol = FRPE_ATOL if scheme is Scheme.FRPE else 0.0   # PRPE rows are bank rows
-        for role in ("K", "V"):
-            rows = table.block(n, role).data
-            assert rows.shape == (2 * n - 1, 4)
-            for o in range(2 * n - 1):
-                np.testing.assert_allclose(rows[o], rel_row(table, o - (n - 1), role),
-                                           rtol=0, atol=atol)
+        if scheme is Scheme.FRPE:
+            rows = table.block(n)
+            assert rows.shape == (n, 4)
+            for o in range(n):
+                np.testing.assert_allclose(rows[o], rel_row(table, o, "K"),
+                                           rtol=0, atol=FRPE_ATOL)
+        else:
+            with pytest.raises(ValueError, match="PRPE"):
+                table.block(n)
+            for role, bank in (("K", table.bank_k), ("V", table.bank_v)):
+                pairs = _pair_rows(bank, n).data
+                assert pairs.shape == (n, n, 4)
+                for i, j in np.ndindex(n, n):
+                    np.testing.assert_array_equal(pairs[i, j], rel_row(table, j - i, role))
 
     def test_prpe_has_separate_banks(self):
         table = build_rel_table(8, 4, Scheme.PRPE, rng_seed=3, clip=2)
@@ -126,25 +138,26 @@ class TestBuildRelTable:
 
 
 class TestRelLookup:
-    """Relative rows as attention reads them: ``block(n, role)[o]`` is a_{o-(n-1)}."""
+    """Relative rows as attention reads them: FRPE's ``block(n)[j]`` is a_j, and
+    PRPE's pair (i, j) reads bank row clip(j - i, -k, k) + k."""
 
     def test_identity_offset(self):
         table = build_rel_table(4, 6, Scheme.FRPE)
-        np.testing.assert_array_equal(table.block(4).data[3], [0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(table.block(4)[0], [0, 1, 0, 1, 0, 1])
 
     def test_prpe_clipping(self):
         table = build_rel_table(16, 4, Scheme.PRPE, clip=2)
-        for role, bank in (("K", table.bank_k), ("V", table.bank_v)):
-            rows = table.block(10, role).data           # offset d sits at row d + 9
-            np.testing.assert_array_equal(rows[7 + 9], rows[2 + 9])
-            np.testing.assert_array_equal(rows[-9 + 9], rows[-2 + 9])
-            np.testing.assert_array_equal(rows[2 + 9], bank.data[4])
-            np.testing.assert_array_equal(rows[-9 + 9], bank.data[0])
+        for bank in (table.bank_k, table.bank_v):
+            pairs = _pair_rows(bank, 10).data           # pair (i, j) has offset j - i
+            np.testing.assert_array_equal(pairs[0, 7], pairs[0, 2])
+            np.testing.assert_array_equal(pairs[9, 0], pairs[2, 0])
+            np.testing.assert_array_equal(pairs[0, 2], bank.data[4])
+            np.testing.assert_array_equal(pairs[9, 0], bank.data[0])
 
     def test_frpe_extrapolates_past_built_range(self):
         table = build_rel_table(32, 8, Scheme.FRPE)
         rows = table.rows.copy()
-        got = table.block(64).data[40 + 63]
+        got = table.block(64)[40]
         np.testing.assert_allclose(got, frpe_oracle(40, 8), rtol=0, atol=FRPE_ATOL)
         np.testing.assert_array_equal(got, frpe_vector(40, 8))
         assert table.max_len == 32
@@ -162,23 +175,22 @@ class TestRelLookup:
 
         monkeypatch.setattr(relpe.posenc, "frpe_vector", counted)
         for _ in range(2):                            # two passes, each over two layers
-            for n in (64, 64, 40, 64):
-                for role in ("K", "V"):
-                    got = table.block(n, role).data
-                    np.testing.assert_array_equal(
-                        got.view(np.uint64), frpe_vector(np.arange(1 - n, n), 8).view(np.uint64))
-        assert calls == [127]                         # n = 40 is a slice of the n = 64 rows
+            for n in (64, 64, 40, 20, 64):
+                got = table.block(n)
+                np.testing.assert_array_equal(
+                    got.view(np.uint64), frpe_vector(np.arange(n), 8).view(np.uint64))
+        assert calls == [64]                          # n = 40 is a slice of the n = 64 rows
         table.block(80)
-        assert calls == [127, 159]
+        assert calls == [64, 80]
         np.testing.assert_array_equal(table.rows, rows)
 
     def test_lookup_depends_on_offset_only(self):
-        # the cached slice (n <= max_len) and the computed rows (n > max_len)
+        # the table's rows (n <= max_len) and the wide rows (n > max_len)
         # agree on every offset they share
         table = build_rel_table(32, 8, Scheme.FRPE)
-        long = table.block(40).data
+        long = table.block(40)
         for n in (1, 5, 32):
-            np.testing.assert_array_equal(table.block(n).data, long[40 - n:39 + n])
+            np.testing.assert_array_equal(table.block(n), long[:n])
 
 
 class TestAbsTable:

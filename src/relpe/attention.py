@@ -96,22 +96,6 @@ def init_head_weights(cfg: AttentionConfig, rng: np.random.Generator) -> HeadWei
                        bo=Tensor(np.zeros(d), requires_grad=True, name="bo"))
 
 
-def _apply_mask(scores: Tensor, mask: np.ndarray | None) -> Tensor:
-    """Set padded key columns to exactly MASK_FILL.
-
-    ``mask`` marks valid positions. A (n,) mask applies to every score row;
-    a (..., n) mask holds one row per sequence of a batch and broadcasts
-    over heads and query rows, so scores are (..., H, n, n).
-
-    The fill replaces the score (score * 0 + fill) rather than adding to it,
-    so no score + fill sum exists that could round past binary16's range.
-    """
-    if mask is None:
-        return scores
-    valid, fill = _mask_arrays(mask, scores.shape)
-    return scores * Tensor(valid) + Tensor(fill)
-
-
 def _mask_arrays(mask: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The 1/0 multiplier and the 0/MASK_FILL addend of ``mask`` for scores of ``shape``."""
     n = shape[-1]
@@ -145,7 +129,9 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
                      mask: np.ndarray | None = None) -> Tensor:
     """Pre-softmax scores for projected q and k of shape (..., n, d_z).
 
-    Leading axes (one per head) share the table's rows.
+    Leading axes (one per head) share the table's rows. ``mask`` marks valid
+    key positions, (n,) for every row or (..., n) per sequence of a batch;
+    padded key columns score exactly MASK_FILL.
     """
     if q.shape != k.shape:
         raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
@@ -162,7 +148,13 @@ def attention_scores(q: Tensor, k: Tensor, table: RelPositionTable | None = None
         else:
             pairs = _pair_rows(table.bank_k, n)  # (n, n, d_z)
             scores = scores + (q.reshape(*q.shape[:-1], 1, d_z) * pairs).sum(axis=-1)
-    return _apply_mask(scores * scale, mask)
+    scores = scores * scale
+    if mask is not None:
+        # The fill replaces the score (score * 0 + fill) rather than adding to
+        # it, so no score + fill sum exists that could round past binary16's range.
+        valid, fill = _mask_arrays(mask, scores.shape)
+        scores = scores * Tensor(valid) + Tensor(fill)
+    return scores
 
 
 def attention_output(alpha: Tensor, v: Tensor,

@@ -14,8 +14,8 @@ from pathlib import Path
 from . import ablate as ablate_mod
 from .checkpoint import CheckpointError, load_checkpoint, load_manifest
 from .config import ConfigError, RunConfig
-from .data import (CorpusError, Lexicon, Vocabulary, build_vocab, load_corpus,
-                   make_examples, masking_stats, read_examples, write_examples)
+from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab,
+                   load_corpus, make_examples, masking_stats, read_examples, write_examples)
 from .encoder import EncoderConfig, EncoderModel
 from .gradcheck import check_full_model
 from .train import Trainer, evaluate
@@ -57,6 +57,9 @@ def _read_examples(path, model: EncoderConfig):
 
 
 def cmd_build_vocab(args) -> int:
+    if args.max_size is not None and args.max_size < len(SPECIAL_TOKENS):
+        raise UserError(f"--max-size {args.max_size} is below the "
+                        f"{len(SPECIAL_TOKENS)} special tokens")
     vocab = build_vocab(args.corpus, min_count=args.min_count, max_size=args.max_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -100,8 +103,8 @@ def cmd_pretrain(args) -> int:
     last = trainer.train(out_dir=config.out_dir, resume_from=args.resume)
     if last is not None:
         print(f"finished at step {last['step']}: loss {last['loss']:.4f}")
-    else:
-        print("wrote initialization checkpoint (0 steps)")
+    else:   # a 0-step run, or a resume of a finished one
+        print(f"no steps left to run: wrote the step-{trainer.step} checkpoint")
     return 0
 
 
@@ -141,8 +144,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    schemes = (args.scheme.split(",") if args.scheme
-               else ["none", "pape", "prpe", "frpe"])
+    known = ["none", "pape", "prpe", "frpe"]
+    schemes = args.scheme.split(",") if args.scheme else known
+    for name in schemes:
+        if name not in known:
+            raise UserError(f"--scheme {name!r} is not one of {', '.join(known)}")
     threshold = args.threshold
     failures = []
     for name in schemes:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_optimizer_state, read_checkpoint, save_checkpoint
+from .checkpoint import load_optimizer_state, save_checkpoint
 from .config import RunConfig
 from .data import PretrainExample
 from .encoder import EncoderModel, pretrain_loss
@@ -90,16 +90,10 @@ class Trainer:
         return record
 
     def save(self, path, metrics=None):
-        save_checkpoint(path, self.params, self.optimizer,
-                        self.config.to_dict(), self.step, metrics)
+        save_checkpoint(path, self.optimizer, self.config.to_dict(), self.step, metrics)
 
     def resume(self, checkpoint_path):
-        # params.bin is only checked: optstate.bin's float64 masters replace its
-        # values. Nothing is written before both files are checked.
-        manifest, _ = read_checkpoint(checkpoint_path, self.params)
-        step = int(manifest["step"])
-        load_optimizer_state(checkpoint_path, self.params, self.optimizer)
-        self.step = step
+        self.step = load_optimizer_state(checkpoint_path, self.optimizer)["step"]
         return self.step
 
     def train(self, out_dir=None, resume_from=None):

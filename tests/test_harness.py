@@ -47,19 +47,18 @@ def tiny_examples(n=6, seed=0):
     return make_offset_copy_examples(n, 12, 8, -3, rng)
 
 
-# Damaged optstate.bin entries: (entry, its replacement given the saved value)
-# with the last parameter's name for ``{last}``.
+# Damaged optstate.bin entries: (entry, its replacement given the saved value).
+# ``v`` is the last entry, so every other one is checked before it.
 BAD_OPTIMIZER_ENTRIES = {
-    "bad-last-v-entry": ("v::{last}", lambda v: np.full(1, 0.7)),
-    "string-last-v-entry": ("v::{last}", lambda v: np.full(v.shape, "x")),
+    "bad-last-v-entry": ("v", lambda v: np.full(1, 0.7)),
+    "string-last-v-entry": ("v", lambda v: np.full(v.shape, "x")),
     "nan-step": ("step", lambda v: np.asarray(np.nan)),
 }
 
 
-def damage_optimizer_state(ckpt, damage, last):
+def damage_optimizer_state(ckpt, damage):
     """Rewrite ``ckpt``'s optstate.bin with one BAD_OPTIMIZER_ENTRIES entry; returns its key."""
     key, bad = BAD_OPTIMIZER_ENTRIES[damage]
-    key = key.format(last=last)
     with np.load(ckpt / "optstate.bin") as npz:
         state = {k: npz[k] for k in npz.files}
     state[key] = bad(state[key])
@@ -194,25 +193,27 @@ class TestCheckpoint:
 
     def test_round_trip_bitwise_at_storage_precision(self, tmp_path):
         params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, None,
+        save_checkpoint(tmp_path / "ckpt", AdamOptimizer(params, weight_decay=0.0),
                         {"seed": 1}, step=5, metrics={"loss": 1.0})
         restored = self.params(seed=99)
         manifest = load_checkpoint(tmp_path / "ckpt", restored)
         assert manifest["step"] == 5 and manifest["seed"] == 1
+        assert manifest["format_version"] == 2
         for name in params:
             np.testing.assert_array_equal(restored[name].data, params[name].data)
+        with np.load(tmp_path / "ckpt" / "optstate.bin") as npz:
+            assert sorted(npz.files) == ["m", "step", "v", "w"]
 
     def test_optimizer_state_restores_masters_and_moments(self, tmp_path):
         params = self.params()
         # give the values float64 detail that float32 storage would destroy
         params["embed.token"].data = params["embed.token"].data + 1e-12
         opt = self.stepped_optimizer(params)
-        save_checkpoint(tmp_path / "ckpt", params, opt, {"seed": 0}, step=1)
+        save_checkpoint(tmp_path / "ckpt", opt, {"seed": 0}, step=1)
 
         restored = self.params(seed=99)
         opt2 = AdamOptimizer(restored, weight_decay=0.0)
-        load_checkpoint(tmp_path / "ckpt", restored)
-        load_optimizer_state(tmp_path / "ckpt", restored, opt2)
+        assert load_optimizer_state(tmp_path / "ckpt", opt2)["step"] == 1
         assert opt2.state.step == 1
         for name in params:
             np.testing.assert_array_equal(restored[name].data, params[name].data)
@@ -221,39 +222,73 @@ class TestCheckpoint:
             assert np.shares_memory(restored[name].data, opt2.w)
             assert np.shares_memory(opt2.state.m[name], opt2.m)
 
-    def test_shape_mismatch_names_tensor(self, tmp_path):
+    def save(self, tmp_path):
+        """Save one Adam step of ``self.params()``; returns the checkpoint directory."""
         params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, None, {}, step=0)
-        bad = self.params()
+        save_checkpoint(tmp_path / "ckpt", self.stepped_optimizer(params), {}, step=1)
+        return tmp_path / "ckpt"
+
+    def assert_failed_load_changes_nothing(self, ckpt, params, match):
+        """Loading ``ckpt`` into a stepped optimizer of ``params`` raises a
+        CheckpointError matching ``match``, with w, m, v and step bitwise unchanged."""
+        opt = self.stepped_optimizer(params)
+        opt.state.step = 7                     # not the stored step
+        before = [a.copy() for a in (opt.w, opt.m, opt.v)]
+        with pytest.raises(CheckpointError, match=match):
+            load_optimizer_state(ckpt, opt)
+        assert opt.state.step == 7
+        for got, want in zip((opt.w, opt.m, opt.v), before):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_shape_mismatch_names_tensor(self, tmp_path):
+        ckpt = self.save(tmp_path)
+        bad = self.params(seed=99)
         bad["embed.token"] = Tensor(np.zeros((5, 4)), requires_grad=True)
         with pytest.raises(CheckpointError, match="embed.token"):
-            load_checkpoint(tmp_path / "ckpt", bad)
+            load_checkpoint(ckpt, bad)
+        self.assert_failed_load_changes_nothing(ckpt, bad, "tensor 0 .*embed.token")
 
     def test_parameter_set_mismatch(self, tmp_path):
-        params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, None, {}, step=0)
-        bad = self.params()
+        ckpt = self.save(tmp_path)
+        bad = self.params(seed=99)
         del bad["layer0.ffn.w1"]
         with pytest.raises(CheckpointError, match="layer0.ffn.w1"):
-            load_checkpoint(tmp_path / "ckpt", bad)
+            load_checkpoint(ckpt, bad)
+        self.assert_failed_load_changes_nothing(ckpt, bad, "tensor 1 .*layer0.ffn.w1")
+
+    @pytest.mark.parametrize("damage", ["reordered", "resized", "no-numel", "not-an-object"])
+    def test_manifest_layout_mismatch_named(self, tmp_path, damage):
+        ckpt = self.save(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        tensors = manifest["tensors"]
+        if damage == "reordered":
+            tensors.reverse()
+        elif damage == "resized":
+            tensors[0]["shape"], tensors[0]["numel"] = [5, 4], 20
+        elif damage == "no-numel":
+            del tensors[0]["numel"]
+        else:
+            tensors[0] = "embed.token"
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="tensor 0 .*embed.token"):
+            load_checkpoint(ckpt, self.params(seed=99))
+        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99),
+                                                "tensor 0 .*embed.token")
 
     def test_truncated_payload_detected(self, tmp_path):
-        params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, None, {}, step=0)
-        blob = (tmp_path / "ckpt" / "params.bin").read_bytes()
-        (tmp_path / "ckpt" / "params.bin").write_bytes(blob[:-8])
+        ckpt = self.save(tmp_path)
+        blob = (ckpt / "params.bin").read_bytes()
+        (ckpt / "params.bin").write_bytes(blob[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(tmp_path / "ckpt", self.params())
+            load_checkpoint(ckpt, self.params())
+        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99), "params.bin")
 
     def test_truncated_optimizer_state_detected(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", self.params(), None, {}, step=0)
-        state = tmp_path / "ckpt" / "optstate.bin"
+        state = self.save(tmp_path) / "optstate.bin"
         blob = state.read_bytes()
         state.write_bytes(blob[:len(blob) // 2])
-        params = self.params()
-        with pytest.raises(CheckpointError, match="optstate.bin"):
-            load_optimizer_state(tmp_path / "ckpt", params,
-                                 AdamOptimizer(params, weight_decay=0.0))
+        self.assert_failed_load_changes_nothing(state.parent, self.params(seed=99),
+                                                "optstate.bin")
 
     @staticmethod
     def stepped_optimizer(params):
@@ -265,41 +300,50 @@ class TestCheckpoint:
 
     def rewrite_optimizer_state(self, tmp_path, **entries):
         """Save one Adam step of ``self.params()``, then replace or (value None)
-        drop optstate.bin entries."""
-        params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, self.stepped_optimizer(params), {}, step=1)
-        state = tmp_path / "ckpt" / "optstate.bin"
-        with np.load(state) as npz:
+        drop optstate.bin entries; returns the checkpoint directory."""
+        ckpt = self.save(tmp_path)
+        with np.load(ckpt / "optstate.bin") as npz:
             kept = {k: entries.get(k, npz[k]) for k in npz.files}
-        with open(state, "wb") as fh:
+        with open(ckpt / "optstate.bin", "wb") as fh:
             np.savez(fh, **{k: v for k, v in kept.items() if v is not None})
+        return ckpt
 
-    @pytest.mark.parametrize("entry", ["step", "v::embed.token"])
+    @pytest.mark.parametrize("entry", ["step", "w", "m", "v"])
     def test_missing_optimizer_entry_named(self, tmp_path, entry):
-        self.rewrite_optimizer_state(tmp_path, **{entry: None})
-        params = self.params()
-        with pytest.raises(CheckpointError, match=entry):
-            load_optimizer_state(tmp_path / "ckpt", params,
-                                 AdamOptimizer(params, weight_decay=0.0))
+        ckpt = self.rewrite_optimizer_state(tmp_path, **{entry: None})
+        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99),
+                                                f"no entry '{entry}'")
 
-    @pytest.mark.parametrize("entry", ["m::embed.token", "v::layer0.ffn.w1"])
+    @pytest.mark.parametrize("entry", ["m", "v"])
     def test_moment_shape_mismatch_named(self, tmp_path, entry):
-        # a (1,) moment would broadcast over the whole block on the next step
-        self.rewrite_optimizer_state(tmp_path, **{entry: np.full(1, 0.7)})
-        params = self.params()
-        with pytest.raises(CheckpointError, match=f"shape mismatch for '{entry}'"):
-            load_optimizer_state(tmp_path / "ckpt", params,
-                                 AdamOptimizer(params, weight_decay=0.0))
+        # a (1,) moment would broadcast over the whole buffer
+        ckpt = self.rewrite_optimizer_state(tmp_path, **{entry: np.full(1, 0.7)})
+        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99),
+                                                rf"'{entry}' holds float64 values of shape \[1\]")
 
-    def test_format_version_checked(self, tmp_path):
-        params = self.params()
-        save_checkpoint(tmp_path / "ckpt", params, None, {}, step=0)
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 999
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="999"):
-            load_manifest(tmp_path / "ckpt")
+    @pytest.mark.parametrize("entry, value, named", [
+        ("w", np.zeros(57), "'w' holds float64 values of shape .57."),
+        ("m", np.zeros(56, dtype=np.float32), "'m' holds float32"),
+        ("v", np.full(56, "x"), "'v' holds <U1"),
+        ("step", np.asarray(np.nan), "'step' holds float64 nan"),
+        ("step", np.asarray(-1), "'step' holds int64 -1"),
+        ("step", np.asarray("x"), "'step' holds <U1 x"),
+        ("step", np.asarray(True), "'step' holds bool"),
+        ("step", np.ones(1, dtype=np.int64), "'step' holds int64"),
+    ], ids=["long-w", "float32-m", "string-v", "nan-step", "negative-step", "string-step",
+            "bool-step", "vector-step"])
+    def test_bad_optimizer_entry_named(self, tmp_path, entry, value, named):
+        ckpt = self.rewrite_optimizer_state(tmp_path, **{entry: value})
+        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99), named)
+
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_format_version_checked(self, tmp_path, version):
+        ckpt = self.save(tmp_path)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["format_version"] = version
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=f"version {version} unsupported"):
+            load_manifest(ckpt)
 
     def test_missing_checkpoint_directory(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -458,7 +502,7 @@ class TestTrainer:
         trainer.train(out_dir=tmp_path / "run")
         ckpt, last = tmp_path / "run" / "checkpoint-2", list(trainer.params)[-1]
         if damage in BAD_OPTIMIZER_ENTRIES:
-            named = damage_optimizer_state(ckpt, damage, last)
+            named = damage_optimizer_state(ckpt, damage)
         else:
             manifest = json.loads((ckpt / "manifest.json").read_text())
             manifest["tensors"][-1]["shape"].append(1)
@@ -829,13 +873,77 @@ class TestCli:
             tmp_path, train_examples=str(examples_path),
             out_dir=str(tmp_path / "run"), total_steps=4, checkpoint_every=2)
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
-        last = list(EncoderModel(tiny_run_config().model).parameters())[-1]
-        key = damage_optimizer_state(tmp_path / "run" / "checkpoint-2", damage, last)
+        key = damage_optimizer_state(tmp_path / "run" / "checkpoint-2", damage)
         capsys.readouterr()
         rc = cli_main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "run2"),
                        "--resume", str(tmp_path / "run" / "checkpoint-2")])
         assert rc == 1
         assert f"'{key}'" in capsys.readouterr().err
+
+    def pretrained_run(self, tmp_path, capsys):
+        """A 4-step tiny run through the CLI; returns its config path."""
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        cfg_path, _ = self.write_config(
+            tmp_path, train_examples=str(examples_path),
+            out_dir=str(tmp_path / "run"), total_steps=4, checkpoint_every=0)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        return cfg_path
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda m: m.pop("step"), "'step'"),
+        (lambda m: m.pop("config"), "'config'"),
+        (lambda m: m.pop("tensors"), "'tensors'"),
+        (lambda m: m["tensors"][0].pop("numel"), "'numel'"),
+        (lambda m: m.update(step="x"), "'step'"),
+        (lambda m: m.update(step=True), "'step'"),
+        (lambda m: m.update(config=[]), "'config'"),
+        (lambda m: m.update(tensors={}), "'tensors'"),
+        (lambda m: m.update(tensors=[7]), "tensor 0"),
+        (None, "JSON object"),                 # the manifest wrapped in a list
+    ], ids=["no-step", "no-config", "no-tensors", "no-numel", "string-step", "bool-step",
+            "list-config", "object-tensors", "number-tensor", "list-manifest"])
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_damaged_manifest_is_user_error(self, tmp_path, capsys, damage, named, command):
+        cfg_path = self.pretrained_run(tmp_path, capsys)
+        ckpt = tmp_path / "run" / "checkpoint-final"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        if damage is None:
+            manifest = [manifest]
+        else:
+            damage(manifest)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        argv = (["eval", "--checkpoint", str(ckpt), "--examples", str(tmp_path / "train.jsonl")]
+                if command == "eval" else
+                ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "run2"),
+                 "--resume", str(ckpt)])
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_resume_of_finished_run_reports_its_step(self, tmp_path, capsys):
+        cfg_path = self.pretrained_run(tmp_path, capsys)
+        assert cli_main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "run2"),
+                         "--resume", str(tmp_path / "run" / "checkpoint-final")]) == 0
+        assert capsys.readouterr().out == "no steps left to run: wrote the step-4 checkpoint\n"
+        assert load_manifest(tmp_path / "run2" / "checkpoint-final")["step"] == 4
+
+    @pytest.mark.parametrize("flags, named", [
+        (["gradcheck", "--scheme", "bogus"], "--scheme 'bogus'"),
+        (["gradcheck", "--scheme", "none,frpe,"], "--scheme ''"),
+        (["build-vocab", "--max-size", "3"], "--max-size 3"),
+        (["build-vocab", "--max-size", "-1"], "--max-size -1"),
+    ], ids=["bogus-scheme", "empty-scheme", "max-size-below-specials", "negative-max-size"])
+    def test_bad_flag_is_user_error(self, tmp_path, capsys, flags, named):
+        if flags[0] == "build-vocab":
+            flags += ["--corpus", str(self.write_corpus(tmp_path)),
+                      "--out", str(tmp_path / "vocab.txt")]
+        assert cli_main(flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == "" and not (tmp_path / "vocab.txt").exists()
 
     def test_user_errors_exit_code_one(self, tmp_path, capsys):
         assert cli_main(["pretrain", "--config", str(tmp_path / "nope.json")]) == 1

@@ -1,5 +1,6 @@
-"""Every name a relpe module imports is used in it: the unused-import check a
-linter would make, with only the standard library's ``ast``."""
+"""Every name a relpe module imports is used in it, and every module-level
+private name is read by some relpe module: the unused-import and dead-code
+checks a linter would make, with only the standard library's ``ast``."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,47 @@ def test_checker_finds_unused_names():
                                           if p.name != "__init__.py"))
 def test_module_reads_every_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> set[str]:
+    """Module-level ``_name`` functions, classes and constants that ``source`` defines."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names that ``source`` loads, reads as an attribute or imports by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:_name`` for each private name of ``sources`` that none of them reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return sorted(f"{module}:{name}" for module, source in sources.items()
+                  for name in private_names(source) - read)
+
+
+def test_checker_finds_dead_private_names():
+    sources = {"a.py": "_USED = 1\n_DEAD: int = 2\ndef _helper(): pass\nclass _Gone: pass\n"
+                       "def __getattr__(name): return _USED\n",
+               "b.py": "from a import _helper\n_helper()\n"}
+    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_Gone"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []

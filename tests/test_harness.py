@@ -336,13 +336,21 @@ class TestCheckpoint:
         ckpt = self.rewrite_optimizer_state(tmp_path, **{entry: value})
         self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99), named)
 
-    @pytest.mark.parametrize("version", [1, 999])
-    def test_format_version_checked(self, tmp_path, version):
+    def rewrite_format_version(self, tmp_path, version):
         ckpt = self.save(tmp_path)
         manifest = json.loads((ckpt / "manifest.json").read_text())
         manifest["format_version"] = version
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match=f"version {version} unsupported"):
+        return ckpt
+
+    def test_format_version_checked(self, tmp_path):
+        ckpt = self.rewrite_format_version(tmp_path, 999)
+        with pytest.raises(CheckpointError, match="version 999 unsupported"):
+            load_manifest(ckpt)
+
+    def test_format_one_rejected(self, tmp_path):
+        ckpt = self.rewrite_format_version(tmp_path, 1)
+        with pytest.raises(CheckpointError, match="version 1 unsupported"):
             load_manifest(ckpt)
 
     def test_missing_checkpoint_directory(self, tmp_path):

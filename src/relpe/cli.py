@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: build-vocab, prepare-data, pretrain, eval, ablate, gradcheck.
-Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
+Exit codes: 0 success, 1 user/config error or a diverged run, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab
                    load_corpus, make_examples, masking_stats, read_examples, write_examples)
 from .encoder import EncoderConfig, EncoderModel
 from .gradcheck import check_full_model
-from .train import Trainer, evaluate
+from .train import Trainer, TrainingDiverged, evaluate
 
 
 class UserError(Exception):
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError, CorpusError, CheckpointError, OSError) as exc:
+    except (UserError, ConfigError, CorpusError, CheckpointError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError, ValueError, IndexError) as exc:

@@ -121,6 +121,8 @@ class Lexicon:
 
 def segment_words(chars: str, lexicon: Lexicon) -> list[tuple[int, int]]:
     """Greedy longest-match left-to-right; spans (start, end) partition the input."""
+    if not lexicon.words:
+        return [(i, i + 1) for i in range(len(chars))]
     spans = []
     i = 0
     n = len(chars)
@@ -342,8 +344,9 @@ def make_example(a: str, b: str, is_next: int, vocab: Vocabulary,
     a_off, b_off = 1, len(a_ids) + 2
     maskable = list(range(a_off, a_off + len(a_ids))) \
         + list(range(b_off, b_off + len(b_ids)))
-    spans = [range(a_off + s, a_off + e) for s, e in segment_words(a, lexicon)] \
-        + [range(b_off + s, b_off + e) for s, e in segment_words(b, lexicon)]
+    spans = [] if strategy == "char" else [  # per-character targets never read spans
+        range(off + s, off + e) for text, off in ((a, a_off), (b, b_off))
+        for s, e in segment_words(text, lexicon)]
     plan = select_targets(maskable, spans, strategy, rng)
     ids, positions, labels = apply_masking(tokens, plan, vocab, rng)
     return PretrainExample(tokens=ids, segments=segments,

@@ -1,9 +1,7 @@
 """LAMB and Adam optimizers, LR schedules, and emulated mixed precision.
 
-The mixed-precision path keeps full-precision master weights, rounds them to
-binary16 working copies for each step, runs forward/backward with every
-primitive result rounded to binary16 (via the tensor value filter), widens
-the gradients, and applies the optimizer update to the masters.
+``training_step`` is the one step of both precisions: mixed precision runs it
+on binary16 working copies of full-precision masters, which the update moves.
 """
 
 from __future__ import annotations
@@ -202,8 +200,10 @@ def make_optimizer(kind: str, params: dict[str, Tensor], weight_decay=0.01) -> _
 
 @dataclass
 class PrecisionPolicy:
+    # Both modes run training_step's one sequence. A non-finite unscaled
+    # gradient skips a "mixed_emulated" step and ends a "full" run.
     mode: str = "full"                 # "full" or "mixed_emulated"
-    loss_scale: float = 1024.0         # an overflowing step is skipped
+    loss_scale: float = 1024.0         # the mixed backward seed
 
     def __post_init__(self):
         if self.mode not in ("full", "mixed_emulated"):
@@ -214,37 +214,35 @@ class PrecisionPolicy:
 
 
 def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer, lr: float):
-    """Run one optimizer step over ``optimizer.params`` under the precision policy.
+    """Run one optimizer step over ``optimizer.params``; returns (metrics, skipped).
 
-    ``loss_fn`` builds the scalar loss tensor from the parameters' current
-    data and returns (loss, metrics). Returns (metrics, skipped): a mixed
-    step whose unscaled gradient is not finite leaves weights and moments
-    untouched. In mixed mode the parameters' data holds the master weights;
-    working binary16 copies exist only inside this call.
+    ``loss_fn`` builds the scalar loss from the parameters' current data and
+    returns (loss, metrics). One sequence serves both modes; mixed mode adds
+    the binary16 working copy (inside this call only), the round_half filter,
+    the loss-scaled seed and the unscale. A non-finite forward value raises the
+    guard's NonFiniteValueError; a non-finite gradient raises NonFiniteGradientError
+    from ``optimizer.step`` in full mode and skips a mixed step untouched.
     """
+    mixed = policy.mode == "mixed_emulated"
+    scale = policy.loss_scale if mixed else 1.0
     params = optimizer.params.values()
     for p in params:
         p.zero_grad()
-
-    if policy.mode == "full":
-        loss, metrics = loss_fn()
-        loss.backward()
-        optimizer.step(lr)
-        return metrics, False
-
     try:
-        optimizer.bind(round_half(optimizer.w))
-        with value_filter(round_half):
+        if mixed:
+            optimizer.bind(round_half(optimizer.w))
+        with value_filter(round_half if mixed else None):
             loss, metrics = loss_fn()
             # The seed is the loss scale's binary16 value: a power of two past
             # HALF_MAX rounds to inf.
-            loss.backward(policy.loss_scale if policy.loss_scale <= HALF_MAX else math.inf)
-        grads = optimizer.gather(p.grad for p in params)
-        grads /= policy.loss_scale
-        overflow = not np.isfinite(grads).all()
+            loss.backward(scale if scale <= HALF_MAX else math.inf)
+        g = optimizer.gather(p.grad for p in params)
     finally:
-        optimizer.bind(optimizer.w)
-
-    if not overflow:
-        optimizer.step(lr, grads)
-    return metrics, overflow
+        if mixed:
+            optimizer.bind(optimizer.w)
+    if mixed:
+        g /= scale
+        if not np.isfinite(g).all():
+            return metrics, True
+    optimizer.step(lr, g)
+    return metrics, False

@@ -336,11 +336,15 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     return np.bincount(flat, g.reshape(-1), shape[0] * width).reshape(shape)
 
 
+class NonFiniteValueError(ValueError):
+    """A forward value that must be finite (a softmax or log-softmax input) is NaN/inf."""
+
+
 def _check_finite(op: str, a: np.ndarray):
-    """Raise ValueError naming the first non-finite entry of ``op``'s input."""
+    """Raise NonFiniteValueError naming the first non-finite entry of ``op``'s input."""
     if not np.all(np.isfinite(a)):
         bad = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"{op} input is not finite at index {tuple(int(i) for i in bad)}")
+        raise NonFiniteValueError(f"{op} input is not finite at index {tuple(int(i) for i in bad)}")
 
 
 def nll_loss(logits: Tensor, labels, weights) -> tuple[Tensor, np.ndarray]:

@@ -15,16 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_optimizer_state, save_checkpoint
+from .checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from .config import RunConfig
 from .data import PretrainExample
 from .encoder import EncoderModel, pretrain_loss
-from .optim import lr_at_step, make_optimizer, training_step
-from .tensor import no_grad
+from .optim import NonFiniteGradientError, lr_at_step, make_optimizer, training_step
+from .tensor import NonFiniteValueError, no_grad
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A training step met a value that must be finite and is not."""
 
 
 @functools.cache
@@ -57,42 +57,37 @@ class Trainer:
         self.optimizer = make_optimizer(config.optimizer, self.params, config.weight_decay)
         self.step = 0
 
-    def _batch_for_step(self, t: int) -> list[PretrainExample]:
-        rng = np.random.default_rng([self.config.seed, 1, t])
-        idx = rng.integers(len(self.examples), size=self.config.batch_size)
-        return [self.examples[i] for i in idx]
-
-    def _loss_fn_for_step(self, t: int):
-        batch = self._batch_for_step(t)
-        dropout_active = (self.config.model.hidden_dropout > 0
-                          or self.config.model.attn_dropout > 0)
-
-        def loss_fn():
-            rng = (np.random.default_rng([self.config.seed, 2, t])
-                   if dropout_active else None)
-            return pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
-
-        return loss_fn
-
     def run_step(self, t: int):
-        """Execute training step t (1-based); returns the metrics record."""
-        lr = lr_at_step(self.config.schedule, t)
-        loss_fn = self._loss_fn_for_step(t)
+        """Execute training step t (1-based) and return its metrics record; a step
+        that diverges (see ``training_step``) raises TrainingDiverged naming t."""
+        config = self.config
+        lr = lr_at_step(config.schedule, t)
+        idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
+                                                                  size=config.batch_size)
+        batch = [self.examples[i] for i in idx]
+        dropout = config.model.hidden_dropout > 0 or config.model.attn_dropout > 0
+        def loss_fn():
+            rng = np.random.default_rng([config.seed, 2, t]) if dropout else None
+            return pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
         start = time.monotonic()
-        metrics, skipped = training_step(self.config.precision, loss_fn, self.optimizer, lr)
-        if self.config.precision.mode == "full" and not np.isfinite(metrics["loss"]):
-            raise TrainingDiverged(f"non-finite loss at step {t}: {metrics['loss']}")
+        try:
+            metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
+        except (NonFiniteValueError, NonFiniteGradientError) as exc:
+            raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
+        if not np.isfinite(metrics["loss"]):
+            raise TrainingDiverged(f"training diverged at step {t}: loss is {metrics['loss']}")
         self.step = t
-        record = {"step": t, **{k: metrics[k] for k in
-                                ("loss", "mlm_loss", "nsp_loss", "mlm_accuracy")},
-                  "lr": lr, "skipped": skipped,
-                  "wall_time": time.monotonic() - start}
-        return record
+        return {"step": t, **{k: metrics[k] for k in
+                              ("loss", "mlm_loss", "nsp_loss", "mlm_accuracy")},
+                "lr": lr, "skipped": skipped, "wall_time": time.monotonic() - start}
 
     def save(self, path, metrics=None):
         save_checkpoint(path, self.optimizer, self.config.to_dict(), self.step, metrics)
 
     def resume(self, checkpoint_path):
+        step, total = load_manifest(checkpoint_path)["step"], self.config.total_steps
+        if step > total:
+            raise CheckpointError(f"resume step {step} is past total_steps={total}")
         self.step = load_optimizer_state(checkpoint_path, self.optimizer)["step"]
         return self.step
 
@@ -100,8 +95,8 @@ class Trainer:
         """Run from the current step to config.total_steps, logging every step."""
         config = self.config
         out_dir = Path(out_dir if out_dir is not None else config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         start_step = self.resume(resume_from) if resume_from else 0
+        out_dir.mkdir(parents=True, exist_ok=True)
 
         log_path = out_dir / "metrics.jsonl"
         # Resuming into the run's own directory continues its log: earlier

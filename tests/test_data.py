@@ -84,6 +84,7 @@ class TestSegmentation:
 
     def test_no_lexicon_gives_singletons(self):
         assert segment_words("abc", Lexicon.empty()) == [(0, 1), (1, 2), (2, 3)]
+        assert segment_words("", Lexicon.empty()) == []
 
     def test_single_char_words_ignored(self):
         lex = Lexicon(words={"a", "bc"})
@@ -284,6 +285,13 @@ class TestMakeExample:
             word_positions = [1, 2, 3]  # "abc" occupies frame slots 1-3
             hit = [p for p in word_positions if p in ex.predict_positions]
             assert hit == [] or hit == word_positions
+
+    def test_char_examples_do_not_read_the_lexicon(self, tmp_path):
+        docs = [["abcdefgh", "hgfedcba", "abcabcde"], ["defdefgh", "aabbccdd"]]
+        for name, lex in (("empty", Lexicon.empty()), ("real", Lexicon(words={"abc", "de", "fgh"}))):
+            write_examples(make_examples(docs, small_vocab(), lex, "char", 16, seed=5),
+                           tmp_path / name)
+        assert (tmp_path / "empty").read_bytes() == (tmp_path / "real").read_bytes()
 
     def test_make_examples_deterministic(self):
         v = small_vocab()

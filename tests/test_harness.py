@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolic
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
                          partner, toy_words)
 from relpe.tensor import Tensor
-from relpe.train import Trainer, _eval_chunks, evaluate
+from relpe.train import Trainer, TrainingDiverged, _eval_chunks, evaluate
 
 
 def tiny_run_config(**kw):
@@ -45,6 +46,16 @@ def tiny_run_config(**kw):
 def tiny_examples(n=6, seed=0):
     rng = np.random.default_rng(seed)
     return make_offset_copy_examples(n, 12, 8, -3, rng)
+
+
+# Tiny runs that diverge within a few steps: (precision mode, optimizer, lr_max).
+DIVERGING = {"full-adam": ("full", "adam", 1e200), "mixed-lamb": ("mixed_emulated", "lamb", 1e6)}
+
+
+def diverging_config(run, **kw):
+    mode, optimizer, lr_max = DIVERGING[run]
+    return tiny_run_config(schedule=LrSchedule(lr_max=lr_max, warmup_steps=3, total_steps=12),
+                           precision=PrecisionPolicy(mode=mode), optimizer=optimizer, **kw)
 
 
 # Damaged optstate.bin entries: (entry, its replacement given the saved value).
@@ -525,6 +536,29 @@ class TestTrainer:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         self.assert_optimizer_owns_memory(trainer)
 
+    @pytest.mark.parametrize("run", DIVERGING)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_named_with_its_step(self, run):
+        trainer = Trainer(diverging_config(run), tiny_examples())
+        with pytest.raises(TrainingDiverged) as info:
+            for t in range(1, 13):
+                trainer.run_step(t)
+        assert str(info.value).startswith(f"training diverged at step {t}: ")
+        assert trainer.step == t - 1
+
+    @pytest.mark.parametrize("mode", ["full", "mixed_emulated"])
+    def test_non_finite_loss_diverges_in_both_modes(self, monkeypatch, mode):
+        real = relpe.train.pretrain_loss
+
+        def infinite_loss(*args):
+            loss, metrics = real(*args)
+            return loss, {**metrics, "loss": math.inf}
+
+        monkeypatch.setattr(relpe.train, "pretrain_loss", infinite_loss)
+        trainer = Trainer(tiny_run_config(precision=PrecisionPolicy(mode=mode)), tiny_examples())
+        with pytest.raises(TrainingDiverged, match="at step 1: loss is inf"):
+            trainer.run_step(1)
+
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         config = tiny_run_config(total_steps=0, checkpoint_every=0)
         trainer = Trainer(config, tiny_examples())
@@ -937,6 +971,40 @@ class TestCli:
                          "--resume", str(tmp_path / "run" / "checkpoint-final")]) == 0
         assert capsys.readouterr().out == "no steps left to run: wrote the step-4 checkpoint\n"
         assert load_manifest(tmp_path / "run2" / "checkpoint-final")["step"] == 4
+
+    def test_resume_past_the_end_is_refused(self, tmp_path, capsys):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        cfg_path, _ = self.write_config(
+            tmp_path, train_examples=str(examples_path),
+            out_dir=str(tmp_path / "run"), total_steps=6, checkpoint_every=0)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        short_path = tmp_path / "short.json"
+        tiny_run_config(train_examples=str(examples_path), out_dir=str(tmp_path / "run"),
+                        total_steps=4, checkpoint_every=0).save(short_path)
+        run = tmp_path / "run"
+        before = {f: f.read_bytes() for f in run.rglob("*") if f.is_file()}
+        capsys.readouterr()
+        assert cli_main(["pretrain", "--config", str(short_path),
+                         "--resume", str(run / "checkpoint-final")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert "step 6" in captured.err and "total_steps=4" in captured.err
+        assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
+
+    @pytest.mark.parametrize("run", DIVERGING)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_one_naming_the_step(self, tmp_path, capsys, run):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        config = diverging_config(run, train_examples=str(examples_path),
+                                  out_dir=str(tmp_path / "run"))
+        config.save(tmp_path / "config.json")
+        assert cli_main(["pretrain", "--config", str(tmp_path / "config.json")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged at step \d+: .+\n", err), err
 
     @pytest.mark.parametrize("flags, named", [
         (["gradcheck", "--scheme", "bogus"], "--scheme 'bogus'"),

@@ -3,6 +3,7 @@ private name is read by some relpe module: the unused-import and dead-code
 checks a linter would make, with only the standard library's ``ast``."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,51 @@ def test_checker_finds_dead_private_names():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+# Exceptions left to the CLI's exit 2 (internal error). A non-finite value or
+# gradient met in training reaches the CLI as TrainingDiverged (exit 1);
+# elsewhere, as in evaluation or a gradient check, the guards' errors exit 2.
+INTERNAL_ERRORS = {"NonDeterministicLossError", "NonFiniteGradientError", "NonFiniteValueError"}
+
+
+def exception_classes(sources: dict[str, str]) -> set[str]:
+    """Classes of ``sources`` that derive, through any of them, from a builtin exception."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for source in sources.values() for node in ast.parse(source).body
+             if isinstance(node, ast.ClassDef)}
+    found = {name for name in vars(builtins)
+             if isinstance(getattr(builtins, name), type)
+             and issubclass(getattr(builtins, name), BaseException)}
+    while more := {name for name, names in bases.items() if names & found} - found:
+        found |= more
+    return found & set(bases)
+
+
+def exit_one_errors(cli_source: str) -> set[str]:
+    """Names in the ``except`` clauses of ``main`` whose handler returns 1."""
+    main = next(node for node in ast.parse(cli_source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    names = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and any(
+                isinstance(n, ast.Return) and getattr(n.value, "value", None) == 1
+                for n in ast.walk(handler)):
+            names.update(n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name))
+    return names
+
+
+def test_checkers_find_exceptions_and_exit_one_clauses():
+    sources = {"a.py": "class A(ValueError): pass\nclass B(A): pass\nclass C: pass\n",
+               "b.py": "class D(Exception): pass\n"}
+    assert exception_classes(sources) == {"A", "B", "D"}
+    cli = ("def main():\n    try:\n        return 0\n    except (A, OSError):\n        return 1\n"
+           "    except B:\n        return 2\n")
+    assert exit_one_errors(cli) == {"A", "OSError"}
+
+
+def test_every_named_error_has_an_exit_code():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    errors = exception_classes(sources)
+    assert INTERNAL_ERRORS <= errors
+    assert sorted(errors - exit_one_errors(sources["cli.py"]) - INTERNAL_ERRORS) == []

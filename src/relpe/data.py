@@ -121,8 +121,6 @@ class Lexicon:
 
 def segment_words(chars: str, lexicon: Lexicon) -> list[tuple[int, int]]:
     """Greedy longest-match left-to-right; spans (start, end) partition the input."""
-    if not lexicon.words:
-        return [(i, i + 1) for i in range(len(chars))]
     spans = []
     i = 0
     n = len(chars)

@@ -59,7 +59,8 @@ class Trainer:
 
     def run_step(self, t: int):
         """Execute training step t (1-based) and return its metrics record; a step
-        that diverges (see ``training_step``) raises TrainingDiverged naming t."""
+        that diverges (see ``training_step``; the loss is checked before the
+        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
@@ -68,14 +69,15 @@ class Trainer:
         dropout = config.model.hidden_dropout > 0 or config.model.attn_dropout > 0
         def loss_fn():
             rng = np.random.default_rng([config.seed, 2, t]) if dropout else None
-            return pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
+            loss, metrics = pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
+            if not np.isfinite(metrics["loss"]):
+                raise NonFiniteValueError(f"loss is {metrics['loss']}")
+            return loss, metrics
         start = time.monotonic()
         try:
             metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
             raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
-        if not np.isfinite(metrics["loss"]):
-            raise TrainingDiverged(f"training diverged at step {t}: loss is {metrics['loss']}")
         self.step = t
         return {"step": t, **{k: metrics[k] for k in
                               ("loss", "mlm_loss", "nsp_loss", "mlm_accuracy")},

@@ -556,8 +556,14 @@ class TestTrainer:
 
         monkeypatch.setattr(relpe.train, "pretrain_loss", infinite_loss)
         trainer = Trainer(tiny_run_config(precision=PrecisionPolicy(mode=mode)), tiny_examples())
+        opt = trainer.optimizer
+        before = [a.copy() for a in (opt.w, opt.m, opt.v)]
         with pytest.raises(TrainingDiverged, match="at step 1: loss is inf"):
             trainer.run_step(1)
+        # the diverged step changed neither the optimizer nor the trainer
+        for old, new in zip(before, (opt.w, opt.m, opt.v)):
+            assert old.tobytes() == new.tobytes()
+        assert opt.state.step == 0 and trainer.step == 0
 
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         config = tiny_run_config(total_steps=0, checkpoint_every=0)

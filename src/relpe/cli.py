@@ -18,6 +18,7 @@ from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab
                    load_corpus, make_examples, masking_stats, read_examples, write_examples)
 from .encoder import EncoderConfig, EncoderModel
 from .gradcheck import check_full_model
+from .tensor import NonFiniteValueError
 from .train import Trainer, TrainingDiverged, evaluate
 
 
@@ -115,7 +116,7 @@ def cmd_eval(args) -> int:
     load_checkpoint(args.checkpoint, model.parameters())
     try:
         report = evaluate(model, _read_examples(args.examples, config.model))
-    except IndexError as exc:
+    except (IndexError, NonFiniteValueError) as exc:
         raise UserError(f"evaluation failed: {exc}")
     report["run_config"] = config.to_dict()
     report["seed"] = config.seed

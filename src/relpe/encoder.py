@@ -21,6 +21,7 @@ against all n keys, and its residual, layer norms and feed-forward run on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -255,29 +256,30 @@ class EncoderModel:
         if not examples:
             raise ValueError("no examples to encode")
         lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
+        counts = np.array([len(ex.predict_positions) for ex in examples], dtype=np.intp)
         b, n = len(examples), int(lengths.max())
-        tokens = np.full((b, n), PAD_ID, dtype=np.intp)
-        segments = np.zeros((b, n), dtype=np.intp)
-        positions, owners = [], []
-        for i, (ex, length) in enumerate(zip(examples, lengths)):
-            if length < 1 or len(ex.segments) != length:
+        owners = np.repeat(np.arange(b, dtype=np.intp), counts)
+        positions = _flat([ex.predict_positions for ex in examples], counts.sum())
+        misfit = (lengths < 1) | (np.array([len(ex.segments) for ex in examples]) != lengths)
+        outside = (positions < 0) | (positions >= lengths[owners])
+        bad = np.flatnonzero(misfit | (np.bincount(owners[outside], minlength=b) > 0))
+        if bad.size:   # the first bad example names the error; its length goes first
+            i = bad[0]
+            if misfit[i]:
                 raise ValueError(f"batch example {i}: token_ids and segment_ids must "
                                  f"have equal, nonzero length")
-            tokens[i, :length] = ex.tokens
-            segments[i, :length] = ex.segments
-            pos = np.asarray(ex.predict_positions, dtype=np.intp)
-            if pos.size and (pos.min() < 0 or pos.max() >= length):
-                raise IndexError(f"prediction position out of range for "
-                                 f"length-{length} sequence")
-            positions.append(pos)
-            owners.append(np.full(pos.size, i, dtype=np.intp))
-        positions, owners = np.concatenate(positions), np.concatenate(owners)
-        counts = np.bincount(owners, minlength=b)
+            raise IndexError(f"prediction position out of range for "
+                             f"length-{lengths[i]} sequence")
+        filled = np.arange(n) < lengths[:, None]
+        tokens = np.full((b, n), PAD_ID, dtype=np.intp)
+        tokens[filled] = _flat([ex.tokens for ex in examples], lengths.sum())
+        segments = np.zeros((b, n), dtype=np.intp)
+        segments[filled] = _flat([ex.segments for ex in examples], lengths.sum())
         slot = np.arange(1 + int(counts.max()))
         predicted = (slot > 0) & (slot <= counts[:, None])    # slots 1 .. count of each example
         slot_positions = np.zeros((b, slot.size), dtype=np.intp)   # 0: [CLS] and padding
         slot_positions[predicted] = positions
-        mask = None if lengths.min() == n else np.arange(n) < lengths[:, None]
+        mask = None if lengths.min() == n else filled
         slot_states = self.encode(tokens, segments, mask=mask, rng=rng, queries=slot_positions)
 
         rows = slot_states.reshape(-1, self.cfg.d_model)
@@ -295,6 +297,11 @@ class EncoderModel:
         return ForwardOutput(slot_states=slot_states, slot_positions=slot_positions,
                              pooled=pooled, mlm_logits=mlm_logits,
                              nsp_logits=nsp_logits, predict_examples=owners)
+
+
+def _flat(lists, size) -> np.ndarray:
+    """The concatenation of ``lists`` of ints, ``size`` in all, as one intp array."""
+    return np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(size))
 
 
 def _where(index) -> str:

@@ -439,31 +439,36 @@ def _np_erf(x) -> np.ndarray:
     floating-point warning.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    far = a > 1.0                                         # NaN is not far
+    far = np.abs(x) > 1.0                                 # NaN is not far
     has_far = far.any()
     near = np.clip(x, -1.0, 1.0) if has_far else x       # keeps the powers finite
     z = near * near
     y = _polevl(z, _ERF_T, out=np.empty_like(x))
     y *= near
+    del near                                              # free the clipped copy
     y /= _p1evl(z, _ERF_U)
+    del z
     if has_far:
-        b = np.minimum(a[far], _ERF_SATURATES)
+        xf = x[far]
+        b = np.minimum(np.abs(xf), _ERF_SATURATES)
         small = b < 8.0
         p = np.where(small, _polevl(b, _ERFC_P), _polevl(b, _ERFC_R))
         q = np.where(small, _p1evl(b, _ERFC_Q), _p1evl(b, _ERFC_S))
-        y[far] = np.copysign(1.0 - np.exp(-b * b) * p / q, x[far])
+        y[far] = np.copysign(1.0 - np.exp(-b * b) * p / q, xf)
     return y
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GeLU: x * Phi(x) with Phi the standard normal CDF, as one node."""
     x = as_tensor(x)
-    erf1 = _np_erf(x.data * (1.0 / _SQRT2)) + 1.0      # 2 * Phi(x)
+    erf1 = _np_erf(x.data * (1.0 / _SQRT2))
+    erf1 += 1.0                                          # 2 * Phi(x)
     def bwd(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         x._accumulate(g * (0.5 * erf1 + x.data * pdf))
-    return Tensor._make(x.data * 0.5 * erf1, (x,), bwd)
+    out = x.data * 0.5
+    out *= erf1
+    return Tensor._make(out, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:

@@ -60,7 +60,8 @@ class Trainer:
     def run_step(self, t: int):
         """Execute training step t (1-based) and return its metrics record; a step
         that diverges (see ``training_step``; the loss is checked before the
-        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
+        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged.
+        The step's floating-point warnings are silenced: the guards name the value."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
@@ -75,7 +76,8 @@ class Trainer:
             return loss, metrics
         start = time.monotonic()
         try:
-            metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
+            with np.errstate(all="ignore"):
+                metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
             raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
         self.step = t
@@ -125,18 +127,23 @@ class Trainer:
             return last
 
 
-# Most padded tokens (examples x longest length) in one evaluation pass.
-_EVAL_CHUNK_TOKENS = 512
+# Limits of one multi-example evaluation pass of B examples padded to length
+# n: B*n padded tokens, which bound the fixed cost each pass amortizes, and
+# B*n*n attention scores per head, which bound its largest block to that of a
+# 512-token pass (2 x 256 x 256) so long examples do not grow the peak memory.
+_EVAL_CHUNK_TOKENS = 1024
+_EVAL_CHUNK_SCORES = 2 * 256 * 256
 
 
 def _eval_chunks(examples: list[PretrainExample]):
-    """(start index, chunk) for consecutive runs of examples whose padded
-    size fits _EVAL_CHUNK_TOKENS; a longer example forms a chunk of its own.
+    """(start index, chunk) for consecutive runs of examples within both
+    limits above; a longer example forms a chunk of its own.
     """
     start, chunk, longest = 0, [], 0
     for ex in examples:
         n = max(longest, len(ex.tokens))
-        if chunk and n * (len(chunk) + 1) > _EVAL_CHUNK_TOKENS:
+        if chunk and (n * (len(chunk) + 1) > _EVAL_CHUNK_TOKENS
+                      or n * n * (len(chunk) + 1) > _EVAL_CHUNK_SCORES):
             yield start, chunk
             start, chunk, n = start + len(chunk), [], len(ex.tokens)
         chunk.append(ex)
@@ -149,11 +156,12 @@ def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
     """MLM loss/accuracy per prediction and NSP accuracy over an example set.
 
     Runs the training step's batched forward and loss on chunks of examples,
-    without building a graph.
+    without building a graph; as in a training step, floating-point warnings
+    are silenced and a non-finite value raises NonFiniteValueError.
     """
     totals = dict.fromkeys(("num_predictions", "mlm_nll_sum", "mlm_correct",
                             "nsp_correct"), 0)
-    with no_grad():
+    with no_grad(), np.errstate(all="ignore"):
         for start, chunk in _eval_chunks(examples):
             try:
                 _, metrics = pretrain_loss(model.pretrain_forward(chunk), chunk)

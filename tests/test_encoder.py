@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -447,21 +449,40 @@ class TestBatchedForward:
         assert metrics["loss"] == pytest.approx(reference["loss"], rel=1e-2)
 
     def test_example_errors_are_named(self):
+        # Length and position errors: test_first_bad_example_names_the_error.
         model = EncoderModel(tiny_config(), seed=16)
-        batch = mixed_batch()
-        batch[2].predict_positions = [9]
-        with pytest.raises(IndexError, match="length-9"):
-            model.pretrain_forward(batch)
-        batch = mixed_batch()
-        batch[1].segments = batch[1].segments[:-1]
-        with pytest.raises(ValueError, match="batch example 1"):
-            model.pretrain_forward(batch)
         batch = mixed_batch()
         batch[3].tokens[2] = 99
         with pytest.raises(IndexError, match="position 2 of batch example 3"):
             model.pretrain_forward(batch)
         with pytest.raises(ValueError):
             model.pretrain_forward([])
+
+    @pytest.mark.parametrize("damage, error, message", [
+        ({2: dict(predict_positions=[9])}, IndexError,
+         "prediction position out of range for length-9 sequence"),
+        ({3: dict(predict_positions=[0, -1])}, IndexError,
+         "prediction position out of range for length-4 sequence"),
+        ({1: dict(segments=[0] * 5)}, ValueError,
+         "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
+        ({2: dict(tokens=[], segments=[], predict_positions=[])}, ValueError,
+         "batch example 2: token_ids and segment_ids must have equal, nonzero length"),
+        ({1: dict(predict_positions=[6]), 2: dict(segments=[0])}, IndexError,
+         "prediction position out of range for length-6 sequence"),
+        ({1: dict(segments=[0]), 2: dict(predict_positions=[9])}, ValueError,
+         "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
+    ], ids=["past-the-end", "negative", "short-segments", "empty", "position-first",
+            "length-first"])
+    def test_first_bad_example_names_the_error(self, damage, error, message):
+        # The first damaged example in batch order decides the error, and a
+        # length error of an example comes before its positions' error.
+        model = EncoderModel(tiny_config(), seed=16)
+        batch = mixed_batch()
+        for i, fields in damage.items():
+            for name, value in fields.items():
+                setattr(batch[i], name, value)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            model.pretrain_forward(batch)
 
 
 def full_rows_forward(model, examples, rng=None):

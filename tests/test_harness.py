@@ -780,8 +780,10 @@ class TestEvaluate:
         assert [ex for chunk in chunks for ex in chunk] == examples
         assert list(starts) == [0, *np.cumsum([len(chunk) for chunk in chunks])[:-1]]
         for chunk in chunks:
-            padded = len(chunk) * max(len(ex.tokens) for ex in chunk)
-            assert padded <= 512 or len(chunk) == 1
+            longest = max(len(ex.tokens) for ex in chunk)
+            assert len(chunk) == 1 or (
+                len(chunk) * longest <= relpe.train._EVAL_CHUNK_TOKENS
+                and len(chunk) * longest ** 2 <= relpe.train._EVAL_CHUNK_SCORES)
         assert [len(ex.tokens) for ex in chunks[1]] == [600]
         assert len(chunks) < len(examples) // 4
         examples[9].tokens[2] = 99
@@ -790,6 +792,18 @@ class TestEvaluate:
         assert evaluate(EncoderModel(tiny_run_config().model), []) == {
             "num_examples": 0, "num_predictions": 0, "mlm_loss": 0.0,
             "mlm_accuracy": 0.0, "nsp_accuracy": 0.0}
+
+    def test_pass_size_does_not_change_the_report(self, monkeypatch):
+        model = EncoderModel(tiny_run_config().model, seed=6)
+        examples = make_offset_copy_examples(24, 12, 8, -3, np.random.default_rng(7))
+        assert len(list(_eval_chunks(examples))) == 1
+        together = evaluate(model, examples)
+        monkeypatch.setattr(relpe.train, "_EVAL_CHUNK_TOKENS", 12)   # one example a pass
+        alone = evaluate(model, examples)
+        assert len(list(_eval_chunks(examples))) == len(examples)
+        loss = alone.pop("mlm_loss")
+        assert together.pop("mlm_loss") == pytest.approx(loss, rel=0, abs=4 * math.ulp(loss))
+        assert together == alone
 
 
 class TestSynth:
@@ -1000,7 +1014,7 @@ class TestCli:
         assert {f: f.read_bytes() for f in run.rglob("*") if f.is_file()} == before
 
     @pytest.mark.parametrize("run", DIVERGING)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a warning would print too
     def test_divergence_exits_one_naming_the_step(self, tmp_path, capsys, run):
         examples_path = tmp_path / "train.jsonl"
         from relpe.data import write_examples
@@ -1035,6 +1049,22 @@ class TestCli:
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "nope"),
                          "--examples", str(tmp_path / "nope.jsonl")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a warning would print too
+    def test_eval_of_non_finite_checkpoint_is_user_error(self, tmp_path, capsys):
+        cfg_path = self.write_init_only_config(tmp_path)
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint-init"
+        values = np.fromfile(ckpt / "params.bin", dtype="<f4")
+        values[::7] = np.inf                     # what 1e39 is in float32
+        values.tofile(ckpt / "params.bin")
+        capsys.readouterr()
+        assert cli_main(["eval", "--checkpoint", str(ckpt),
+                         "--examples", str(tmp_path / "train.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: evaluation failed: examples 0-5: .+ not finite .+\n",
+                            captured.err), captured.err
+        assert captured.out == ""
 
     def test_eval_of_malformed_examples_is_user_error(self, tmp_path, capsys):
         cfg_path = self.write_init_only_config(tmp_path)

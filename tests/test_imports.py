@@ -81,8 +81,9 @@ def test_every_private_name_is_read():
 
 
 # Exceptions left to the CLI's exit 2 (internal error). A non-finite value or
-# gradient met in training reaches the CLI as TrainingDiverged (exit 1);
-# elsewhere, as in evaluation or a gradient check, the guards' errors exit 2.
+# gradient met in training reaches the CLI as TrainingDiverged (exit 1), and a
+# non-finite value met by `relpe eval` as its user error (exit 1); in a
+# gradient check the guards' errors exit 2.
 INTERNAL_ERRORS = {"NonDeterministicLossError", "NonFiniteGradientError", "NonFiniteValueError"}
 
 

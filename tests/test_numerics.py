@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,6 +154,19 @@ class TestGelu:
         xs = np.linspace(0.0, 20.0, 500)
         ys = gelu(Tensor(xs)).data
         assert np.all(np.diff(ys) > 0)
+
+    def test_peak_memory_is_a_few_inputs(self):
+        # An FFN-sized input with a sixth of its entries on erf's far branch.
+        # The forward holds four input-sized arrays at most: the scaled input,
+        # its clipped square, the result, and the clipped copy or a denominator.
+        x = Tensor(np.random.default_rng(0).normal(size=(64, 43, 64)))
+        tracemalloc.start()
+        try:
+            gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * x.data.nbytes, peak / x.data.nbytes
 
 
 class TestLayerNorm:

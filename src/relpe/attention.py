@@ -90,10 +90,9 @@ class HeadWeights:
 
 def init_head_weights(cfg: AttentionConfig, rng: np.random.Generator) -> HeadWeights:
     d = cfg.d_model
-    def w(name):
-        return Tensor(rng.normal(0.0, 0.02, (d, d)), requires_grad=True, name=name)
-    return HeadWeights(wq=w("wq"), wk=w("wk"), wv=w("wv"), wo=w("wo"),
-                       bo=Tensor(np.zeros(d), requires_grad=True, name="bo"))
+    def w():
+        return Tensor(rng.normal(0.0, 0.02, (d, d)), requires_grad=True)
+    return HeadWeights(wq=w(), wk=w(), wv=w(), wo=w(), bo=Tensor(np.zeros(d), requires_grad=True))
 
 
 def _mask_arrays(mask: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +280,6 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     if r_v is not None:
         f = bucket(a)
         out += f @ r_v.data
-        if not r_v.requires_grad:
-            f = None                              # only dB_V reads it
     if frpe_rows is not None:
         y = a @ frpe_rows
         out += y * c + (y @ turn.T) * s

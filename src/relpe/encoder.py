@@ -108,7 +108,7 @@ class EncoderModel:
         self._params: dict[str, Tensor] = {}
 
         def register(name, data):
-            self._params[name] = Tensor(data, requires_grad=True, name=name)
+            self._params[name] = Tensor(data, requires_grad=True)
             return self._params[name]
 
         def normal(name, shape):

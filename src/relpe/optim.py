@@ -31,10 +31,11 @@ def round_half(x):
     Overflow maps to signed infinity, subnormals are honored, and NaN passes
     through. Accepts scalars or arrays; returns float64. The rounding is
     numpy's float16 conversion; the tests check it bit for bit against an
-    independent frexp/ldexp implementation.
+    independent frexp/ldexp implementation. It sets no floating-point error
+    state (``training_step`` silences the whole step once), so a standalone
+    call on a value past ``HALF_MAX`` may warn "overflow encountered in cast".
     """
-    with np.errstate(over="ignore"):
-        out = np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
+    out = np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
     return float(out) if out.ndim == 0 else out
 
 
@@ -221,28 +222,30 @@ def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer,
     the binary16 working copy (inside this call only), the round_half filter,
     the loss-scaled seed and the unscale. A non-finite forward value raises the
     guard's NonFiniteValueError; a non-finite gradient raises NonFiniteGradientError
-    from ``optimizer.step`` in full mode and skips a mixed step untouched.
+    from ``optimizer.step`` in full mode and skips a mixed step untouched. The
+    step's floating-point warnings are silenced: the guards name the value.
     """
     mixed = policy.mode == "mixed_emulated"
     scale = policy.loss_scale if mixed else 1.0
     params = optimizer.params.values()
     for p in params:
         p.zero_grad()
-    try:
+    with np.errstate(all="ignore"):
+        try:
+            if mixed:
+                optimizer.bind(round_half(optimizer.w))
+            with value_filter(round_half if mixed else None):
+                loss, metrics = loss_fn()
+                # The seed is the loss scale's binary16 value: a power of two
+                # past HALF_MAX rounds to inf.
+                loss.backward(scale if scale <= HALF_MAX else math.inf)
+            g = optimizer.gather(p.grad for p in params)
+        finally:
+            if mixed:
+                optimizer.bind(optimizer.w)
         if mixed:
-            optimizer.bind(round_half(optimizer.w))
-        with value_filter(round_half if mixed else None):
-            loss, metrics = loss_fn()
-            # The seed is the loss scale's binary16 value: a power of two past
-            # HALF_MAX rounds to inf.
-            loss.backward(scale if scale <= HALF_MAX else math.inf)
-        g = optimizer.gather(p.grad for p in params)
-    finally:
-        if mixed:
-            optimizer.bind(optimizer.w)
-    if mixed:
-        g /= scale
-        if not np.isfinite(g).all():
-            return metrics, True
-    optimizer.step(lr, g)
+            g /= scale
+            if not np.isfinite(g).all():
+                return metrics, True
+        optimizer.step(lr, g)
     return metrics, False

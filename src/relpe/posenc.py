@@ -104,6 +104,6 @@ def build_rel_table(max_len: int, d_z: int, scheme: Scheme,
     shape = (2 * clip + 1, d_z)
     return RelPositionTable(
         d_z=d_z, max_len=max_len, clip=clip,
-        bank_k=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True, name="relpos.bank_k"),
-        bank_v=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True, name="relpos.bank_v"),
+        bank_k=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True),
+        bank_v=Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True),
     )

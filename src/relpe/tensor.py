@@ -6,17 +6,16 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
-Ops that only move, copy or negate values are exact and skip the filter:
-the outputs of ``reshape``, ``transpose``, ``take_rows`` and negation, their
-gradients (a ``take_rows`` scatter only when its indices are unique), the
-gradient copies ``+`` hands its parents and the ``backward()`` seed. This
-relies on one invariant of a filtered graph: every tensor is an op output or
-a working copy the caller already filtered (the mixed-precision step rounds
-its working weights), so the filter would return an exact op's values
-unchanged. A constant leaf fed to an exact op keeps its float64 values. A
-second gradient accumulation is a sum and is filtered, unless one addend is
-zero wherever the other is not (a unique-row scatter into rows whose gradient
-is still zero).
+One rule says what the filter sees: ops that only move, copy or negate
+values are exact and skip it, and every sum is filtered. The exact values are
+the outputs of ``reshape``, ``transpose``, ``take_rows`` and negation, the
+gradients of all but ``take_rows``, the gradient copies ``+`` hands its
+parents and the ``backward()`` seed. This relies on one invariant of a
+filtered graph: every tensor is an op output or a working copy the caller
+already filtered (the mixed-precision step rounds its working weights), so
+the filter would return an exact op's values unchanged. A constant leaf fed
+to an exact op keeps its float64 values. The sums are a ``take_rows``
+scatter, a reduction over broadcast axes and a second gradient accumulation.
 GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
 (``x @ w + b``) are fused: each is one node with a closed-form backward pass,
 so to the value filter it is a single primitive: the filter rounds its output
@@ -36,8 +35,8 @@ import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# Scattered rows from which np.bincount beats np.add.at (see _scatter_rows).
-_BINCOUNT_MIN_ROWS = 10
+# Added to layer norm's variance before the square root.
+_LN_EPS = 1e-12
 
 # Module-level hook applied to op outputs and gradient accumulations.
 _value_filter: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -97,15 +96,14 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 class Tensor:
     """A dense n-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self.name = name
 
     # -- basics ----------------------------------------------------------
 
@@ -128,26 +126,22 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray, copy: bool = False, exact: bool = False,
-                    rows=None):
+    def _accumulate(self, g: np.ndarray, copy: bool = False, exact: bool = False):
         """Add ``g`` into ``grad``, which never shares memory with another array.
 
         A fresh ``g`` is kept as it is; a view of another array, or a ``g``
         the caller still holds (``copy=True``), is copied first. An ``exact``
         ``g`` moves filtered values without arithmetic, so its first
-        accumulation skips the filter; summing it over broadcast axes does
-        not. Adding it to a gradient skips the filter only when ``g`` is zero
-        outside ``rows`` and the gradient is zero on them.
+        accumulation skips the filter; summing it over broadcast axes, or
+        adding it to a gradient, does not.
         """
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
             g, exact = _unbroadcast(g, self.data.shape), False
         if self.grad is not None:
-            exact = exact and rows is not None and not self.grad[rows].any()
-            self.grad = self.grad + g if exact else _filtered(self.grad + g)
+            self.grad = _filtered(self.grad + g)
         elif exact or _value_filter is None:
             self.grad = g.copy() if copy or g.base is not None else g
         else:
@@ -293,16 +287,10 @@ class Tensor:
         return Tensor._make(self.data[key], (self,), bwd)
 
     def take_rows(self, indices):
-        """Gather rows by a non-negative integer index array; grads scatter-add back.
-
-        The scatter only moves values when no row is taken twice, which is
-        checked only while a filter is active.
-        """
+        """Gather rows by a non-negative integer index array; grads scatter-add back."""
         idx = np.asarray(indices, dtype=np.intp)
         def bwd(g):
-            unique = (_value_filter is not None and idx.size <= len(self.data)
-                      and np.unique(idx).size == idx.size)
-            self._accumulate(_scatter_rows(g, idx, self.data.shape), exact=unique, rows=idx)
+            self._accumulate(_scatter_rows(g, idx, self.data.shape))
         return Tensor._make(self.data[idx], (self,), bwd, exact=True)
 
     # -- reductions -------------------------------------------------------
@@ -324,13 +312,8 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape) -> np.ndarray:
     """Zeros of ``shape`` with each row ``g[k]`` added into row ``idx[k]``, in order.
 
     Bitwise equal to ``np.add.at``: ``np.bincount`` over the flattened
-    row-major positions adds its weights in the same order, from the same
-    +0.0. It pays off from a handful of rows; below that ``np.add.at`` is faster.
+    row-major positions adds its weights in the same order, from the same +0.0.
     """
-    if idx.size < _BINCOUNT_MIN_ROWS:
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return full
     width = math.prod(shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     return np.bincount(flat, g.reshape(-1), shape[0] * width).reshape(shape)
@@ -471,18 +454,16 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then affine.
 
     One node with parents (x, gamma, beta); gamma and beta broadcast against
     the last axis.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = float(x.shape[-1])
     centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + eps) ** 0.5
+    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + _LN_EPS) ** 0.5
     normed = centered / std
     def bwd(g):
         if gamma.requires_grad:

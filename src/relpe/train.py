@@ -60,8 +60,7 @@ class Trainer:
     def run_step(self, t: int):
         """Execute training step t (1-based) and return its metrics record; a step
         that diverges (see ``training_step``; the loss is checked before the
-        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged.
-        The step's floating-point warnings are silenced: the guards name the value."""
+        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
@@ -76,8 +75,7 @@ class Trainer:
             return loss, metrics
         start = time.monotonic()
         try:
-            with np.errstate(all="ignore"):
-                metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
+            metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
             raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
         self.step = t
@@ -88,18 +86,21 @@ class Trainer:
     def save(self, path, metrics=None):
         save_checkpoint(path, self.optimizer, self.config.to_dict(), self.step, metrics)
 
-    def resume(self, checkpoint_path):
+    def resume(self, checkpoint_path) -> dict:
+        """Restore a checkpoint's masters, moments and step; returns its manifest."""
         step, total = load_manifest(checkpoint_path)["step"], self.config.total_steps
         if step > total:
             raise CheckpointError(f"resume step {step} is past total_steps={total}")
-        self.step = load_optimizer_state(checkpoint_path, self.optimizer)["step"]
-        return self.step
+        manifest = load_optimizer_state(checkpoint_path, self.optimizer)
+        self.step = manifest["step"]
+        return manifest
 
     def train(self, out_dir=None, resume_from=None):
         """Run from the current step to config.total_steps, logging every step."""
         config = self.config
         out_dir = Path(out_dir if out_dir is not None else config.out_dir)
-        start_step = self.resume(resume_from) if resume_from else 0
+        resumed = self.resume(resume_from) if resume_from else {"step": 0}
+        start_step = resumed["step"]
         out_dir.mkdir(parents=True, exist_ok=True)
 
         log_path = out_dir / "metrics.jsonl"
@@ -123,7 +124,9 @@ class Trainer:
                         and t != config.total_steps:
                     self.save(out_dir / f"checkpoint-{t}", metrics=last)
             if config.total_steps > 0:
-                self.save(out_dir / "checkpoint-final", metrics=last)
+                # a resume with no step left keeps its checkpoint's metrics
+                self.save(out_dir / "checkpoint-final",
+                          metrics=resumed.get("metrics") if last is None else last)
             return last
 
 

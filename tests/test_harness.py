@@ -495,6 +495,17 @@ class TestTrainer:
             r.pop("wall_time")
             assert r == expected
 
+    def test_resume_with_no_step_left_keeps_the_checkpoint_metrics(self, tmp_path):
+        config = tiny_run_config(precision=PrecisionPolicy(mode="mixed_emulated"),
+                                 total_steps=4, checkpoint_every=0)
+        final = tmp_path / "run" / "checkpoint-final"
+        Trainer(config, tiny_examples()).train(out_dir=tmp_path / "run")
+        before = load_manifest(final)
+        assert {"loss", "lr", "mlm_accuracy"} <= before["metrics"].keys()
+        assert Trainer(config, tiny_examples()).train(out_dir=tmp_path / "run",
+                                                      resume_from=final) is None
+        assert load_manifest(final) == before
+
     @staticmethod
     def assert_optimizer_owns_memory(trainer):
         opt = trainer.optimizer

@@ -183,8 +183,7 @@ class TestLayerNorm:
 
     def test_hand_computed_row(self):
         # row [1,2,3]: mean 2, population variance 2/3
-        out = layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)),
-                         Tensor(np.zeros(3)), eps=0.0)
+        out = layer_norm(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         expected = [-math.sqrt(1.5), 0.0, math.sqrt(1.5)]
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
@@ -505,7 +504,7 @@ class TestFusedOpsUnderValueFilter:
 
 class TestExactOpsSkipTheFilter:
     """Ops that only move, copy or negate values never reach the value filter;
-    every arithmetic result still does, once."""
+    every arithmetic result and every sum still does, once."""
 
     @staticmethod
     def leaf(shape=(3, 4), seed=50):
@@ -516,8 +515,7 @@ class TestExactOpsSkipTheFilter:
         ((3, 4), lambda a: a.T),
         ((2, 2, 3), lambda a: a.mT),
         ((3, 4), lambda a: -a),
-        ((3, 4), lambda a: a.take_rows([2, 0])),
-    ], ids=["reshape", "T", "mT", "neg", "take_rows"])
+    ], ids=["reshape", "T", "mT", "neg"])
     def test_outputs_and_gradients_are_not_filtered(self, shape, op):
         a = self.leaf(shape)
         with no_grad():
@@ -530,6 +528,20 @@ class TestExactOpsSkipTheFilter:
         assert counter.seen == []
         np.testing.assert_array_equal(out.data, want)
         assert a.grad is not None and not np.shares_memory(a.grad, g)
+
+    def test_take_rows_gathers_exactly_and_rounds_its_scatter_once(self):
+        a = self.leaf()
+        counter = CountingFilter(round_half)
+        with value_filter(counter):
+            out = a.take_rows([2, 0])
+            assert counter.seen == []
+            g = round_half(rand(out.shape, seed=51))
+            out._backward(g)
+        np.testing.assert_array_equal(out.data, a.data[[2, 0]])
+        assert len(counter.seen) == 1 and counter.seen[0].shape == a.shape
+        want = np.zeros(a.shape)
+        np.add.at(want, [2, 0], g)
+        np.testing.assert_array_equal(a.grad, round_half(want))
 
     def test_add_hands_both_parents_unfiltered_copies(self):
         a, b = self.leaf(seed=52), self.leaf(seed=53)
@@ -551,23 +563,24 @@ class TestExactOpsSkipTheFilter:
             out._backward(round_half(rand(out.shape, seed=57)))
         assert len(counter.seen) == 1 and counter.seen[0].shape == (4,)
 
-    @pytest.mark.parametrize("first, second, filtered", [
-        ([0, 1], [2], 0),          # disjoint unique rows: every sum has a zero addend
-        ([0, 1], [1, 2], 1),       # row 1 is taken by both: a real sum
-        ([0, 0], [2], 1),          # a repeated row is a sum inside the scatter
-    ])
-    def test_row_scatters(self, first, second, filtered):
+    @pytest.mark.parametrize("op, rows", [
+        (lambda a: a.reshape(12), [2]),           # a move's gradient, then a scatter
+        (lambda a: a.take_rows([0, 1]), [2]),     # disjoint rows: still a sum
+        (lambda a: a.take_rows([0, 1]), [1, 2]),
+        (lambda a: a.take_rows([0, 0]), [2]),
+    ], ids=["reshape", "disjoint-rows", "shared-rows", "repeated-rows"])
+    def test_second_accumulation_is_rounded(self, op, rows):
         a = self.leaf()
         counter = CountingFilter(round_half)
         with value_filter(counter):
-            x, y = a.take_rows(first), a.take_rows(second)
-            counter.seen.clear()
+            x, y = op(a), a.take_rows(rows)
             x._backward(round_half(rand(x.shape, seed=58)))
-            y._backward(round_half(rand(y.shape, seed=59)))
-        assert len(counter.seen) == filtered
-        want = np.zeros(a.shape)
-        np.add.at(want, first, round_half(rand(x.shape, seed=58)))
-        np.add.at(want, second, round_half(rand(y.shape, seed=59)))
+            want = a.grad.copy()
+            counter.seen.clear()
+            g = round_half(rand(y.shape, seed=59))
+            y._backward(g)
+        assert len(counter.seen) == 1
+        np.add.at(want, rows, g)
         np.testing.assert_array_equal(a.grad, round_half(want))
 
     @pytest.mark.parametrize("seed", [1.0, 1024.0, math.inf])

@@ -15,9 +15,11 @@ elementwise work, and a head needs O(n^2 + n*d_z) memory.
 
 PRPE's learned a_{j-i} is row clip(j - i, -k, k) + k of a (2k+1, d_z) bank
 (Shaw et al. 2018). The fused node scores each query against every bank row,
-E = q B_K^T of shape (n, 2k+1), and gathers the entry of each key's row;
-values go the other way: F (n, 2k+1) sums each query's weights per bank row,
-and F B_V adds their encodings. A head needs O(n^2 + n*k) memory.
+E = q B_K^T of shape (n, 2k+1), and reads the entry of each key's row with one
+flat take; values go the other way: F (n, 2k+1) sums each query's weights per
+bank row, one bincount per head, and F B_V adds their encodings. Both read one
+map of each (query, key) pair's bank row that all heads share. A head needs
+O(n^2 + n*k) memory.
 
 A block can compute only some query rows, given as a (..., r) position
 index: keys and values still come from all n rows, the scores, softmax rows,
@@ -39,13 +41,14 @@ double-loop definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
 from .tensor import (Tensor, _check_finite, _scatter_rows, affine, as_tensor, keep_mask,
-                     query_index, take_queries)
+                     query_index)
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -187,37 +190,35 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
 
     Computes what the composite ``attention_output(dropout(softmax(
     attention_scores(q, k, table, mask))), v, table)`` does on the heads
-    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z). The relative terms
-    come from PRPE's banks, FRPE's rows, or neither. ``r_k``/``r_v`` are
-    (2k+1, d_z) banks, k read from their shape (k >= n-1 clips no offset):
-    query row i reads row idx_ij = clip(j - pos_i, -k, k) + k for key j.
-    ``frpe_rows`` is the (n, d_z) constant P = a_0 .. a_{n-1}, used through
-    the C, S and J of :func:`_rotation`, C and S at the query positions. The
-    forward uses the composite's expressions in the same order, so it is
-    bitwise equal to it, except PRPE's: it gathers scores from q B_K^T and
-    sums each bank row's weights before the bank matmul. Attention dropout
-    (``dropout_rate > 0`` and an ``rng``) draws one mask of the weights'
-    shape, as ``dropout`` does.
+    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z), held heads first as
+    (H, ..., n, d_z). The relative terms come from PRPE's banks, FRPE's rows,
+    or neither. ``r_k``/``r_v`` are (2k+1, d_z) banks, k read from their shape
+    (k >= n-1 clips no offset): query row i reads row clip(j - pos_i, -k, k) + k
+    for key j. ``frpe_rows`` is the (n, d_z) constant P = a_0 .. a_{n-1}, used
+    through the C, S and J of :func:`_rotation`, C and S at the query
+    positions. The forward uses the composite's expressions in the same order,
+    so it is bitwise equal to it, except PRPE's: it gathers scores from
+    q B_K^T and sums each bank row's weights before the bank matmul. Attention
+    dropout (``dropout_rate > 0`` and an ``rng``) draws one mask of the
+    weights' shape, as ``dropout`` does.
 
     ``queries`` (..., r), one row of positions per sequence, computes only
     those query rows (pos_i = ``queries[..., i]``; else pos_i = i): keys and
     values still come from all n rows, and the output is (..., r, d_model),
     row m being what the full call gives at position ``queries[..., m]``.
     Positions may repeat. The dropout mask is drawn at the full (..., H, n, n)
-    shape and its query rows kept, so the RNG stream and every mask value
-    match the full call.
+    shape and its query rows kept, so every mask value matches the full call.
 
     The backward pass is closed form (FlashAttention's algebra plus the
     relative terms), with W the softmax weights, A = W * keep the dropped-out
     ones and dO the merged-heads gradient split per head:
     dA = dO v^T + rel_A, dS = W (dA keep - rowsum(dA keep W)) / sqrt(d_z),
-    dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With PRPE banks and
-    bucket() the per-bank-row sums through the forward's index,
+    dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With PRPE banks,
     rel_A = gather(dO B_V^T), rel_q = bucket(dS) B_K, dB_K = sum bucket(dS)^T q
     and dB_V = sum bucket(A)^T dO. With FRPE rows,
     rel_A = (dO C + (dO J) S) P^T and, with y' = dS P, rel_q = y' C + (y' J^T) S;
-    the rows are constants and get no gradient. With ``queries``, the
-    query projection's dx is scattered back to the query positions.
+    the rows are constants. With ``queries``, the query projection's dx is
+    scattered back to the query positions.
     """
     x = as_tensor(x)
     *lead, n, d_model = x.shape
@@ -231,66 +232,77 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         raise ValueError(f"relative banks r_k, r_v of shapes {banks} must share one "
                          f"shape (2k+1, {d_z})")
     b = len(lead)
-    x_q, n_q, index, pos = x.data, n, None, np.arange(n).reshape((1,) * b + (n,))
+    x_q, n_q, index, pos = x.data, n, None, np.arange(n)
     if queries is not None:
         queries = np.asarray(queries, dtype=np.intp)
         if (queries.shape[:-1] != tuple(lead) or queries.ndim != b + 1
                 or queries.size == 0 or queries.min() < 0 or queries.max() >= n):
             raise ValueError(f"queries of shape {queries.shape} must hold positions in "
                              f"[0, {n}), one nonempty row per sequence of {tuple(lead)}")
-        x_q, n_q, index, pos = take_queries(x.data, queries), queries.shape[-1], \
-            query_index(queries, n), queries
-    swap = (*range(b), b + 1, b, b + 2)           # (..., n, H, d_z) <-> (..., H, n, d_z)
-    if mask is not None:
-        valid, fill = _mask_arrays(mask, (*lead, num_heads, n_q, n))
-    scale = 1.0 / np.sqrt(d_z)
+        n_q, index, pos = queries.shape[-1], query_index(queries, n), queries
+        x_q = x.data.reshape(-1, d_model).take(index, axis=0).reshape(*lead, n_q, d_model)
+    # heads first, (H, ..., r, .), so each head is one block; (..., r, H, d_z)
+    # projections split and merge, and back/front give the composite's (..., H, r, .)
+    split, merge = (b + 1, *range(b + 1), b + 2), (*range(1, b + 2), 0, b + 2)
+    back, front = (*range(1, b + 1), 0, b + 1, b + 2), (b, *range(b), b + 1, b + 2)
+    scale, scores = 1.0 / np.sqrt(d_z), (*lead, num_heads, n_q, n)  # the composite's scores
+    if mask is not None:     # without their heads axis, the mask arrays broadcast heads first
+        valid, fill = (t if t.ndim == 1 else t[..., 0, :, :] for t in _mask_arrays(mask, scores))
 
-    q, k, v = ((inp @ w.data).reshape(*lead, m, num_heads, d_z).transpose(swap)
+    q, k, v = ((inp @ w.data).reshape(*lead, m, num_heads, d_z).transpose(split)
                for inp, w, m in ((x_q, wq, n_q), (x.data, wk, n), (x.data, wv, n)))
     p = q @ np.swapaxes(k, -1, -2)
     if r_k is not None:
         clip, width = r_k.shape[0] // 2, r_k.shape[0]
-        # bank row of (query row i, key j), one index for every head, and its
-        # bucket among the width buckets of each (..., H, r) row
-        idx = np.expand_dims(np.clip(np.arange(n) - pos[..., None], -clip, clip) + clip, -3)
-        flat = (np.arange(p.size // n).reshape(*p.shape[:-1], 1) * width + idx).reshape(-1)
-        p += np.take_along_axis(q @ r_k.data.T, idx, axis=-1)
+        # flat position of (query row i, key j)'s bank row in a head's
+        # (..., r, width) block: one (..., r, n) map that every head shares
+        keys = np.arange(n)
+        bank_row = (np.clip(keys - keys[:, None], -clip, clip) + clip).take(pos, axis=0) \
+            + np.arange(0, math.prod(lead) * n_q * width, width).reshape(*lead, n_q, 1)
+
+        def gather(e):
+            """(H, ..., r, n) entries of (H, ..., r, width) ``e`` at each key's bank row."""
+            return e.reshape(num_heads, -1).take(bank_row, axis=1)
 
         def bucket(a):
-            """Sums (..., r, width) of (..., r, n) ``a`` over the keys of each bank row."""
-            return np.bincount(flat, a.reshape(-1), flat.size // n * width).reshape(
-                *a.shape[:-1], width)
+            """Per-bank-row sums of (H, ..., r, n) ``a``, in dB's (..., H, r, width) row order."""
+            return np.concatenate([np.bincount(bank_row.ravel(), h, bank_row.size // n * width)
+                                   .reshape(*lead, 1, n_q, width)
+                                   for h in a.reshape(num_heads, -1)], axis=b)
+
+        p += gather(q @ r_k.data.T)
     if frpe_rows is not None:
         c, s, turn = _rotation(frpe_rows)
-        c, s = (np.expand_dims(t[pos], -3) for t in (c, s))
+        c, s = c[pos], s[pos]                     # (..., r, d_z), for every head
         p += (q * c + (q @ turn) * s) @ frpe_rows.T
     p *= scale
     if mask is not None:
         p *= valid
         p += fill
-    _check_finite("softmax", p)
+    if not np.all(np.isfinite(p)):
+        _check_finite("softmax", p.transpose(back))     # names the composite's index
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     keep = None
     if dropout_rate > 0.0 and rng is not None:
-        keep = keep_mask(rng, dropout_rate, p.shape, queries, n)
+        keep = keep_mask(rng, dropout_rate, scores, queries, n).transpose(front)
     a = p if keep is None else p * keep
     out = a @ v
     if r_v is not None:
         f = bucket(a)
-        out += f @ r_v.data
+        out += f.transpose(front) @ r_v.data
     if frpe_rows is not None:
         y = a @ frpe_rows
         out += y * c + (y @ turn.T) * s
 
     def bwd(g):
-        g_o = g.reshape(*lead, n_q, num_heads, d_z).transpose(swap)
+        g_o = g.reshape(*lead, n_q, num_heads, d_z).transpose(split)
         d_s = g_o @ np.swapaxes(v, -1, -2)
         if r_v is not None:
-            d_s += np.take_along_axis(g_o @ r_v.data.T, idx, axis=-1)
+            d_s += gather(g_o @ r_v.data.T)
             if r_v.requires_grad:
-                r_v._accumulate(_rows(f).T @ _rows(g_o))
+                r_v._accumulate(f.reshape(-1, width).T @ g_o.transpose(back).reshape(-1, d_z))
         if frpe_rows is not None:
             d_s += (g_o * c + (g_o @ turn) * s) @ frpe_rows.T
         d_v = np.swapaxes(a, -1, -2) @ g_o
@@ -304,19 +316,19 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         d_q = d_s @ k
         if r_k is not None:
             d_rel = bucket(d_s)
-            d_q += d_rel @ r_k.data
+            d_q += d_rel.transpose(front) @ r_k.data
             if r_k.requires_grad:
-                r_k._accumulate(_rows(d_rel).T @ _rows(q))
+                r_k._accumulate(d_rel.reshape(-1, width).T @ q.transpose(back).reshape(-1, d_z))
         if frpe_rows is not None:
             d_y = d_s @ frpe_rows
             d_q += d_y * c + (d_y @ turn.T) * s
         d_k = np.swapaxes(d_s, -1, -2) @ q
-        x_rows, d_x = _rows(x.data), 0.0
+        x_rows, d_x = x.data.reshape(-1, d_model), 0.0
         for w, d, inp, at in ((wq, d_q, x_q, index), (wk, d_k, x.data, None),
                               (wv, d_v, x.data, None)):
-            d = d.transpose(swap).reshape(-1, d_model)
+            d = d.transpose(merge).reshape(-1, d_model)
             if w.requires_grad:
-                w._accumulate(_rows(inp).T @ d)
+                w._accumulate(inp.reshape(-1, d_model).T @ d)
             if x.requires_grad:
                 d = d @ w.data.T
                 d_x = d_x + (d if at is None else _scatter_rows(d, at, x_rows.shape))
@@ -324,12 +336,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
             x._accumulate(d_x.reshape(x.shape))
 
     parents = tuple(t for t in (x, wq, wk, wv, r_k, r_v) if t is not None)
-    return Tensor._make(out.transpose(swap).reshape(*lead, n_q, d_model), parents, bwd)
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """``a`` as a matrix of its last axis: (prod of leading axes, last)."""
-    return a.reshape(-1, a.shape[-1])
+    return Tensor._make(out.transpose(merge).reshape(*lead, n_q, d_model), parents, bwd)
 
 
 def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,

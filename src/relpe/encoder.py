@@ -324,10 +324,9 @@ def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
     b = len(examples)
     owners = output.predict_examples
     counts = np.bincount(owners, minlength=b)
-    labels = [np.asarray(ex.predict_labels, dtype=np.intp) for ex in examples]
-    if [l.size for l in labels] != counts.tolist():
+    if [len(ex.predict_labels) for ex in examples] != counts.tolist():
         raise ValueError("label count does not match prediction position count")
-    labels = np.concatenate(labels)
+    labels = _flat([ex.predict_labels for ex in examples], counts.sum())
     num_pred, vocab = labels.size, output.mlm_logits.shape[-1]
     bad = np.flatnonzero((labels < 0) | (labels >= vocab))
     if bad.size:

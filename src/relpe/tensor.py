@@ -373,7 +373,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # Cephes' erf/erfc coefficients (ndtr.c), highest power first; p1evl's
-# leading 1 is implied.
+# leading 1 is implied. Cephes' erfc form for |x| >= 8 (R/S) is not needed.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
           7.00332514112805075473E3, 5.55923013010394962768E4)
 _ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
@@ -384,12 +384,6 @@ _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-# erf(26) rounds to 1 and exp(-26**2) is still a normal number.
-_ERF_SATURATES = 26.0
 
 
 def _polevl(x, coef, out=None):
@@ -416,28 +410,28 @@ def _np_erf(x) -> np.ndarray:
 
     For |x| <= 1 it is ``x * polevl(x², T) / p1evl(x², U)`` with Cephes'
     operations in Cephes' order, so it is bitwise equal to
-    ``scipy.special.erf`` there. For |x| > 1 it is ±(1 − erfc|x|), computed
-    only at those elements and within 1 ulp of SciPy (NumPy's ``exp`` is not
-    the C library's). ±inf gives ±1, NaN stays NaN, and no input raises a
+    ``scipy.special.erf`` there. For |x| > 1 it is ±(1 − erfc|x|) with
+    erfc's P/Q form, read and written only at those elements' flat indices,
+    and within 1 ulp of SciPy (NumPy's ``exp`` is not the C library's).
+    |x| is clipped at 8, where SciPy switches to its R/S form: from about
+    |x| = 6 on, erfc|x| is below half an ulp of 1 (erfc 8 < 2e-29), so both
+    give exactly ±1.0. ±inf gives ±1, NaN stays NaN, and no input raises a
     floating-point warning.
     """
     x = np.asarray(x, dtype=np.float64)
-    far = np.abs(x) > 1.0                                 # NaN is not far
-    has_far = far.any()
-    near = np.clip(x, -1.0, 1.0) if has_far else x       # keeps the powers finite
+    far = np.flatnonzero(np.abs(x) > 1.0)                # NaN is not far
+    near = np.clip(x, -1.0, 1.0) if far.size else x      # keeps the powers finite
     z = near * near
     y = _polevl(z, _ERF_T, out=np.empty_like(x))
     y *= near
     del near                                              # free the clipped copy
     y /= _p1evl(z, _ERF_U)
     del z
-    if has_far:
-        xf = x[far]
-        b = np.minimum(np.abs(xf), _ERF_SATURATES)
-        small = b < 8.0
-        p = np.where(small, _polevl(b, _ERFC_P), _polevl(b, _ERFC_R))
-        q = np.where(small, _p1evl(b, _ERFC_Q), _p1evl(b, _ERFC_S))
-        y[far] = np.copysign(1.0 - np.exp(-b * b) * p / q, xf)
+    if far.size:
+        xf = x.take(far)
+        b = np.minimum(np.abs(xf), 8.0)
+        y.put(far, np.copysign(1.0 - np.exp(-b * b) * _polevl(b, _ERFC_P) / _p1evl(b, _ERFC_Q),
+                               xf))
     return y
 
 
@@ -481,17 +475,19 @@ def take_queries(a: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Rows ``queries`` (..., r) of axis -2 of ``a`` (..., n, m) or (..., H, n, m).
 
     The leading axes of ``queries`` match those of ``a``; the heads axis, if
-    any, shares one index. Returns (..., r, m) or (..., H, r, m).
+    any, shares one index. Returns (..., r, m) or (..., H, r, m), in one take.
     """
-    extra = (1,) * (a.ndim - queries.ndim - 1)
-    return np.take_along_axis(a, queries.reshape(*queries.shape[:-1], *extra, -1, 1), axis=-2)
+    *lead, n, m = a.shape
+    rows = query_index(queries, n, math.prod(lead[queries.ndim - 1:]))
+    return a.reshape(-1, m).take(rows, axis=0).reshape(*lead, queries.shape[-1], m)
 
 
-def query_index(queries: np.ndarray, n: int) -> np.ndarray:
-    """Flat row numbers of positions ``queries`` (..., r) in a (..., n, m) array
-    viewed as (prod(...) * n, m) rows."""
+def query_index(queries: np.ndarray, n: int, heads: int = 1) -> np.ndarray:
+    """Flat row numbers of positions ``queries`` (..., r) in a (..., n, m) array, or
+    (..., heads, n, m) with every head at the same positions, viewed as rows."""
     lead = queries.shape[:-1]
-    return (np.arange(math.prod(lead)).reshape(*lead, 1) * n + queries).reshape(-1)
+    first = np.arange(math.prod(lead) * heads).reshape(*lead, heads, 1) * n
+    return (first + queries[..., None, :]).reshape(-1)
 
 
 def keep_mask(rng: np.random.Generator, rate: float, shape: tuple,
@@ -502,10 +498,8 @@ def keep_mask(rng: np.random.Generator, rate: float, shape: tuple,
     the draw is still made at the full shape and then its rows are taken, so
     the RNG stream and every kept value match a full-row mask.
     """
-    if queries is None:
-        return (rng.random(shape) >= rate) / (1.0 - rate)
-    draw = take_queries(rng.random((*shape[:-2], n, shape[-1])), queries)
-    return (draw >= rate) / (1.0 - rate)
+    draw = rng.random(shape if queries is None else (*shape[:-2], n, shape[-1]))
+    return ((draw if queries is None else take_queries(draw, queries)) >= rate) / (1.0 - rate)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,

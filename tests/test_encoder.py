@@ -219,8 +219,11 @@ class TestPretrainLoss:
         ex = tiny_example()
         out = model.pretrain_forward(ex)
         ex.predict_labels = [9]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="label count does not match prediction position"):
             pretrain_loss(out, ex)
+        with pytest.raises(ValueError, match="label count does not match prediction position"):
+            pretrain_loss(model.pretrain_forward([tiny_example(), tiny_example()]),
+                          [tiny_example(), ex])
 
     def test_perfect_logits_give_accuracy_one(self):
         model = EncoderModel(tiny_config(), seed=6)

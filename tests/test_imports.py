@@ -80,6 +80,39 @@ def test_every_private_name_is_read():
     assert dead_private_names(sources) == []
 
 
+# NumPy functions that ``src/`` must not call. ``take_along_axis`` builds one
+# broadcast index array per axis on every call; a flat ``take`` through a
+# precomputed index reads the same entries. Tests may still use it as an oracle.
+BANNED_CALLS = {"take_along_axis"}
+
+
+def banned_calls(source: str) -> list[str]:
+    """``line:name`` for each name of ``BANNED_CALLS`` that ``source`` reads or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}:{name}" for name in names if name in BANNED_CALLS]
+    return sorted(found)
+
+
+def test_checker_finds_banned_calls():
+    source = ("import numpy as np\nfrom numpy import take, take_along_axis\nnp.take(a, i)\n"
+              "y = np.take_along_axis(a, i, axis=-1)\n")
+    assert banned_calls(source) == ["2:take_along_axis", "4:take_along_axis"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_calls_no_banned_function(module):
+    assert banned_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
 # Exceptions left to the CLI's exit 2 (internal error). A non-finite value or
 # gradient met in training reaches the CLI as TrainingDiverged (exit 1), and a
 # non-finite value met by `relpe eval` as its user error (exit 1); in a

@@ -13,7 +13,8 @@ from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
 from relpe.posenc import Scheme, build_rel_table, frpe_vector
 from relpe.tensor import (Tensor, _check_finite, _np_erf, _scatter_rows, affine, gelu,
-                          layer_norm, nll_loss, no_grad, value_filter)
+                          keep_mask, layer_norm, nll_loss, no_grad, take_queries,
+                          value_filter)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -104,11 +105,37 @@ class TestNumpyErf:
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 8.0), (8.0, 30.0)])
     def test_within_one_ulp_of_scipy_beyond_one(self, lo, hi):
-        # erfc's two rational functions: b < 8 and b >= 8
+        # either side of the clip at 8, where SciPy switches erfc's rational form
         b = np.concatenate([[np.nextafter(lo, hi), np.nextafter(hi, lo)],
                             np.random.default_rng(41).uniform(lo, hi, 200_000)])
         x = np.concatenate([b, -b, [8.0, -8.0, 30.0, -30.0]])
         assert ulps(_np_erf(x), np_erf(x)).max() <= 1
+
+    def test_exactly_one_from_six_to_thirty(self):
+        # from |x| = 6 on, 1 - erfc|x| rounds to exactly 1.0: the clipped branch
+        # (|x| >= 8) and the P/Q form below it both match SciPy bit for bit
+        b = np.linspace(6.0, 30.0, 480_001)
+        x = np.concatenate([b, -b])
+        got = _np_erf(x)
+        np.testing.assert_array_equal(got.view(np.int64), np_erf(x).view(np.int64))
+        np.testing.assert_array_equal(got, np.sign(x))
+
+    def test_clip_point_and_its_neighbouring_ulps(self):
+        b = [8.0]
+        for _ in range(4):
+            b = [np.nextafter(b[0], 0.0), *b, np.nextafter(b[-1], 9.0)]
+        x = np.concatenate([b, np.negative(b)])
+        np.testing.assert_array_equal(_np_erf(x).view(np.int64), np_erf(x).view(np.int64))
+
+    def test_strided_and_scalar_inputs(self):
+        # the far branch reads and writes by flat index in row-major order
+        x = rand((40, 30), seed=42, scale=4.0).T[:, ::2]
+        got = _np_erf(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, _np_erf(x.copy()))
+        assert ulps(got, np_erf(x)).max() <= 1
+        for v in (0.5, -3.0, 12.0):
+            assert _np_erf(v).shape == () and ulps(_np_erf(v), np_erf(v)) <= 1
 
     def test_infinities_and_nan(self):
         got = _np_erf(np.array([np.inf, -np.inf, np.nan, 0.5]))
@@ -611,6 +638,38 @@ class TestScatterRows:
             np.add.at(want, idx, g)
             got = _scatter_rows(g, idx, shape)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def take_queries_loop(a, queries):
+    """Rows ``queries`` (..., r) of axis -2 of ``a``, one sequence at a time."""
+    lead = queries.shape[:-1]
+    out = np.empty(a.shape[:-2] + (queries.shape[-1], a.shape[-1]))
+    for s in np.ndindex(*lead):
+        out[s] = a[s][..., queries[s], :]
+    return out
+
+
+class TestTakeQueries:
+    """``take_queries`` against a per-sequence loop, with and without a heads axis."""
+
+    @pytest.mark.parametrize("lead, heads", [((), ()), ((1,), ()), ((1,), (3,)), ((4,), ()),
+                                             ((4,), (2,)), ((2, 3), ()), ((2, 3), (2,))])
+    def test_matches_a_per_sequence_loop(self, lead, heads):
+        rng = np.random.default_rng(len(lead) + 7 * len(heads))
+        n, m, r = 6, 5, 8                            # more query rows than positions
+        a = rng.normal(size=lead + heads + (n, m))
+        queries = rng.integers(0, n, lead + (r,))   # unsorted, with repeats
+        queries[..., :2] = queries[..., 2:3]
+        got = take_queries(a, queries)
+        assert got.shape == lead + heads + (r, m)
+        np.testing.assert_array_equal(got, take_queries_loop(a, queries))
+
+    def test_keep_mask_rows_are_the_full_masks_rows(self):
+        queries = np.array([[3, 0, 3], [5, 1, 2]])
+        shape = (2, 2, 6, 6)                         # (B, H, n, n)
+        full = keep_mask(np.random.default_rng(3), 0.3, shape)
+        rows = keep_mask(np.random.default_rng(3), 0.3, (2, 2, 3, 6), queries, 6)
+        np.testing.assert_array_equal(rows, take_queries_loop(full, queries))
 
 
 class TestStackedMatmul:

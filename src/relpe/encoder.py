@@ -29,7 +29,8 @@ from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_he
 from .data import PAD_ID, PretrainExample
 from .optim import require_number
 from .posenc import RelPositionTable, Scheme, build_rel_table
-from .tensor import Tensor, affine, dropout, gelu, layer_norm, nll_loss, query_index
+from .tensor import (Tensor, affine, dropout, embed_norm, gelu, layer_norm, nll_loss,
+                     query_index)
 
 
 @dataclass
@@ -192,15 +193,16 @@ class EncoderModel:
         if bad.size:
             raise IndexError(f"segment id out of range at {_where(bad[0])}")
         n = token_ids.shape[-1]
-        x = self.token_embedding.take_rows(token_ids) \
-            + self.segment_embedding.take_rows(segment_ids)
+        tables = [self.token_embedding, self.segment_embedding]
+        ids = [token_ids, segment_ids]
         if self.position_embedding is not None:
             if n > self.cfg.max_seq_len:
                 raise IndexError(
                     f"sequence length {n} exceeds learned absolute position table "
                     f"(max_position={self.cfg.max_seq_len})")
-            x = x + self.position_embedding.take_rows(np.arange(n))
-        x = layer_norm(x, self.embed_ln_gamma, self.embed_ln_beta)
+            tables.append(self.position_embedding)
+            ids.append(np.arange(n))
+        x = embed_norm(tables, ids, self.embed_ln_gamma, self.embed_ln_beta)
         if rng is not None:
             x = dropout(x, self.cfg.hidden_dropout, rng)
         return x

@@ -16,12 +16,15 @@ already filtered (the mixed-precision step rounds its working weights), so
 the filter would return an exact op's values unchanged. A constant leaf fed
 to an exact op keeps its float64 values. The sums are a ``take_rows``
 scatter, a reduction over broadcast axes and a second gradient accumulation.
-GeLU, layer norm, the weighted log-softmax + NLL and ``affine``
-(``x @ w + b``) are fused: each is one node with a closed-form backward pass,
-so to the value filter it is a single primitive: the filter rounds its output
-once and each input gradient once, and its intermediates stay float64. The
-attention block's node (``relpe.attention.attention``), which softmaxes its
-scores in place, follows the same rule.
+GeLU, layer norm, the weighted log-softmax + NLL, ``affine`` (``x @ w + b``)
+and ``embed_norm`` (the input embedding: table rows summed, then layer-normed)
+are fused: each is one node with a closed-form backward pass, so to the value
+filter it is a single primitive: the filter rounds its output once and each
+input gradient once, and its intermediates (``embed_norm``'s pre-LN sum
+among them) stay float64. ``embed_norm`` computes each distinct id tuple of
+its batch once and repeats the result. The attention block's node
+(``relpe.attention.attention``), which softmaxes its scores in place, follows
+the same rule.
 Under :func:`no_grad` no graph is recorded at all.
 """
 
@@ -448,6 +451,28 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), bwd)
 
 
+def _ln_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm of the last axis of ``x``: the output, the normalised rows and their std."""
+    n = float(x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) / n
+    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + _LN_EPS) ** 0.5
+    normed = centered / std
+    return normed * gamma + beta, normed, std
+
+
+def _ln_backward(g: np.ndarray, gamma: Tensor, beta: Tensor, normed: np.ndarray,
+                 std: np.ndarray) -> np.ndarray:
+    """Accumulate layer norm's gamma and beta gradients; return its input's gradient."""
+    if gamma.requires_grad:
+        gamma._accumulate(g * normed)
+    if beta.requires_grad:
+        beta._accumulate(g, copy=True)
+    n = float(normed.shape[-1])
+    gn = g * gamma.data
+    return (gn - gn.sum(axis=-1, keepdims=True) / n
+            - normed * (gn * normed).sum(axis=-1, keepdims=True) / n) / std
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then affine.
 
@@ -455,20 +480,44 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     the last axis.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = float(x.shape[-1])
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    std = ((centered * centered).sum(axis=-1, keepdims=True) / n + _LN_EPS) ** 0.5
-    normed = centered / std
+    out, normed, std = _ln_forward(x.data, gamma.data, beta.data)
     def bwd(g):
-        if gamma.requires_grad:
-            gamma._accumulate(g * normed)
-        if beta.requires_grad:
-            beta._accumulate(g, copy=True)
+        gx = _ln_backward(g, gamma, beta, normed, std)
         if x.requires_grad:
-            gn = g * gamma.data
-            x._accumulate((gn - gn.sum(axis=-1, keepdims=True) / n
-                           - normed * (gn * normed).sum(axis=-1, keepdims=True) / n) / std)
-    return Tensor._make(normed * gamma.data + beta.data, (x, gamma, beta), bwd)
+            x._accumulate(gx)
+    return Tensor._make(out, (x, gamma, beta), bwd)
+
+
+def embed_norm(tables, ids, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``layer_norm(tables[0].take_rows(ids[0]) + tables[1].take_rows(ids[1]) + ...)``
+    as one node.
+
+    ``ids`` holds one non-negative integer array per (rows, d) table, all
+    broadcast to one shape (...); the result is (..., d). Each distinct tuple
+    of ids is summed and normalised once, in the composite's order, so the
+    forward is bitwise equal to the composite's. The backward sums the output
+    gradient per distinct tuple, runs the layer-norm backward once per tuple
+    and scatters the result into each table. To the value filter the node is
+    one primitive: its output is rounded once (before the rows are repeated)
+    and each input gradient once.
+    """
+    tables = [as_tensor(t) for t in tables]
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    sizes = tuple(t.shape[0] for t in tables)
+    key = np.ravel_multi_index(tuple(ids), sizes)
+    distinct, inverse = np.unique(key.reshape(-1), return_inverse=True)
+    rows = np.unravel_index(distinct, sizes)
+    x = tables[0].data.take(rows[0], axis=0)
+    for t, r in zip(tables[1:], rows[1:]):
+        x = x + t.data.take(r, axis=0)
+    out, normed, std = _ln_forward(x, gamma.data, beta.data)
+    def bwd(g):
+        gx = _ln_backward(_scatter_rows(g, inverse, normed.shape), gamma, beta, normed, std)
+        for t, r in zip(tables, rows):
+            if t.requires_grad:
+                t._accumulate(_scatter_rows(gx, r, t.shape))
+    out = _filtered(out).take(inverse, axis=0).reshape(*key.shape, out.shape[-1])
+    return Tensor._make(out, (*tables, gamma, beta), bwd, exact=True)
 
 
 def take_queries(a: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relpe.attention
 import relpe.optim
@@ -11,7 +13,7 @@ from relpe.gradcheck import check_gradients
 from relpe.optim import PrecisionPolicy, make_optimizer, round_half, training_step
 from relpe.posenc import Scheme
 from relpe.synth import make_offset_copy_examples
-from relpe.tensor import Tensor, affine, gelu, layer_norm, value_filter
+from relpe.tensor import Tensor, affine, embed_norm, gelu, layer_norm, no_grad, value_filter
 
 
 def tiny_config(**kw):
@@ -19,6 +21,9 @@ def tiny_config(**kw):
                     ffn_size=16, max_seq_len=12, scheme=Scheme.FRPE)
     defaults.update(kw)
     return EncoderConfig(**defaults)
+
+
+SCHEMES = [Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE]
 
 
 def tiny_example():
@@ -549,6 +554,120 @@ class TestLastLayerAtQueryRows:
         assert_runs_agree(got[1:], want[1:])
 
 
+def embed_composite(tables, ids, gamma, beta):
+    """The chain ``embed_norm`` replaced: a row gather per table, their sum, a layer norm."""
+    x = tables[0].take_rows(ids[0])
+    for table, rows in zip(tables[1:], ids[1:]):
+        x = x + table.take_rows(rows)
+    return layer_norm(x, gamma, beta)
+
+
+def embed_and_grads(embed, tables, ids, gamma, beta, seed):
+    """The output of ``embed`` and its inputs' gradients under a random upstream gradient."""
+    params = [*tables, gamma, beta]
+    for p in params:
+        p.zero_grad()
+    out = embed(tables, ids, gamma, beta)
+    upstream = np.random.default_rng(seed).normal(size=out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, [p.grad for p in params]
+
+
+def assert_embed_matches_composite(tables, ids, gamma, beta, seed=0):
+    got, got_grads = embed_and_grads(embed_norm, tables, ids, gamma, beta, seed)
+    want, want_grads = embed_and_grads(embed_composite, tables, ids, gamma, beta, seed)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for i, (g, w) in enumerate(zip(got_grads, want_grads, strict=True)):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=f"input {i}")
+
+
+def model_embedding(model, tokens):
+    """The embedding node's tables, ids and layer-norm weights for ``tokens`` (..., n)."""
+    tables = [model.token_embedding, model.segment_embedding]
+    segments = np.zeros_like(tokens)
+    segments[..., tokens.shape[-1] // 2:] = 1
+    ids = [tokens, segments]
+    if model.position_embedding is not None:
+        tables.append(model.position_embedding)
+        ids.append(np.arange(tokens.shape[-1]))
+    return tables, ids, model.embed_ln_gamma, model.embed_ln_beta
+
+
+EMBED_IDS = {   # (..., n) token ids, vocabulary 48
+    "vector": np.random.default_rng(1).integers(0, 48, 11),
+    "batch": np.random.default_rng(2).integers(0, 48, (3, 12)),
+    "padded": padded(mixed_batch(vocab_size=48))[0],
+    "one-tuple": np.full((4, 12), 7),
+    "all-distinct": np.random.default_rng(3).permutation(48).reshape(4, 12),
+}
+
+
+class TestEmbedNormMatchesComposite:
+    """The fused embedding node equals the chain it replaced: the same output
+    bits, and every table's, gamma's and beta's gradient within 1e-12."""
+
+    @pytest.mark.parametrize("ids", sorted(EMBED_IDS))
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    def test_forward_and_gradients(self, scheme, ids):
+        model = EncoderModel(tiny_config(scheme=scheme, vocab_size=48), seed=5)
+        assert_embed_matches_composite(*model_embedding(model, EMBED_IDS[ids]))
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+    def test_embed_inputs_is_the_node(self, scheme):
+        model = EncoderModel(tiny_config(scheme=scheme, vocab_size=48), seed=5)
+        tables, ids, gamma, beta = model_embedding(model, EMBED_IDS["padded"])
+        got = model.embed_inputs(ids[0], ids[1])
+        want = embed_composite(tables, ids, gamma, beta)
+        assert len(got._parents) == len(tables) + 2
+        np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+    def test_no_grad_forward_is_the_same_and_records_nothing(self):
+        model = EncoderModel(tiny_config(scheme=Scheme.PAPE, vocab_size=48), seed=5)
+        args = model_embedding(model, EMBED_IDS["batch"])
+        with no_grad():
+            out = embed_norm(*args)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        np.testing.assert_array_equal(out.data, embed_norm(*args).data)
+
+    @pytest.mark.parametrize("scheme", [Scheme.FRPE, Scheme.PAPE], ids=lambda s: s.value)
+    def test_finite_difference_gradients(self, scheme):
+        model = EncoderModel(tiny_config(scheme=scheme, vocab_size=48), seed=5)
+        tables, ids, gamma, beta = model_embedding(model, EMBED_IDS["padded"])
+        upstream = Tensor(np.random.default_rng(4).normal(size=(*ids[0].shape, 8)))
+        params = {f"table{i}": t for i, t in enumerate(tables)}
+        params.update(gamma=gamma, beta=beta)
+        report = check_gradients(lambda: (embed_norm(tables, ids, gamma, beta)
+                                          * upstream).sum(), params, step=1e-5)
+        assert report.max_relative_error < 1e-4, report.worst_parameter
+
+
+# Leading axes of the ids, sequence length, width, and whether positions join.
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=2), n=st.integers(1, 10),
+       d=st.sampled_from([2, 5, 8]), positions=st.booleans(), tiny=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_embed_norm_property(lead, n, d, positions, tiny, seed):
+    """Tiny vocabularies repeat nearly every id tuple; large ones repeat none."""
+    rng = np.random.default_rng(seed)
+    shape = (*lead, n)
+    size = int(np.prod(shape))
+    if tiny:
+        vocab = int(rng.integers(1, 4))
+        tokens = rng.integers(0, vocab, shape)
+    else:
+        vocab = size + int(rng.integers(0, 20))
+        tokens = rng.permutation(vocab)[:size].reshape(shape)
+    tables = [Tensor(rng.normal(size=(vocab, d)), requires_grad=True),
+              Tensor(rng.normal(size=(2, d)), requires_grad=True)]
+    ids = [tokens, rng.integers(0, 2, shape)]
+    if positions:
+        tables.append(Tensor(rng.normal(size=(n + 2, d)), requires_grad=True))
+        ids.append(np.arange(n))
+    gamma = Tensor(rng.normal(size=d) + 1.0, requires_grad=True)
+    beta = Tensor(rng.normal(size=d), requires_grad=True)
+    assert_embed_matches_composite(tables, ids, gamma, beta, seed)
+
+
 def graph_nodes(loss: Tensor) -> int:
     """Recorded nodes (tensors with a backward pass) reachable from ``loss``."""
     seen, stack = set(), [loss]
@@ -567,9 +686,10 @@ class TestNodeBudget:
     attention block's heads are one node each; before the first four were
     fused these graphs had 188 and 192 nodes, and 88 and 92 before the last
     two. Running the last layer only at the heads' rows added three (a
-    reshape, a row gather and a reshape pick that layer's residual rows). A
-    change that lowers a count updates the number here; one that raises it
-    says why in CHANGES.md.
+    reshape, a row gather and a reshape pick that layer's residual rows).
+    Fusing the input embedding (two row gathers, a sum and a layer norm) into
+    one node took three away. A change that lowers a count updates the number
+    here; one that raises it says why in CHANGES.md.
     """
 
     def test_acceptance_gradcheck_config(self):
@@ -579,7 +699,7 @@ class TestNodeBudget:
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
-        assert graph_nodes(loss) == 39
+        assert graph_nodes(loss) == 36
 
     def test_toy_mlm_batch(self):
         # the toy-MLM benchmark model (test 09's config) on a padded batch of four
@@ -587,7 +707,7 @@ class TestNodeBudget:
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
-        assert graph_nodes(loss) == 39
+        assert graph_nodes(loss) == 36
 
 
 def force_exact_off(monkeypatch):
@@ -623,9 +743,6 @@ def mixed_steps(scheme, steps=2):
             {k: p.data for k, p in params.items()}, state.m, state.v)
 
 
-SCHEMES = [Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE]
-
-
 class TestExactOpsInAMixedStep:
     """Reshapes, transposes, row gathers, sign flips, the gradient copies of ``+``
     and the backward seed skip the binary16 filter without changing a bit."""
@@ -651,8 +768,8 @@ class TestRoundingBudget:
     number here; one that raises it says why in CHANGES.md."""
 
     @pytest.mark.parametrize("scheme, calls, forced_off", [
-        (Scheme.NONE, 108, 134), (Scheme.PAPE, 111, 139), (Scheme.PRPE, 112, 138),
-        (Scheme.FRPE, 108, 134)], ids=["none", "pape", "prpe", "frpe"])
+        (Scheme.NONE, 106, 129), (Scheme.PAPE, 107, 130), (Scheme.PRPE, 110, 133),
+        (Scheme.FRPE, 106, 129)], ids=["none", "pape", "prpe", "frpe"])
     def test_calls_per_step(self, scheme, calls, forced_off, monkeypatch):
         count = [0]
         real = relpe.optim.round_half

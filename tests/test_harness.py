@@ -1251,9 +1251,15 @@ class TestBenchTracer:
         try:
             patches = list(tracer._patches)
             trainer.run_step(1)
+            tracer.count_nodes()
+            evaluate(trainer.model, tiny_examples(2, seed=1))
         finally:
             tracer.uninstall()
         assert {"attention.layer0", "tensor.backward", "optim.step"} <= {
             span[0] for span in tracer.spans}
+        rows = tracer.table()            # the embedding is traced in training and evaluation
+        assert ("train.run_step", "encoder.embed") in rows
+        assert ("encoder.heads", "encoder.embed") in rows
+        assert tracer.nodes > 0
         for owner, attr, original in patches:
             assert vars(owner).get(attr) is original, f"{owner.__name__}.{attr}"

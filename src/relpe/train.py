@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from .config import RunConfig
 from .data import PretrainExample
-from .encoder import EncoderModel, pretrain_loss
+from .encoder import EncoderConfig, EncoderModel, pretrain_loss
 from .optim import NonFiniteGradientError, lr_at_step, make_optimizer, training_step
 from .tensor import NonFiniteValueError, no_grad
 
@@ -31,8 +31,9 @@ class TrainingDiverged(RuntimeError):
 def _keep_freed_memory_mapped() -> None:
     """Set glibc's mmap and trim thresholds to 256 MiB, once per process.
 
-    Memory a step frees then stays mapped for the next step, instead of being
-    unmapped or trimmed and faulted back in. Any mallopt call freezes glibc's
+    ``Trainer`` and ``evaluate`` call this. Memory a step or an evaluation pass
+    frees then stays mapped for the next one, instead of being unmapped or
+    trimmed and faulted back in. Any mallopt call freezes glibc's
     dynamic mmap threshold, so the trim threshold is set only if the mmap
     threshold was. Values are unaffected; hosts without glibc's mallopt skip this.
     """
@@ -130,27 +131,32 @@ class Trainer:
             return last
 
 
-# Limits of one multi-example evaluation pass of B examples padded to length
-# n: B*n padded tokens, which bound the fixed cost each pass amortizes, and
-# B*n*n attention scores per head, which bound its largest block to that of a
-# 512-token pass (2 x 256 x 256) so long examples do not grow the peak memory.
-_EVAL_CHUNK_TOKENS = 1024
-_EVAL_CHUNK_SCORES = 2 * 256 * 256
+# Elements (1 MiB of float64) each array of a multi-example evaluation pass
+# may hold, for B examples padded to length n with P predictions: the
+# attention scores of one head (B*n*n), the activations of one layer
+# (B*n*max(d_model, ffn_size)) and the MLM logits (P*vocab_size). The value is
+# the score block of a 512-token pass (2 x 256 x 256), so long examples do not
+# grow the peak memory, and wide models take fewer examples a pass.
+_EVAL_PASS_ELEMENTS = 2 * 256 * 256
 
 
-def _eval_chunks(examples: list[PretrainExample]):
-    """(start index, chunk) for consecutive runs of examples within both
-    limits above; a longer example forms a chunk of its own.
+def _eval_chunks(cfg: EncoderConfig, examples: list[PretrainExample]):
+    """(start index, chunk) for consecutive runs of examples, each as long as
+    the budget above allows for a model of ``cfg``'s widths; an example too
+    long for it forms a chunk of its own.
     """
-    start, chunk, longest = 0, [], 0
+    width = max(cfg.d_model, cfg.ffn_size)
+    start, chunk, longest, predictions = 0, [], 0, 0
     for ex in examples:
         n = max(longest, len(ex.tokens))
-        if chunk and (n * (len(chunk) + 1) > _EVAL_CHUNK_TOKENS
-                      or n * n * (len(chunk) + 1) > _EVAL_CHUNK_SCORES):
+        p = predictions + len(ex.predict_positions)
+        if chunk and max((len(chunk) + 1) * n * max(n, width),
+                         p * cfg.vocab_size) > _EVAL_PASS_ELEMENTS:
             yield start, chunk
-            start, chunk, n = start + len(chunk), [], len(ex.tokens)
+            start, chunk = start + len(chunk), []
+            n, p = len(ex.tokens), len(ex.predict_positions)
         chunk.append(ex)
-        longest = n
+        longest, predictions = n, p
     if chunk:
         yield start, chunk
 
@@ -162,10 +168,11 @@ def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
     without building a graph; as in a training step, floating-point warnings
     are silenced and a non-finite value raises NonFiniteValueError.
     """
+    _keep_freed_memory_mapped()
     totals = dict.fromkeys(("num_predictions", "mlm_nll_sum", "mlm_correct",
                             "nsp_correct"), 0)
     with no_grad(), np.errstate(all="ignore"):
-        for start, chunk in _eval_chunks(examples):
+        for start, chunk in _eval_chunks(model.cfg, examples):
             try:
                 _, metrics = pretrain_loss(model.pretrain_forward(chunk), chunk)
             except (IndexError, ValueError) as exc:   # name the examples, not the chunk

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relpe.optim
 import relpe.train
@@ -19,7 +21,7 @@ from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
                               load_optimizer_state, save_checkpoint)
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
-from relpe.data import CLS_ID, MASK_ID, read_examples
+from relpe.data import CLS_ID, MASK_ID, PretrainExample, read_examples
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
@@ -598,17 +600,19 @@ class TestTrainer:
             trainer.train(out_dir=tmp_path / "run")
 
 
-# A child interpreter that trains the test-09 (toy MLM) configuration, so the
-# allocator state it measures does not depend on the tests that ran before.
-# argv: working directory, then "faults" or "off"/"on" (the threshold helper
-# replaced by a no-op or left in place).
+# A child interpreter that trains or evaluates the test-09 (toy MLM)
+# configuration, so the allocator state it measures does not depend on the
+# tests that ran before. argv: working directory, then "faults" (training
+# steps), "eval_faults" (evaluations of a model built without a Trainer, as
+# `relpe eval` does) or "off"/"on" (the threshold helper replaced by a no-op
+# or left in place).
 _CHILD = """
 import resource, sys
 from pathlib import Path
 import relpe.train
 from relpe import data, synth
 from relpe.config import RunConfig
-from relpe.encoder import EncoderConfig
+from relpe.encoder import EncoderConfig, EncoderModel
 from relpe.optim import LrSchedule, PrecisionPolicy
 
 out, task = Path(sys.argv[1]), sys.argv[2]
@@ -620,10 +624,12 @@ corpus, lexicon = synth.generate_toy_corpus(
 examples = data.make_examples(data.load_corpus(corpus), data.build_vocab([corpus]),
                               data.Lexicon.load(lexicon), "char", 44, seed=1)
 
+model = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
+                      ffn_size=64, max_seq_len=44)
+
 def trainer(mode, steps):
     return relpe.train.Trainer(RunConfig(
-        model=EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
-                            ffn_size=64, max_seq_len=44),
+        model=model,
         schedule=LrSchedule(lr_max=0.005, warmup_steps=steps // 10, total_steps=steps),
         precision=PrecisionPolicy(mode=mode), optimizer="lamb", batch_size=4,
         total_steps=steps, checkpoint_every=0, seed=0), examples)
@@ -636,6 +642,13 @@ if task == "faults":
     for step in range(6, 36):
         t.run_step(step)
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+elif task == "eval_faults":
+    encoder = EncoderModel(model, seed=0)
+    relpe.train.evaluate(encoder, examples)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        relpe.train.evaluate(encoder, examples)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 else:
     for mode in ("full", "mixed_emulated"):
         trainer(mode, 12).train(out_dir=out / mode)
@@ -688,7 +701,7 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 class TestMallocThresholds:
-    """Trainer fixes glibc's mmap and trim thresholds once per process."""
+    """Trainer and evaluate fix glibc's mmap and trim thresholds once per process."""
 
     @pytest.fixture(autouse=True)
     def fresh_helper(self):
@@ -713,6 +726,11 @@ class TestMallocThresholds:
         # glibc's default thresholds cost this config hundreds of faults per step.
         assert float(run_child(tmp_path, "faults")) <= 20
 
+    def test_evaluations_without_a_trainer_do_not_fault_memory_back_in(self, tmp_path):
+        # relpe eval builds no Trainer; under glibc's default thresholds each
+        # evaluation of this set costs thousands of faults.
+        assert float(run_child(tmp_path, "eval_faults")) <= 20
+
     def test_thresholds_do_not_change_results(self, tmp_path):
         run_child(tmp_path / "on", "on")
         run_child(tmp_path / "off", "off")
@@ -725,8 +743,10 @@ class TestMallocThresholds:
     def test_sets_mmap_then_trim_threshold_once_per_process(self, monkeypatch, tmp_path):
         calls = self.fake_libc(monkeypatch, answer=1)
         for _ in range(2):   # relpe ablate builds one Trainer per cell
-            Trainer(tiny_run_config(total_steps=2, checkpoint_every=0),
-                    tiny_examples()).train(out_dir=tmp_path / "run")
+            trainer = Trainer(tiny_run_config(total_steps=2, checkpoint_every=0),
+                              tiny_examples())
+            trainer.train(out_dir=tmp_path / "run")
+            evaluate(trainer.model, tiny_examples())
         assert calls == [(-3, 256 << 20), (-1, 256 << 20)]
 
     def test_trim_threshold_left_alone_if_mmap_threshold_refused(self, monkeypatch):
@@ -787,34 +807,75 @@ class TestEvaluate:
         examples = self.examples()
         examples.insert(7, make_offset_copy_examples(1, 600, 8, -3,
                                                      np.random.default_rng(0))[0])
-        starts, chunks = zip(*_eval_chunks(examples))
+        cfg = tiny_run_config().model
+        starts, chunks = zip(*_eval_chunks(cfg, examples))
         assert [ex for chunk in chunks for ex in chunk] == examples
         assert list(starts) == [0, *np.cumsum([len(chunk) for chunk in chunks])[:-1]]
         for chunk in chunks:
-            longest = max(len(ex.tokens) for ex in chunk)
-            assert len(chunk) == 1 or (
-                len(chunk) * longest <= relpe.train._EVAL_CHUNK_TOKENS
-                and len(chunk) * longest ** 2 <= relpe.train._EVAL_CHUNK_SCORES)
+            assert len(chunk) == 1 or max(pass_arrays(cfg, chunk)) <= \
+                relpe.train._EVAL_PASS_ELEMENTS
         assert [len(ex.tokens) for ex in chunks[1]] == [600]
         assert len(chunks) < len(examples) // 4
         examples[9].tokens[2] = 99
         with pytest.raises(IndexError, match=r"examples 8-\d+: .* of batch example 1"):
-            evaluate(EncoderModel(tiny_run_config().model), examples)
-        assert evaluate(EncoderModel(tiny_run_config().model), []) == {
+            evaluate(EncoderModel(cfg), examples)
+        assert evaluate(EncoderModel(cfg), []) == {
             "num_examples": 0, "num_predictions": 0, "mlm_loss": 0.0,
             "mlm_accuracy": 0.0, "nsp_accuracy": 0.0}
+
+    def test_wider_models_take_fewer_examples_a_pass(self):
+        # mlm_mixed's held-out shape: 56 examples of 35 tokens
+        examples = make_offset_copy_examples(56, 35, 8, -3, np.random.default_rng(1))
+
+        def passes(**widths):
+            cfg = EncoderConfig(num_layers=1, num_heads=2, max_seq_len=36, **widths)
+            return [len(chunk) for _, chunk in _eval_chunks(cfg, examples)]
+
+        assert passes(vocab_size=80, d_model=32, ffn_size=64) == [56]
+        assert passes(vocab_size=80, d_model=32, ffn_size=256) == [14] * 4   # activations
+        assert passes(vocab_size=8192, d_model=32, ffn_size=64) == [8] * 7   # logits
 
     def test_pass_size_does_not_change_the_report(self, monkeypatch):
         model = EncoderModel(tiny_run_config().model, seed=6)
         examples = make_offset_copy_examples(24, 12, 8, -3, np.random.default_rng(7))
-        assert len(list(_eval_chunks(examples))) == 1
+        assert len(list(_eval_chunks(model.cfg, examples))) == 1
         together = evaluate(model, examples)
-        monkeypatch.setattr(relpe.train, "_EVAL_CHUNK_TOKENS", 12)   # one example a pass
+        monkeypatch.setattr(relpe.train, "_EVAL_PASS_ELEMENTS", 1)   # one example a pass
         alone = evaluate(model, examples)
-        assert len(list(_eval_chunks(examples))) == len(examples)
+        assert len(list(_eval_chunks(model.cfg, examples))) == len(examples)
         loss = alone.pop("mlm_loss")
         assert together.pop("mlm_loss") == pytest.approx(loss, rel=0, abs=4 * math.ulp(loss))
         assert together == alone
+
+
+def pass_arrays(cfg, chunk):
+    """Elements of one pass's per-head scores, per-layer activations and MLM logits."""
+    b, n = len(chunk), max(len(ex.tokens) for ex in chunk)
+    predictions = sum(len(ex.predict_positions) for ex in chunk)
+    return b * n * n, b * n * max(cfg.d_model, cfg.ffn_size), predictions * cfg.vocab_size
+
+
+# (length, prediction count) of each example, and the model's widths.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shapes=st.lists(st.integers(1, 600).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))), max_size=60),
+       d_model=st.integers(1, 1024), ffn_size=st.integers(1, 4096),
+       vocab_size=st.integers(1, 30000))
+def test_eval_chunks_property(shapes, d_model, ffn_size, vocab_size):
+    cfg = SimpleNamespace(vocab_size=vocab_size, d_model=d_model, ffn_size=ffn_size)
+    examples = [PretrainExample(tokens=[CLS_ID] * n, segments=[0] * n,
+                                predict_positions=list(range(k)), predict_labels=[0] * k,
+                                nsp_label=0) for n, k in shapes]
+    passes = list(_eval_chunks(cfg, examples))
+    assert [id(ex) for _, chunk in passes for ex in chunk] == list(map(id, examples))
+    assert [start for start, _ in passes] == \
+        list(np.cumsum([0, *(len(chunk) for _, chunk in passes)])[:-1])
+    budget = relpe.train._EVAL_PASS_ELEMENTS
+    for start, chunk in passes:
+        assert len(chunk) == 1 or max(pass_arrays(cfg, chunk)) <= budget
+        end = start + len(chunk)
+        if end < len(examples):   # greedy: the next example would break the budget
+            assert max(pass_arrays(cfg, [*chunk, examples[end]])) > budget
 
 
 class TestSynth:

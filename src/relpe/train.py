@@ -131,27 +131,36 @@ class Trainer:
             return last
 
 
-# Elements (1 MiB of float64) each array of a multi-example evaluation pass
-# may hold, for B examples padded to length n with P predictions: the
-# attention scores of one head (B*n*n), the activations of one layer
-# (B*n*max(d_model, ffn_size)) and the MLM logits (P*vocab_size). The value is
-# the score block of a 512-token pass (2 x 256 x 256), so long examples do not
-# grow the peak memory, and wide models take fewer examples a pass.
-_EVAL_PASS_ELEMENTS = 2 * 256 * 256
+def _eval_pass_budget(cfg: EncoderConfig) -> int:
+    """Elements a multi-example evaluation pass may hold in each of three
+    arrays, for B examples padded to length n with P predictions: the attention
+    scores of one head (B*n*n), the activations of one layer (B*n*w, w =
+    max(d_model, ffn_size)) and the MLM logits (P*vocab_size).
+
+    The budget is the activations of 1,024 tokens at width max(w, 128): a model
+    of width 128 or more runs up to 1,024 padded tokens a pass and a narrower
+    one more, so each pass's fixed cost is spread over at least 1,024 tokens
+    unless the logits bind. It is never below 2 x 256 x 256 (1 MiB of float64,
+    the per-head score block of a 512-token pass), and long examples split as
+    their per-head scores reach it, so they do not raise the peak above that of
+    short ones. The PRPE bank block, (B, n, 2*prpe_clip+1) per head, is not
+    counted.
+    """
+    return 1024 * max(cfg.d_model, cfg.ffn_size, 128)
 
 
 def _eval_chunks(cfg: EncoderConfig, examples: list[PretrainExample]):
     """(start index, chunk) for consecutive runs of examples, each as long as
-    the budget above allows for a model of ``cfg``'s widths; an example too
-    long for it forms a chunk of its own.
+    ``_eval_pass_budget(cfg)`` allows; an example too long for it forms a chunk
+    of its own.
     """
-    width = max(cfg.d_model, cfg.ffn_size)
+    width, budget = max(cfg.d_model, cfg.ffn_size), _eval_pass_budget(cfg)
     start, chunk, longest, predictions = 0, [], 0, 0
     for ex in examples:
         n = max(longest, len(ex.tokens))
         p = predictions + len(ex.predict_positions)
         if chunk and max((len(chunk) + 1) * n * max(n, width),
-                         p * cfg.vocab_size) > _EVAL_PASS_ELEMENTS:
+                         p * cfg.vocab_size) > budget:
             yield start, chunk
             start, chunk = start + len(chunk), []
             n, p = len(ex.tokens), len(ex.predict_positions)

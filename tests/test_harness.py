@@ -624,12 +624,12 @@ corpus, lexicon = synth.generate_toy_corpus(
 examples = data.make_examples(data.load_corpus(corpus), data.build_vocab([corpus]),
                               data.Lexicon.load(lexicon), "char", 44, seed=1)
 
-model = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
-                      ffn_size=64, max_seq_len=44)
+model_cfg = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
+                          ffn_size=64, max_seq_len=44)
 
 def trainer(mode, steps):
     return relpe.train.Trainer(RunConfig(
-        model=model,
+        model=model_cfg,
         schedule=LrSchedule(lr_max=0.005, warmup_steps=steps // 10, total_steps=steps),
         precision=PrecisionPolicy(mode=mode), optimizer="lamb", batch_size=4,
         total_steps=steps, checkpoint_every=0, seed=0), examples)
@@ -643,7 +643,7 @@ if task == "faults":
         t.run_step(step)
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
 elif task == "eval_faults":
-    encoder = EncoderModel(model, seed=0)
+    encoder = EncoderModel(model_cfg, seed=0)
     relpe.train.evaluate(encoder, examples)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(5):
@@ -813,7 +813,7 @@ class TestEvaluate:
         assert list(starts) == [0, *np.cumsum([len(chunk) for chunk in chunks])[:-1]]
         for chunk in chunks:
             assert len(chunk) == 1 or max(pass_arrays(cfg, chunk)) <= \
-                relpe.train._EVAL_PASS_ELEMENTS
+                relpe.train._eval_pass_budget(cfg)
         assert [len(ex.tokens) for ex in chunks[1]] == [600]
         assert len(chunks) < len(examples) // 4
         examples[9].tokens[2] = 99
@@ -823,7 +823,7 @@ class TestEvaluate:
             "num_examples": 0, "num_predictions": 0, "mlm_loss": 0.0,
             "mlm_accuracy": 0.0, "nsp_accuracy": 0.0}
 
-    def test_wider_models_take_fewer_examples_a_pass(self):
+    def test_narrow_models_take_more_examples_a_pass(self):
         # mlm_mixed's held-out shape: 56 examples of 35 tokens
         examples = make_offset_copy_examples(56, 35, 8, -3, np.random.default_rng(1))
 
@@ -832,7 +832,10 @@ class TestEvaluate:
             return [len(chunk) for _, chunk in _eval_chunks(cfg, examples)]
 
         assert passes(vocab_size=80, d_model=32, ffn_size=64) == [56]
-        assert passes(vocab_size=80, d_model=32, ffn_size=256) == [14] * 4   # activations
+        assert passes(vocab_size=80, d_model=32, ffn_size=96) == [39, 17]
+        for ffn_size in (128, 256, 1024):   # 1,024 tokens a pass, never fewer
+            assert passes(vocab_size=80, d_model=32, ffn_size=ffn_size) == [29, 27]
+        assert passes(vocab_size=80, d_model=64) == [29, 27]   # default widths
         assert passes(vocab_size=8192, d_model=32, ffn_size=64) == [8] * 7   # logits
 
     def test_pass_size_does_not_change_the_report(self, monkeypatch):
@@ -840,7 +843,7 @@ class TestEvaluate:
         examples = make_offset_copy_examples(24, 12, 8, -3, np.random.default_rng(7))
         assert len(list(_eval_chunks(model.cfg, examples))) == 1
         together = evaluate(model, examples)
-        monkeypatch.setattr(relpe.train, "_EVAL_PASS_ELEMENTS", 1)   # one example a pass
+        monkeypatch.setattr(relpe.train, "_eval_pass_budget", lambda cfg: 0)   # one a pass
         alone = evaluate(model, examples)
         assert len(list(_eval_chunks(model.cfg, examples))) == len(examples)
         loss = alone.pop("mlm_loss")
@@ -870,7 +873,7 @@ def test_eval_chunks_property(shapes, d_model, ffn_size, vocab_size):
     assert [id(ex) for _, chunk in passes for ex in chunk] == list(map(id, examples))
     assert [start for start, _ in passes] == \
         list(np.cumsum([0, *(len(chunk) for _, chunk in passes)])[:-1])
-    budget = relpe.train._EVAL_PASS_ELEMENTS
+    budget = relpe.train._eval_pass_budget(cfg)
     for start, chunk in passes:
         assert len(chunk) == 1 or max(pass_arrays(cfg, chunk)) <= budget
         end = start + len(chunk)

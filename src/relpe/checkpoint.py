@@ -1,11 +1,12 @@
-"""Checkpoint format 2: manifest.json + params.bin + optstate.bin.
+"""Checkpoint format 3: manifest.json + optstate.bin.
 
-The manifest's ``tensors`` (each block's name, shape, byte offset and numel,
-in block order) is the optimizer's layout, and both binary files follow it:
-params.bin is the flat masters ``w`` as little-endian float32, and
-optstate.bin an npz of exactly ``step`` and the float64 ``w``, ``m`` and ``v``,
-so a resumed run reproduces an uninterrupted one bitwise. Loads check the
-whole checkpoint before the first write: a load that raises changes nothing.
+The manifest's ``tensors`` (each block's name, shape and numel, in block
+order) is the optimizer's layout, and optstate.bin, an npz of exactly
+``step`` and the float64 masters ``w`` and moments ``m`` and ``v``, follows it,
+so a resumed run reproduces an uninterrupted one bitwise and ``relpe eval``
+scores the weights the run trained. A float32 copy of the weights is
+``np.load(path / "optstate.bin")["w"].astype("<f4")``. Loads check the whole
+checkpoint before the first write: a load that raises changes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .optim import _MomentOptimizer
 from .tensor import Tensor
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -28,15 +29,14 @@ class CheckpointError(RuntimeError):
 
 
 def _layout(params: dict[str, Tensor]) -> list[dict]:
-    """The manifest's ``tensors`` for ``params`` in order, stored as float32."""
-    offsets = np.cumsum([0] + [4 * p.data.size for p in params.values()]).tolist()
-    return [{"name": name, "shape": list(p.data.shape), "offset": offset, "numel": p.data.size}
-            for (name, p), offset in zip(params.items(), offsets)]
+    """The manifest's ``tensors`` for ``params``, in order."""
+    return [{"name": name, "shape": list(p.data.shape), "numel": p.data.size}
+            for name, p in params.items()]
 
 
 def save_checkpoint(path, optimizer: _MomentOptimizer, config_dict: dict, step: int,
                     metrics: dict | None = None):
-    """Write a checkpoint directory; params.bin narrows the masters to float32."""
+    """Write a checkpoint directory: the manifest and the optimizer's flat buffers."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -47,7 +47,6 @@ def save_checkpoint(path, optimizer: _MomentOptimizer, config_dict: dict, step: 
         "metrics": metrics or {},
         "tensors": _layout(optimizer.params),
     }
-    (path / "params.bin").write_bytes(optimizer.w.astype("<f4").tobytes())
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                         encoding="utf-8")
     with open(path / "optstate.bin", "wb") as fh:
@@ -56,7 +55,7 @@ def save_checkpoint(path, optimizer: _MomentOptimizer, config_dict: dict, step: 
 
 
 def load_manifest(path) -> dict:
-    """The format-2 manifest, with a ``config`` object, a ``step`` >= 0 and a ``tensors`` list."""
+    """The format-3 manifest, with a ``config`` object, a ``step`` >= 0 and a ``tensors`` list."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
@@ -77,41 +76,25 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def _check_layout(manifest: dict, params: dict[str, Tensor], nbytes: int):
-    """Raise unless the manifest's layout is ``params``' and ``nbytes`` of params.bin fit it."""
-    layout = _layout(params)
-    for i, (stored, live) in enumerate(itertools.zip_longest(manifest["tensors"], layout)):
+def _check_layout(manifest: dict, params: dict[str, Tensor]):
+    """Raise unless the manifest's layout is ``params``'."""
+    for i, (stored, live) in enumerate(itertools.zip_longest(manifest["tensors"],
+                                                             _layout(params))):
         if stored != live:
             raise CheckpointError(f"checkpoint tensor {i} differs from the model's: "
                                   f"checkpoint {stored}, model {live}")
-    want = 4 * sum(t["numel"] for t in layout)
-    if nbytes != want:
-        raise CheckpointError(f"params.bin truncated or overlong: {nbytes} bytes, "
-                              f"the layout needs {want}")
-
-
-def load_checkpoint(path, params: dict[str, Tensor]) -> dict:
-    """Load stored values into ``params``, once all fit; returns the manifest."""
-    manifest = load_manifest(path)
-    raw = (Path(path) / "params.bin").read_bytes()
-    _check_layout(manifest, params, len(raw))
-    values = np.frombuffer(raw, dtype="<f4")
-    for p, t in zip(params.values(), manifest["tensors"]):
-        start = t["offset"] // 4
-        p.data[...] = values[start:start + t["numel"]].reshape(p.data.shape)
-    return manifest
 
 
 def load_optimizer_state(path, optimizer: _MomentOptimizer) -> dict:
     """Restore ``step`` and the flat masters and moments in place; returns the manifest.
 
-    Nothing is written until the manifest's layout is the optimizer's,
-    params.bin has its size, and optstate.bin holds an integer ``step`` >= 0
-    and float64 ``w``, ``m`` and ``v`` of the masters' length.
+    Nothing is written until the manifest's layout is the optimizer's and
+    optstate.bin holds an integer ``step`` >= 0 and float64 ``w``, ``m`` and
+    ``v`` of the masters' length.
     """
-    manifest, path = load_manifest(path), Path(path)
-    _check_layout(manifest, optimizer.params, (path / "params.bin").stat().st_size)
-    file = path / "optstate.bin"
+    manifest = load_manifest(path)
+    _check_layout(manifest, optimizer.params)
+    file = Path(path) / "optstate.bin"
     try:
         with np.load(file) as npz:
             state = {k: npz[k] for k in npz.files}

@@ -12,12 +12,14 @@ import sys
 from pathlib import Path
 
 from . import ablate as ablate_mod
-from .checkpoint import CheckpointError, load_checkpoint, load_manifest
+from .checkpoint import CheckpointError, load_manifest, load_optimizer_state
 from .config import ConfigError, RunConfig
 from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab,
                    load_corpus, make_examples, masking_stats, read_examples, write_examples)
 from .encoder import EncoderConfig, EncoderModel
 from .gradcheck import check_full_model
+from .optim import make_optimizer
+from .posenc import Scheme
 from .tensor import NonFiniteValueError
 from .train import Trainer, TrainingDiverged, evaluate
 
@@ -27,9 +29,7 @@ class UserError(Exception):
 
 
 def _load_run_config(args) -> RunConfig:
-    """The --config file with the --seed/--out/--strategy/--scheme overrides."""
-    if not getattr(args, "config", None):
-        raise UserError("--config is required for this command")
+    """The --config file with the --seed/--out/--strategy overrides."""
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -37,15 +37,17 @@ def _load_run_config(args) -> RunConfig:
         overrides["out_dir"] = args.out
     if getattr(args, "strategy", None):
         overrides["masking_strategy"] = args.strategy
-    if getattr(args, "scheme", None):
-        overrides["model"] = {"scheme": args.scheme}
     return RunConfig.from_json(args.config, overrides)
 
 
 def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``; an id outside the model's embeddings is a UserError."""
+    """The examples of ``path``; an id outside the model's embeddings, or under
+    PAPE an example longer than the position table, is a UserError."""
     examples = read_examples(path)
     for i, ex in enumerate(examples):
+        if model.scheme is Scheme.PAPE and len(ex.tokens) > model.max_seq_len:
+            raise UserError(f"{path}: example {i} has length {len(ex.tokens)}, past the PAPE "
+                            f"position table's max_seq_len={model.max_seq_len}")
         for kind, ids, field in (("token", ex.tokens, "vocab_size"),
                                  ("predict label", ex.predict_labels, "vocab_size"),
                                  ("segment", ex.segments, "type_vocab_size")):
@@ -75,7 +77,10 @@ def cmd_prepare_data(args) -> int:
         raise UserError("config.corpus is required for prepare-data")
     documents = load_corpus(config.corpus)
     if args.vocab:
-        vocab = Vocabulary.load(args.vocab)
+        try:
+            vocab = Vocabulary.load(args.vocab)
+        except ValueError as exc:
+            raise UserError(f"vocab file {args.vocab}: {exc}")
     else:
         vocab = build_vocab([config.corpus])
     lexicon = Lexicon.load(config.lexicon) if config.lexicon else Lexicon.empty()
@@ -113,7 +118,9 @@ def cmd_eval(args) -> int:
     manifest = load_manifest(args.checkpoint)
     config = RunConfig.from_dict(manifest["config"])
     model = EncoderModel(config.model, seed=config.seed)
-    load_checkpoint(args.checkpoint, model.parameters())
+    # the masters, restored as a resume restores them
+    load_optimizer_state(args.checkpoint, make_optimizer(config.optimizer, model.parameters(),
+                                                         config.weight_decay))
     try:
         report = evaluate(model, _read_examples(args.examples, config.model))
     except (IndexError, NonFiniteValueError) as exc:

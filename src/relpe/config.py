@@ -91,21 +91,14 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "RunConfig":
-        """Read and validate a config file.
-
-        ``overrides`` replace the file's keys before validation; a dict value
-        is merged into the section of the same name.
-        """
+        """Read and validate a config file; ``overrides`` replace its top-level
+        keys before validation."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if overrides and isinstance(data, dict):
-            data = dict(data)
-            for key, value in overrides.items():
-                if isinstance(value, dict) and isinstance(data.get(key), dict):
-                    value = {**data[key], **value}
-                data[key] = value
+            data = {**data, **overrides}
         return cls.from_dict(data)
 
     def save(self, path):

@@ -44,7 +44,7 @@ class Vocabulary:
     def __post_init__(self):
         self.index = {t: i for i, t in enumerate(self.tokens)}
         for i, name in enumerate(SPECIAL_TOKENS):
-            if self.tokens[i] != name:
+            if self.tokens[i:i + 1] != [name]:
                 raise ValueError(f"special token {name} missing at id {i}")
 
     def __len__(self):
@@ -312,7 +312,8 @@ def build_pairs(documents: list[list[str]], seq_len: int,
         raise CorpusError("need at least 2 documents to sample NSP negatives")
     budget = seq_len - 3  # [CLS] + 2 x [SEP]
     if budget < 2:
-        raise ValueError(f"sequence length {seq_len} too short for a sentence pair")
+        raise CorpusError(f"max_seq_len {seq_len} is too short for a sentence pair: "
+                          f"[CLS], two [SEP] and a token of each sentence need 5")
     doc_range = [doc_index] if doc_index is not None else range(len(documents))
     for d in doc_range:
         doc = documents[d]

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import relpe.optim
 import relpe.train
 from relpe.ablate import hash_cell
-from relpe.checkpoint import (CheckpointError, load_checkpoint, load_manifest,
-                              load_optimizer_state, save_checkpoint)
+from relpe.checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
 from relpe.data import CLS_ID, MASK_ID, PretrainExample, read_examples
@@ -198,10 +197,8 @@ class TestCheckpoint:
     def params(self, seed=0):
         rng = np.random.default_rng(seed)
         return {
-            "embed.token": Tensor(rng.normal(size=(6, 4)).astype(np.float32)
-                                  .astype(np.float64), requires_grad=True),
-            "layer0.ffn.w1": Tensor(rng.normal(size=(4, 8)).astype(np.float32)
-                                    .astype(np.float64), requires_grad=True),
+            "embed.token": Tensor(rng.normal(size=(6, 4)), requires_grad=True),
+            "layer0.ffn.w1": Tensor(rng.normal(size=(4, 8)), requires_grad=True),
         }
 
     def test_round_trip_bitwise_at_storage_precision(self, tmp_path):
@@ -209,18 +206,17 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ckpt", AdamOptimizer(params, weight_decay=0.0),
                         {"seed": 1}, step=5, metrics={"loss": 1.0})
         restored = self.params(seed=99)
-        manifest = load_checkpoint(tmp_path / "ckpt", restored)
+        manifest = load_optimizer_state(tmp_path / "ckpt", AdamOptimizer(restored, weight_decay=0.0))
         assert manifest["step"] == 5 and manifest["seed"] == 1
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         for name in params:
             np.testing.assert_array_equal(restored[name].data, params[name].data)
+        assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "optstate.bin"]
         with np.load(tmp_path / "ckpt" / "optstate.bin") as npz:
             assert sorted(npz.files) == ["m", "step", "v", "w"]
 
     def test_optimizer_state_restores_masters_and_moments(self, tmp_path):
         params = self.params()
-        # give the values float64 detail that float32 storage would destroy
-        params["embed.token"].data = params["embed.token"].data + 1e-12
         opt = self.stepped_optimizer(params)
         save_checkpoint(tmp_path / "ckpt", opt, {"seed": 0}, step=1)
 
@@ -257,16 +253,12 @@ class TestCheckpoint:
         ckpt = self.save(tmp_path)
         bad = self.params(seed=99)
         bad["embed.token"] = Tensor(np.zeros((5, 4)), requires_grad=True)
-        with pytest.raises(CheckpointError, match="embed.token"):
-            load_checkpoint(ckpt, bad)
         self.assert_failed_load_changes_nothing(ckpt, bad, "tensor 0 .*embed.token")
 
     def test_parameter_set_mismatch(self, tmp_path):
         ckpt = self.save(tmp_path)
         bad = self.params(seed=99)
         del bad["layer0.ffn.w1"]
-        with pytest.raises(CheckpointError, match="layer0.ffn.w1"):
-            load_checkpoint(ckpt, bad)
         self.assert_failed_load_changes_nothing(ckpt, bad, "tensor 1 .*layer0.ffn.w1")
 
     @pytest.mark.parametrize("damage", ["reordered", "resized", "no-numel", "not-an-object"])
@@ -283,18 +275,8 @@ class TestCheckpoint:
         else:
             tensors[0] = "embed.token"
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="tensor 0 .*embed.token"):
-            load_checkpoint(ckpt, self.params(seed=99))
         self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99),
                                                 "tensor 0 .*embed.token")
-
-    def test_truncated_payload_detected(self, tmp_path):
-        ckpt = self.save(tmp_path)
-        blob = (ckpt / "params.bin").read_bytes()
-        (ckpt / "params.bin").write_bytes(blob[:-8])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(ckpt, self.params())
-        self.assert_failed_load_changes_nothing(ckpt, self.params(seed=99), "params.bin")
 
     def test_truncated_optimizer_state_detected(self, tmp_path):
         state = self.save(tmp_path) / "optstate.bin"
@@ -450,13 +432,13 @@ class TestTrainer:
         for name, p in straight.params.items():
             np.testing.assert_array_equal(p.data, resumed.params[name].data)
 
-        # and so do the final checkpoints: params.bin byte for byte, and each
+        # and so do the final checkpoints: the same files, and each
         # optstate.bin entry bit for bit (the zip's own bytes carry timestamps)
         def payload(run):
             ckpt = tmp_path / run / "checkpoint-final"
             with np.load(ckpt / "optstate.bin") as npz:
                 entries = {k: (npz[k].dtype, npz[k].shape, npz[k].tobytes()) for k in npz.files}
-            return (ckpt / "params.bin").read_bytes(), entries
+            return sorted(os.listdir(ckpt)), entries
 
         assert payload("straight") == payload("resumed")
 
@@ -735,10 +717,9 @@ class TestMallocThresholds:
         run_child(tmp_path / "on", "on")
         run_child(tmp_path / "off", "off")
         for mode in ("full", "mixed_emulated"):
-            for name in ("params.bin", "optstate.bin"):
-                on, off = (tmp_path / side / mode / "checkpoint-final" / name
-                           for side in ("on", "off"))
-                assert on.read_bytes() == off.read_bytes(), (mode, name)
+            on, off = (tmp_path / side / mode / "checkpoint-final" / "optstate.bin"
+                       for side in ("on", "off"))
+            assert on.read_bytes() == off.read_bytes(), mode
 
     def test_sets_mmap_then_trim_threshold_once_per_process(self, monkeypatch, tmp_path):
         calls = self.fake_libc(monkeypatch, answer=1)
@@ -973,9 +954,7 @@ class TestCli:
             out_dir=str(tmp_path / "run"), total_steps=4, checkpoint_every=2)
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
         ckpt = tmp_path / "run" / "checkpoint-final"
-        assert (ckpt / "manifest.json").exists()
-        assert (ckpt / "params.bin").exists()
-        assert (ckpt / "optstate.bin").exists()
+        assert sorted(os.listdir(ckpt)) == ["manifest.json", "optstate.bin"]
         assert (tmp_path / "run" / "checkpoint-2" / "manifest.json").exists()
 
         rc = cli_main(["eval", "--checkpoint", str(ckpt),
@@ -1040,8 +1019,9 @@ class TestCli:
         (lambda m: m.update(tensors={}), "'tensors'"),
         (lambda m: m.update(tensors=[7]), "tensor 0"),
         (None, "JSON object"),                 # the manifest wrapped in a list
+        (lambda m: m.update(format_version=2), "version 2 unsupported"),
     ], ids=["no-step", "no-config", "no-tensors", "no-numel", "string-step", "bool-step",
-            "list-config", "object-tensors", "number-tensor", "list-manifest"])
+            "list-config", "object-tensors", "number-tensor", "list-manifest", "format-2"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     def test_damaged_manifest_is_user_error(self, tmp_path, capsys, damage, named, command):
         cfg_path = self.pretrained_run(tmp_path, capsys)
@@ -1130,9 +1110,11 @@ class TestCli:
         cfg_path = self.write_init_only_config(tmp_path)
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
         ckpt = tmp_path / "run" / "checkpoint-init"
-        values = np.fromfile(ckpt / "params.bin", dtype="<f4")
-        values[::7] = np.inf                     # what 1e39 is in float32
-        values.tofile(ckpt / "params.bin")
+        with np.load(ckpt / "optstate.bin") as npz:
+            state = {k: npz[k] for k in npz.files}
+        state["w"][::7] = np.inf
+        with open(ckpt / "optstate.bin", "wb") as fh:
+            np.savez(fh, **state)
         capsys.readouterr()
         assert cli_main(["eval", "--checkpoint", str(ckpt),
                          "--examples", str(tmp_path / "train.jsonl")]) == 1
@@ -1252,6 +1234,52 @@ class TestCli:
         assert cli_main(["prepare-data", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "corpus" in err
+
+    @pytest.mark.parametrize("case", ["short-max-seq-len", "vocab-without-specials",
+                                      "empty-vocab"])
+    def test_prepare_data_bad_input_is_user_error(self, tmp_path, capsys, case):
+        model = EncoderConfig(vocab_size=13, d_model=8, num_layers=1, num_heads=2,
+                              ffn_size=16, max_seq_len=4 if case == "short-max-seq-len" else 12)
+        cfg_path, _ = self.write_config(tmp_path, model=model, out_dir=str(tmp_path / "d"),
+                                        corpus=str(self.write_corpus(tmp_path)))
+        argv = ["prepare-data", "--config", str(cfg_path)]
+        named = "max_seq_len 4"
+        if case != "short-max-seq-len":
+            named = str(tmp_path / "vocab.txt")
+            (tmp_path / "vocab.txt").write_text("abcd\n" if case == "vocab-without-specials"
+                                                else "", encoding="utf-8")
+            argv += ["--vocab", named]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err, captured.err
+        assert captured.out == "" and not (tmp_path / "d").exists()
+
+    def test_pretrain_rejects_examples_past_the_pape_position_table(self, tmp_path, capsys):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)          # 12 tokens each
+        model = EncoderConfig(vocab_size=13, d_model=8, num_layers=1, num_heads=2,
+                              ffn_size=16, max_seq_len=8, scheme="pape")
+        cfg_path, _ = self.write_config(tmp_path, model=model, train_examples=str(examples_path),
+                                        out_dir=str(tmp_path / "run"))
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: .*train\.jsonl: example 0 has length 12, .*"
+                            r"max_seq_len=8\n", captured.err), captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("precision", ["full", "mixed_emulated"])
+    def test_eval_scores_the_trained_masters(self, tmp_path, capsys, precision):
+        examples_path = tmp_path / "train.jsonl"
+        from relpe.data import write_examples
+        write_examples(tiny_examples(), examples_path)
+        trainer = Trainer(tiny_run_config(precision=PrecisionPolicy(mode=precision)),
+                          tiny_examples())
+        trainer.train(out_dir=tmp_path / "run")
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint-final"),
+                         "--examples", str(examples_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mlm_loss"] == evaluate(trainer.model, tiny_examples())["mlm_loss"]
 
     @pytest.mark.parametrize("flags", [
         ["--steps", "1"],                      # no room for warmup

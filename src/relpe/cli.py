@@ -41,9 +41,12 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``; an id outside the model's embeddings, or under
-    PAPE an example longer than the position table, is a UserError."""
+    """The examples of ``path``; a file without any, an id outside the model's
+    embeddings, or under PAPE an example longer than the position table, is a
+    UserError."""
     examples = read_examples(path)
+    if not examples:
+        raise UserError(f"{path}: no examples")
     for i, ex in enumerate(examples):
         if model.scheme is Scheme.PAPE and len(ex.tokens) > model.max_seq_len:
             raise UserError(f"{path}: example {i} has length {len(ex.tokens)}, past the PAPE "
@@ -136,11 +139,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     grid = ablate_mod.AblationGrid(
-        schemes=args.schemes.split(","),
-        sl_train=args.sl_train, sl_eval=args.sl_eval,
-        steps=args.steps, seed=args.seed if args.seed is not None else 0)
-    if args.pape_max_position is not None:
-        grid.pape_max_position = args.pape_max_position
+        schemes=args.schemes.split(","), sl_train=args.sl_train, sl_eval=args.sl_eval,
+        steps=args.steps, seed=args.seed, pape_max_position=args.pape_max_position)
     rows = ablate_mod.run_grid(grid, args.out)
     for row in rows:
         print(f"{row['scheme']:>5} "
@@ -209,14 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
+    grid = ablate_mod.AblationGrid()
     p = sub.add_parser("ablate", help="run the scheme/length grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--schemes", default="pape,prpe,frpe")
-    p.add_argument("--sl-train", type=int, default=32)
-    p.add_argument("--sl-eval", type=int, default=64)
-    p.add_argument("--steps", type=int, default=1200)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pape-max-position", type=int, default=None)
+    p.add_argument("--schemes", default=",".join(grid.schemes))
+    p.add_argument("--sl-train", type=int, default=grid.sl_train)
+    p.add_argument("--sl-eval", type=int, default=grid.sl_eval)
+    p.add_argument("--steps", type=int, default=grid.steps)
+    p.add_argument("--seed", type=int, default=grid.seed)
+    p.add_argument("--pape-max-position", type=int, default=grid.pape_max_position)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")

@@ -123,14 +123,14 @@ def test_04_shift_equivariance():
            f"relative {rel_violation:.2e}, absolute {pape_violation:.2e}")
 
 
-def test_05_length_extrapolation():
+def test_05_length_extrapolation(tmp_path):
     """Offset-copy: relative sinusoids trained at length 32 hold at 64; the
     absolute table either cannot address 64 or collapses."""
     grid = AblationGrid()
-    frpe = run_cell(grid, "frpe")
-    pape32 = run_cell(grid, "pape")
+    frpe = run_cell(grid, "frpe", tmp_path / "frpe")
+    pape32 = run_cell(grid, "pape", tmp_path / "pape32")
     grid64 = AblationGrid(pape_max_position=64)
-    pape64 = run_cell(grid64, "pape")
+    pape64 = run_cell(grid64, "pape", tmp_path / "pape64")
 
     frpe_ok = (frpe["status"] == "ok"
                and frpe["accuracy_train_len"] >= 0.95

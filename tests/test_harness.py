@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relpe.ablate
 import relpe.optim
 import relpe.train
-from relpe.ablate import hash_cell
+from relpe.ablate import AblationGrid, hash_cell
 from relpe.checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
@@ -1145,17 +1146,22 @@ class TestCli:
         ("nsp_label", 2, "line 3: nsp_label 2 must be 0 or 1"),
         ("predict_labels", 999, "example 2 has predict label 999 outside [0, vocab_size=13)"),
         ("segments", 2, "example 2 has segment 2 outside [0, type_vocab_size=2)"),
+        pytest.param(None, "", "no examples", id="empty-file"),
+        pytest.param(None, "\n \n", "no examples", id="blank-lines-only"),
     ])
     def test_out_of_range_ids_are_user_errors(self, tmp_path, capsys, field, value, problem):
         cfg_path = self.write_init_only_config(tmp_path)
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
         records = [ex.to_dict() for ex in tiny_examples()]
-        if field == "nsp_label":
+        if field is None:
+            records = []
+        elif field == "nsp_label":
             records[2][field] = value
         else:
             records[2][field][-1] = value
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records) if records else value,
+                       encoding="utf-8")
         (tmp_path / "p").mkdir()
         bad_cfg, _ = self.write_config(tmp_path / "p", train_examples=str(bad),
                                        out_dir=str(tmp_path / "p" / "run"), total_steps=1)
@@ -1290,6 +1296,7 @@ class TestCli:
         ["--pape-max-position", "-1"],
         ["--pape-max-position", "0"],          # was taken as unset
         ["--seed", "-1000"],                   # every cell seed negative
+        ["--schemes", "frpe,prpe,frpe"],       # two cells, one directory
     ])
     def test_ablate_rejects_bad_grid_before_training(self, tmp_path, capsys, flags):
         out = tmp_path / "grid"
@@ -1297,30 +1304,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_ablate_tiny_grid(self, tmp_path, capsys):
-        def run(out):
-            assert cli_main(["ablate", "--out", str(out), "--schemes", "pape,frpe",
+    def test_ablate_defaults_are_the_grid_defaults(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(relpe.ablate, "run_grid", lambda grid, out: grids.append(grid) or [])
+        assert cli_main(["ablate", "--out", "grid"]) == 0
+        assert grids == [AblationGrid()] and grids[0].steps == 1500   # what test 05 trains
+
+    def test_ablate_tiny_grid(self, tmp_path, capsys, monkeypatch):
+        def run(cwd):
+            # the same relative --out, so every cell's out_dir reads the same
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert cli_main(["ablate", "--out", "grid", "--schemes", "pape,frpe",
                              "--steps", "5",
                              "--sl-train", "16", "--sl-eval", "24"]) == 0
-            return (out / "results.json").read_bytes()
+            return (cwd / "grid" / "results.json").read_bytes()
 
         first = run(tmp_path / "a")
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] \
+            == ["pape", "frpe"]
         results = json.loads(first)
-        lines = (tmp_path / "a" / "results.tsv").read_text().splitlines()
-        assert lines[0].split("\t") == ["scheme", "sl_train", "sl_eval",
-                                        "accuracy_train_len", "accuracy_eval_len",
-                                        "status"]
-        pape, frpe = (line.split("\t") for line in lines[1:])
-        assert pape[:3] == ["pape", "16", "24"] and pape[4] == ""
-        assert pape[5].startswith("out-of-range")
-        assert frpe[:3] == ["frpe", "16", "24"] and frpe[5] == "ok"
-        assert 0.0 <= float(frpe[4]) <= 1.0
+        grid = tmp_path / "a" / "grid"
+        assert sorted(os.listdir(grid)) == ["frpe", "pape", "results.json"]
+        pape, frpe = results["rows"]
+        assert [pape[k] for k in ("scheme", "sl_train", "sl_eval", "accuracy_eval_len")] \
+            == ["pape", 16, 24, None]
+        assert pape["status"].startswith("out-of-range")
+        assert [frpe[k] for k in ("scheme", "sl_train", "sl_eval", "status")] \
+            == ["frpe", 16, 24, "ok"]
+        assert 0.0 <= frpe["accuracy_eval_len"] <= 1.0
 
         for row in results["rows"]:
             config = row["run_config"]
             assert config["seed"] == results["seed"] + hash_cell(row["scheme"], "char") % 1000
             assert config["model"]["scheme"] == row["scheme"]
             assert config["total_steps"] == 5
+            cell = grid / row["scheme"]
+            assert config["out_dir"] == str(Path("grid") / row["scheme"])
+            assert sorted(os.listdir(cell)) == ["checkpoint-final", "metrics.jsonl"]
+            records = [json.loads(line) for line in
+                       (cell / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+            assert records[0]["type"] == "header"
+            assert [r["step"] for r in records[1:]] == [1, 2, 3, 4, 5]
+            assert load_manifest(cell / "checkpoint-final")["config"] == config
+
+        from relpe.data import write_examples
+        write_examples(make_offset_copy_examples(4, 16, 48, -3, np.random.default_rng(0)),
+                       tmp_path / "held_out.jsonl")
+        assert cli_main(["eval", "--checkpoint", str(grid / "frpe" / "checkpoint-final"),
+                         "--examples", str(tmp_path / "held_out.jsonl")]) == 0
         assert run(tmp_path / "b") == first
 
 

@@ -113,6 +113,40 @@ def test_module_calls_no_banned_function(module):
     assert banned_calls((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def step_readers(source: str, module: str) -> list[str]:
+    """``module:scope`` for each class or function of ``source`` that reads the
+    name ``run_step``, called or not; ``scope`` is its dotted path in the module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (getattr(child, "attr", None) == "run_step"
+                    or getattr(child, "id", None) == "run_step"):
+                found.append(f"{module}:{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_checker_finds_step_readers():
+    source = ("class T:\n    def run_step(self, t): pass\n"
+              "    def train(self):\n        self.run_step(1)\n"
+              "def cell(trainer):\n    step = trainer.run_step\n    step(1)\n"
+              "for t in range(2):\n    run_step(t)\n")
+    assert step_readers(source, "m.py") == ["m.py:", "m.py:T.train", "m.py:cell"]
+
+
+def test_only_the_training_loop_runs_steps():
+    # One training loop: everything else trains through Trainer.train, which
+    # writes the metrics log and the final checkpoint.
+    assert sum((step_readers(p.read_text(encoding="utf-8"), p.name)
+                for p in sorted(SRC.glob("*.py"))), []) == ["train.py:Trainer.train"]
+
+
 # Exceptions left to the CLI's exit 2 (internal error). A non-finite value or
 # gradient met in training reaches the CLI as TrainingDiverged (exit 1), and a
 # non-finite value met by `relpe eval` as its user error (exit 1); in a

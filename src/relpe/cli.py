@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,12 +42,14 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``; a file without any, an id outside the model's
-    embeddings, or under PAPE an example longer than the position table, is a
-    UserError."""
+    """The examples of ``path``; a file without any, or without an MLM
+    prediction, an id outside the model's embeddings, or under PAPE an example
+    longer than the position table, is a UserError."""
     examples = read_examples(path)
     if not examples:
         raise UserError(f"{path}: no examples")
+    if not any(ex.predict_positions for ex in examples):
+        raise UserError(f"{path}: no MLM predictions")
     for i, ex in enumerate(examples):
         if model.scheme is Scheme.PAPE and len(ex.tokens) > model.max_seq_len:
             raise UserError(f"{path}: example {i} has length {len(ex.tokens)}, past the PAPE "
@@ -157,10 +160,14 @@ def cmd_gradcheck(args) -> int:
     for name in schemes:
         if name not in known:
             raise UserError(f"--scheme {name!r} is not one of {', '.join(known)}")
+    if args.seed < 0:
+        raise UserError(f"--seed {args.seed} must be >= 0")
     threshold = args.threshold
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UserError(f"--threshold {threshold:g} must be a finite number > 0")
     failures = []
     for name in schemes:
-        report = check_full_model(name, seed=args.seed if args.seed is not None else 0)
+        report = check_full_model(name, seed=args.seed)
         status = "pass" if report.passed(threshold) else "FAIL"
         print(f"{name:>5}: max relative error {report.max_relative_error:.2e} "
               f"(worst: {report.worst_parameter}) {status}")
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     p.add_argument("--scheme", default=None,
                    help="comma-separated schemes (default: all four)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser

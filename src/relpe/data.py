@@ -60,9 +60,6 @@ class Vocabulary:
     def encode(self, text: str) -> list[int]:
         return [self.encode_char(c) for c in text]
 
-    def decode(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     def save(self, path):
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
@@ -145,12 +142,6 @@ class MaskAction(str, Enum):
     KEEP = "keep"
 
 
-@dataclass
-class MaskingPlan:
-    actions: dict[int, MaskAction]
-    strategy: str  # "char" or "wwm"
-
-
 def _stochastic_count(rate: float, n: int, rng: np.random.Generator) -> int:
     """floor(rate * n), with the fractional part resolved by a coin flip so the
     expected count is exact."""
@@ -162,8 +153,8 @@ def _stochastic_count(rate: float, n: int, rng: np.random.Generator) -> int:
 
 
 def select_targets(maskable_positions, spans, strategy: str,
-                   rng: np.random.Generator) -> MaskingPlan:
-    """Choose prediction targets over the maskable positions.
+                   rng: np.random.Generator) -> dict[int, MaskAction]:
+    """Choose prediction targets over the maskable positions: {position: action}.
 
     ``char`` samples positions directly; ``wwm`` samples whole spans until the
     target budget is met, with one action class drawn per span. Positions not
@@ -173,7 +164,7 @@ def select_targets(maskable_positions, spans, strategy: str,
     n = len(maskable)
     actions: dict[int, MaskAction] = {}
     if n == 0:
-        return MaskingPlan(actions=actions, strategy=strategy)
+        return actions
 
     c_mask = _stochastic_count(MASK_RATE, n, rng)
     c_rand = _stochastic_count(RANDOM_RATE, n, rng)
@@ -220,14 +211,14 @@ def select_targets(maskable_positions, spans, strategy: str,
             selected += len(group)
     else:
         raise ValueError(f"unknown masking strategy {strategy!r}")
-    return MaskingPlan(actions=actions, strategy=strategy)
+    return actions
 
 
-def apply_masking(token_ids, plan: MaskingPlan, vocab: Vocabulary,
+def apply_masking(token_ids, actions: dict[int, MaskAction], vocab: Vocabulary,
                   rng: np.random.Generator):
-    """Corrupt the token ids per plan; labels are always the original ids."""
+    """Corrupt the token ids per target action; labels are always the original ids."""
     ids = list(token_ids)
-    positions = sorted(plan.actions)
+    positions = sorted(actions)
     labels = []
     lo, hi = vocab.first_regular_id, len(vocab)
     if hi <= lo:
@@ -237,7 +228,7 @@ def apply_masking(token_ids, plan: MaskingPlan, vocab: Vocabulary,
         if original in (PAD_ID, CLS_ID, SEP_ID):
             raise ValueError(f"masking plan targets special token at position {pos}")
         labels.append(original)
-        action = plan.actions[pos]
+        action = actions[pos]
         if action is MaskAction.MASK:
             ids[pos] = MASK_ID
         elif action is MaskAction.RANDOM_REPLACE:
@@ -346,8 +337,8 @@ def make_example(a: str, b: str, is_next: int, vocab: Vocabulary,
     spans = [] if strategy == "char" else [  # per-character targets never read spans
         range(off + s, off + e) for text, off in ((a, a_off), (b, b_off))
         for s, e in segment_words(text, lexicon)]
-    plan = select_targets(maskable, spans, strategy, rng)
-    ids, positions, labels = apply_masking(tokens, plan, vocab, rng)
+    actions = select_targets(maskable, spans, strategy, rng)
+    ids, positions, labels = apply_masking(tokens, actions, vocab, rng)
     return PretrainExample(tokens=ids, segments=segments,
                            predict_positions=positions, predict_labels=labels,
                            nsp_label=is_next)

@@ -144,19 +144,17 @@ class _MomentOptimizer:
             p.data = x
 
     def gather(self, grads) -> np.ndarray:
-        """The flat ``g`` of per-block gradients in parameter order (None: zeros)."""
+        """Fill the flat ``g`` with per-block gradients in parameter order (None: zeros)."""
         grads = [np.zeros(shape) if g is None else g for g, shape in zip(grads, self.shapes)]
         return np.concatenate(grads, axis=None, out=self.g)
 
-    def step(self, lr: float, grads: dict | np.ndarray | None = None):
-        """One update over all blocks; the step counter advances once per call. ``grads``
-        maps names to gradients (default: each ``p.grad``) or is the flat ``g``."""
-        st, params = self.state, self.params
-        if grads is not self.g:
-            self.gather(p.grad if grads is None else grads[name] for name, p in params.items())
+    def step(self, lr: float):
+        """One update over all blocks from the ``g`` that :meth:`gather` filled; the
+        step counter advances once per call."""
+        st = self.state
         g, m, v, w, a = self.g, self.m, self.v, self.w, self.a
         if not np.isfinite(g).all():
-            name = next(n for n, x in zip(params, self.split(g)) if not np.isfinite(x).all())
+            name = next(n for n, x in zip(self.params, self.split(g)) if not np.isfinite(x).all())
             raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
         st.step += 1
         # The per-block update in place: a becomes u, and g (spent) the per-element scale.
@@ -247,5 +245,5 @@ def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer,
             g /= scale
             if not np.isfinite(g).all():
                 return metrics, True
-        optimizer.step(lr, g)
+        optimizer.step(lr)
     return metrics, False

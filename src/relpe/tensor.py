@@ -6,16 +6,16 @@ result plus a closure that routes the incoming gradient to its parents.
 node exactly once. An optional value filter (see :func:`value_filter`) is
 applied to every primitive's output and every gradient accumulation, which is
 how reduced-precision arithmetic is emulated without a second code path.
-One rule says what the filter sees: ops that only move, copy or negate
-values are exact and skip it, and every sum is filtered. The exact values are
-the outputs of ``reshape``, ``transpose``, ``take_rows`` and negation, the
-gradients of all but ``take_rows``, the gradient copies ``+`` hands its
-parents and the ``backward()`` seed. This relies on one invariant of a
-filtered graph: every tensor is an op output or a working copy the caller
-already filtered (the mixed-precision step rounds its working weights), so
-the filter would return an exact op's values unchanged. A constant leaf fed
-to an exact op keeps its float64 values. The sums are a ``take_rows``
-scatter, a reduction over broadcast axes and a second gradient accumulation.
+One rule says what the filter sees: ops that only move or copy values are
+exact and skip it, and every sum is filtered. The exact values are the outputs
+of ``reshape``, ``transpose`` and ``take_rows``, the gradients of the first
+two, the gradient copies ``+`` hands its parents and the ``backward()`` seed.
+This relies on one invariant of a filtered graph: every tensor is an op output
+or a working copy the caller already filtered (the mixed-precision step rounds
+its working weights), so the filter would return an exact op's values
+unchanged. A constant leaf fed to an exact op keeps its float64 values. The
+sums are a ``take_rows`` scatter, a reduction over broadcast axes and a
+second gradient accumulation.
 GeLU, layer norm, the weighted log-softmax + NLL, ``affine`` (``x @ w + b``)
 and ``embed_norm`` (the input embedding: table rows summed, then layer-normed)
 are fused: each is one node with a closed-form backward pass, so to the value
@@ -118,10 +118,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -204,14 +200,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bwd(g):
-            self._accumulate(-g, exact=True)
-        return Tensor._make(-self.data, (self,), bwd, exact=True)
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
     def __mul__(self, other):
         other = as_tensor(other)
         def bwd(g):
@@ -222,21 +210,6 @@ class Tensor:
         return Tensor._make(self.data * other.data, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g / other.data)
-            if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data * other.data))
-        return Tensor._make(self.data / other.data, (self, other), bwd)
-
-    def __pow__(self, exponent: float):
-        e = float(exponent)
-        def bwd(g):
-            self._accumulate(g * e * self.data ** (e - 1.0))
-        return Tensor._make(self.data ** e, (self,), bwd)
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -281,13 +254,6 @@ class Tensor:
     def mT(self):
         """Swap only the last two axes, like numpy's ``ndarray.mT``."""
         return self.transpose((*range(self.ndim - 2), self.ndim - 1, self.ndim - 2))
-
-    def __getitem__(self, key):
-        def bwd(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            self._accumulate(full)
-        return Tensor._make(self.data[key], (self,), bwd)
 
     def take_rows(self, indices):
         """Gather rows by a non-negative integer index array; grads scatter-add back."""

@@ -24,7 +24,9 @@ from relpe.synth import generate_toy_corpus, make_offset_copy_examples
 from relpe.tensor import Tensor
 from relpe.train import Trainer, evaluate
 
+from oracle_ops import power, sub
 from test_attention import reference_multi_head
+from test_optim import step_on_grads
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -103,8 +105,8 @@ def test_04_shift_equivariance():
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=scheme)
         weights = init_head_weights(cfg, np.random.default_rng(3))
         table = build_rel_table(8, cfg.d_z, scheme, rng_seed=1, clip=16)
-        q = Tensor(x) @ weights.wq[:, :cfg.d_z]
-        k = Tensor(x) @ weights.wk[:, :cfg.d_z]
+        q = Tensor(x) @ weights.wq.data[:, :cfg.d_z]
+        k = Tensor(x) @ weights.wk.data[:, :cfg.d_z]
         e = attention_scores(q, k, table).data
         rel_violation = max(rel_violation,
                             float(np.abs(e[:4, :4] - e[4:, 4:]).max()))
@@ -114,8 +116,8 @@ def test_04_shift_equivariance():
     model = EncoderModel(pape_cfg, seed=4)
     states = model.embed_inputs([5, 6, 7, 8] * 2, [0] * 8)
     w = model.layers[0].attn
-    q = states @ w.wq[:, :pape_cfg.d_z]
-    k = states @ w.wk[:, :pape_cfg.d_z]
+    q = states @ w.wq.data[:, :pape_cfg.d_z]
+    k = states @ w.wk.data[:, :pape_cfg.d_z]
     e = attention_scores(q, k).data
     pape_violation = float(np.abs(e[:4, :4] - e[4:, 4:]).max())
     report(4, "shift equivariance",
@@ -211,7 +213,7 @@ def test_07_layerwise_adaptive_optimizer():
     for t in range(100):
         before = p.data.copy()
         p.grad = rng.normal(size=50)
-        opt.step(lr=0.01)
+        step_on_grads(opt, 0.01)
         step_norm = float(np.linalg.norm(p.data - before))
         expected = 0.01 * float(np.linalg.norm(before))
         invariant_err = max(invariant_err, abs(step_norm - expected))
@@ -222,14 +224,14 @@ def test_07_layerwise_adaptive_optimizer():
     opt2 = LambOptimizer({"w": q}, weight_decay=0.0)
     for t in range(2000):
         q.zero_grad()
-        ((q - Tensor(target)) ** 2.0).sum().backward()
-        opt2.step(lr=0.05 * (1.0 - t / 2000.0))
+        power(sub(q, target), 2.0).sum().backward()
+        step_on_grads(opt2, 0.05 * (1.0 - t / 2000.0))
     quad_err = float(np.linalg.norm(q.data - target))
 
     # scalar first step: w=1, g=1 -> w' = 1 - lr (the trust ratio cancels eps)
     s = Tensor(np.ones(1), requires_grad=True)
     s.grad = np.ones(1)
-    LambOptimizer({"w": s}, weight_decay=0.0).step(lr=0.1)
+    step_on_grads(LambOptimizer({"w": s}, weight_decay=0.0), 0.1)
     first_err = abs(float(s.data[0]) - 0.9)
     report(7, "layerwise adaptive optimizer",
            invariant_err < 1e-12 and quad_err < 1e-3 and first_err < 1e-9,

@@ -12,7 +12,7 @@ from relpe.optim import round_half
 from relpe.posenc import RelPositionTable, Scheme, build_rel_table
 from relpe.tensor import Tensor, dropout, no_grad, value_filter
 
-from test_numerics import softmax
+from oracle_ops import softmax
 
 
 def frpe_oracle(delta, d_z):
@@ -361,8 +361,8 @@ class TestMultiHeadAttention:
             cfg = AttentionConfig(num_heads=2, d_model=8, scheme=scheme)
             weights = make_weights(cfg, seed=14)
             table = build_rel_table(8, cfg.d_z, scheme, rng_seed=1, clip=16)
-            q = Tensor(x) @ weights.wq[:, :cfg.d_z]
-            k = Tensor(x) @ weights.wk[:, :cfg.d_z]
+            q = Tensor(x @ weights.wq.data[:, :cfg.d_z])
+            k = Tensor(x @ weights.wk.data[:, :cfg.d_z])
             e = attention_scores(q, k, table).data
             s = 4
             for i in range(4):

@@ -5,8 +5,8 @@ import pytest
 
 from relpe.data import (CLS_ID, KEEP_RATE, MASK_ID, MASK_RATE, PAD_ID,
                         RANDOM_RATE, SEP_ID, SPECIAL_TOKENS, UNK_ID,
-                        CorpusError, Lexicon, MaskAction, MaskingPlan,
-                        PretrainExample, Vocabulary, apply_masking, build_pairs,
+                        CorpusError, Lexicon, MaskAction, PretrainExample,
+                        Vocabulary, apply_masking, build_pairs,
                         build_vocab, load_corpus, make_example, make_examples,
                         masking_stats, read_examples, segment_words,
                         select_targets, write_examples)
@@ -30,7 +30,7 @@ class TestVocabulary:
         v = small_vocab()
         ids = v.encode("cab")
         assert ids == [v.index["c"], v.index["a"], v.index["b"]]
-        assert "".join(v.decode(i) for i in ids) == "cab"
+        assert "".join(v.tokens[i] for i in ids) == "cab"
 
     def test_unknown_maps_to_unk(self):
         assert small_vocab().encode("aZ") == [5, UNK_ID]
@@ -121,8 +121,7 @@ class TestSegmentation:
 
 class TestSelectTargets:
     def test_empty_input(self):
-        plan = select_targets([], [], "char", np.random.default_rng(0))
-        assert plan.actions == {}
+        assert select_targets([], [], "char", np.random.default_rng(0)) == {}
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -134,7 +133,7 @@ class TestSelectTargets:
         for seed in range(300):
             plan = select_targets(list(range(1, 101)), [], "char",
                                   np.random.default_rng(seed))
-            for action in plan.actions.values():
+            for action in plan.values():
                 counts[action] += 1
             total += 100
         assert counts[MaskAction.MASK] / total == pytest.approx(MASK_RATE, abs=0.01)
@@ -146,14 +145,14 @@ class TestSelectTargets:
         for seed in range(200):
             plan = select_targets(list(range(8)), [], "char",
                                   np.random.default_rng(seed))
-            assert len(plan.actions) >= 1
+            assert len(plan) >= 1
 
     def test_targets_are_subset_of_maskable(self):
         maskable = [3, 5, 8, 13, 21, 34, 55, 89]
         for strategy in ("char", "wwm"):
             plan = select_targets(maskable, [range(3, 6)], strategy,
                                   np.random.default_rng(1))
-            assert set(plan.actions) <= set(maskable)
+            assert set(plan) <= set(maskable)
 
     def test_wwm_selects_whole_spans_with_one_action(self):
         maskable = list(range(1, 41))
@@ -162,9 +161,9 @@ class TestSelectTargets:
             plan = select_targets(maskable, spans, "wwm",
                                   np.random.default_rng(seed))
             for span in spans:
-                hit = [p for p in span if p in plan.actions]
+                hit = [p for p in span if p in plan]
                 assert hit == [] or len(hit) == len(list(span))
-                assert len({plan.actions[p] for p in hit}) <= 1
+                assert len({plan[p] for p in hit}) <= 1
 
     def test_wwm_span_action_split_is_80_10_10(self):
         maskable = list(range(200))
@@ -174,7 +173,7 @@ class TestSelectTargets:
             plan = select_targets(maskable, spans, "wwm",
                                   np.random.default_rng(seed))
             seen = set()
-            for p, a in plan.actions.items():
+            for p, a in plan.items():
                 g = p // 2
                 if g not in seen:
                     seen.add(g)
@@ -187,8 +186,7 @@ class TestSelectTargets:
 
 class TestApplyMasking:
     def plan(self, mapping):
-        return MaskingPlan(actions={k: MaskAction(v) for k, v in mapping.items()},
-                           strategy="char")
+        return {k: MaskAction(v) for k, v in mapping.items()}
 
     def test_actions_and_labels(self):
         v = small_vocab()

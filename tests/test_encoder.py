@@ -15,6 +15,8 @@ from relpe.posenc import Scheme
 from relpe.synth import make_offset_copy_examples
 from relpe.tensor import Tensor, affine, embed_norm, gelu, layer_norm, no_grad, value_filter
 
+from oracle_ops import div
+
 
 def tiny_config(**kw):
     defaults = dict(vocab_size=16, d_model=8, num_layers=2, num_heads=2,
@@ -320,7 +322,7 @@ def run_per_example(model, batch, rngs=None):
     for i, ex in enumerate(batch):
         loss, m = pretrain_loss(model.pretrain_forward(ex, rng=rngs and rngs[i]), ex)
         total, parts = total + loss, parts + [m]
-    total = total / float(len(batch))
+    total = div(total, float(len(batch)))
     total.backward()
     metrics = {key: float(np.mean([m[key] for m in parts]))
                for key in ("loss", "mlm_loss", "nsp_loss")}

@@ -29,6 +29,8 @@ from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
 from relpe.tensor import Tensor
 from relpe.train import Trainer, TrainingDiverged, _eval_chunks, evaluate
 
+from test_optim import step_on_grads
+
 
 def tiny_run_config(**kw):
     defaults = dict(
@@ -291,7 +293,7 @@ class TestCheckpoint:
         opt = AdamOptimizer(params, weight_decay=0.0)
         for p in params.values():
             p.grad = np.ones_like(p.data)
-        opt.step(lr=0.01)
+        step_on_grads(opt, 0.01)
         return opt
 
     def rewrite_optimizer_state(self, tmp_path, **entries):
@@ -1087,7 +1089,12 @@ class TestCli:
         (["gradcheck", "--scheme", "none,frpe,"], "--scheme ''"),
         (["build-vocab", "--max-size", "3"], "--max-size 3"),
         (["build-vocab", "--max-size", "-1"], "--max-size -1"),
-    ], ids=["bogus-scheme", "empty-scheme", "max-size-below-specials", "negative-max-size"])
+        (["gradcheck", "--scheme", "none", "--seed", "-1"], "--seed -1"),
+        (["gradcheck", "--scheme", "none", "--threshold", "nan"], "--threshold nan"),
+        (["gradcheck", "--scheme", "none", "--threshold", "0"], "--threshold 0"),
+        (["gradcheck", "--scheme", "none", "--threshold", "-1"], "--threshold -1"),
+    ], ids=["bogus-scheme", "empty-scheme", "max-size-below-specials", "negative-max-size",
+            "negative-seed", "nan-threshold", "zero-threshold", "negative-threshold"])
     def test_bad_flag_is_user_error(self, tmp_path, capsys, flags, named):
         if flags[0] == "build-vocab":
             flags += ["--corpus", str(self.write_corpus(tmp_path)),
@@ -1148,6 +1155,7 @@ class TestCli:
         ("segments", 2, "example 2 has segment 2 outside [0, type_vocab_size=2)"),
         pytest.param(None, "", "no examples", id="empty-file"),
         pytest.param(None, "\n \n", "no examples", id="blank-lines-only"),
+        pytest.param("predict_positions", None, "no MLM predictions", id="no-predictions"),
     ])
     def test_out_of_range_ids_are_user_errors(self, tmp_path, capsys, field, value, problem):
         cfg_path = self.write_init_only_config(tmp_path)
@@ -1155,6 +1163,9 @@ class TestCli:
         records = [ex.to_dict() for ex in tiny_examples()]
         if field is None:
             records = []
+        elif field == "predict_positions":
+            for r in records:
+                r["predict_positions"], r["predict_labels"] = [], []
         elif field == "nsp_label":
             records[2][field] = value
         else:

@@ -1,11 +1,17 @@
 """Every name a relpe module imports is used in it, and every module-level
 private name is read by some relpe module: the unused-import and dead-code
-checks a linter would make, with only the standard library's ``ast``."""
+checks a linter would make, with only the standard library's ``ast``. Also
+the source rules past a linter's: banned NumPy calls, one training loop, an
+exit code for every error, and a probe that the program reaches every
+``Tensor`` member."""
 
 import ast
 import builtins
+import functools
 from pathlib import Path
+from types import FunctionType
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "relpe"
@@ -82,16 +88,21 @@ def test_every_private_name_is_read():
 
 # NumPy functions that ``src/`` must not call. ``take_along_axis`` builds one
 # broadcast index array per axis on every call; a flat ``take`` through a
-# precomputed index reads the same entries. Tests may still use it as an oracle.
-BANNED_CALLS = {"take_along_axis"}
+# precomputed index reads the same entries. ``add.at`` is the unbuffered
+# scatter that ``tensor._scatter_rows`` replaces bit for bit, so that one
+# ``np.bincount`` stays the engine's only row scatter. Tests may still use
+# both as oracles.
+BANNED_CALLS = {"take_along_axis", "add.at"}
 
 
 def banned_calls(source: str) -> list[str]:
-    """``line:name`` for each name of ``BANNED_CALLS`` that ``source`` reads or imports."""
+    """``line:name`` for each name of ``BANNED_CALLS`` that ``source`` reads or
+    imports; a dotted name such as ``add.at`` matches an attribute of that name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
-            names = [node.attr]
+            owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+            names = [node.attr, f"{owner}.{node.attr}"]
         elif isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.ImportFrom):
@@ -103,9 +114,11 @@ def banned_calls(source: str) -> list[str]:
 
 
 def test_checker_finds_banned_calls():
-    source = ("import numpy as np\nfrom numpy import take, take_along_axis\nnp.take(a, i)\n"
-              "y = np.take_along_axis(a, i, axis=-1)\n")
-    assert banned_calls(source) == ["2:take_along_axis", "4:take_along_axis"]
+    source = ("import numpy as np\nfrom numpy import add, take, take_along_axis\nnp.take(a, i)\n"
+              "y = np.take_along_axis(a, i, axis=-1)\nnp.add.at(a, i, g)\nadd.at(a, i, g)\n"
+              "np.add(a, g, out=a)\nat = 1\n")
+    assert banned_calls(source) == ["2:take_along_axis", "4:take_along_axis", "5:add.at",
+                                    "6:add.at"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -194,3 +207,83 @@ def test_every_named_error_has_an_exit_code():
     errors = exception_classes(sources)
     assert INTERNAL_ERRORS <= errors
     assert sorted(errors - exit_one_errors(sources["cli.py"]) - INTERNAL_ERRORS) == []
+
+
+# Tensor members that the program need not reach: a debugging aid.
+UNREACHED_OK = {"__repr__"}
+
+
+def tensor_members() -> dict:
+    """{name: member} for each method and property that ``Tensor`` defines."""
+    from relpe.tensor import Tensor
+    return {name: member for name, member in vars(Tensor).items()
+            if isinstance(member, (FunctionType, property, staticmethod))}
+
+
+def run_the_program(tmp_path):
+    """What training and evaluation run of the engine, on a tiny model: one
+    training step and one ``evaluate`` per scheme and precision with dropout,
+    the attention composites the benchmark times, and a gradient check."""
+    from relpe.attention import attention_output, attention_scores
+    from relpe.config import RunConfig
+    from relpe.encoder import EncoderConfig
+    from relpe.gradcheck import check_gradients
+    from relpe.optim import LrSchedule, PrecisionPolicy
+    from relpe.posenc import Scheme, build_rel_table
+    from relpe.synth import make_offset_copy_examples
+    from relpe.tensor import Tensor
+    from relpe.train import Trainer, evaluate
+
+    rng = np.random.default_rng(0)
+    examples = (make_offset_copy_examples(3, 12, 8, -2, rng)       # two lengths: padding
+                + make_offset_copy_examples(3, 8, 8, 2, rng))
+    for scheme in Scheme:
+        for mode in ("full", "mixed_emulated"):
+            model = EncoderConfig(vocab_size=16, d_model=8, num_layers=1, num_heads=2,
+                                  ffn_size=16, max_seq_len=12, scheme=scheme, prpe_clip=3,
+                                  hidden_dropout=0.1, attn_dropout=0.1)
+            config = RunConfig(model=model, precision=PrecisionPolicy(mode=mode),
+                               schedule=LrSchedule(lr_max=1e-3, warmup_steps=1, total_steps=2),
+                               batch_size=4, total_steps=2, out_dir=str(tmp_path))
+            trainer = Trainer(config, examples)
+            trainer.run_step(1)
+            evaluate(trainer.model, examples)
+    n, d_z = 6, 4
+    q, k, v = (Tensor(rng.normal(size=(2, n, d_z)), requires_grad=True) for _ in range(3))
+    alpha = Tensor(rng.uniform(size=(2, n, n)), requires_grad=True)
+    for table in (None, build_rel_table(n, d_z, Scheme.FRPE),
+                  build_rel_table(n, d_z, Scheme.PRPE, clip=2)):
+        (attention_scores(q, k, table).sum() + attention_output(alpha, v, table).sum()).backward()
+    x = Tensor(rng.normal(size=3), requires_grad=True)
+    check_gradients(lambda: (x * x).sum(), {"x": x})
+
+
+def test_program_reaches_every_tensor_member(monkeypatch, tmp_path):
+    # An op that only the tests call belongs in the tests' oracle_ops module.
+    # Members are spied on by the function they hold, so an alias
+    # (``__radd__ = __add__``) is reached with the function it names.
+    from relpe.tensor import Tensor
+    reached = set()
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            reached.add(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    functions = {}
+    for name, member in tensor_members().items():
+        if isinstance(member, property):
+            functions[name] = member.fget
+            member = property(spy(member.fget))
+        elif isinstance(member, staticmethod):
+            functions[name] = member.__func__
+            member = staticmethod(spy(member.__func__))
+        else:
+            functions[name] = member
+            member = spy(member)
+        monkeypatch.setattr(Tensor, name, member)
+    run_the_program(tmp_path)
+    assert sorted(name for name, fn in functions.items()
+                  if fn not in reached and name not in UNREACHED_OK) == []

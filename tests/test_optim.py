@@ -10,6 +10,15 @@ from relpe.optim import (BETA1, BETA2, EPS, HALF_MAX, AdamOptimizer, LambOptimiz
                          round_half, training_step)
 from relpe.tensor import Tensor
 
+from oracle_ops import power, sub
+
+
+def step_on_grads(opt, lr, grads=None):
+    """``opt.step(lr)`` on each parameter's ``grad``, or on ``grads[name]`` when
+    given, gathered into the flat ``g`` as ``training_step`` gathers them."""
+    opt.gather(p.grad if grads is None else grads[name] for name, p in opt.params.items())
+    opt.step(lr)
+
 
 def _round_half_oracle(x):
     """Binary16 rounding by frexp/ldexp, independent of numpy's float16 cast.
@@ -159,7 +168,7 @@ class TestOptimizers:
         # the trust ratio ||w||/||u|| = 1+eps cancels it, so w' = 1 - lr exactly
         p = Tensor(np.ones(4), requires_grad=True)
         p.grad = np.ones(4)
-        LambOptimizer({"w": p}, weight_decay=0.0).step(lr=0.1)
+        step_on_grads(LambOptimizer({"w": p}, weight_decay=0.0), 0.1)
         np.testing.assert_allclose(p.data, 0.9, rtol=1e-14)
 
     def test_trust_ratio_rescales_adam_update(self):
@@ -169,12 +178,12 @@ class TestOptimizers:
 
         adam_p = Tensor(w0.copy(), requires_grad=True)
         adam_p.grad = g.copy()
-        AdamOptimizer({"w": adam_p}, weight_decay=0.01).step(lr=0.1)
+        step_on_grads(AdamOptimizer({"w": adam_p}, weight_decay=0.01), 0.1)
         adam_update = w0 - adam_p.data
 
         lamb_p = Tensor(w0.copy(), requires_grad=True)
         lamb_p.grad = g.copy()
-        LambOptimizer({"w": lamb_p}, weight_decay=0.01).step(lr=0.1)
+        step_on_grads(LambOptimizer({"w": lamb_p}, weight_decay=0.01), 0.1)
         lamb_update = w0 - lamb_p.data
 
         u = adam_update / 0.1
@@ -190,7 +199,7 @@ class TestOptimizers:
         for r in reference_moment_updates(grads, 0.9, 0.999, 1e-6):
             w = w - 0.01 * r
         for g in grads:
-            opt.step(lr=0.01, grads={"w": g})
+            step_on_grads(opt, 0.01, grads={"w": g})
         np.testing.assert_allclose(p.data, w, atol=1e-14)
 
     def test_trust_ratio_is_one_for_zero_norms(self):
@@ -199,8 +208,8 @@ class TestOptimizers:
         p.grad = np.ones(3)
         q = Tensor(np.zeros(3), requires_grad=True)
         q.grad = np.ones(3)
-        LambOptimizer({"w": p}, weight_decay=0.0).step(lr=0.1)
-        AdamOptimizer({"w": q}, weight_decay=0.0).step(lr=0.1)
+        step_on_grads(LambOptimizer({"w": p}, weight_decay=0.0), 0.1)
+        step_on_grads(AdamOptimizer({"w": q}, weight_decay=0.0), 0.1)
         np.testing.assert_array_equal(p.data, q.data)
 
     def test_exclusion_skips_decay_and_trust(self):
@@ -208,7 +217,7 @@ class TestOptimizers:
         gamma.grad = np.zeros(4)
         w = Tensor(np.full(4, 2.0), requires_grad=True)
         w.grad = np.zeros(4)
-        LambOptimizer({"ln.gamma": gamma, "dense.w": w}, weight_decay=0.5).step(lr=0.1)
+        step_on_grads(LambOptimizer({"ln.gamma": gamma, "dense.w": w}, weight_decay=0.5), 0.1)
         np.testing.assert_array_equal(gamma.data, 2.0)      # no decay applied
         assert np.all(w.data < 2.0)                          # decayed
 
@@ -218,14 +227,14 @@ class TestOptimizers:
         opt = AdamOptimizer({"p": p, "q": q})
         p.grad = np.ones(2)
         q.grad = np.ones(2)
-        opt.step(lr=0.01)
+        step_on_grads(opt, 0.01)
         assert opt.state.step == 1
 
     def test_nonfinite_gradient_raises(self):
         p = Tensor(np.ones(2), requires_grad=True)
         p.grad = np.array([1.0, np.nan])
         with pytest.raises(NonFiniteGradientError, match="'w'"):
-            AdamOptimizer({"w": p}).step(lr=0.01)
+            step_on_grads(AdamOptimizer({"w": p}), 0.01)
 
     def test_make_optimizer(self):
         params = {"w": Tensor(np.ones(2), requires_grad=True)}
@@ -243,8 +252,8 @@ class TestOptimizers:
         # trust scaling) stops oscillating around the optimum
         for t in range(400):
             p.zero_grad()
-            ((p - Tensor(target)) ** 2.0).sum().backward()
-            opt.step(lr=0.05 * (1.0 - t / 400.0))
+            power(sub(p, target), 2.0).sum().backward()
+            step_on_grads(opt, 0.05 * (1.0 - t / 400.0))
         np.testing.assert_allclose(p.data, target, atol=5e-3)
 
 
@@ -335,6 +344,8 @@ class TestFlatUpdateMatchesPerBlockLoop:
     @pytest.mark.parametrize("via", ["p.grad", "grads="])
     @pytest.mark.parametrize("kind", ["lamb", "adam"])
     def test_matches_over_steps(self, kind, via, exclusion):
+        # ``via`` is what gather reads: each parameter's grad, as training_step
+        # hands them over, or a separate name -> array dict
         # without exclusion: a parameter set with no norm or bias block, so
         # every block is decayed and (under LAMB) trust-scaled
         data = self.init(shapes=None if exclusion else {
@@ -346,12 +357,12 @@ class TestFlatUpdateMatchesPerBlockLoop:
             grads = self.grads(data, t)
             lr = 0.01 * t
             if via == "grads=":
-                opt.step(lr, grads={k: None if g is None else g.copy()
-                                    for k, g in grads.items()})
+                step_on_grads(opt, lr, grads={k: None if g is None else g.copy()
+                                              for k, g in grads.items()})
             else:
                 for name, p in params.items():
                     p.grad = grads[name]
-                opt.step(lr)
+                step_on_grads(opt, lr)
             data = _per_block_step(st, data, grads, lr, kind == "lamb")
             self.assert_same(params, data, opt, st)
 
@@ -361,7 +372,7 @@ class TestFlatUpdateMatchesPerBlockLoop:
         params = {name: Tensor(w.copy(), requires_grad=True) for name, w in data.items()}
         opt = LambOptimizer(params)
         for t in range(1, warm + 1):
-            opt.step(0.01, grads=self.grads(data, t))
+            step_on_grads(opt, 0.01, grads=self.grads(data, t))
         before = {name: p.data.copy() for name, p in params.items()}
         moments = {name: (m.copy(), opt.state.v[name].copy())
                    for name, m in opt.state.m.items()}
@@ -369,7 +380,7 @@ class TestFlatUpdateMatchesPerBlockLoop:
         grads["layer0.attn.wq"][1, 2] = np.nan          # a middle block
         grads["mlm.output_bias"][0] = np.inf            # a later one
         with pytest.raises(NonFiniteGradientError, match="'layer0.attn.wq'"):
-            opt.step(0.01, grads=grads)
+            step_on_grads(opt, 0.01, grads=grads)
         assert opt.state.step == warm
         assert opt.state.m.keys() == moments.keys()
         for name, p in params.items():
@@ -391,7 +402,7 @@ class TestPrecisionPolicy:
 
     def quadratic(self, p, target):
         def loss_fn():
-            loss = ((p - Tensor(target)) ** 2.0).sum()
+            loss = power(sub(p, target), 2.0).sum()
             return loss, {"loss": loss.item()}
         return loss_fn
 
@@ -404,7 +415,7 @@ class TestPrecisionPolicy:
                                          AdamOptimizer({"w": p}, weight_decay=0.0), lr=0.1)
         assert not skipped and metrics["loss"] == pytest.approx(5.0)
         q.grad = 2.0 * (q.data - target)
-        AdamOptimizer({"w": q}, weight_decay=0.0).step(lr=0.1)
+        step_on_grads(AdamOptimizer({"w": q}, weight_decay=0.0), 0.1)
         np.testing.assert_array_equal(p.data, q.data)
 
     def test_mixed_mode_rounds_working_weights(self):

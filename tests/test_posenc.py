@@ -10,6 +10,7 @@ from relpe.posenc import Scheme, build_rel_table, frpe_vector
 from relpe.tensor import Tensor
 
 from test_attention import frpe_oracle, rel_row
+from test_optim import step_on_grads
 from test_encoder import mixed_batch
 
 # Formula against oracle: the bound criterion 01 holds frpe_vector to against
@@ -105,7 +106,7 @@ class TestBuildRelTable:
         opt = AdamOptimizer(dummy, weight_decay=0.0)
         for _ in range(100):
             dummy["w"].grad = np.ones(3)
-            opt.step(lr=0.1)
+            step_on_grads(opt, 0.1)
         np.testing.assert_array_equal(table.rows, before)
 
     @pytest.mark.parametrize("scheme", [Scheme.FRPE, Scheme.PRPE])
@@ -226,7 +227,7 @@ class TestAbsTable:
         before = table.data.copy()
         x = model.embed_inputs([5, 9, 3], [0, 0, 1])
         (x * x * Tensor(np.arange(8.0))).sum().backward()
-        AdamOptimizer({"abspos.table": table}, weight_decay=0.0).step(lr=0.01)
+        step_on_grads(AdamOptimizer({"abspos.table": table}, weight_decay=0.0), 0.01)
         assert np.all(np.any(table.data[:3] != before[:3], axis=1))
         np.testing.assert_array_equal(table.data[3:], before[3:])
 

@@ -27,10 +27,11 @@ weighted sums and output are (..., r, .), and both relative terms read the
 query positions. The encoder runs its last layer this way, at the rows its
 pretraining heads read.
 
-A block runs as two autodiff nodes. :func:`attention` projects, scores,
-masks, softmaxes, drops out and sums every head in one NumPy forward and has
-a closed-form backward pass; W^O and its bias are one ``affine`` node. Under
-the value filter each rounds only its output and each input gradient.
+A block runs as one autodiff node: :func:`multi_head_attention` projects,
+scores, masks, softmaxes, drops out, sums every head and applies W^O and its
+bias in one NumPy forward, and has a closed-form backward pass. Under the
+value filter it rounds only its output and each input gradient; the merged
+heads stay float64.
 ``attention_scores`` and ``attention_output`` compute the same scores and
 outputs as differentiable composites of single-op nodes: FRPE's terms are
 ``*``, ``+`` and ``@`` on the constant rows, and PRPE's gather each pair's
@@ -47,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posenc import RelPositionTable, Scheme
-from .tensor import (Tensor, _check_finite, _scatter_rows, affine, as_tensor, keep_mask,
-                     query_index)
+from .tensor import Tensor, _check_finite, _scatter_rows, as_tensor, keep_mask, query_index
 
 # Score given to padded columns. Finite in binary16 (max 65504), and far
 # enough below any real score that exp underflows to exactly zero weight.
@@ -180,27 +180,27 @@ def attention_output(alpha: Tensor, v: Tensor,
     return out
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
-              r_k: Tensor | None = None, r_v: Tensor | None = None,
-              mask: np.ndarray | None = None, dropout_rate: float = 0.0,
-              rng: np.random.Generator | None = None,
-              frpe_rows: np.ndarray | None = None,
-              queries: np.ndarray | None = None) -> Tensor:
-    """Every head of one attention block, merged to (..., n, d_model), as one node.
+def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
+                         table: RelPositionTable | None = None,
+                         mask: np.ndarray | None = None,
+                         rng: np.random.Generator | None = None,
+                         queries: np.ndarray | None = None) -> Tensor:
+    """One attention block on ``x`` (n, d_model) or a batch (..., n, d_model), as one node.
 
     Computes what the composite ``attention_output(dropout(softmax(
-    attention_scores(q, k, table, mask))), v, table)`` does on the heads
-    q, k, v = x @ wq, wk, wv split to (..., H, n, d_z), held heads first as
-    (H, ..., n, d_z). The relative terms come from PRPE's banks, FRPE's rows,
-    or neither. ``r_k``/``r_v`` are (2k+1, d_z) banks, k read from their shape
+    attention_scores(q, k, table, mask))), v, table)``, merged to
+    (..., n, d_model) and times W^O plus b^O, does on the heads
+    q, k, v = x @ W^Q, W^K, W^V split to (..., H, n, d_z), held heads first as
+    (H, ..., n, d_z). The same relative terms serve every sequence and head:
+    FRPE's n absolute rows P = a_0 .. a_{n-1} from one ``table.block`` call,
+    used through the C, S and J of :func:`_rotation`, C and S at the query
+    positions; or PRPE's (2k+1, d_z) banks B_K, B_V, k read from their shape
     (k >= n-1 clips no offset): query row i reads row clip(j - pos_i, -k, k) + k
-    for key j. ``frpe_rows`` is the (n, d_z) constant P = a_0 .. a_{n-1}, used
-    through the C, S and J of :func:`_rotation`, C and S at the query
-    positions. The forward uses the composite's expressions in the same order,
+    for key j. The forward uses the composite's expressions in the same order,
     so it is bitwise equal to it, except PRPE's: it gathers scores from
-    q B_K^T and sums each bank row's weights before the bank matmul. Attention
-    dropout (``dropout_rate > 0`` and an ``rng``) draws one mask of the
-    weights' shape, as ``dropout`` does.
+    q B_K^T and sums each bank row's weights before the bank matmul. ``mask``
+    marks valid keys, (n,) or (..., n). Attention dropout (an ``rng`` and
+    ``cfg.attn_dropout`` > 0) draws one mask of the weights' shape, as ``dropout`` does.
 
     ``queries`` (..., r), one row of positions per sequence, computes only
     those query rows (pos_i = ``queries[..., i]``; else pos_i = i): keys and
@@ -209,9 +209,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     Positions may repeat. The dropout mask is drawn at the full (..., H, n, n)
     shape and its query rows kept, so every mask value matches the full call.
 
-    The backward pass is closed form (FlashAttention's algebra plus the
-    relative terms), with W the softmax weights, A = W * keep the dropped-out
-    ones and dO the merged-heads gradient split per head:
+    The backward pass is closed form. W^O first: dW^O = merged^T g,
+    db^O = sum g, and dO = g W^O^T split per head. Then FlashAttention's
+    algebra plus the relative terms, with W the softmax weights and
+    A = W * keep the dropped-out ones:
     dA = dO v^T + rel_A, dS = W (dA keep - rowsum(dA keep W)) / sqrt(d_z),
     dq = dS k + rel_q, dk = dS^T q and dv = A^T dO. With PRPE banks,
     rel_A = gather(dO B_V^T), rel_q = bucket(dS) B_K, dB_K = sum bucket(dS)^T q
@@ -222,11 +223,18 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     """
     x = as_tensor(x)
     *lead, n, d_model = x.shape
-    if d_model % num_heads != 0:
-        raise ValueError(f"num_heads={num_heads} does not divide d_model={d_model}")
-    d_z = d_model // num_heads
-    if frpe_rows is not None and frpe_rows.shape != (n, d_z):
-        raise ValueError(f"relative rows of shape {frpe_rows.shape}, expected {(n, d_z)}")
+    if d_model != cfg.d_model:
+        raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
+    num_heads, d_z = cfg.num_heads, cfg.d_z
+    wq, wk, wv, wo, bo = weights.wq, weights.wk, weights.wv, weights.wo, weights.bo
+    r_k = r_v = rows = None
+    if table is not None:
+        if table.d_z != d_z:
+            raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={d_z}")
+        if table.rows is not None:
+            rows = table.block(n)                # P = a_0 .. a_{n-1}
+        else:
+            r_k, r_v = table.bank_k, table.bank_v
     banks = [r.shape for r in (r_k, r_v) if r is not None]
     if banks and (banks != [banks[0][:1] + (d_z,)] * 2 or banks[0][0] % 2 == 0):
         raise ValueError(f"relative banks r_k, r_v of shapes {banks} must share one "
@@ -271,10 +279,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
                                    for h in a.reshape(num_heads, -1)], axis=b)
 
         p += gather(q @ r_k.data.T)
-    if frpe_rows is not None:
-        c, s, turn = _rotation(frpe_rows)
+    if rows is not None:
+        c, s, turn = _rotation(rows)
         c, s = c[pos], s[pos]                     # (..., r, d_z), for every head
-        p += (q * c + (q @ turn) * s) @ frpe_rows.T
+        p += (q * c + (q @ turn) * s) @ rows.T
     p *= scale
     if mask is not None:
         p *= valid
@@ -285,26 +293,32 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     keep = None
-    if dropout_rate > 0.0 and rng is not None:
-        keep = keep_mask(rng, dropout_rate, scores, queries, n).transpose(front)
+    if cfg.attn_dropout > 0.0 and rng is not None:
+        keep = keep_mask(rng, cfg.attn_dropout, scores, queries, n).transpose(front)
     a = p if keep is None else p * keep
     out = a @ v
     if r_v is not None:
         f = bucket(a)
         out += f.transpose(front) @ r_v.data
-    if frpe_rows is not None:
-        y = a @ frpe_rows
+    if rows is not None:
+        y = a @ rows
         out += y * c + (y @ turn.T) * s
+    merged = out.transpose(merge).reshape(*lead, n_q, d_model)
 
     def bwd(g):
-        g_o = g.reshape(*lead, n_q, num_heads, d_z).transpose(split)
+        g2 = g.reshape(-1, d_model)
+        if wo.requires_grad:
+            wo._accumulate(merged.reshape(-1, d_model).T @ g2)
+        if bo.requires_grad:
+            bo._accumulate(g2.sum(axis=0))
+        g_o = (g @ wo.data.T).reshape(*lead, n_q, num_heads, d_z).transpose(split)
         d_s = g_o @ np.swapaxes(v, -1, -2)
         if r_v is not None:
             d_s += gather(g_o @ r_v.data.T)
             if r_v.requires_grad:
                 r_v._accumulate(f.reshape(-1, width).T @ g_o.transpose(back).reshape(-1, d_z))
-        if frpe_rows is not None:
-            d_s += (g_o * c + (g_o @ turn) * s) @ frpe_rows.T
+        if rows is not None:
+            d_s += (g_o * c + (g_o @ turn) * s) @ rows.T
         d_v = np.swapaxes(a, -1, -2) @ g_o
         if keep is not None:
             d_s *= keep
@@ -319,8 +333,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
             d_q += d_rel.transpose(front) @ r_k.data
             if r_k.requires_grad:
                 r_k._accumulate(d_rel.reshape(-1, width).T @ q.transpose(back).reshape(-1, d_z))
-        if frpe_rows is not None:
-            d_y = d_s @ frpe_rows
+        if rows is not None:
+            d_y = d_s @ rows
             d_q += d_y * c + (d_y @ turn.T) * s
         d_k = np.swapaxes(d_s, -1, -2) @ q
         x_rows, d_x = x.data.reshape(-1, d_model), 0.0
@@ -335,34 +349,6 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, num_heads: int,
         if x.requires_grad:
             x._accumulate(d_x.reshape(x.shape))
 
-    parents = tuple(t for t in (x, wq, wk, wv, r_k, r_v) if t is not None)
-    return Tensor._make(out.transpose(merge).reshape(*lead, n_q, d_model), parents, bwd)
+    parents = tuple(t for t in (x, wq, wk, wv, wo, bo, r_k, r_v) if t is not None)
+    return Tensor._make(merged @ wo.data + bo.data, parents, bwd)
 
-
-def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
-                         table: RelPositionTable | None = None,
-                         mask: np.ndarray | None = None,
-                         rng: np.random.Generator | None = None,
-                         queries: np.ndarray | None = None) -> Tensor:
-    """Full attention block: one :func:`attention` node, then W^O as one ``affine`` node.
-
-    ``x`` is (n, d_model) or a batch (..., n, d_model). The same relative
-    rows serve every sequence and head: FRPE's n absolute rows from one
-    ``table.block`` call, or PRPE's two banks. ``mask`` marks
-    valid positions, (n,) or (..., n). ``queries`` (..., r) computes only
-    those query rows, and the block's output is (..., r, d_model).
-    """
-    *lead, n, d_model = x.shape
-    if d_model != cfg.d_model:
-        raise ValueError(f"input width {d_model} != configured d_model {cfg.d_model}")
-    r_k = r_v = rows = None
-    if table is not None:
-        if table.d_z != cfg.d_z:
-            raise ValueError(f"table d_z={table.d_z} does not match q/k d_z={cfg.d_z}")
-        if table.rows is not None:
-            rows = table.block(n)                # P = a_0 .. a_{n-1}
-        else:
-            r_k, r_v = table.bank_k, table.bank_v
-    merged = attention(x, weights.wq, weights.wk, weights.wv, cfg.num_heads, r_k, r_v,
-                       mask, cfg.attn_dropout, rng, rows, queries)
-    return affine(merged, weights.wo, weights.bo)

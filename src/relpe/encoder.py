@@ -270,7 +270,7 @@ class EncoderModel:
             if misfit[i]:
                 raise ValueError(f"batch example {i}: token_ids and segment_ids must "
                                  f"have equal, nonzero length")
-            raise IndexError(f"prediction position out of range for "
+            raise IndexError(f"batch example {i}: prediction position out of range for "
                              f"length-{lengths[i]} sequence")
         filled = np.arange(n) < lengths[:, None]
         tokens = np.full((b, n), PAD_ID, dtype=np.intp)
@@ -334,9 +334,12 @@ def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
     if bad.size:
         raise IndexError(f"batch example {owners[bad[0]]}: predict label {labels[bad[0]]} "
                          f"outside the vocabulary of {vocab}")
+    nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)
+    bad = np.flatnonzero((nsp_labels < 0) | (nsp_labels > 1))
+    if bad.size:
+        raise IndexError(f"batch example {bad[0]}: NSP label {nsp_labels[bad[0]]} is not 0 or 1")
     mlm_loss, nll = nll_loss(output.mlm_logits, labels, 1.0 / (b * counts[owners]))
     correct = output.mlm_logits.data.argmax(axis=-1) == labels
-    nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)
     nsp_loss, _ = nll_loss(output.nsp_logits, nsp_labels, np.full(b, 1.0 / b))
     total = mlm_loss + nsp_loss
     has = counts > 0

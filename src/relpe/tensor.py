@@ -22,9 +22,9 @@ are fused: each is one node with a closed-form backward pass, so to the value
 filter it is a single primitive: the filter rounds its output once and each
 input gradient once, and its intermediates (``embed_norm``'s pre-LN sum
 among them) stay float64. ``embed_norm`` computes each distinct id tuple of
-its batch once and repeats the result. The attention block's node
-(``relpe.attention.attention``), which softmaxes its scores in place, follows
-the same rule.
+its batch once and repeats the result. The attention block
+(``relpe.attention.multi_head_attention``, W^O included), which softmaxes its
+scores in place, is one such node too.
 Under :func:`no_grad` no graph is recorded at all.
 """
 

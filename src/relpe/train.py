@@ -62,7 +62,9 @@ class Trainer:
     def run_step(self, t: int):
         """Execute training step t (1-based) and return its metrics record; a step
         that diverges (see ``training_step``; the loss is checked before the
-        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
+        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged.
+        A bad example raises its IndexError or ValueError naming t and the batch's
+        indices into the training examples."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
@@ -80,6 +82,8 @@ class Trainer:
             metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
             raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
+        except (IndexError, ValueError) as exc:   # name the examples, not the batch slots
+            raise type(exc)(f"step {t}, examples {idx.tolist()}: {exc}") from None
         self.step = t
         return {"step": t, **{k: metrics[k] for k in
                               ("loss", "mlm_loss", "nsp_loss", "mlm_accuracy")},

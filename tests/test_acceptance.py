@@ -13,8 +13,8 @@ import numpy as np
 from relpe.ablate import AblationGrid, run_cell
 from relpe.attention import AttentionConfig, attention_scores, init_head_weights, multi_head_attention
 from relpe.config import RunConfig
-from relpe.data import (MASK_ID, Lexicon, build_pairs, build_vocab, load_corpus,
-                        make_example, make_examples, masking_stats, segment_words)
+from relpe.data import (Lexicon, build_pairs, build_vocab, load_corpus, make_example,
+                        make_examples, masking_stats, segment_words)
 from relpe.encoder import EncoderConfig, EncoderModel
 from relpe.gradcheck import check_full_model
 from relpe.optim import (AdamOptimizer, LambOptimizer, LrSchedule,

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import relpe.encoder
-from relpe.attention import (AttentionConfig, HeadWeights, attention, attention_output,
-                             attention_scores, init_head_weights,
-                             multi_head_attention)
+from relpe.attention import (AttentionConfig, HeadWeights, attention_output, attention_scores,
+                             init_head_weights, multi_head_attention)
 from relpe.optim import round_half
 from relpe.posenc import RelPositionTable, Scheme, build_rel_table
 from relpe.tensor import Tensor, dropout, no_grad, value_filter
@@ -390,7 +389,7 @@ class TestMultiHeadAttention:
 def composite_multi_head_attention(x, weights, cfg, table=None, mask=None, rng=None,
                                    queries=None):
     """The attention block as single-op nodes: the composite the fused
-    ``attention`` + ``affine`` nodes replaced, kept as their oracle. With
+    block replaced, kept as its oracle. With
     ``queries`` (..., r) it runs on every row, then takes the query rows."""
     *lead, n, d_model = x.shape
     split = (*lead, n, cfg.num_heads, cfg.d_z)
@@ -493,18 +492,32 @@ class TestFusedAttentionMatchesComposite:
         want = multi_head_attention(x, weights, cfg, table, mask).data
         with no_grad():
             out = multi_head_attention(x, weights, cfg, table, mask)
-            merged = attention(x, weights.wq, weights.wk, weights.wv, 2, mask=mask)
         np.testing.assert_array_equal(out.data, want)
-        for t in (out, merged):
-            assert not t.requires_grad and t._parents == () and t._backward is None
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("scheme", [Scheme.NONE, Scheme.FRPE, Scheme.PRPE])
+    def test_block_is_one_node(self, scheme):
+        # its parents: x, the five weights and, under PRPE, both banks
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=scheme)
+        weights = make_weights(cfg, seed=38)
+        table = build_rel_table(5, 4, scheme, clip=2) if scheme.relative else None
+        x = Tensor(np.random.default_rng(39).normal(size=(2, 5, 8)), requires_grad=True)
+        out = multi_head_attention(x, weights, cfg, table)
+        want = [x, *weights.parameters().values(),
+                *(table.parameters().values() if table is not None else ())]
+        assert len(out._parents) == len(want)
+        assert all(got is p for got, p in zip(out._parents, want))
 
     @pytest.mark.parametrize("k_shape, v_shape", [((4, 4), (4, 4)), ((5, 2), (5, 2)),
                                                   ((5, 4), (3, 4))],
                              ids=["even-rows", "width-not-d_z", "different-shapes"])
     def test_misshapen_banks_are_named(self, k_shape, v_shape):
-        x, w = Tensor(np.zeros((2, 5, 8))), Tensor(np.zeros((8, 8)))
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.PRPE)
+        table = RelPositionTable(d_z=4, max_len=5, clip=2, bank_k=Tensor(np.zeros(k_shape)),
+                                 bank_v=Tensor(np.zeros(v_shape)))
         with pytest.raises(ValueError, match=re.escape(f"[{k_shape}, {v_shape}]")):
-            attention(x, w, w, w, 2, Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)))
+            multi_head_attention(Tensor(np.zeros((2, 5, 8))), make_weights(cfg, seed=30), cfg,
+                                 table)
 
     @pytest.mark.parametrize("mask", [np.ones((3, 5), dtype=bool),    # batch of 3, not 2
                                       np.ones((2, 6), dtype=bool),    # 6 keys, not 5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import relpe.attention
+import relpe.encoder
 import relpe.optim
 from relpe.data import PAD_ID, PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, ForwardOutput, pretrain_loss
@@ -419,13 +419,13 @@ class TestBatchedForward:
         # The fused attention node raises on a non-finite score before its
         # softmax; here its outputs and every gradient must be finite too.
         outputs = []
-        fused = relpe.attention.attention
+        fused = relpe.encoder.multi_head_attention
 
         def recorded(*args, **kwargs):
             outputs.append(fused(*args, **kwargs))
             return outputs[-1]
 
-        monkeypatch.setattr(relpe.attention, "attention", recorded)
+        monkeypatch.setattr(relpe.encoder, "multi_head_attention", recorded)
         model = EncoderModel(tiny_config(), seed=15)
         batch = mixed_batch()
         params = model.parameters()
@@ -470,15 +470,15 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("damage, error, message", [
         ({2: dict(predict_positions=[9])}, IndexError,
-         "prediction position out of range for length-9 sequence"),
+         "batch example 2: prediction position out of range for length-9 sequence"),
         ({3: dict(predict_positions=[0, -1])}, IndexError,
-         "prediction position out of range for length-4 sequence"),
+         "batch example 3: prediction position out of range for length-4 sequence"),
         ({1: dict(segments=[0] * 5)}, ValueError,
          "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
         ({2: dict(tokens=[], segments=[], predict_positions=[])}, ValueError,
          "batch example 2: token_ids and segment_ids must have equal, nonzero length"),
         ({1: dict(predict_positions=[6]), 2: dict(segments=[0])}, IndexError,
-         "prediction position out of range for length-6 sequence"),
+         "batch example 1: prediction position out of range for length-6 sequence"),
         ({1: dict(segments=[0]), 2: dict(predict_positions=[9])}, ValueError,
          "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
     ], ids=["past-the-end", "negative", "short-segments", "empty", "position-first",
@@ -690,8 +690,9 @@ class TestNodeBudget:
     two. Running the last layer only at the heads' rows added three (a
     reshape, a row gather and a reshape pick that layer's residual rows).
     Fusing the input embedding (two row gathers, a sum and a layer norm) into
-    one node took three away. A change that lowers a count updates the number
-    here; one that raises it says why in CHANGES.md.
+    one node took three away, and folding W^O into each attention block's
+    node two more. A change that lowers a count updates the number here; one
+    that raises it says why in CHANGES.md.
     """
 
     def test_acceptance_gradcheck_config(self):
@@ -701,7 +702,7 @@ class TestNodeBudget:
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
-        assert graph_nodes(loss) == 36
+        assert graph_nodes(loss) == 34
 
     def test_toy_mlm_batch(self):
         # the toy-MLM benchmark model (test 09's config) on a padded batch of four
@@ -709,7 +710,7 @@ class TestNodeBudget:
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
-        assert graph_nodes(loss) == 36
+        assert graph_nodes(loss) == 34
 
 
 def force_exact_off(monkeypatch):
@@ -770,8 +771,8 @@ class TestRoundingBudget:
     number here; one that raises it says why in CHANGES.md."""
 
     @pytest.mark.parametrize("scheme, calls, forced_off", [
-        (Scheme.NONE, 106, 129), (Scheme.PAPE, 107, 130), (Scheme.PRPE, 110, 133),
-        (Scheme.FRPE, 106, 129)], ids=["none", "pape", "prpe", "frpe"])
+        (Scheme.NONE, 102, 125), (Scheme.PAPE, 103, 126), (Scheme.PRPE, 106, 129),
+        (Scheme.FRPE, 102, 125)], ids=["none", "pape", "prpe", "frpe"])
     def test_calls_per_step(self, scheme, calls, forced_off, monkeypatch):
         count = [0]
         real = relpe.optim.round_half

@@ -21,7 +21,7 @@ from relpe.ablate import AblationGrid, hash_cell
 from relpe.checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
-from relpe.data import CLS_ID, MASK_ID, PretrainExample, read_examples
+from relpe.data import CLS_ID, MASK_ID, PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
@@ -583,6 +583,30 @@ class TestTrainer:
         trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
         with pytest.raises(IndexError, match="batch example 0: predict label"):
             trainer.train(out_dir=tmp_path / "run")
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_nsp_label_outside_zero_one_is_named(self, tmp_path, label):
+        examples = tiny_examples(n=2)
+        examples[1].nsp_label = label
+        problem = rf"batch example 1: NSP label {label} is not 0 or 1"
+        with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
+            evaluate(EncoderModel(tiny_run_config().model), examples)
+        trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
+        with pytest.raises(IndexError, match="batch example 0: NSP label"):
+            trainer.train(out_dir=tmp_path / "run")
+
+    def test_failed_step_names_the_training_examples(self, tmp_path):
+        # the inner error names a batch slot; the step's prefix maps it to the example
+        examples = tiny_examples(n=40)
+        examples[29].tokens[4] = 13
+        trainer = Trainer(tiny_run_config(), examples)
+        with pytest.raises(IndexError) as err:
+            trainer.train(out_dir=tmp_path / "run")
+        got = re.fullmatch(r"step (\d+), examples \[([\d, ]+)\]: token id out of range at "
+                           r"position 4 of batch example (\d+): 13 \(vocab 13\)", str(err.value))
+        assert got, str(err.value)
+        step, batch, slot = int(got[1]), [int(i) for i in got[2].split(", ")], int(got[3])
+        assert trainer.step == step - 1 and len(batch) == 2 and batch[slot] == 29
 
 
 # A child interpreter that trains or evaluates the test-09 (toy MLM)

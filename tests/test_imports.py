@@ -1,4 +1,4 @@
-"""Every name a relpe module imports is used in it, and every module-level
+"""Every name a relpe or test module imports is used in it, and every module-level
 private name is read by some relpe module: the unused-import and dead-code
 checks a linter would make, with only the standard library's ``ast``. Also
 the source rules past a linter's: banned NumPy calls, one training loop, an
@@ -36,10 +36,11 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "__init__.py"))
-def test_module_reads_every_import(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+                         + sorted(Path(__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_names(source: str) -> set[str]:

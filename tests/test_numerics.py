@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as np_erf
 
-from relpe.attention import MASK_FILL, attention, attention_output, attention_scores
+from relpe.attention import (MASK_FILL, AttentionConfig, HeadWeights, attention_output,
+                             attention_scores, multi_head_attention)
 from relpe.gradcheck import NonDeterministicLossError, check_gradients
 from relpe.optim import round_half
-from relpe.posenc import Scheme, build_rel_table, frpe_vector
+from relpe.posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
 from relpe.tensor import (Tensor, _np_erf, _scatter_rows, affine, gelu,
                           keep_mask, layer_norm, nll_loss, no_grad, take_queries,
                           value_filter)
@@ -200,21 +201,29 @@ TWO_LENGTHS = np.array([[True, True, True], [True, True, False]])
 
 def attention_case(scheme, queries=None):
     """One-head attention on a as two length-3 sequences of width 2; b holds
-    the projections and, for PRPE, both (3, 2) clip-1 banks (clip 1 < n = 3).
+    the Q, K and V projections (its rows), W^O and b^O (entries spread over
+    all of b) and, for PRPE, both (3, 2) clip-1 banks (clip 1 < n = 3).
     "frpe" passes FRPE vectors as unclipped banks (5 rows, clip n-1),
     "frpe_rows" as the absolute rows P; ``queries`` computes only those rows
     of each sequence."""
+    cfg = AttentionConfig(num_heads=1, d_model=2)
+
     def op(a, b):
-        w = [b.take_rows([i]).reshape(2, 2) for i in range(3)]
-        r_k = r_v = rows = None
+        flat = b.reshape(-1)
+        weights = HeadWeights(*(b.take_rows([i]).reshape(2, 2) for i in range(3)),
+                              wo=flat.take_rows([9, 2, 7, 4]).reshape(2, 2),
+                              bo=flat.take_rows([5, 10]))
+        table = None
         if scheme == "frpe":
-            r_k = r_v = Tensor(frpe_vector(np.arange(-2, 3), 2))
+            bank = Tensor(frpe_vector(np.arange(-2, 3), 2))
+            table = RelPositionTable(d_z=2, max_len=3, clip=2, bank_k=bank, bank_v=bank)
         elif scheme == "frpe_rows":
-            rows = frpe_vector(np.arange(3), 2)
+            table = build_rel_table(3, 2, Scheme.FRPE)
         elif scheme == "prpe":
-            r_k, r_v = b.T.take_rows([0, 1]).T, b.T.take_rows([2, 3]).T
-        return attention(a.reshape(2, 3, 2), w[0], w[1], w[2], 1, r_k, r_v, mask=TWO_LENGTHS,
-                         frpe_rows=rows, queries=queries)
+            table = RelPositionTable(d_z=2, max_len=3, clip=1, bank_k=b.T.take_rows([0, 1]).T,
+                                     bank_v=b.T.take_rows([2, 3]).T)
+        return multi_head_attention(a.reshape(2, 3, 2), weights, cfg, table, mask=TWO_LENGTHS,
+                                    queries=queries)
     return op
 
 
@@ -450,11 +459,13 @@ FUSED_FORWARDS = {
     "nll_loss": (lambda x: nll_loss(x, [2, 0, 2], [0.5, 0.25, 1.0])[0],
                  [rand((3, 7), seed=36, scale=5.0)]),
     "affine": (affine, [rand((2, 5, 4), seed=37), rand((4, 6), seed=38), rand(6, seed=39)]),
-    "attention": (lambda x, wq, wk, wv, r_k, r_v: attention(x, wq, wk, wv, 2, r_k, r_v,
-                                                            mask=TWO_LENGTHS),
+    "attention": (lambda x, wq, wk, wv, wo, bo, r_k, r_v: multi_head_attention(
+                      x, HeadWeights(wq, wk, wv, wo, bo), AttentionConfig(num_heads=2, d_model=4),
+                      RelPositionTable(d_z=2, max_len=3, clip=2, bank_k=r_k, bank_v=r_v),
+                      mask=TWO_LENGTHS),
                   [rand((2, 3, 4), seed=40, scale=2.0),
-                   *(rand((4, 4), seed=s, scale=2.0) for s in (41, 42, 43)),
-                   rand((5, 2), seed=44), rand((5, 2), seed=45)]),
+                   *(rand((4, 4), seed=s, scale=2.0) for s in (41, 42, 43, 47)),
+                   rand(4, seed=48), rand((5, 2), seed=44), rand((5, 2), seed=45)]),
 }
 
 

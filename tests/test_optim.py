@@ -180,6 +180,9 @@ class TestOptimizers:
         adam_p.grad = g.copy()
         step_on_grads(AdamOptimizer({"w": adam_p}, weight_decay=0.01), 0.1)
         adam_update = w0 - adam_p.data
+        # bias correction makes the first moments m_hat = g and v_hat = g^2
+        np.testing.assert_allclose(adam_update, 0.1 * (g / (np.abs(g) + EPS) + 0.01 * w0),
+                                   rtol=1e-12, atol=0)
 
         lamb_p = Tensor(w0.copy(), requires_grad=True)
         lamb_p.grad = g.copy()
@@ -211,6 +214,7 @@ class TestOptimizers:
         step_on_grads(LambOptimizer({"w": p}, weight_decay=0.0), 0.1)
         step_on_grads(AdamOptimizer({"w": q}, weight_decay=0.0), 0.1)
         np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_allclose(p.data, -0.1 / (1.0 + EPS), rtol=1e-15, atol=0)
 
     def test_exclusion_skips_decay_and_trust(self):
         gamma = Tensor(np.full(4, 2.0), requires_grad=True)

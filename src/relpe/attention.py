@@ -237,7 +237,7 @@ def multi_head_attention(x: Tensor, weights: HeadWeights, cfg: AttentionConfig,
             r_k, r_v = table.bank_k, table.bank_v
     banks = [r.shape for r in (r_k, r_v) if r is not None]
     if banks and (banks != [banks[0][:1] + (d_z,)] * 2 or banks[0][0] % 2 == 0):
-        raise ValueError(f"relative banks r_k, r_v of shapes {banks} must share one "
+        raise ValueError(f"relative banks bank_k, bank_v of shapes {banks} must share one "
                          f"shape (2k+1, {d_z})")
     b = len(lead)
     x_q, n_q, index, pos = x.data, n, None, np.arange(n)

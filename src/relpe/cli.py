@@ -17,10 +17,9 @@ from .checkpoint import CheckpointError, load_manifest, load_optimizer_state
 from .config import ConfigError, RunConfig
 from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab,
                    load_corpus, make_examples, masking_stats, read_examples, write_examples)
-from .encoder import EncoderConfig, EncoderModel
+from .encoder import EncoderConfig, EncoderModel, make_batch
 from .gradcheck import check_full_model
 from .optim import make_optimizer
-from .posenc import Scheme
 from .tensor import NonFiniteValueError
 from .train import Trainer, TrainingDiverged, evaluate
 
@@ -42,26 +41,16 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``; a file without any, or without an MLM
-    prediction, an id outside the model's embeddings, or under PAPE an example
-    longer than the position table, is a UserError."""
+    """The examples of ``path``, checked against the model as one batch; a file
+    the model cannot run (see ``make_batch``) or without an MLM prediction is
+    a UserError."""
     examples = read_examples(path)
-    if not examples:
-        raise UserError(f"{path}: no examples")
-    if not any(ex.predict_positions for ex in examples):
+    try:
+        batch = make_batch(examples, model)
+    except (IndexError, ValueError) as exc:
+        raise UserError(f"{path}: {exc}") from None
+    if not batch.labels.size:
         raise UserError(f"{path}: no MLM predictions")
-    for i, ex in enumerate(examples):
-        if model.scheme is Scheme.PAPE and len(ex.tokens) > model.max_seq_len:
-            raise UserError(f"{path}: example {i} has length {len(ex.tokens)}, past the PAPE "
-                            f"position table's max_seq_len={model.max_seq_len}")
-        for kind, ids, field in (("token", ex.tokens, "vocab_size"),
-                                 ("predict label", ex.predict_labels, "vocab_size"),
-                                 ("segment", ex.segments, "type_vocab_size")):
-            size = getattr(model, field)
-            bad = [t for t in ids if not 0 <= t < size]
-            if bad:
-                raise UserError(f"{path}: example {i} has {kind} {bad[0]} "
-                                f"outside [0, {field}={size})")
     return examples
 
 
@@ -129,7 +118,7 @@ def cmd_eval(args) -> int:
                                                          config.weight_decay))
     try:
         report = evaluate(model, _read_examples(args.examples, config.model))
-    except (IndexError, NonFiniteValueError) as exc:
+    except NonFiniteValueError as exc:
         raise UserError(f"evaluation failed: {exc}")
     report["run_config"] = config.to_dict()
     report["seed"] = config.seed

@@ -13,7 +13,7 @@ predict_positions, predict_labels, nsp_label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -261,10 +261,13 @@ class PretrainExample:
     @classmethod
     def from_dict(cls, d: dict) -> "PretrainExample":
         """Read one example record; a record the encoder cannot run is a ValueError."""
-        ex = cls(tokens=list(d["tokens"]), segments=list(d["segments"]),
-                 predict_positions=list(d["predict_positions"]),
-                 predict_labels=list(d["predict_labels"]),
-                 nsp_label=int(d["nsp_label"]))
+        ex = cls(*(d[f.name] for f in fields(cls)))
+        for name, value in vars(ex).items():
+            if name != "nsp_label" and type(value) is not list:
+                raise ValueError(f"{name} {value!r} is not a list")
+            bad = [v for v in (value if name != "nsp_label" else [value]) if type(v) is not int]
+            if bad:   # bools and floats included: JSON's true is not an id, nor is 1.5
+                raise ValueError(f"{name}: {bad[0]!r} is not an integer")
         n = len(ex.tokens)
         if n == 0 or len(ex.segments) != n:
             raise ValueError(f"{n} tokens and {len(ex.segments)} segments; "

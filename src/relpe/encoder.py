@@ -83,6 +83,18 @@ class LayerParameters:
 
 
 @dataclass
+class Batch:
+    """A batch of examples as the model's arrays; :func:`make_batch` builds it."""
+    tokens: np.ndarray             # (B, n) token ids, padded with PAD_ID
+    segments: np.ndarray           # (B, n) segment ids, padded with 0
+    mask: np.ndarray | None        # (B, n) valid positions; None if no example is padded
+    positions: np.ndarray          # (P,) every prediction position, in example order
+    owners: np.ndarray             # (P,) batch index of each prediction's example
+    labels: np.ndarray             # (P,) the MLM label of each prediction
+    nsp_labels: np.ndarray         # (B,)
+
+
+@dataclass
 class ForwardOutput:
     # Final-layer states only at the query slots, (B, r, d_model): slot 0 is
     # [CLS], then the example's prediction positions in order, padded with
@@ -92,7 +104,7 @@ class ForwardOutput:
     pooled: Tensor                 # (B, d_model)
     mlm_logits: Tensor             # (P, vocab): every prediction, in example order
     nsp_logits: Tensor             # (B, 2)
-    predict_examples: np.ndarray   # (P,) batch index of each prediction's example
+    batch: Batch                   # the arrays of the examples, labels included
 
 
 class EncoderModel:
@@ -180,26 +192,21 @@ class EncoderModel:
 
     def embed_inputs(self, token_ids, segment_ids,
                      rng: np.random.Generator | None = None) -> Tensor:
-        """Normalized input embeddings (..., n, d_model) of (..., n) id arrays."""
+        """Normalized input embeddings (..., n, d_model) of (..., n) id arrays.
+
+        The ids are checked as :func:`make_batch` checks an example's, each
+        length-n row a batch example.
+        """
         token_ids = np.asarray(token_ids, dtype=np.intp)
         segment_ids = np.asarray(segment_ids, dtype=np.intp)
         if token_ids.shape != segment_ids.shape:
             raise ValueError("token_ids and segment_ids must have equal length")
-        bad = np.argwhere((token_ids < 0) | (token_ids >= self.cfg.vocab_size))
-        if bad.size:
-            raise IndexError(f"token id out of range at {_where(bad[0])}: "
-                             f"{token_ids[tuple(bad[0])]} (vocab {self.cfg.vocab_size})")
-        bad = np.argwhere((segment_ids < 0) | (segment_ids >= self.cfg.type_vocab_size))
-        if bad.size:
-            raise IndexError(f"segment id out of range at {_where(bad[0])}")
         n = token_ids.shape[-1]
+        _raise_first(_id_problems(self.cfg, token_ids, segment_ids,
+                                  np.full(token_ids.shape[:-1], n).ravel()))
         tables = [self.token_embedding, self.segment_embedding]
         ids = [token_ids, segment_ids]
         if self.position_embedding is not None:
-            if n > self.cfg.max_seq_len:
-                raise IndexError(
-                    f"sequence length {n} exceeds learned absolute position table "
-                    f"(max_position={self.cfg.max_seq_len})")
             tables.append(self.position_embedding)
             ids.append(np.arange(n))
         x = embed_norm(tables, ids, self.embed_ln_gamma, self.embed_ln_beta)
@@ -249,47 +256,26 @@ class EncoderModel:
         """Encode a batch of examples in one pass and apply the MLM and NSP heads.
 
         ``examples`` is a sequence of PretrainExample, or one example (a batch
-        of one). Each dropout site draws one mask of the whole batch's shape.
-        The last layer runs only at the slots the heads read (see
-        :class:`ForwardOutput`).
+        of one); :func:`make_batch` builds and checks its arrays. Each dropout
+        site draws one mask of the whole batch's shape. The last layer runs
+        only at the slots the heads read (see :class:`ForwardOutput`).
         """
-        if isinstance(examples, PretrainExample):
-            examples = [examples]
-        if not examples:
-            raise ValueError("no examples to encode")
-        lengths = np.array([len(ex.tokens) for ex in examples], dtype=np.intp)
-        counts = np.array([len(ex.predict_positions) for ex in examples], dtype=np.intp)
-        b, n = len(examples), int(lengths.max())
-        owners = np.repeat(np.arange(b, dtype=np.intp), counts)
-        positions = _flat([ex.predict_positions for ex in examples], counts.sum())
-        misfit = (lengths < 1) | (np.array([len(ex.segments) for ex in examples]) != lengths)
-        outside = (positions < 0) | (positions >= lengths[owners])
-        bad = np.flatnonzero(misfit | (np.bincount(owners[outside], minlength=b) > 0))
-        if bad.size:   # the first bad example names the error; its length goes first
-            i = bad[0]
-            if misfit[i]:
-                raise ValueError(f"batch example {i}: token_ids and segment_ids must "
-                                 f"have equal, nonzero length")
-            raise IndexError(f"batch example {i}: prediction position out of range for "
-                             f"length-{lengths[i]} sequence")
-        filled = np.arange(n) < lengths[:, None]
-        tokens = np.full((b, n), PAD_ID, dtype=np.intp)
-        tokens[filled] = _flat([ex.tokens for ex in examples], lengths.sum())
-        segments = np.zeros((b, n), dtype=np.intp)
-        segments[filled] = _flat([ex.segments for ex in examples], lengths.sum())
+        batch = make_batch(examples, self.cfg)
+        b = batch.nsp_labels.size
+        counts = np.bincount(batch.owners, minlength=b)
         slot = np.arange(1 + int(counts.max()))
         predicted = (slot > 0) & (slot <= counts[:, None])    # slots 1 .. count of each example
         slot_positions = np.zeros((b, slot.size), dtype=np.intp)   # 0: [CLS] and padding
-        slot_positions[predicted] = positions
-        mask = None if lengths.min() == n else filled
-        slot_states = self.encode(tokens, segments, mask=mask, rng=rng, queries=slot_positions)
+        slot_positions[predicted] = batch.positions
+        slot_states = self.encode(batch.tokens, batch.segments, mask=batch.mask, rng=rng,
+                                  queries=slot_positions)
 
         rows = slot_states.reshape(-1, self.cfg.d_model)
         pooled = affine(rows.take_rows(np.arange(b) * slot.size), self.pooler_w,
                         self.pooler_b).tanh()
         nsp_logits = affine(pooled, self.nsp_w, self.nsp_b)
 
-        if positions.size:
+        if batch.positions.size:
             h = rows.take_rows(np.flatnonzero(predicted))
             h = gelu(affine(h, self.mlm_dense_w, self.mlm_dense_b))
             h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta)
@@ -297,8 +283,83 @@ class EncoderModel:
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
         return ForwardOutput(slot_states=slot_states, slot_positions=slot_positions,
-                             pooled=pooled, mlm_logits=mlm_logits,
-                             nsp_logits=nsp_logits, predict_examples=owners)
+                             pooled=pooled, mlm_logits=mlm_logits, nsp_logits=nsp_logits,
+                             batch=batch)
+
+
+def make_batch(examples, cfg: EncoderConfig) -> Batch:
+    """The arrays of a sequence of examples, or of one example (a batch of one).
+
+    Every check of an example against the model is made here. The first
+    example in batch order that the model cannot run names the error, "batch
+    example i has ...", with the first of its problems in the order listed
+    below: a ValueError for counts, an IndexError for a value.
+    """
+    if isinstance(examples, PretrainExample):
+        examples = [examples]
+    if not examples:
+        raise ValueError("no examples to encode")
+    sizes = np.array([(len(ex.tokens), len(ex.segments), len(ex.predict_positions),
+                       len(ex.predict_labels)) for ex in examples], dtype=np.intp)
+    tokens, segments, positions, labels = (
+        _flat([getattr(ex, name) for ex in examples], total) for name, total in
+        zip(("tokens", "segments", "predict_positions", "predict_labels"), sizes.sum(axis=0)))
+    nsp_labels = np.array([ex.nsp_label for ex in examples], dtype=np.intp)
+    (lengths, _, counts, _), every = sizes.T, np.arange(len(examples))
+    n = int(sizes[:, :2].max())
+    filled = np.arange(n) < lengths[:, None]
+    padded = np.full((every.size, n), PAD_ID, dtype=np.intp), np.zeros_like(filled, np.intp)
+    padded[0][filled], padded[1][np.arange(n) < sizes[:, 1:2]] = tokens, segments
+    owners, label_owners = np.repeat(every, counts), np.repeat(every, sizes[:, 3])
+    _raise_first([
+        (ValueError, (lengths < 1) | (sizes[:, 1] != lengths), every,
+         lambda i: f"{lengths[i]} tokens and {sizes[i, 1]} segments; need equal, nonzero counts"),
+        *_id_problems(cfg, *padded, lengths),
+        (IndexError, (positions < 0) | (positions >= lengths[owners]), owners,
+         lambda j: f"prediction position {positions[j]} outside the "
+                   f"length-{lengths[owners[j]]} sequence"),
+        (ValueError, sizes[:, 3] != counts, every,
+         lambda i: f"{counts[i]} predict_positions but {sizes[i, 3]} predict_labels"),
+        (IndexError, (labels < 0) | (labels >= cfg.vocab_size), label_owners,
+         lambda j: f"predict label {labels[j]} outside [0, vocab_size={cfg.vocab_size})"),
+        (IndexError, (nsp_labels < 0) | (nsp_labels > 1), every,
+         lambda i: f"NSP label {nsp_labels[i]}, not 0 or 1")])
+    return Batch(*padded, None if lengths.min() == n else filled, positions, owners, labels,
+                 nsp_labels)
+
+
+def _id_problems(cfg: EncoderConfig, tokens, segments, lengths) -> list:
+    """The problems (see :func:`_raise_first`) of (..., n) token and segment ids
+    whose rows, flattened, are batch examples of ``lengths``: an id outside its
+    embedding table, or under PAPE a length past ``max_seq_len``."""
+    n, every = tokens.shape[-1], np.arange(lengths.size)
+    owners = np.repeat(every, n)
+
+    def outside(kind, ids, field):
+        size = getattr(cfg, field)
+        return (IndexError, ((ids < 0) | (ids >= size)).ravel(), owners,
+                lambda j: f"{kind} {ids.flat[j]} outside [0, {field}={size}) at position {j % n}")
+
+    return [outside("token", tokens, "vocab_size"),
+            outside("segment", segments, "type_vocab_size"),
+            (IndexError, (lengths > cfg.max_seq_len) & (cfg.scheme is Scheme.PAPE), every,
+             lambda i: f"length {lengths[i]}, past the PAPE position table's "
+                       f"max_seq_len={cfg.max_seq_len}")]
+
+
+def _raise_first(problems: list) -> None:
+    """Raise the error of the first batch example with a problem, for its first one.
+
+    ``problems`` lists (error type, bad, owners, describe) in the order an
+    example's problems are named: ``bad`` marks the failing entries of a flat
+    field, ``owners`` (nondecreasing) gives each entry's example, and
+    ``describe(j)`` says what entry j is.
+    """
+    if not np.concatenate([bad for _, bad, _, _ in problems]).any():
+        return
+    i, k, j = min((owners[j], k, j) for k, (_, bad, owners, _) in enumerate(problems)
+                  for j in np.flatnonzero(bad)[:1])
+    raise problems[k][0](f"batch example {i} has {problems[k][3](j)}")
 
 
 def _flat(lists, size) -> np.ndarray:
@@ -306,38 +367,19 @@ def _flat(lists, size) -> np.ndarray:
     return np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(size))
 
 
-def _where(index) -> str:
-    """Name an entry of a (n,) or (B, n) id array."""
-    return f"position {index[-1]}" + (f" of batch example {index[0]}" if len(index) > 1 else "")
-
-
-def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
+def pretrain_loss(output: ForwardOutput) -> tuple[Tensor, dict]:
     """Joint loss: the mean over examples of (mean MLM NLL + NSP NLL).
 
-    ``examples`` is what :meth:`EncoderModel.pretrain_forward` encoded. An
-    example without predictions adds no MLM loss. Returns the scalar loss and
-    a metrics bundle: the loss and its parts; ``mlm_accuracy``, the mean
-    top-1 accuracy of the examples that have predictions (NaN if none do);
-    and the counts ``num_predictions``, ``mlm_correct``, ``nsp_correct`` and
-    the summed MLM NLL ``mlm_nll_sum``, which add up across batches.
+    The labels are those of the batch the output carries. An example without
+    predictions adds no MLM loss. Returns the scalar loss and a metrics bundle:
+    the loss and its parts; ``mlm_accuracy``, the mean top-1 accuracy of the
+    examples that have predictions (NaN if none do); and the counts
+    ``num_predictions``, ``mlm_correct``, ``nsp_correct`` and the summed MLM
+    NLL ``mlm_nll_sum``, which add up across batches.
     """
-    if isinstance(examples, PretrainExample):
-        examples = [examples]
-    b = len(examples)
-    owners = output.predict_examples
+    batch = output.batch
+    owners, labels, nsp_labels, b = batch.owners, batch.labels, batch.nsp_labels, len(batch.tokens)
     counts = np.bincount(owners, minlength=b)
-    if [len(ex.predict_labels) for ex in examples] != counts.tolist():
-        raise ValueError("label count does not match prediction position count")
-    labels = _flat([ex.predict_labels for ex in examples], counts.sum())
-    num_pred, vocab = labels.size, output.mlm_logits.shape[-1]
-    bad = np.flatnonzero((labels < 0) | (labels >= vocab))
-    if bad.size:
-        raise IndexError(f"batch example {owners[bad[0]]}: predict label {labels[bad[0]]} "
-                         f"outside the vocabulary of {vocab}")
-    nsp_labels = np.array([int(ex.nsp_label) for ex in examples], dtype=np.intp)
-    bad = np.flatnonzero((nsp_labels < 0) | (nsp_labels > 1))
-    if bad.size:
-        raise IndexError(f"batch example {bad[0]}: NSP label {nsp_labels[bad[0]]} is not 0 or 1")
     mlm_loss, nll = nll_loss(output.mlm_logits, labels, 1.0 / (b * counts[owners]))
     correct = output.mlm_logits.data.argmax(axis=-1) == labels
     nsp_loss, _ = nll_loss(output.nsp_logits, nsp_labels, np.full(b, 1.0 / b))
@@ -349,7 +391,7 @@ def pretrain_loss(output: ForwardOutput, examples) -> tuple[Tensor, dict]:
         "mlm_loss": float(mlm_loss.data),
         "nsp_loss": float(nsp_loss.data),
         "mlm_accuracy": float(accuracy.mean()) if accuracy.size else float("nan"),
-        "num_predictions": num_pred,
+        "num_predictions": labels.size,
         "mlm_correct": int(np.sum(correct)),
         "mlm_nll_sum": float(np.sum(nll)),
         "nsp_correct": int(np.sum(output.nsp_logits.data.argmax(axis=-1) == nsp_labels)),

@@ -70,6 +70,11 @@ class RelPositionTable:
     bank_v: Tensor | None = None            # PRPE value bank
     _wide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.rows is None and (self.bank_k is None or self.bank_v is None):
+            raise ValueError("a relative table needs FRPE rows or both PRPE banks, "
+                             "bank_k and bank_v")
+
     def parameters(self) -> dict[str, Tensor]:
         if self.rows is not None:
             return {}

@@ -73,7 +73,7 @@ class Trainer:
         dropout = config.model.hidden_dropout > 0 or config.model.attn_dropout > 0
         def loss_fn():
             rng = np.random.default_rng([config.seed, 2, t]) if dropout else None
-            loss, metrics = pretrain_loss(self.model.pretrain_forward(batch, rng=rng), batch)
+            loss, metrics = pretrain_loss(self.model.pretrain_forward(batch, rng=rng))
             if not np.isfinite(metrics["loss"]):
                 raise NonFiniteValueError(f"loss is {metrics['loss']}")
             return loss, metrics
@@ -198,7 +198,7 @@ def _take_first_use_memory(model: EncoderModel) -> None:
     example = PretrainExample(tokens=[0], segments=[0], predict_positions=[0],
                               predict_labels=[0], nsp_label=0)
     with contextlib.suppress(NonFiniteValueError):
-        pretrain_loss(model.pretrain_forward([example]), [example])
+        pretrain_loss(model.pretrain_forward(example))
 
 
 def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
@@ -215,7 +215,7 @@ def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
         _take_first_use_memory(model)
         for start, chunk in _eval_chunks(model.cfg, examples):
             try:
-                _, metrics = pretrain_loss(model.pretrain_forward(chunk), chunk)
+                _, metrics = pretrain_loss(model.pretrain_forward(chunk))
             except (IndexError, ValueError) as exc:   # name the examples, not the chunk
                 raise type(exc)(f"examples {start}-{start + len(chunk) - 1}: {exc}") from None
             for key in totals:

@@ -515,9 +515,19 @@ class TestFusedAttentionMatchesComposite:
         cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.PRPE)
         table = RelPositionTable(d_z=4, max_len=5, clip=2, bank_k=Tensor(np.zeros(k_shape)),
                                  bank_v=Tensor(np.zeros(v_shape)))
-        with pytest.raises(ValueError, match=re.escape(f"[{k_shape}, {v_shape}]")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"relative banks bank_k, bank_v of shapes [{k_shape}, {v_shape}]")):
             multi_head_attention(Tensor(np.zeros((2, 5, 8))), make_weights(cfg, seed=30), cfg,
                                  table)
+
+    @pytest.mark.parametrize("banks", [{}, {"bank_k": Tensor(np.zeros((5, 4)))}],
+                             ids=["neither", "bank_k-only"])
+    def test_table_without_rows_or_banks_is_refused(self, banks):
+        # such a table would otherwise run plain attention without a word
+        cfg = AttentionConfig(num_heads=2, d_model=8, scheme=Scheme.PRPE)
+        with pytest.raises(ValueError, match="needs FRPE rows or both PRPE banks"):
+            multi_head_attention(Tensor(np.zeros((2, 5, 8))), make_weights(cfg, seed=30), cfg,
+                                 RelPositionTable(d_z=4, max_len=5, clip=2, **banks))
 
     @pytest.mark.parametrize("mask", [np.ones((3, 5), dtype=bool),    # batch of 3, not 2
                                       np.ones((2, 6), dtype=bool),    # 6 keys, not 5
@@ -558,7 +568,7 @@ class TestFusedAttentionMatchesComposite:
         def run():
             model, batch = EncoderModel(cfg, seed=34), mixed_batch()
             loss, _ = pretrain_loss(
-                model.pretrain_forward(batch, rng=np.random.default_rng(35)), batch)
+                model.pretrain_forward(batch, rng=np.random.default_rng(35)))
             loss.backward()
             return loss.data, {k: p.grad for k, p in model.parameters().items()}
 

@@ -337,6 +337,13 @@ class TestCorpusIO:
         (dict(predict_positions=[-1]), "outside the length-3 sequence"),
         (dict(predict_labels=[-1]), "must be >= 0"),
         (dict(nsp_label=2), "nsp_label 2 must be 0 or 1"),
+        (dict(tokens=[2, 5.7, 3]), "tokens: 5.7 is not an integer"),
+        (dict(predict_positions=[1.5]), "predict_positions: 1.5 is not an integer"),
+        (dict(nsp_label=0.9), "nsp_label: 0.9 is not an integer"),
+        (dict(tokens="abcdef", segments=[0] * 6), "tokens 'abcdef' is not a list"),
+        (dict(segments=[0, True, 0]), "segments: True is not an integer"),
+        (dict(nsp_label=False), "nsp_label: False is not an integer"),
+        (dict(predict_labels=["6"]), "predict_labels: '6' is not an integer"),
     ])
     def test_example_the_encoder_cannot_run_is_rejected(self, tmp_path, fields, problem):
         record = {**PretrainExample([2, 5, 3], [0, 0, 0], [1], [6], 0).to_dict(), **fields}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import relpe.encoder
 import relpe.optim
 from relpe.data import PAD_ID, PretrainExample
-from relpe.encoder import EncoderConfig, EncoderModel, ForwardOutput, pretrain_loss
+from relpe.encoder import Batch, EncoderConfig, EncoderModel, ForwardOutput, pretrain_loss
 from relpe.gradcheck import check_gradients
 from relpe.optim import PrecisionPolicy, make_optimizer, round_half, training_step
 from relpe.posenc import Scheme
@@ -120,7 +120,7 @@ class TestEmbedInputs:
     def test_pape_hard_length_limit(self):
         model = EncoderModel(tiny_config(scheme=Scheme.PAPE, max_seq_len=4), seed=0)
         model.embed_inputs([1] * 4, [0] * 4)
-        with pytest.raises(IndexError, match="max_position=4"):
+        with pytest.raises(IndexError, match="max_seq_len=4"):
             model.embed_inputs([1] * 5, [0] * 5)
 
     def test_frpe_runs_past_table_build_length(self):
@@ -183,7 +183,7 @@ class TestForward:
         # the embedding gradient must combine input-side and decoder-side use
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
-        loss, _ = pretrain_loss(model.pretrain_forward(ex), ex)
+        loss, _ = pretrain_loss(model.pretrain_forward(ex))
         loss.backward()
         g = model.token_embedding.grad
         assert g is not None
@@ -200,7 +200,7 @@ class TestPretrainLoss:
         out = model.pretrain_forward(ex)
         out.mlm_logits = Tensor(np.zeros((2, 16)))
         out.nsp_logits = Tensor(np.zeros((1, 2)))
-        loss, metrics = pretrain_loss(out, ex)
+        loss, metrics = pretrain_loss(out)
         assert metrics["mlm_loss"] == pytest.approx(np.log(16.0), abs=1e-12)
         assert metrics["nsp_loss"] == pytest.approx(np.log(2.0), abs=1e-12)
         assert loss.item() == pytest.approx(np.log(16.0) + np.log(2.0), abs=1e-12)
@@ -209,14 +209,14 @@ class TestPretrainLoss:
         # with sigma=0.02 init the MLM logits are near-uniform
         model = EncoderModel(tiny_config(vocab_size=64), seed=6)
         ex = tiny_example()
-        _, metrics = pretrain_loss(model.pretrain_forward(ex), ex)
+        _, metrics = pretrain_loss(model.pretrain_forward(ex))
         assert abs(metrics["mlm_loss"] - np.log(64.0)) < 0.5
 
     def test_no_prediction_positions(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
         ex.predict_positions, ex.predict_labels = [], []
-        loss, metrics = pretrain_loss(model.pretrain_forward(ex), ex)
+        loss, metrics = pretrain_loss(model.pretrain_forward(ex))
         assert metrics["mlm_loss"] == 0.0
         assert np.isnan(metrics["mlm_accuracy"])
         assert loss.item() == pytest.approx(metrics["nsp_loss"])
@@ -224,13 +224,12 @@ class TestPretrainLoss:
     def test_label_count_mismatch(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
-        out = model.pretrain_forward(ex)
         ex.predict_labels = [9]
-        with pytest.raises(ValueError, match="label count does not match prediction position"):
-            pretrain_loss(out, ex)
-        with pytest.raises(ValueError, match="label count does not match prediction position"):
-            pretrain_loss(model.pretrain_forward([tiny_example(), tiny_example()]),
-                          [tiny_example(), ex])
+        problem = "has 2 predict_positions but 1 predict_labels"
+        with pytest.raises(ValueError, match=f"^batch example 0 {problem}$"):
+            model.pretrain_forward(ex)
+        with pytest.raises(ValueError, match=f"^batch example 1 {problem}$"):
+            model.pretrain_forward([tiny_example(), ex])
 
     def test_perfect_logits_give_accuracy_one(self):
         model = EncoderModel(tiny_config(), seed=6)
@@ -240,7 +239,7 @@ class TestPretrainLoss:
         logits[0, ex.predict_labels[0]] = 50.0
         logits[1, ex.predict_labels[1]] = 50.0
         out.mlm_logits = Tensor(logits)
-        _, metrics = pretrain_loss(out, ex)
+        _, metrics = pretrain_loss(out)
         assert metrics["mlm_accuracy"] == 1.0
         assert metrics["mlm_loss"] < 1e-12
 
@@ -256,7 +255,7 @@ class TestPretrainLoss:
 
         def loss():
             out = model.pretrain_forward(ex)
-            total, _ = pretrain_loss(out, ex)
+            total, _ = pretrain_loss(out)
             return total
 
         report = check_gradients(loss, model.parameters(), step=3e-5,
@@ -309,7 +308,7 @@ def padded(batch):
 def run_batched(model, batch, rng=None):
     for p in model.parameters().values():
         p.zero_grad()
-    loss, metrics = pretrain_loss(model.pretrain_forward(batch, rng=rng), batch)
+    loss, metrics = pretrain_loss(model.pretrain_forward(batch, rng=rng))
     loss.backward()
     return loss.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
 
@@ -320,7 +319,7 @@ def run_per_example(model, batch, rngs=None):
         p.zero_grad()
     total, parts = Tensor(0.0), []
     for i, ex in enumerate(batch):
-        loss, m = pretrain_loss(model.pretrain_forward(ex, rng=rngs and rngs[i]), ex)
+        loss, m = pretrain_loss(model.pretrain_forward(ex, rng=rngs and rngs[i]))
         total, parts = total + loss, parts + [m]
     total = div(total, float(len(batch)))
     total.backward()
@@ -382,7 +381,7 @@ class TestBatchedForward:
             states[3, :n], model.encode([batch[3].tokens], [batch[3].segments]).data[0],
             rtol=0, atol=1e-12)
         assert states.shape == (4, 9, 8)
-        np.testing.assert_array_equal(out.predict_examples,
+        np.testing.assert_array_equal(out.batch.owners,
                                       np.repeat(np.arange(4), [len(ex.predict_positions)
                                                                for ex in batch]))
 
@@ -440,7 +439,7 @@ class TestBatchedForward:
         other[3, 4:] = [5, 9, 1, 12, 7]             # example 3 has 4 tokens
         mask = np.arange(9) < np.array([len(ex.tokens) for ex in batch])[:, None]
         with value_filter(round_half):
-            loss, metrics = pretrain_loss(model.pretrain_forward(batch), batch)
+            loss, metrics = pretrain_loss(model.pretrain_forward(batch))
             (loss * 1024.0).backward()
             states = [model.encode(ids, segments, mask=mask).data for ids in (tokens, other)]
         for k, p in params.items():
@@ -463,29 +462,35 @@ class TestBatchedForward:
         model = EncoderModel(tiny_config(), seed=16)
         batch = mixed_batch()
         batch[3].tokens[2] = 99
-        with pytest.raises(IndexError, match="position 2 of batch example 3"):
+        with pytest.raises(IndexError, match=re.escape(
+                "batch example 3 has token 99 outside [0, vocab_size=16) at position 2")):
             model.pretrain_forward(batch)
         with pytest.raises(ValueError):
             model.pretrain_forward([])
 
     @pytest.mark.parametrize("damage, error, message", [
         ({2: dict(predict_positions=[9])}, IndexError,
-         "batch example 2: prediction position out of range for length-9 sequence"),
+         "batch example 2 has prediction position 9 outside the length-9 sequence"),
         ({3: dict(predict_positions=[0, -1])}, IndexError,
-         "batch example 3: prediction position out of range for length-4 sequence"),
+         "batch example 3 has prediction position -1 outside the length-4 sequence"),
         ({1: dict(segments=[0] * 5)}, ValueError,
-         "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
+         "batch example 1 has 6 tokens and 5 segments; need equal, nonzero counts"),
         ({2: dict(tokens=[], segments=[], predict_positions=[])}, ValueError,
-         "batch example 2: token_ids and segment_ids must have equal, nonzero length"),
+         "batch example 2 has 0 tokens and 0 segments; need equal, nonzero counts"),
         ({1: dict(predict_positions=[6]), 2: dict(segments=[0])}, IndexError,
-         "batch example 1: prediction position out of range for length-6 sequence"),
+         "batch example 1 has prediction position 6 outside the length-6 sequence"),
         ({1: dict(segments=[0]), 2: dict(predict_positions=[9])}, ValueError,
-         "batch example 1: token_ids and segment_ids must have equal, nonzero length"),
+         "batch example 1 has 6 tokens and 1 segments; need equal, nonzero counts"),
+        ({1: dict(nsp_label=2), 2: dict(segments=[0] * 8 + [3])}, IndexError,
+         "batch example 1 has NSP label 2, not 0 or 1"),
+        ({2: dict(nsp_label=2, tokens=[5] * 8 + [99])}, IndexError,
+         "batch example 2 has token 99 outside [0, vocab_size=16) at position 8"),
     ], ids=["past-the-end", "negative", "short-segments", "empty", "position-first",
-            "length-first"])
+            "length-first", "label-before-a-later-id", "id-before-label"])
     def test_first_bad_example_names_the_error(self, damage, error, message):
-        # The first damaged example in batch order decides the error, and a
-        # length error of an example comes before its positions' error.
+        # The first damaged example in batch order decides the error, and an
+        # example's problems go in make_batch's order: lengths, ids, positions,
+        # then labels.
         model = EncoderModel(tiny_config(), seed=16)
         batch = mixed_batch()
         for i, fields in damage.items():
@@ -501,7 +506,8 @@ def full_rows_forward(model, examples, rng=None):
     gathered rows. Its slots are every position."""
     tokens, segments, mask = padded(examples)
     b, n = tokens.shape
-    states = model.encode(tokens, segments, mask=None if mask.all() else mask, rng=rng)
+    mask = None if mask.all() else mask
+    states = model.encode(tokens, segments, mask=mask, rng=rng)
     positions = [np.asarray(ex.predict_positions, dtype=np.intp) for ex in examples]
     owners = np.repeat(np.arange(b), [pos.size for pos in positions])
     positions = np.concatenate(positions)
@@ -517,7 +523,9 @@ def full_rows_forward(model, examples, rng=None):
         mlm_logits = Tensor(np.zeros((0, model.cfg.vocab_size)))
     return ForwardOutput(slot_states=states, slot_positions=np.tile(np.arange(n), (b, 1)),
                          pooled=pooled, mlm_logits=mlm_logits, nsp_logits=nsp_logits,
-                         predict_examples=owners)
+                         batch=Batch(tokens, segments, mask, positions, owners,
+                                     np.concatenate([ex.predict_labels for ex in examples]),
+                                     np.array([ex.nsp_label for ex in examples])))
 
 
 class TestLastLayerAtQueryRows:
@@ -530,7 +538,7 @@ class TestLastLayerAtQueryRows:
             p.zero_grad()
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
         out = forward(model, batch, rng)
-        loss, metrics = pretrain_loss(out, batch)
+        loss, metrics = pretrain_loss(out)
         loss.backward()
         return out, loss.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
 
@@ -547,7 +555,7 @@ class TestLastLayerAtQueryRows:
         for name in ("pooled", "mlm_logits", "nsp_logits"):
             np.testing.assert_allclose(getattr(got[0], name).data, getattr(want[0], name).data,
                                        rtol=0, atol=1e-12, err_msg=name)
-        np.testing.assert_array_equal(got[0].predict_examples, want[0].predict_examples)
+        np.testing.assert_array_equal(got[0].batch.owners, want[0].batch.owners)
         slots = got[0].slot_positions
         np.testing.assert_array_equal(slots, [[0, 4, 7, 8], [0, 0, 0, 0],
                                               [0, 0, 4, 0], [0, 0, 2, 0]])
@@ -701,7 +709,7 @@ class TestNodeBudget:
                             max_seq_len=32, scheme=Scheme.FRPE)
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
-        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example), example)
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example))
         assert graph_nodes(loss) == 34
 
     def test_toy_mlm_batch(self):
@@ -709,7 +717,7 @@ class TestNodeBudget:
         cfg = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
         batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
-        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch), batch)
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch))
         assert graph_nodes(loss) == 34
 
 
@@ -737,7 +745,7 @@ def mixed_steps(scheme, steps=2):
     for t in range(1, steps + 1):
         def loss_fn():
             rng = np.random.default_rng([5, t])
-            return pretrain_loss(model.pretrain_forward(batch, rng=rng), batch)
+            return pretrain_loss(model.pretrain_forward(batch, rng=rng))
         metrics, skipped = training_step(policy, loss_fn, optimizer, lr=1e-2)
         assert not skipped
         losses.append(metrics["loss"])

@@ -577,22 +577,22 @@ class TestTrainer:
     def test_label_outside_vocabulary_is_named(self, tmp_path, label):
         examples = tiny_examples(n=2)
         examples[1].predict_labels[-1] = label
-        problem = rf"batch example 1: predict label {label} outside the vocabulary of 13"
+        problem = rf"batch example 1 has predict label {label} outside \[0, vocab_size=13\)"
         with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
             evaluate(EncoderModel(tiny_run_config().model), examples)
         trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
-        with pytest.raises(IndexError, match="batch example 0: predict label"):
+        with pytest.raises(IndexError, match="batch example 0 has predict label"):
             trainer.train(out_dir=tmp_path / "run")
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_nsp_label_outside_zero_one_is_named(self, tmp_path, label):
         examples = tiny_examples(n=2)
         examples[1].nsp_label = label
-        problem = rf"batch example 1: NSP label {label} is not 0 or 1"
+        problem = rf"batch example 1 has NSP label {label}, not 0 or 1"
         with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
             evaluate(EncoderModel(tiny_run_config().model), examples)
         trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
-        with pytest.raises(IndexError, match="batch example 0: NSP label"):
+        with pytest.raises(IndexError, match="batch example 0 has NSP label"):
             trainer.train(out_dir=tmp_path / "run")
 
     def test_failed_step_names_the_training_examples(self, tmp_path):
@@ -602,8 +602,8 @@ class TestTrainer:
         trainer = Trainer(tiny_run_config(), examples)
         with pytest.raises(IndexError) as err:
             trainer.train(out_dir=tmp_path / "run")
-        got = re.fullmatch(r"step (\d+), examples \[([\d, ]+)\]: token id out of range at "
-                           r"position 4 of batch example (\d+): 13 \(vocab 13\)", str(err.value))
+        got = re.fullmatch(r"step (\d+), examples \[([\d, ]+)\]: batch example (\d+) has token "
+                           r"13 outside \[0, vocab_size=13\) at position 4", str(err.value))
         assert got, str(err.value)
         step, batch, slot = int(got[1]), [int(i) for i in got[2].split(", ")], int(got[3])
         assert trainer.step == step - 1 and len(batch) == 2 and batch[slot] == 29
@@ -795,7 +795,7 @@ class TestEvaluate:
         nll = correct = nsp = 0.0
         for ex in examples:
             out = model.pretrain_forward(ex)
-            loss, _ = pretrain_loss(out, ex)
+            loss, _ = pretrain_loss(out)
             assert loss.requires_grad     # the reference builds every graph
             k = len(ex.predict_labels)
             if k:
@@ -825,7 +825,8 @@ class TestEvaluate:
         assert [len(ex.tokens) for ex in chunks[1]] == [600]
         assert len(chunks) < len(examples) // 4
         examples[9].tokens[2] = 99
-        with pytest.raises(IndexError, match=r"examples 8-\d+: .* of batch example 1"):
+        with pytest.raises(IndexError,
+                           match=r"examples 8-\d+: batch example 1 has token 99 .* at position 2$"):
             evaluate(EncoderModel(cfg), examples)
         assert evaluate(EncoderModel(cfg), []) == {
             "num_examples": 0, "num_predictions": 0, "mlm_loss": 0.0,
@@ -1305,7 +1306,7 @@ class TestCli:
                                         out_dir=str(tmp_path / "run"))
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
-        assert re.fullmatch(r"error: .*train\.jsonl: example 0 has length 12, .*"
+        assert re.fullmatch(r"error: .*train\.jsonl: batch example 0 has length 12, .*"
                             r"max_seq_len=8\n", captured.err), captured.err
         assert not (tmp_path / "run").exists()
 

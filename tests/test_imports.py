@@ -1,9 +1,9 @@
 """Every name a relpe or test module imports is used in it, and every module-level
 private name is read by some relpe module: the unused-import and dead-code
 checks a linter would make, with only the standard library's ``ast``. Also
-the source rules past a linter's: banned NumPy calls, one training loop, an
-exit code for every error, and a probe that the program reaches every
-``Tensor`` member."""
+the source rules past a linter's: banned NumPy calls, one training loop, one
+function that builds a batch, an exit code for every error, and a probe that
+the program reaches every ``Tensor`` member."""
 
 import ast
 import builtins
@@ -127,9 +127,9 @@ def test_module_calls_no_banned_function(module):
     assert banned_calls((SRC / module).read_text(encoding="utf-8")) == []
 
 
-def step_readers(source: str, module: str) -> list[str]:
-    """``module:scope`` for each class or function of ``source`` that reads the
-    name ``run_step``, called or not; ``scope`` is its dotted path in the module."""
+def name_readers(source: str, module: str, name: str) -> list[str]:
+    """``module:scope`` for each class or function of ``source`` that reads
+    ``name``, called or not; ``scope`` is its dotted path in the module."""
     found = []
 
     def visit(node, scope):
@@ -137,8 +137,7 @@ def step_readers(source: str, module: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (getattr(child, "attr", None) == "run_step"
-                    or getattr(child, "id", None) == "run_step"):
+            if getattr(child, "attr", None) == name or getattr(child, "id", None) == name:
                 found.append(f"{module}:{scope}")
             visit(child, scope)
 
@@ -151,14 +150,24 @@ def test_checker_finds_step_readers():
               "    def train(self):\n        self.run_step(1)\n"
               "def cell(trainer):\n    step = trainer.run_step\n    step(1)\n"
               "for t in range(2):\n    run_step(t)\n")
-    assert step_readers(source, "m.py") == ["m.py:", "m.py:T.train", "m.py:cell"]
+    assert name_readers(source, "m.py", "run_step") == ["m.py:", "m.py:T.train", "m.py:cell"]
 
 
 def test_only_the_training_loop_runs_steps():
     # One training loop: everything else trains through Trainer.train, which
     # writes the metrics log and the final checkpoint.
-    assert sum((step_readers(p.read_text(encoding="utf-8"), p.name)
+    assert sum((name_readers(p.read_text(encoding="utf-8"), p.name, "run_step")
                 for p in sorted(SRC.glob("*.py"))), []) == ["train.py:Trainer.train"]
+
+
+def test_one_function_builds_a_batch():
+    # ``make_batch`` alone flattens examples' fields into a batch's arrays and
+    # checks them; the loss reads its labels from the forward's output.
+    assert sum((name_readers(p.read_text(encoding="utf-8"), p.name, "_flat")
+                for p in sorted(SRC.glob("*.py"))), []) == ["encoder.py:make_batch"]
+    loss = next(node for node in ast.parse((SRC / "encoder.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name == "pretrain_loss")
+    assert ast.unparse(loss.args) == "output: ForwardOutput"
 
 
 # Exceptions left to the CLI's exit 2 (internal error). A non-finite value or

@@ -59,7 +59,7 @@ def load_manifest(path) -> dict:
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
         raise CheckpointError(f"cannot read checkpoint manifest in {path}: {exc}")
     if not isinstance(manifest, dict):
         raise CheckpointError(f"checkpoint manifest in {path} is not a JSON object")

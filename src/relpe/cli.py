@@ -24,6 +24,9 @@ from .tensor import NonFiniteValueError
 from .train import Trainer, TrainingDiverged, evaluate
 
 
+CHECK_SLICE = 256   # examples a file check passes to make_batch at once: memory is one slice's
+
+
 class UserError(Exception):
     pass
 
@@ -41,22 +44,26 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``, checked against the model as one batch; a file
-    the model cannot run (see ``make_batch``) or without an MLM prediction is
-    a UserError."""
+    """The examples of ``path``, checked against the model by ``make_batch`` in
+    consecutive slices of CHECK_SLICE; a file without examples, with one the
+    model cannot run or without an MLM prediction is a UserError."""
     examples = read_examples(path)
-    try:
-        batch = make_batch(examples, model)
-    except (IndexError, ValueError) as exc:
-        raise UserError(f"{path}: {exc}") from None
-    if not batch.labels.size:
+    if not examples:
+        raise UserError(f"{path}: no examples")
+    for start in range(0, len(examples), CHECK_SLICE):
+        chunk = examples[start:start + CHECK_SLICE]
+        try:
+            make_batch(chunk, model)
+        except (IndexError, ValueError) as exc:
+            raise UserError(f"{path}: examples {start}-{start + len(chunk) - 1}: {exc}") from None
+    if not any(ex.predict_positions for ex in examples):
         raise UserError(f"{path}: no MLM predictions")
     return examples
 
 
 def cmd_build_vocab(args) -> int:
-    if args.max_size is not None and args.max_size < len(SPECIAL_TOKENS):
-        raise UserError(f"--max-size {args.max_size} is below the "
+    if args.max_size is not None and args.max_size <= len(SPECIAL_TOKENS):
+        raise UserError(f"--max-size {args.max_size} leaves no regular token after the "
                         f"{len(SPECIAL_TOKENS)} special tokens")
     vocab = build_vocab(args.corpus, min_count=args.min_count, max_size=args.max_size)
     out = Path(args.out)

@@ -95,7 +95,7 @@ class RunConfig:
         keys before validation."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}")
         if overrides and isinstance(data, dict):
             data = {**data, **overrides}

@@ -1,9 +1,9 @@
 """Corpus to pretraining examples: vocabulary, segmentation, masking, NSP pairs.
 
 Tokenization is per character. Word boundaries for whole-word masking come
-from a greedy longest-match segmenter over a user-supplied lexicon, so the
-pipeline is deterministic and dependency-free; any other segmenter can be
-plugged in by supplying a different span function.
+from a greedy longest-match segmenter over a user-supplied lexicon
+(``segment_words``, which ``make_example`` calls), so the pipeline is
+deterministic and dependency-free.
 
 Corpus files are UTF-8 text, one sentence per line, blank line between
 documents. Example files are JSON-lines with the fields tokens, segments,
@@ -32,6 +32,14 @@ class CorpusError(ValueError):
     pass
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 is a CorpusError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # vocabulary
 # ---------------------------------------------------------------------------
@@ -46,6 +54,8 @@ class Vocabulary:
         for i, name in enumerate(SPECIAL_TOKENS):
             if self.tokens[i:i + 1] != [name]:
                 raise ValueError(f"special token {name} missing at id {i}")
+        if len(self.tokens) == len(SPECIAL_TOKENS):   # random replacement needs one
+            raise ValueError(f"no regular token after the {len(SPECIAL_TOKENS)} special tokens")
 
     def __len__(self):
         return len(self.tokens)
@@ -78,14 +88,14 @@ def build_vocab(corpus_paths, min_count: int = 1,
     """
     counts: dict[str, int] = {}
     for path in corpus_paths:
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
+        for line in _read_text(path).splitlines():
             for ch in line:
                 counts[ch] = counts.get(ch, 0) + 1
-    if not counts:
-        raise CorpusError(f"no characters found in corpus: {list(corpus_paths)}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     chars = [ch for ch, c in ranked if c >= min_count]
+    if not chars:
+        raise CorpusError(f"no character occurs min_count={min_count} times or more "
+                          f"in corpus: {list(corpus_paths)}")
     tokens = list(SPECIAL_TOKENS) + chars
     if max_size is not None:
         tokens = tokens[:max_size]
@@ -107,8 +117,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, path) -> "Lexicon":
-        words = {w.strip() for w in Path(path).read_text(encoding="utf-8").splitlines()
-                 if w.strip()}
+        words = {w.strip() for w in _read_text(path).splitlines() if w.strip()}
         return cls(words=words)
 
     @classmethod
@@ -221,8 +230,6 @@ def apply_masking(token_ids, actions: dict[int, MaskAction], vocab: Vocabulary,
     positions = sorted(actions)
     labels = []
     lo, hi = vocab.first_regular_id, len(vocab)
-    if hi <= lo:
-        raise ValueError("vocabulary has no regular tokens to sample replacements from")
     for pos in positions:
         original = ids[pos]
         if original in (PAD_ID, CLS_ID, SEP_ID):
@@ -260,7 +267,7 @@ class PretrainExample:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PretrainExample":
-        """Read one example record; a record the encoder cannot run is a ValueError."""
+        """One example record, nsp_label an int and each other field a list of ints."""
         ex = cls(*(d[f.name] for f in fields(cls)))
         for name, value in vars(ex).items():
             if name != "nsp_label" and type(value) is not list:
@@ -268,20 +275,6 @@ class PretrainExample:
             bad = [v for v in (value if name != "nsp_label" else [value]) if type(v) is not int]
             if bad:   # bools and floats included: JSON's true is not an id, nor is 1.5
                 raise ValueError(f"{name}: {bad[0]!r} is not an integer")
-        n = len(ex.tokens)
-        if n == 0 or len(ex.segments) != n:
-            raise ValueError(f"{n} tokens and {len(ex.segments)} segments; "
-                             f"need equal, nonzero counts")
-        if len(ex.predict_positions) != len(ex.predict_labels):
-            raise ValueError(f"{len(ex.predict_positions)} predict_positions but "
-                             f"{len(ex.predict_labels)} predict_labels")
-        if any(not 0 <= p < n for p in ex.predict_positions):
-            raise ValueError(f"predict_positions {ex.predict_positions} "
-                             f"outside the length-{n} sequence")
-        if any(label < 0 for label in ex.predict_labels):
-            raise ValueError(f"predict_labels {ex.predict_labels} must be >= 0")
-        if ex.nsp_label not in (0, 1):
-            raise ValueError(f"nsp_label {ex.nsp_label} must be 0 or 1")
         return ex
 
 
@@ -362,7 +355,7 @@ def load_corpus(path) -> list[list[str]]:
     """One sentence per line, blank line separates documents."""
     documents = []
     current: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if line:
             current.append(line)
@@ -387,14 +380,14 @@ def write_examples(examples, path):
 
 
 def read_examples(path) -> list[PretrainExample]:
+    """A file's examples; a line not UTF-8 JSON of a record is a CorpusError naming it."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                d = json.loads(line)
-                examples.append(PretrainExample.from_dict(d))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    examples.append(PretrainExample.from_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise CorpusError(f"{path}: malformed example on line {lineno}: {exc}")
     return examples

@@ -8,6 +8,9 @@ absolute embeddings added to the inputs (PAPE).
 A batch of examples runs as one (B, n, d_model) pass: shorter examples are
 padded with [PAD] to the longest one, and a (B, n) validity mask keeps the
 padded keys out of every attention row. A single example is a batch of one.
+:func:`make_batch` builds a batch's arrays and is the one check of its
+examples against the model; :meth:`EncoderModel.encode` takes the
+:class:`Batch` it returns and checks nothing.
 
 The pretraining heads read only a few rows of the last layer: NSP reads the
 [CLS] row and MLM the prediction positions. So the last layer runs only at
@@ -190,25 +193,13 @@ class EncoderModel:
 
     # -- forward passes ---------------------------------------------------
 
-    def embed_inputs(self, token_ids, segment_ids,
-                     rng: np.random.Generator | None = None) -> Tensor:
-        """Normalized input embeddings (..., n, d_model) of (..., n) id arrays.
-
-        The ids are checked as :func:`make_batch` checks an example's, each
-        length-n row a batch example.
-        """
-        token_ids = np.asarray(token_ids, dtype=np.intp)
-        segment_ids = np.asarray(segment_ids, dtype=np.intp)
-        if token_ids.shape != segment_ids.shape:
-            raise ValueError("token_ids and segment_ids must have equal length")
-        n = token_ids.shape[-1]
-        _raise_first(_id_problems(self.cfg, token_ids, segment_ids,
-                                  np.full(token_ids.shape[:-1], n).ravel()))
+    def embed_inputs(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
+        """Normalized input embeddings (B, n, d_model) of a batch's ids."""
         tables = [self.token_embedding, self.segment_embedding]
-        ids = [token_ids, segment_ids]
+        ids = [batch.tokens, batch.segments]
         if self.position_embedding is not None:
             tables.append(self.position_embedding)
-            ids.append(np.arange(n))
+            ids.append(np.arange(batch.tokens.shape[-1]))
         x = embed_norm(tables, ids, self.embed_ln_gamma, self.embed_ln_beta)
         if rng is not None:
             x = dropout(x, self.cfg.hidden_dropout, rng)
@@ -238,18 +229,18 @@ class EncoderModel:
             h = dropout(h, cfg.hidden_dropout, rng, queries, n)
         return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta)
 
-    def encode(self, token_ids, segment_ids, mask=None,
-               rng: np.random.Generator | None = None,
+    def encode(self, batch: Batch, rng: np.random.Generator | None = None,
                queries: np.ndarray | None = None) -> Tensor:
-        """Final hidden states (..., n, d_model); ``mask`` marks valid positions.
+        """Final hidden states (B, n, d_model) of a batch, padded keys masked out.
 
-        With ``queries`` (..., r) positions the last layer runs only at those
-        rows, and the result is their final states (..., r, d_model).
+        With ``queries`` (B, r) positions the last layer runs only at those
+        rows, and the result is their final states (B, r, d_model).
         """
-        x = self.embed_inputs(token_ids, segment_ids, rng=rng)
+        x = self.embed_inputs(batch, rng=rng)
         for layer in self.layers[:-1]:
-            x = self.layer_forward(x, layer, mask=mask, rng=rng)
-        return self.layer_forward(x, self.layers[-1], mask=mask, rng=rng, queries=queries)
+            x = self.layer_forward(x, layer, mask=batch.mask, rng=rng)
+        return self.layer_forward(x, self.layers[-1], mask=batch.mask, rng=rng,
+                                  queries=queries)
 
     def pretrain_forward(self, examples,
                          rng: np.random.Generator | None = None) -> ForwardOutput:
@@ -267,8 +258,7 @@ class EncoderModel:
         predicted = (slot > 0) & (slot <= counts[:, None])    # slots 1 .. count of each example
         slot_positions = np.zeros((b, slot.size), dtype=np.intp)   # 0: [CLS] and padding
         slot_positions[predicted] = batch.positions
-        slot_states = self.encode(batch.tokens, batch.segments, mask=batch.mask, rng=rng,
-                                  queries=slot_positions)
+        slot_states = self.encode(batch, rng=rng, queries=slot_positions)
 
         rows = slot_states.reshape(-1, self.cfg.d_model)
         pooled = affine(rows.take_rows(np.arange(b) * slot.size), self.pooler_w,
@@ -311,10 +301,20 @@ def make_batch(examples, cfg: EncoderConfig) -> Batch:
     padded = np.full((every.size, n), PAD_ID, dtype=np.intp), np.zeros_like(filled, np.intp)
     padded[0][filled], padded[1][np.arange(n) < sizes[:, 1:2]] = tokens, segments
     owners, label_owners = np.repeat(every, counts), np.repeat(every, sizes[:, 3])
+
+    def outside(kind, ids, field):   # an id outside its embedding table
+        size = getattr(cfg, field)
+        return (IndexError, ((ids < 0) | (ids >= size)).ravel(), np.repeat(every, n),
+                lambda j: f"{kind} {ids.flat[j]} outside [0, {field}={size}) at position {j % n}")
+
     _raise_first([
         (ValueError, (lengths < 1) | (sizes[:, 1] != lengths), every,
          lambda i: f"{lengths[i]} tokens and {sizes[i, 1]} segments; need equal, nonzero counts"),
-        *_id_problems(cfg, *padded, lengths),
+        outside("token", padded[0], "vocab_size"),
+        outside("segment", padded[1], "type_vocab_size"),
+        (IndexError, (lengths > cfg.max_seq_len) & (cfg.scheme is Scheme.PAPE), every,
+         lambda i: f"length {lengths[i]}, past the PAPE position table's "
+                   f"max_seq_len={cfg.max_seq_len}"),
         (IndexError, (positions < 0) | (positions >= lengths[owners]), owners,
          lambda j: f"prediction position {positions[j]} outside the "
                    f"length-{lengths[owners[j]]} sequence"),
@@ -326,25 +326,6 @@ def make_batch(examples, cfg: EncoderConfig) -> Batch:
          lambda i: f"NSP label {nsp_labels[i]}, not 0 or 1")])
     return Batch(*padded, None if lengths.min() == n else filled, positions, owners, labels,
                  nsp_labels)
-
-
-def _id_problems(cfg: EncoderConfig, tokens, segments, lengths) -> list:
-    """The problems (see :func:`_raise_first`) of (..., n) token and segment ids
-    whose rows, flattened, are batch examples of ``lengths``: an id outside its
-    embedding table, or under PAPE a length past ``max_seq_len``."""
-    n, every = tokens.shape[-1], np.arange(lengths.size)
-    owners = np.repeat(every, n)
-
-    def outside(kind, ids, field):
-        size = getattr(cfg, field)
-        return (IndexError, ((ids < 0) | (ids >= size)).ravel(), owners,
-                lambda j: f"{kind} {ids.flat[j]} outside [0, {field}={size}) at position {j % n}")
-
-    return [outside("token", tokens, "vocab_size"),
-            outside("segment", segments, "type_vocab_size"),
-            (IndexError, (lengths > cfg.max_seq_len) & (cfg.scheme is Scheme.PAPE), every,
-             lambda i: f"length {lengths[i]}, past the PAPE position table's "
-                       f"max_seq_len={cfg.max_seq_len}")]
 
 
 def _raise_first(problems: list) -> None:

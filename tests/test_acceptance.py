@@ -13,9 +13,9 @@ import numpy as np
 from relpe.ablate import AblationGrid, run_cell
 from relpe.attention import AttentionConfig, attention_scores, init_head_weights, multi_head_attention
 from relpe.config import RunConfig
-from relpe.data import (Lexicon, build_pairs, build_vocab, load_corpus, make_example,
-                        make_examples, masking_stats, segment_words)
-from relpe.encoder import EncoderConfig, EncoderModel
+from relpe.data import (Lexicon, PretrainExample, build_pairs, build_vocab, load_corpus,
+                        make_example, make_examples, masking_stats, segment_words)
+from relpe.encoder import EncoderConfig, EncoderModel, make_batch
 from relpe.gradcheck import check_full_model
 from relpe.optim import (AdamOptimizer, LambOptimizer, LrSchedule,
                          PrecisionPolicy, round_half, training_step)
@@ -114,11 +114,12 @@ def test_04_shift_equivariance():
     pape_cfg = EncoderConfig(vocab_size=16, d_model=8, num_layers=1, num_heads=2,
                              max_seq_len=8, scheme=Scheme.PAPE)
     model = EncoderModel(pape_cfg, seed=4)
-    states = model.embed_inputs([5, 6, 7, 8] * 2, [0] * 8)
+    states = model.embed_inputs(make_batch(PretrainExample([5, 6, 7, 8] * 2, [0] * 8, [], [], 0),
+                                           pape_cfg))
     w = model.layers[0].attn
     q = states @ w.wq.data[:, :pape_cfg.d_z]
     k = states @ w.wk.data[:, :pape_cfg.d_z]
-    e = attention_scores(q, k).data
+    e = attention_scores(q, k).data[0]
     pape_violation = float(np.abs(e[:4, :4] - e[4:, 4:]).max())
     report(4, "shift equivariance",
            rel_violation < 1e-9 and pape_violation > 1e-6,

@@ -10,6 +10,7 @@ from relpe.data import (CLS_ID, KEEP_RATE, MASK_ID, MASK_RATE, PAD_ID,
                         build_vocab, load_corpus, make_example, make_examples,
                         masking_stats, read_examples, segment_words,
                         select_targets, write_examples)
+from relpe.encoder import EncoderConfig, make_batch
 
 
 def small_vocab(chars="abcdefgh"):
@@ -335,8 +336,8 @@ class TestCorpusIO:
         (dict(predict_labels=[6, 7]), "1 predict_positions but 2 predict_labels"),
         (dict(predict_positions=[3]), "outside the length-3 sequence"),
         (dict(predict_positions=[-1]), "outside the length-3 sequence"),
-        (dict(predict_labels=[-1]), "must be >= 0"),
-        (dict(nsp_label=2), "nsp_label 2 must be 0 or 1"),
+        (dict(predict_labels=[-1]), "label -1 outside"),
+        (dict(nsp_label=2), "NSP label 2, not 0 or 1"),
         (dict(tokens=[2, 5.7, 3]), "tokens: 5.7 is not an integer"),
         (dict(predict_positions=[1.5]), "predict_positions: 1.5 is not an integer"),
         (dict(nsp_label=0.9), "nsp_label: 0.9 is not an integer"),
@@ -346,12 +347,18 @@ class TestCorpusIO:
         (dict(predict_labels=["6"]), "predict_labels: '6' is not an integer"),
     ])
     def test_example_the_encoder_cannot_run_is_rejected(self, tmp_path, fields, problem):
+        # Reading refuses a field that is not an integer or a list of them
+        # ("... is not ..."); make_batch refuses the values.
         record = {**PretrainExample([2, 5, 3], [0, 0, 0], [1], [6], 0).to_dict(), **fields}
         path = tmp_path / "ex.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(CorpusError,
-                           match=f"ex.jsonl: malformed example on line 1: .*{problem}"):
-            read_examples(path)
+        if " is not " in problem:
+            with pytest.raises(CorpusError,
+                               match=f"ex.jsonl: malformed example on line 1: .*{problem}"):
+                read_examples(path)
+        else:
+            with pytest.raises((IndexError, ValueError), match=f"^batch example 0 has .*{problem}"):
+                make_batch(read_examples(path), EncoderConfig(vocab_size=8, d_model=8, num_heads=2))
 
 
 class TestMaskingStats:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import relpe.encoder
 import relpe.optim
 from relpe.data import PAD_ID, PretrainExample
-from relpe.encoder import Batch, EncoderConfig, EncoderModel, ForwardOutput, pretrain_loss
+from relpe.encoder import (Batch, EncoderConfig, EncoderModel, ForwardOutput, make_batch,
+                           pretrain_loss)
 from relpe.gradcheck import check_gradients
 from relpe.optim import PrecisionPolicy, make_optimizer, round_half, training_step
 from relpe.posenc import Scheme
@@ -84,49 +86,55 @@ class TestParameterRegistry:
         assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
+def id_batch(cfg, tokens, segments):
+    """``make_batch`` of examples with these (n,) or (B, n) ids and no predictions."""
+    rows = zip(np.atleast_2d(tokens).tolist(), np.atleast_2d(segments).tolist())
+    return make_batch([PretrainExample(t, s, [], [], 0) for t, s in rows], cfg)
+
+
 class TestEmbedInputs:
+    """The embeddings of a batch's ids; ``make_batch``, which builds the
+    batch, refuses ids the tables do not hold."""
+
     def test_out_of_range_token_reports_position(self):
-        model = EncoderModel(tiny_config(), seed=0)
         with pytest.raises(IndexError, match="position 2"):
-            model.embed_inputs([1, 2, 99], [0, 0, 0])
+            id_batch(tiny_config(), [1, 2, 99], [0, 0, 0])
 
     def test_out_of_range_segment_rejected(self):
-        model = EncoderModel(tiny_config(), seed=0)
         with pytest.raises(IndexError):
-            model.embed_inputs([1, 2], [0, 5])
+            id_batch(tiny_config(), [1, 2], [0, 5])
 
     def test_length_mismatch_rejected(self):
-        model = EncoderModel(tiny_config(), seed=0)
         with pytest.raises(ValueError):
-            model.embed_inputs([1, 2, 3], [0, 0])
+            id_batch(tiny_config(), [1, 2, 3], [0, 0])
 
     def test_rows_are_normalized(self):
         model = EncoderModel(tiny_config(), seed=1)
-        out = model.embed_inputs([1, 5, 6], [0, 0, 1]).data
+        out = model.embed_inputs(id_batch(model.cfg, [1, 5, 6], [0, 0, 1])).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-8)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
     def test_relative_scheme_embeddings_are_position_free(self):
         model = EncoderModel(tiny_config(), seed=1)
-        out = model.embed_inputs([5, 5, 5], [0, 0, 0]).data
+        out = model.embed_inputs(id_batch(model.cfg, [5, 5, 5], [0, 0, 0])).data[0]
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[1], out[2])
 
     def test_absolute_scheme_embeddings_differ_by_position(self):
         model = EncoderModel(tiny_config(scheme=Scheme.PAPE), seed=1)
-        out = model.embed_inputs([5, 5, 5], [0, 0, 0]).data
+        out = model.embed_inputs(id_batch(model.cfg, [5, 5, 5], [0, 0, 0])).data[0]
         assert not np.array_equal(out[0], out[1])
 
     def test_pape_hard_length_limit(self):
         model = EncoderModel(tiny_config(scheme=Scheme.PAPE, max_seq_len=4), seed=0)
-        model.embed_inputs([1] * 4, [0] * 4)
+        model.embed_inputs(id_batch(model.cfg, [1] * 4, [0] * 4))
         with pytest.raises(IndexError, match="max_seq_len=4"):
-            model.embed_inputs([1] * 5, [0] * 5)
+            id_batch(model.cfg, [1] * 5, [0] * 5)
 
     def test_frpe_runs_past_table_build_length(self):
         model = EncoderModel(tiny_config(max_seq_len=4), seed=0)
-        out = model.encode([1] * 9, [0] * 9)
-        assert out.data.shape == (9, 8)
+        out = model.encode(id_batch(model.cfg, [1] * 9, [0] * 9))
+        assert out.data.shape == (1, 9, 8)
         assert np.all(np.isfinite(out.data))
 
 
@@ -137,7 +145,7 @@ class TestForward:
         out = model.pretrain_forward(ex)                # a batch of one
         assert out.slot_states.data.shape == (1, 3, 8)  # [CLS] and two predictions
         np.testing.assert_array_equal(out.slot_positions, [[0, 1, 4]])
-        assert model.encode([ex.tokens], [ex.segments]).data.shape == (1, 7, 8)
+        assert model.encode(make_batch(ex, model.cfg)).data.shape == (1, 7, 8)
         assert out.pooled.data.shape == (1, 8)
         assert out.mlm_logits.data.shape == (2, 16)
         assert out.nsp_logits.data.shape == (1, 2)
@@ -374,11 +382,10 @@ class TestBatchedForward:
         np.testing.assert_allclose(out.slot_states.data[3, :k], alone.slot_states.data[0],
                                    rtol=0, atol=1e-12)
         assert out.slot_states.data.shape == (4, 4, 8)  # 1 + the most predictions
-        tokens, segments, mask = padded(batch)
-        states = model.encode(tokens, segments, mask=mask).data
+        states = model.encode(make_batch(batch, model.cfg)).data
         n = len(batch[3].tokens)
         np.testing.assert_allclose(
-            states[3, :n], model.encode([batch[3].tokens], [batch[3].segments]).data[0],
+            states[3, :n], model.encode(make_batch(batch[3], model.cfg)).data[0],
             rtol=0, atol=1e-12)
         assert states.shape == (4, 9, 8)
         np.testing.assert_array_equal(out.batch.owners,
@@ -431,17 +438,14 @@ class TestBatchedForward:
         masters = {k: p.data for k, p in params.items()}
         for p in params.values():
             p.data = round_half(p.data)
-        tokens = np.full((4, 9), PAD_ID)
-        segments = np.zeros((4, 9), dtype=int)
-        for i, ex in enumerate(batch):
-            tokens[i, :len(ex.tokens)], segments[i, :len(ex.segments)] = ex.tokens, ex.segments
-        other = tokens.copy()
+        arrays = make_batch(batch, model.cfg)
+        other = arrays.tokens.copy()
         other[3, 4:] = [5, 9, 1, 12, 7]             # example 3 has 4 tokens
-        mask = np.arange(9) < np.array([len(ex.tokens) for ex in batch])[:, None]
         with value_filter(round_half):
             loss, metrics = pretrain_loss(model.pretrain_forward(batch))
             (loss * 1024.0).backward()
-            states = [model.encode(ids, segments, mask=mask).data for ids in (tokens, other)]
+            states = [model.encode(dataclasses.replace(arrays, tokens=ids)).data
+                      for ids in (arrays.tokens, other)]
         for k, p in params.items():
             p.data = masters[k]
         assert len(outputs) == 6
@@ -506,11 +510,13 @@ def full_rows_forward(model, examples, rng=None):
     gathered rows. Its slots are every position."""
     tokens, segments, mask = padded(examples)
     b, n = tokens.shape
-    mask = None if mask.all() else mask
-    states = model.encode(tokens, segments, mask=mask, rng=rng)
     positions = [np.asarray(ex.predict_positions, dtype=np.intp) for ex in examples]
     owners = np.repeat(np.arange(b), [pos.size for pos in positions])
     positions = np.concatenate(positions)
+    batch = Batch(tokens, segments, None if mask.all() else mask, positions, owners,
+                  np.concatenate([ex.predict_labels for ex in examples]),
+                  np.array([ex.nsp_label for ex in examples]))
+    states = model.encode(batch, rng=rng)
     rows = states.reshape(b * n, model.cfg.d_model)
     pooled = affine(rows.take_rows(np.arange(b) * n), model.pooler_w, model.pooler_b).tanh()
     nsp_logits = affine(pooled, model.nsp_w, model.nsp_b)
@@ -523,9 +529,7 @@ def full_rows_forward(model, examples, rng=None):
         mlm_logits = Tensor(np.zeros((0, model.cfg.vocab_size)))
     return ForwardOutput(slot_states=states, slot_positions=np.tile(np.arange(n), (b, 1)),
                          pooled=pooled, mlm_logits=mlm_logits, nsp_logits=nsp_logits,
-                         batch=Batch(tokens, segments, mask, positions, owners,
-                                     np.concatenate([ex.predict_labels for ex in examples]),
-                                     np.array([ex.nsp_label for ex in examples])))
+                         batch=batch)
 
 
 class TestLastLayerAtQueryRows:
@@ -626,7 +630,7 @@ class TestEmbedNormMatchesComposite:
     def test_embed_inputs_is_the_node(self, scheme):
         model = EncoderModel(tiny_config(scheme=scheme, vocab_size=48), seed=5)
         tables, ids, gamma, beta = model_embedding(model, EMBED_IDS["padded"])
-        got = model.embed_inputs(ids[0], ids[1])
+        got = model.embed_inputs(id_batch(model.cfg, ids[0], ids[1]))
         want = embed_composite(tables, ids, gamma, beta)
         assert len(got._parents) == len(tables) + 2
         np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))

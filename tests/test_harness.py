@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relpe.ablate
+import relpe.cli
 import relpe.optim
 import relpe.train
 from relpe.ablate import AblationGrid, hash_cell
 from relpe.checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
-from relpe.data import CLS_ID, MASK_ID, PretrainExample
+from relpe.data import CLS_ID, MASK_ID, SPECIAL_TOKENS, PretrainExample
 from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
 from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
@@ -1114,11 +1116,14 @@ class TestCli:
         (["gradcheck", "--scheme", "none,frpe,"], "--scheme ''"),
         (["build-vocab", "--max-size", "3"], "--max-size 3"),
         (["build-vocab", "--max-size", "-1"], "--max-size -1"),
+        (["build-vocab", "--max-size", "5"], "--max-size 5 leaves no regular token"),
+        (["build-vocab", "--min-count", "99"], "no character occurs min_count=99 times"),
         (["gradcheck", "--scheme", "none", "--seed", "-1"], "--seed -1"),
         (["gradcheck", "--scheme", "none", "--threshold", "nan"], "--threshold nan"),
         (["gradcheck", "--scheme", "none", "--threshold", "0"], "--threshold 0"),
         (["gradcheck", "--scheme", "none", "--threshold", "-1"], "--threshold -1"),
     ], ids=["bogus-scheme", "empty-scheme", "max-size-below-specials", "negative-max-size",
+            "max-size-of-specials", "min-count-above-every-count",
             "negative-seed", "nan-threshold", "zero-threshold", "negative-threshold"])
     def test_bad_flag_is_user_error(self, tmp_path, capsys, flags, named):
         if flags[0] == "build-vocab":
@@ -1167,7 +1172,7 @@ class TestCli:
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint-init"),
                          "--examples", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "bad.jsonl" in err and "line 1" in err
+        assert err.startswith("error: ") and "bad.jsonl: examples 0-0: batch example 0 has" in err
         (tmp_path / "p").mkdir()
         cfg_path, _ = self.write_config(tmp_path / "p", train_examples=str(bad),
                                         out_dir=str(tmp_path / "p" / "run"), total_steps=1)
@@ -1175,7 +1180,7 @@ class TestCli:
         assert "bad.jsonl" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, problem", [
-        ("nsp_label", 2, "line 3: nsp_label 2 must be 0 or 1"),
+        ("nsp_label", 2, "examples 0-5: batch example 2 has NSP label 2, not 0 or 1"),
         ("predict_labels", 999, "example 2 has predict label 999 outside [0, vocab_size=13)"),
         ("segments", 2, "example 2 has segment 2 outside [0, type_vocab_size=2)"),
         pytest.param(None, "", "no examples", id="empty-file"),
@@ -1210,6 +1215,69 @@ class TestCli:
         for line in errors:
             assert line.startswith("error: ") and "bad.jsonl" in line and problem in line
         assert not (tmp_path / "p" / "run").exists()
+
+    def test_example_file_is_checked_in_slices(self, tmp_path, capsys, monkeypatch):
+        # An error names its slice of the file, then the example's index in the slice.
+        monkeypatch.setattr(relpe.cli, "CHECK_SLICE", 4)
+        cfg_path = self.write_init_only_config(tmp_path)          # six examples
+        records = [ex.to_dict() for ex in tiny_examples()]
+        records[5]["tokens"][0] = 13
+        (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
+                                              encoding="utf-8")
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'train.jsonl'}: examples 4-5: batch example 1 has token 13 "
+            f"outside [0, vocab_size=13) at position 0\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_checking_an_example_file_holds_one_slice(self, monkeypatch):
+        # The check's own peak, past the examples read: 20,000 offset-copy
+        # examples of 128 tokens (200 distinct ones, each 100 times) took
+        # 112.6 MiB checked as one batch.
+        examples = make_offset_copy_examples(200, 128, 48, -3, np.random.default_rng(0)) * 100
+        monkeypatch.setattr(relpe.cli, "read_examples", lambda path: examples)
+        model = EncoderConfig(vocab_size=53, d_model=64, num_heads=2, max_seq_len=128)
+        tracemalloc.start()
+        try:
+            assert relpe.cli._read_examples("train.jsonl", model) is examples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+    @pytest.mark.parametrize("case", ["build-vocab-corpus", "pretrain-config", "train-examples",
+                                      "prepare-data-corpus", "prepare-data-lexicon",
+                                      "eval-manifest"])
+    def test_file_that_is_not_utf8_is_user_error(self, tmp_path, capsys, case):
+        # Each reader names the file it cannot decode; the example reader also the line.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ab\xffcd\n")                   # 0xff starts no UTF-8 sequence
+        named = str(bad)
+        if case == "build-vocab-corpus":
+            argv = ["build-vocab", "--corpus", named, "--out", str(tmp_path / "vocab.txt")]
+        elif case == "pretrain-config":
+            argv = ["pretrain", "--config", named]
+        elif case == "eval-manifest":
+            assert cli_main(["pretrain", "--config", str(self.write_init_only_config(tmp_path))]) == 0
+            named = str(tmp_path / "run" / "checkpoint-init")
+            (tmp_path / "run" / "checkpoint-init" / "manifest.json").write_bytes(bad.read_bytes())
+            argv = ["eval", "--checkpoint", named, "--examples", str(tmp_path / "train.jsonl")]
+        else:
+            if case == "train-examples":
+                good = json.dumps(tiny_examples()[0].to_dict()) + "\n"
+                bad.write_bytes(good.encode() + bad.read_bytes())
+                named = f"{bad}: malformed example on line 2"
+            key = {"train-examples": "train_examples", "prepare-data-corpus": "corpus",
+                   "prepare-data-lexicon": "lexicon"}[case]
+            cfg_path, _ = self.write_config(tmp_path, **{"corpus": str(self.write_corpus(tmp_path)),
+                                                         "out_dir": str(tmp_path / "run"),
+                                                         "total_steps": 0, key: str(bad)})
+            argv = ["pretrain" if key == "train_examples" else "prepare-data", "--config",
+                    str(cfg_path)]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "decode byte 0xff" in err, err
 
     def write_init_only_config(self, tmp_path):
         examples_path = tmp_path / "train.jsonl"
@@ -1278,7 +1346,7 @@ class TestCli:
         assert "corpus" in err
 
     @pytest.mark.parametrize("case", ["short-max-seq-len", "vocab-without-specials",
-                                      "empty-vocab"])
+                                      "empty-vocab", "vocab-of-special-tokens-only"])
     def test_prepare_data_bad_input_is_user_error(self, tmp_path, capsys, case):
         model = EncoderConfig(vocab_size=13, d_model=8, num_layers=1, num_heads=2,
                               ffn_size=16, max_seq_len=4 if case == "short-max-seq-len" else 12)
@@ -1288,9 +1356,12 @@ class TestCli:
         named = "max_seq_len 4"
         if case != "short-max-seq-len":
             named = str(tmp_path / "vocab.txt")
-            (tmp_path / "vocab.txt").write_text("abcd\n" if case == "vocab-without-specials"
-                                                else "", encoding="utf-8")
+            vocab = {"vocab-without-specials": "abcd\n", "empty-vocab": "",
+                     "vocab-of-special-tokens-only": "\n".join(SPECIAL_TOKENS) + "\n"}[case]
+            (tmp_path / "vocab.txt").write_text(vocab, encoding="utf-8")
             argv += ["--vocab", named]
+            if case == "vocab-of-special-tokens-only":
+                named += ": no regular token after the 5 special tokens"
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and named in captured.err, captured.err
@@ -1306,7 +1377,7 @@ class TestCli:
                                         out_dir=str(tmp_path / "run"))
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
-        assert re.fullmatch(r"error: .*train\.jsonl: batch example 0 has length 12, .*"
+        assert re.fullmatch(r"error: .*train\.jsonl: examples 0-5: batch example 0 has length 12, .*"
                             r"max_seq_len=8\n", captured.err), captured.err
         assert not (tmp_path / "run").exists()
 

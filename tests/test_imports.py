@@ -162,12 +162,24 @@ def test_only_the_training_loop_runs_steps():
 
 def test_one_function_builds_a_batch():
     # ``make_batch`` alone flattens examples' fields into a batch's arrays and
-    # checks them; the loss reads its labels from the forward's output.
-    assert sum((name_readers(p.read_text(encoding="utf-8"), p.name, "_flat")
-                for p in sorted(SRC.glob("*.py"))), []) == ["encoder.py:make_batch"]
-    loss = next(node for node in ast.parse((SRC / "encoder.py").read_text(encoding="utf-8")).body
-                if isinstance(node, ast.FunctionDef) and node.name == "pretrain_loss")
-    assert ast.unparse(loss.args) == "output: ForwardOutput"
+    # checks them; the model's passes take the Batch it returns, and the loss
+    # reads its labels from the forward's output.
+    for name in ("_flat", "_raise_first"):
+        assert sum((name_readers(p.read_text(encoding="utf-8"), p.name, name)
+                    for p in sorted(SRC.glob("*.py"))), []) == ["encoder.py:make_batch"], name
+    module = ast.parse((SRC / "encoder.py").read_text(encoding="utf-8")).body
+
+    def arguments(body, name):
+        return next(node.args for node in body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    assert ast.unparse(arguments(module, "pretrain_loss")) == "output: ForwardOutput"
+    model = next(node for node in module
+                 if isinstance(node, ast.ClassDef) and node.name == "EncoderModel")
+    for name in ("encode", "embed_inputs"):
+        first = arguments(model.body, name).args[1]
+        assert (first.arg, first.annotation and ast.unparse(first.annotation)) == (
+            "batch", "Batch"), name
 
 
 # Exceptions left to the CLI's exit 2 (internal error). A non-finite value or

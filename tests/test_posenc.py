@@ -11,7 +11,7 @@ from relpe.tensor import Tensor
 
 from test_attention import frpe_oracle, rel_row
 from test_optim import step_on_grads
-from test_encoder import mixed_batch
+from test_encoder import id_batch, mixed_batch
 
 # Formula against oracle: the bound criterion 01 holds frpe_vector to against
 # a 50-digit oracle for |offset| <= 512. numpy's vectorised power and sin/cos
@@ -212,20 +212,21 @@ class TestAbsTable:
              + table.data[:3])
         x = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
                                                          + 1e-12)
-        np.testing.assert_allclose(model.embed_inputs(tokens, segments).data, x,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.embed_inputs(id_batch(model.cfg, tokens, segments))
+                                   .data[0], x, rtol=0, atol=1e-12)
 
     def test_boundary_is_an_error(self):
+        # make_batch, which builds every batch the model runs, refuses the length
         model = self.model(max_seq_len=4)
-        model.embed_inputs([[1] * 4] * 2, [[0] * 4] * 2)
+        model.embed_inputs(id_batch(model.cfg, [[1] * 4] * 2, [[0] * 4] * 2))
         with pytest.raises(IndexError, match="batch example 0 has length 5, .*max_seq_len=4"):
-            model.embed_inputs([[1] * 5] * 2, [[0] * 5] * 2)
+            id_batch(model.cfg, [[1] * 5] * 2, [[0] * 5] * 2)
 
     def test_gradient_step_touches_only_used_row(self):
         model = self.model(seed=2)
         table = model.parameters()["abspos.table"]
         before = table.data.copy()
-        x = model.embed_inputs([5, 9, 3], [0, 0, 1])
+        x = model.embed_inputs(id_batch(model.cfg, [5, 9, 3], [0, 0, 1]))
         (x * x * Tensor(np.arange(8.0))).sum().backward()
         step_on_grads(AdamOptimizer({"abspos.table": table}, weight_decay=0.0), 0.01)
         assert np.all(np.any(table.data[:3] != before[:3], axis=1))

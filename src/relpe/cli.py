@@ -50,21 +50,22 @@ def _read_examples(path, model: EncoderConfig):
     examples = read_examples(path)
     if not examples:
         raise UserError(f"{path}: no examples")
+    predictions = 0
     for start in range(0, len(examples), CHECK_SLICE):
         chunk = examples[start:start + CHECK_SLICE]
         try:
-            make_batch(chunk, model)
-        except (IndexError, ValueError) as exc:
+            predictions += make_batch(chunk, model).labels.size
+        except (IndexError, ValueError, OverflowError) as exc:   # OverflowError: an int past intp
             raise UserError(f"{path}: examples {start}-{start + len(chunk) - 1}: {exc}") from None
-    if not any(ex.predict_positions for ex in examples):
+    if not predictions:
         raise UserError(f"{path}: no MLM predictions")
     return examples
 
 
 def cmd_build_vocab(args) -> int:
-    if args.max_size is not None and args.max_size <= len(SPECIAL_TOKENS):
-        raise UserError(f"--max-size {args.max_size} leaves no regular token after the "
-                        f"{len(SPECIAL_TOKENS)} special tokens")
+    if args.max_size is not None and args.max_size < len(SPECIAL_TOKENS) + 2:
+        raise UserError(f"--max-size {args.max_size} leaves fewer than 2 regular tokens "
+                        f"after the {len(SPECIAL_TOKENS)} special tokens")
     vocab = build_vocab(args.corpus, min_count=args.min_count, max_size=args.max_size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

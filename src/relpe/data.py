@@ -54,8 +54,8 @@ class Vocabulary:
         for i, name in enumerate(SPECIAL_TOKENS):
             if self.tokens[i:i + 1] != [name]:
                 raise ValueError(f"special token {name} missing at id {i}")
-        if len(self.tokens) == len(SPECIAL_TOKENS):   # random replacement needs one
-            raise ValueError(f"no regular token after the {len(SPECIAL_TOKENS)} special tokens")
+        if len(self.tokens) < len(SPECIAL_TOKENS) + 2:   # a random replacement is another one
+            raise ValueError("fewer than 2 regular tokens follow the special tokens")
 
     def __len__(self):
         return len(self.tokens)
@@ -93,8 +93,8 @@ def build_vocab(corpus_paths, min_count: int = 1,
                 counts[ch] = counts.get(ch, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     chars = [ch for ch, c in ranked if c >= min_count]
-    if not chars:
-        raise CorpusError(f"no character occurs min_count={min_count} times or more "
+    if len(chars) < 2:
+        raise CorpusError(f"fewer than 2 characters occur min_count={min_count} times or more "
                           f"in corpus: {list(corpus_paths)}")
     tokens = list(SPECIAL_TOKENS) + chars
     if max_size is not None:
@@ -382,14 +382,13 @@ def write_examples(examples, path):
 def read_examples(path) -> list[PretrainExample]:
     """A file's examples; a line not UTF-8 JSON of a record is a CorpusError naming it."""
     examples = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    examples.append(PretrainExample.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}: malformed example on line {lineno}: {exc}")
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:   # bytes split on \n, \r\n and \r alone, as text mode does
+            line = raw.decode("utf-8")
+            if line.strip():
+                examples.append(PretrainExample.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{path}: malformed example on line {lineno}: {exc}")
     return examples
 
 

@@ -42,6 +42,12 @@ class TestVocabulary:
         loaded = Vocabulary.load(tmp_path / "vocab.txt")
         assert loaded.tokens == v.tokens and loaded.index == v.index
 
+    @pytest.mark.parametrize("regular", ["", "a"])
+    def test_fewer_than_two_regular_tokens_rejected(self, regular):
+        # a random replacement must differ from the token it replaces
+        with pytest.raises(ValueError, match="fewer than 2 regular tokens"):
+            Vocabulary(tokens=list(SPECIAL_TOKENS) + list(regular))
+
     def test_derived_fields_are_not_arguments(self):
         # index follows tokens and max_word_len follows words; neither is settable
         with pytest.raises(TypeError):
@@ -59,7 +65,7 @@ class TestBuildVocab:
 
     def test_min_count_drops_rare_chars(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("aaab\n", encoding="utf-8")
+        p.write_text("aaaccb\n", encoding="utf-8")   # a vocabulary needs 2 regular tokens
         v = build_vocab([p], min_count=2)
         assert "b" not in v.index
         assert v.encode("b") == [UNK_ID]
@@ -67,8 +73,8 @@ class TestBuildVocab:
     def test_max_size_truncates(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("aaabbc\n", encoding="utf-8")
-        v = build_vocab([p], max_size=6)
-        assert len(v) == 6 and v.tokens[5] == "a"
+        v = build_vocab([p], max_size=7)   # a vocabulary needs 2 regular tokens
+        assert len(v) == 7 and v.tokens[5:] == ["a", "b"]
 
     def test_empty_corpus_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -322,6 +328,16 @@ class TestCorpusIO:
         back = read_examples(path)
         assert len(back) == 2
         assert back[0].to_dict() == ex.to_dict()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_as_in_text_mode(self, tmp_path, newline):
+        path = tmp_path / "ex.jsonl"
+        good = json.dumps(PretrainExample([2, 3], [0, 0], [], [], 1).to_dict())
+        path.write_bytes((good + newline + good + newline + "{not json}" + newline).encode())
+        with pytest.raises(CorpusError, match="line 3"):
+            read_examples(path)
+        path.write_bytes((good + newline + good + newline).encode())
+        assert len(read_examples(path)) == 2
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "ex.jsonl"

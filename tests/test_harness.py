@@ -1116,14 +1116,15 @@ class TestCli:
         (["gradcheck", "--scheme", "none,frpe,"], "--scheme ''"),
         (["build-vocab", "--max-size", "3"], "--max-size 3"),
         (["build-vocab", "--max-size", "-1"], "--max-size -1"),
-        (["build-vocab", "--max-size", "5"], "--max-size 5 leaves no regular token"),
-        (["build-vocab", "--min-count", "99"], "no character occurs min_count=99 times"),
+        (["build-vocab", "--max-size", "5"], "--max-size 5 leaves fewer than 2 regular tokens"),
+        (["build-vocab", "--max-size", "6"], "--max-size 6 leaves fewer than 2 regular tokens"),
+        (["build-vocab", "--min-count", "99"], "fewer than 2 characters occur min_count=99 times"),
         (["gradcheck", "--scheme", "none", "--seed", "-1"], "--seed -1"),
         (["gradcheck", "--scheme", "none", "--threshold", "nan"], "--threshold nan"),
         (["gradcheck", "--scheme", "none", "--threshold", "0"], "--threshold 0"),
         (["gradcheck", "--scheme", "none", "--threshold", "-1"], "--threshold -1"),
     ], ids=["bogus-scheme", "empty-scheme", "max-size-below-specials", "negative-max-size",
-            "max-size-of-specials", "min-count-above-every-count",
+            "max-size-of-specials", "max-size-of-one-regular-token", "min-count-above-every-count",
             "negative-seed", "nan-threshold", "zero-threshold", "negative-threshold"])
     def test_bad_flag_is_user_error(self, tmp_path, capsys, flags, named):
         if flags[0] == "build-vocab":
@@ -1186,6 +1187,10 @@ class TestCli:
         pytest.param(None, "", "no examples", id="empty-file"),
         pytest.param(None, "\n \n", "no examples", id="blank-lines-only"),
         pytest.param("predict_positions", None, "no MLM predictions", id="no-predictions"),
+        # JSON ints past intp are refused, not an OverflowError escaping as a crash
+        ("nsp_label", 10**20, "examples 0-5: Python int too large"),
+        ("predict_positions", 10**20, "examples 0-5: Python int too large"),
+        ("predict_labels", -2**70, "examples 0-5: Python int too large"),
     ])
     def test_out_of_range_ids_are_user_errors(self, tmp_path, capsys, field, value, problem):
         cfg_path = self.write_init_only_config(tmp_path)
@@ -1193,7 +1198,7 @@ class TestCli:
         records = [ex.to_dict() for ex in tiny_examples()]
         if field is None:
             records = []
-        elif field == "predict_positions":
+        elif value is None:
             for r in records:
                 r["predict_positions"], r["predict_labels"] = [], []
         elif field == "nsp_label":
@@ -1346,7 +1351,8 @@ class TestCli:
         assert "corpus" in err
 
     @pytest.mark.parametrize("case", ["short-max-seq-len", "vocab-without-specials",
-                                      "empty-vocab", "vocab-of-special-tokens-only"])
+                                      "empty-vocab", "vocab-of-special-tokens-only",
+                                      "vocab-of-one-regular-token"])
     def test_prepare_data_bad_input_is_user_error(self, tmp_path, capsys, case):
         model = EncoderConfig(vocab_size=13, d_model=8, num_layers=1, num_heads=2,
                               ffn_size=16, max_seq_len=4 if case == "short-max-seq-len" else 12)
@@ -1357,11 +1363,13 @@ class TestCli:
         if case != "short-max-seq-len":
             named = str(tmp_path / "vocab.txt")
             vocab = {"vocab-without-specials": "abcd\n", "empty-vocab": "",
-                     "vocab-of-special-tokens-only": "\n".join(SPECIAL_TOKENS) + "\n"}[case]
+                     "vocab-of-special-tokens-only": "\n".join(SPECIAL_TOKENS) + "\n",
+                     # a random replacement of the one regular token could never differ
+                     "vocab-of-one-regular-token": "\n".join(SPECIAL_TOKENS) + "\na\n"}[case]
             (tmp_path / "vocab.txt").write_text(vocab, encoding="utf-8")
             argv += ["--vocab", named]
-            if case == "vocab-of-special-tokens-only":
-                named += ": no regular token after the 5 special tokens"
+            if case.startswith("vocab-of-"):
+                named += ": fewer than 2 regular tokens follow the special tokens"
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and named in captured.err, captured.err

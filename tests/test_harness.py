@@ -711,6 +711,20 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert run_child(tmp_path, "", script=_RUNTIME_CHILD).strip() == "[]"
 
 
+FINGERPRINTS = Path(__file__).resolve().parent / "fingerprints.json"
+
+
+def test_trained_bits_match_the_committed_fingerprints(tmp_path):
+    # Every scheme and precision mode trains bit for bit as when the record
+    # was made; tests/fingerprints.py regenerates it.
+    got = json.loads(run_child(tmp_path, "", script=FINGERPRINTS.with_suffix(".py").read_text()))
+    want = json.loads(FINGERPRINTS.read_text())
+    moved = [cell for cell in want["cells"].keys() | got["cells"].keys()
+             if want["cells"].get(cell) != got["cells"].get(cell)]
+    assert not moved, (f"trained bits moved in cells {sorted(moved)}; the record was made "
+                       f"under {want['environment']}, this run under {got['environment']}")
+
+
 class TestMallocThresholds:
     """Trainer and evaluate fix glibc's mmap and trim thresholds once per process."""
 

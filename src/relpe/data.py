@@ -64,11 +64,8 @@ class Vocabulary:
     def first_regular_id(self) -> int:
         return len(SPECIAL_TOKENS)
 
-    def encode_char(self, ch: str) -> int:
-        return self.index.get(ch, UNK_ID)
-
     def encode(self, text: str) -> list[int]:
-        return [self.encode_char(c) for c in text]
+        return [self.index.get(c, UNK_ID) for c in text]
 
     def save(self, path):
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")

@@ -23,7 +23,7 @@ against all n keys, and its residual, layer norms and feed-forward run on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -73,19 +73,6 @@ class EncoderConfig:
 
 
 @dataclass
-class LayerParameters:
-    attn: HeadWeights
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-
-
-@dataclass
 class Batch:
     """A batch of examples as the model's arrays; :func:`make_batch` builds it."""
     tokens: np.ndarray             # (B, n) token ids, padded with PAD_ID
@@ -111,10 +98,13 @@ class ForwardOutput:
 
 
 class EncoderModel:
-    """Parameter container plus forward passes for the pretraining model.
+    """Parameter registry plus forward passes for the pretraining model.
 
-    Every learnable tensor is registered exactly once under a unique name;
-    fixed FRPE tables are deliberately absent from :meth:`parameters`.
+    Every learnable tensor is registered exactly once, under a unique name, in
+    ``_params``, and the forward passes read each one there by name; fixed FRPE
+    tables are deliberately absent from :meth:`parameters`. ``layers`` lists
+    the encoder layers' name prefixes ("layer0", ...), which :meth:`encode`
+    passes to :meth:`layer_forward`.
     """
 
     def __init__(self, cfg: EncoderConfig, seed: int = 0):
@@ -125,27 +115,18 @@ class EncoderModel:
 
         def register(name, data):
             self._params[name] = Tensor(data, requires_grad=True)
-            return self._params[name]
 
         def normal(name, shape):
-            return register(name, rng.normal(0.0, 0.02, shape))
+            register(name, rng.normal(0.0, 0.02, shape))
 
-        def zeros(name, shape):
-            return register(name, np.zeros(shape))
+        normal("embed.token", (cfg.vocab_size, d))
+        normal("embed.segment", (cfg.type_vocab_size, d))
+        register("embed.ln.gamma", np.ones(d))
+        register("embed.ln.beta", np.zeros(d))
 
-        def ones(name, shape):
-            return register(name, np.ones(shape))
-
-        self.token_embedding = normal("embed.token", (cfg.vocab_size, d))
-        self.segment_embedding = normal("embed.segment", (cfg.type_vocab_size, d))
-        self.embed_ln_gamma = ones("embed.ln.gamma", d)
-        self.embed_ln_beta = zeros("embed.ln.beta", d)
-
-        self.position_embedding: Tensor | None = None
         if cfg.scheme is Scheme.PAPE:   # rows 0 .. max_seq_len-1, from a derived seed
             pos_rng = np.random.default_rng(int(rng.integers(2**31)))
-            self.position_embedding = register(
-                "abspos.table", pos_rng.normal(0.0, 0.02, (cfg.max_seq_len, d)))
+            register("abspos.table", pos_rng.normal(0.0, 0.02, (cfg.max_seq_len, d)))
 
         self.rel_table: RelPositionTable | None = None
         if cfg.scheme is Scheme.FRPE:
@@ -158,34 +139,30 @@ class EncoderModel:
             self._params.update(self.rel_table.parameters())
 
         self.attn_cfg = cfg.attention_config()
-        self.layers: list[LayerParameters] = []
-        for i in range(cfg.num_layers):
-            attn = init_head_weights(self.attn_cfg, rng)
-            for key, t in attn.parameters().items():
-                self._params[f"layer{i}.attn.{key}"] = t
-            self.layers.append(LayerParameters(
-                attn=attn,
-                ln1_gamma=ones(f"layer{i}.ln1.gamma", d),
-                ln1_beta=zeros(f"layer{i}.ln1.beta", d),
-                ffn_w1=normal(f"layer{i}.ffn.w1", (d, ffn)),
-                ffn_b1=zeros(f"layer{i}.ffn.b1", ffn),
-                ffn_w2=normal(f"layer{i}.ffn.w2", (ffn, d)),
-                ffn_b2=zeros(f"layer{i}.ffn.b2", d),
-                ln2_gamma=ones(f"layer{i}.ln2.gamma", d),
-                ln2_beta=zeros(f"layer{i}.ln2.beta", d),
-            ))
+        self.layers = [f"layer{i}" for i in range(cfg.num_layers)]
+        for layer in self.layers:
+            for key, t in init_head_weights(self.attn_cfg, rng).parameters().items():
+                self._params[f"{layer}.attn.{key}"] = t
+            register(f"{layer}.ln1.gamma", np.ones(d))
+            register(f"{layer}.ln1.beta", np.zeros(d))
+            normal(f"{layer}.ffn.w1", (d, ffn))
+            register(f"{layer}.ffn.b1", np.zeros(ffn))
+            normal(f"{layer}.ffn.w2", (ffn, d))
+            register(f"{layer}.ffn.b2", np.zeros(d))
+            register(f"{layer}.ln2.gamma", np.ones(d))
+            register(f"{layer}.ln2.beta", np.zeros(d))
 
         # MLM head; the decoder reuses the token embedding (weight tying).
-        self.mlm_dense_w = normal("mlm.dense.w", (d, d))
-        self.mlm_dense_b = zeros("mlm.dense.b", d)
-        self.mlm_ln_gamma = ones("mlm.ln.gamma", d)
-        self.mlm_ln_beta = zeros("mlm.ln.beta", d)
-        self.mlm_output_bias = zeros("mlm.output_bias", cfg.vocab_size)
+        normal("mlm.dense.w", (d, d))
+        register("mlm.dense.b", np.zeros(d))
+        register("mlm.ln.gamma", np.ones(d))
+        register("mlm.ln.beta", np.zeros(d))
+        register("mlm.output_bias", np.zeros(cfg.vocab_size))
 
-        self.pooler_w = normal("pooler.w", (d, d))
-        self.pooler_b = zeros("pooler.b", d)
-        self.nsp_w = normal("nsp.w", (d, 2))
-        self.nsp_b = zeros("nsp.b", 2)
+        normal("pooler.w", (d, d))
+        register("pooler.b", np.zeros(d))
+        normal("nsp.w", (d, 2))
+        register("nsp.b", np.zeros(2))
 
     def parameters(self) -> dict[str, Tensor]:
         """Every learnable tensor by name, in construction order."""
@@ -195,39 +172,41 @@ class EncoderModel:
 
     def embed_inputs(self, batch: Batch, rng: np.random.Generator | None = None) -> Tensor:
         """Normalized input embeddings (B, n, d_model) of a batch's ids."""
-        tables = [self.token_embedding, self.segment_embedding]
+        p = self._params
+        tables = [p["embed.token"], p["embed.segment"]]
         ids = [batch.tokens, batch.segments]
-        if self.position_embedding is not None:
-            tables.append(self.position_embedding)
+        if self.cfg.scheme is Scheme.PAPE:
+            tables.append(p["abspos.table"])
             ids.append(np.arange(batch.tokens.shape[-1]))
-        x = embed_norm(tables, ids, self.embed_ln_gamma, self.embed_ln_beta)
+        x = embed_norm(tables, ids, p["embed.ln.gamma"], p["embed.ln.beta"])
         if rng is not None:
             x = dropout(x, self.cfg.hidden_dropout, rng)
         return x
 
-    def layer_forward(self, x: Tensor, layer: LayerParameters,
-                      mask: np.ndarray | None = None,
+    def layer_forward(self, x: Tensor, layer: str, mask: np.ndarray | None = None,
                       rng: np.random.Generator | None = None,
                       queries: np.ndarray | None = None) -> Tensor:
-        """One encoder layer on x (..., n, d_model).
+        """Encoder layer ``layer`` (a name prefix of :attr:`layers`) on x (..., n, d_model).
 
         With ``queries`` (..., r) positions the layer runs only at those rows
         and returns (..., r, d_model); keys and values still span all n rows,
         and each dropout mask is drawn at its full-row shape.
         """
-        cfg = self.cfg
+        cfg, p = self.cfg, self._params
         n, d = x.shape[-2:]
-        attn = multi_head_attention(x, layer.attn, self.attn_cfg, table=self.rel_table,
+        weights = HeadWeights(*(p[f"{layer}.attn.{f.name}"] for f in fields(HeadWeights)))
+        attn = multi_head_attention(x, weights, self.attn_cfg, table=self.rel_table,
                                     mask=mask, rng=rng, queries=queries)
         if queries is not None:
             x = x.reshape(-1, d).take_rows(query_index(queries, n)).reshape(attn.shape)
         if rng is not None:
             attn = dropout(attn, cfg.hidden_dropout, rng, queries, n)
-        y = layer_norm(x + attn, layer.ln1_gamma, layer.ln1_beta)
-        h = affine(gelu(affine(y, layer.ffn_w1, layer.ffn_b1)), layer.ffn_w2, layer.ffn_b2)
+        y = layer_norm(x + attn, p[f"{layer}.ln1.gamma"], p[f"{layer}.ln1.beta"])
+        h = affine(gelu(affine(y, p[f"{layer}.ffn.w1"], p[f"{layer}.ffn.b1"])),
+                   p[f"{layer}.ffn.w2"], p[f"{layer}.ffn.b2"])
         if rng is not None:
             h = dropout(h, cfg.hidden_dropout, rng, queries, n)
-        return layer_norm(y + h, layer.ln2_gamma, layer.ln2_beta)
+        return layer_norm(y + h, p[f"{layer}.ln2.gamma"], p[f"{layer}.ln2.beta"])
 
     def encode(self, batch: Batch, rng: np.random.Generator | None = None,
                queries: np.ndarray | None = None) -> Tensor:
@@ -260,16 +239,16 @@ class EncoderModel:
         slot_positions[predicted] = batch.positions
         slot_states = self.encode(batch, rng=rng, queries=slot_positions)
 
-        rows = slot_states.reshape(-1, self.cfg.d_model)
-        pooled = affine(rows.take_rows(np.arange(b) * slot.size), self.pooler_w,
-                        self.pooler_b).tanh()
-        nsp_logits = affine(pooled, self.nsp_w, self.nsp_b)
+        p, rows = self._params, slot_states.reshape(-1, self.cfg.d_model)
+        pooled = affine(rows.take_rows(np.arange(b) * slot.size), p["pooler.w"],
+                        p["pooler.b"]).tanh()
+        nsp_logits = affine(pooled, p["nsp.w"], p["nsp.b"])
 
         if batch.positions.size:
             h = rows.take_rows(np.flatnonzero(predicted))
-            h = gelu(affine(h, self.mlm_dense_w, self.mlm_dense_b))
-            h = layer_norm(h, self.mlm_ln_gamma, self.mlm_ln_beta)
-            mlm_logits = affine(h, self.token_embedding.T, self.mlm_output_bias)
+            h = gelu(affine(h, p["mlm.dense.w"], p["mlm.dense.b"]))
+            h = layer_norm(h, p["mlm.ln.gamma"], p["mlm.ln.beta"])
+            mlm_logits = affine(h, p["embed.token"].T, p["mlm.output_bias"])
         else:
             mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
         return ForwardOutput(slot_states=slot_states, slot_positions=slot_positions,

@@ -102,18 +102,19 @@ class Trainer:
         return manifest
 
     def train(self, out_dir=None, resume_from=None):
-        """Run from the current step to config.total_steps, logging every step."""
+        """Run from the current step to config.total_steps, logging every step;
+        ``resume_from`` names a checkpoint to :meth:`resume` from first."""
         config = self.config
         out_dir = Path(out_dir if out_dir is not None else config.out_dir)
-        resumed = self.resume(resume_from) if resume_from else {"step": 0}
-        start_step = resumed["step"]
+        resumed = self.resume(resume_from) if resume_from else {}
+        start_step = self.step
         out_dir.mkdir(parents=True, exist_ok=True)
 
         log_path = out_dir / "metrics.jsonl"
         # Resuming into the run's own directory continues its log: earlier
         # records stay, and a resume record marks where the replayed steps
         # start (they supersede any records of the same steps above it).
-        append = bool(resume_from) and log_path.exists()
+        append = start_step > 0 and log_path.exists()
         with open(log_path, "a" if append else "w", encoding="utf-8") as log_fh:
             if append:
                 log_fh.write(json.dumps({"type": "resume", "from_step": start_step}) + "\n")

@@ -116,9 +116,9 @@ def test_04_shift_equivariance():
     model = EncoderModel(pape_cfg, seed=4)
     states = model.embed_inputs(make_batch(PretrainExample([5, 6, 7, 8] * 2, [0] * 8, [], [], 0),
                                            pape_cfg))
-    w = model.layers[0].attn
-    q = states @ w.wq.data[:, :pape_cfg.d_z]
-    k = states @ w.wk.data[:, :pape_cfg.d_z]
+    params = model.parameters()
+    q = states @ params["layer0.attn.wq"].data[:, :pape_cfg.d_z]
+    k = states @ params["layer0.attn.wk"].data[:, :pape_cfg.d_z]
     e = attention_scores(q, k).data[0]
     pape_violation = float(np.abs(e[:4, :4] - e[4:, 4:]).max())
     report(4, "shift equivariance",

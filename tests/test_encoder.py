@@ -66,6 +66,16 @@ class TestParameterRegistry:
         assert "abspos.table" in pape
         assert {"relpos.bank_k", "relpos.bank_v"} <= set(prpe)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_the_registry_is_the_one_holder_of_weights(self, scheme):
+        # the forwards reach every weight through its name in parameters(),
+        # and each layer through its name prefix
+        model = EncoderModel(tiny_config(scheme=scheme, num_layers=3), seed=0)
+        assert [name for name, value in vars(model).items() if isinstance(value, Tensor)] == []
+        prefixes = [name.split(".")[0] for name in model.parameters()]
+        assert model.layers == [prefix for prefix in dict.fromkeys(prefixes)
+                                if re.fullmatch(r"layer\d+", prefix)]
+
     def test_parameter_count_matches_manual_budget(self):
         cfg = tiny_config()
         model = EncoderModel(cfg, seed=0)
@@ -183,7 +193,7 @@ class TestForward:
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
         before = model.pretrain_forward(ex).mlm_logits.data.copy()
-        model.token_embedding.data[:] *= 1.5
+        model.parameters()["embed.token"].data[:] *= 1.5
         after = model.pretrain_forward(ex).mlm_logits.data
         assert not np.allclose(before, after)
 
@@ -193,7 +203,7 @@ class TestForward:
         ex = tiny_example()
         loss, _ = pretrain_loss(model.pretrain_forward(ex))
         loss.backward()
-        g = model.token_embedding.grad
+        g = model.parameters()["embed.token"].grad
         assert g is not None
         # rows never used as input still receive decoder (softmax) gradient
         unused = 15
@@ -516,15 +526,15 @@ def full_rows_forward(model, examples, rng=None):
     batch = Batch(tokens, segments, None if mask.all() else mask, positions, owners,
                   np.concatenate([ex.predict_labels for ex in examples]),
                   np.array([ex.nsp_label for ex in examples]))
-    states = model.encode(batch, rng=rng)
+    states, p = model.encode(batch, rng=rng), model.parameters()
     rows = states.reshape(b * n, model.cfg.d_model)
-    pooled = affine(rows.take_rows(np.arange(b) * n), model.pooler_w, model.pooler_b).tanh()
-    nsp_logits = affine(pooled, model.nsp_w, model.nsp_b)
+    pooled = affine(rows.take_rows(np.arange(b) * n), p["pooler.w"], p["pooler.b"]).tanh()
+    nsp_logits = affine(pooled, p["nsp.w"], p["nsp.b"])
     if positions.size:
         h = rows.take_rows(owners * n + positions)
-        h = gelu(affine(h, model.mlm_dense_w, model.mlm_dense_b))
-        h = layer_norm(h, model.mlm_ln_gamma, model.mlm_ln_beta)
-        mlm_logits = affine(h, model.token_embedding.T, model.mlm_output_bias)
+        h = gelu(affine(h, p["mlm.dense.w"], p["mlm.dense.b"]))
+        h = layer_norm(h, p["mlm.ln.gamma"], p["mlm.ln.beta"])
+        mlm_logits = affine(h, p["embed.token"].T, p["mlm.output_bias"])
     else:
         mlm_logits = Tensor(np.zeros((0, model.cfg.vocab_size)))
     return ForwardOutput(slot_states=states, slot_positions=np.tile(np.arange(n), (b, 1)),
@@ -597,14 +607,15 @@ def assert_embed_matches_composite(tables, ids, gamma, beta, seed=0):
 
 def model_embedding(model, tokens):
     """The embedding node's tables, ids and layer-norm weights for ``tokens`` (..., n)."""
-    tables = [model.token_embedding, model.segment_embedding]
+    p = model.parameters()
+    tables = [p["embed.token"], p["embed.segment"]]
     segments = np.zeros_like(tokens)
     segments[..., tokens.shape[-1] // 2:] = 1
     ids = [tokens, segments]
-    if model.position_embedding is not None:
-        tables.append(model.position_embedding)
+    if "abspos.table" in p:
+        tables.append(p["abspos.table"])
         ids.append(np.arange(tokens.shape[-1]))
-    return tables, ids, model.embed_ln_gamma, model.embed_ln_beta
+    return tables, ids, p["embed.ln.gamma"], p["embed.ln.beta"]
 
 
 EMBED_IDS = {   # (..., n) token ids, vocabulary 48

@@ -495,6 +495,28 @@ class TestTrainer:
                                                       resume_from=final) is None
         assert load_manifest(final) == before
 
+    def test_train_continues_from_the_current_step(self, tmp_path):
+        # after steps run by hand or a resume, train() runs only the steps left
+        examples, config = tiny_examples(), tiny_run_config(total_steps=5, checkpoint_every=2)
+        Trainer(config, examples).train(out_dir=tmp_path / "straight")
+        stepped = Trainer(config, examples)
+        stepped.run_step(1)
+        stepped.run_step(2)
+        stepped.train(out_dir=tmp_path / "stepped")
+        resumed = Trainer(config, examples)
+        resumed.resume(tmp_path / "straight" / "checkpoint-2")
+        resumed.train(out_dir=tmp_path / "resumed")
+
+        def final_state(run):
+            with np.load(tmp_path / run / "checkpoint-final" / "optstate.bin") as npz:
+                return {k: npz[k].tobytes() for k in npz.files}
+
+        for run in ("stepped", "resumed"):
+            log = (tmp_path / run / "metrics.jsonl").read_text().splitlines()
+            assert [json.loads(line)["step"] for line in log[1:]] == [3, 4, 5], run
+            assert load_manifest(tmp_path / run / "checkpoint-final")["step"] == 5, run
+            assert final_state(run) == final_state("straight"), run
+
     @staticmethod
     def assert_optimizer_owns_memory(trainer):
         opt = trainer.optimizer

@@ -205,10 +205,11 @@ class TestAbsTable:
 
     def test_row_zero(self):
         model = self.model(seed=1)
-        table = model.parameters()["abspos.table"]
+        params = model.parameters()
+        table = params["abspos.table"]
         assert table.shape == (8, 8)
         tokens, segments = [5, 6, 7], [0, 0, 1]
-        x = (model.token_embedding.data[tokens] + model.segment_embedding.data[segments]
+        x = (params["embed.token"].data[tokens] + params["embed.segment"].data[segments]
              + table.data[:3])
         x = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
                                                          + 1e-12)

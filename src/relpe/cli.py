@@ -17,14 +17,11 @@ from .checkpoint import CheckpointError, load_manifest, load_optimizer_state
 from .config import ConfigError, RunConfig
 from .data import (SPECIAL_TOKENS, CorpusError, Lexicon, Vocabulary, build_vocab,
                    load_corpus, make_examples, masking_stats, read_examples, write_examples)
-from .encoder import EncoderConfig, EncoderModel, make_batch
+from .encoder import EncoderModel
 from .gradcheck import check_full_model
 from .optim import make_optimizer
 from .tensor import NonFiniteValueError
 from .train import Trainer, TrainingDiverged, evaluate
-
-
-CHECK_SLICE = 256   # examples a file check passes to make_batch at once: memory is one slice's
 
 
 class UserError(Exception):
@@ -43,21 +40,14 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig.from_json(args.config, overrides)
 
 
-def _read_examples(path, model: EncoderConfig):
-    """The examples of ``path``, checked against the model by ``make_batch`` in
-    consecutive slices of CHECK_SLICE; a file without examples, with one the
-    model cannot run or without an MLM prediction is a UserError."""
+def _read_examples(path):
+    """The examples of ``path``; a file without examples or without an MLM
+    prediction is a UserError. ``Trainer`` and ``evaluate`` check them against
+    the model, and the command names the file in their errors."""
     examples = read_examples(path)
     if not examples:
         raise UserError(f"{path}: no examples")
-    predictions = 0
-    for start in range(0, len(examples), CHECK_SLICE):
-        chunk = examples[start:start + CHECK_SLICE]
-        try:
-            predictions += make_batch(chunk, model).labels.size
-        except (IndexError, ValueError, OverflowError) as exc:   # OverflowError: an int past intp
-            raise UserError(f"{path}: examples {start}-{start + len(chunk) - 1}: {exc}") from None
-    if not predictions:
+    if not any(ex.predict_labels for ex in examples):
         raise UserError(f"{path}: no MLM predictions")
     return examples
 
@@ -107,8 +97,11 @@ def cmd_pretrain(args) -> int:
     config = _load_run_config(args)
     if not config.train_examples:
         raise UserError("config.train_examples is required for pretrain")
-    examples = _read_examples(config.train_examples, config.model)
-    trainer = Trainer(config, examples)
+    examples = _read_examples(config.train_examples)
+    try:
+        trainer = Trainer(config, examples)
+    except (IndexError, ValueError, OverflowError) as exc:   # an example the model cannot run
+        raise UserError(f"{config.train_examples}: {exc}") from None
     last = trainer.train(out_dir=config.out_dir, resume_from=args.resume)
     if last is not None:
         print(f"finished at step {last['step']}: loss {last['loss']:.4f}")
@@ -124,10 +117,13 @@ def cmd_eval(args) -> int:
     # the masters, restored as a resume restores them
     load_optimizer_state(args.checkpoint, make_optimizer(config.optimizer, model.parameters(),
                                                          config.weight_decay))
+    examples = _read_examples(args.examples)
     try:
-        report = evaluate(model, _read_examples(args.examples, config.model))
+        report = evaluate(model, examples)
     except NonFiniteValueError as exc:
         raise UserError(f"evaluation failed: {exc}")
+    except (IndexError, ValueError, OverflowError) as exc:   # an example the model cannot run
+        raise UserError(f"{args.examples}: {exc}") from None
     report["run_config"] = config.to_dict()
     report["seed"] = config.seed
     text = json.dumps(report, indent=2)

@@ -7,10 +7,10 @@ absolute embeddings added to the inputs (PAPE).
 
 A batch of examples runs as one (B, n, d_model) pass: shorter examples are
 padded with [PAD] to the longest one, and a (B, n) validity mask keeps the
-padded keys out of every attention row. A single example is a batch of one.
-:func:`make_batch` builds a batch's arrays and is the one check of its
-examples against the model; :meth:`EncoderModel.encode` takes the
-:class:`Batch` it returns and checks nothing.
+padded keys out of every attention row. :func:`make_batch` builds a batch's
+arrays and is the one check of its examples against the model;
+:meth:`EncoderModel.encode` takes the :class:`Batch` it returns and checks
+nothing.
 
 The pretraining heads read only a few rows of the last layer: NSP reads the
 [CLS] row and MLM the prediction positions. So the last layer runs only at
@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .attention import AttentionConfig, HeadWeights, init_head_weights, multi_head_attention
-from .data import PAD_ID, PretrainExample
+from .data import PAD_ID
 from .optim import require_number
 from .posenc import RelPositionTable, Scheme, build_rel_table
 from .tensor import (Tensor, affine, dropout, embed_norm, gelu, layer_norm, nll_loss,
@@ -225,10 +225,10 @@ class EncoderModel:
                          rng: np.random.Generator | None = None) -> ForwardOutput:
         """Encode a batch of examples in one pass and apply the MLM and NSP heads.
 
-        ``examples`` is a sequence of PretrainExample, or one example (a batch
-        of one); :func:`make_batch` builds and checks its arrays. Each dropout
-        site draws one mask of the whole batch's shape. The last layer runs
-        only at the slots the heads read (see :class:`ForwardOutput`).
+        ``examples`` is a sequence of PretrainExample; :func:`make_batch`
+        builds and checks its arrays. Each dropout site draws one mask of the
+        whole batch's shape. The last layer runs only at the slots the heads
+        read (see :class:`ForwardOutput`).
         """
         batch = make_batch(examples, self.cfg)
         b = batch.nsp_labels.size
@@ -257,15 +257,13 @@ class EncoderModel:
 
 
 def make_batch(examples, cfg: EncoderConfig) -> Batch:
-    """The arrays of a sequence of examples, or of one example (a batch of one).
+    """The arrays of a sequence of examples.
 
     Every check of an example against the model is made here. The first
     example in batch order that the model cannot run names the error, "batch
     example i has ...", with the first of its problems in the order listed
     below: a ValueError for counts, an IndexError for a value.
     """
-    if isinstance(examples, PretrainExample):
-        examples = [examples]
     if not examples:
         raise ValueError("no examples to encode")
     sizes = np.array([(len(ex.tokens), len(ex.segments), len(ex.predict_positions),

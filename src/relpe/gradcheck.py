@@ -111,7 +111,7 @@ def check_full_model(scheme, seed: int = 0) -> GradCheckReport:
     example.nsp_label = 1
 
     def loss_fn():
-        loss, _ = pretrain_loss(model.pretrain_forward(example))
+        loss, _ = pretrain_loss(model.pretrain_forward([example]))
         return loss
 
     return check_gradients(loss_fn, model.parameters(), rng=np.random.default_rng(11))

@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_manifest, load_optimizer_state, save_checkpoint
 from .config import RunConfig
 from .data import PretrainExample
-from .encoder import EncoderConfig, EncoderModel, pretrain_loss
+from .encoder import EncoderConfig, EncoderModel, make_batch, pretrain_loss
 from .optim import NonFiniteGradientError, lr_at_step, make_optimizer, training_step
 from .tensor import NonFiniteValueError, no_grad
 
@@ -49,9 +49,15 @@ def _keep_freed_memory_mapped() -> None:
 
 class Trainer:
     def __init__(self, config: RunConfig, examples: list[PretrainExample]):
+        """Check every example against ``config.model`` first, named as
+        :func:`evaluate` names an error; the check iterates ``examples`` and
+        never indexes it."""
         _keep_freed_memory_mapped()
         if not examples:
             raise ValueError("no training examples")
+        for start, chunk in _eval_chunks(config.model, examples):
+            with _naming_examples(start, chunk):
+                make_batch(chunk, config.model)
         self.config = config
         self.examples = examples
         self.model = EncoderModel(config.model, seed=config.seed)
@@ -62,9 +68,7 @@ class Trainer:
     def run_step(self, t: int):
         """Execute training step t (1-based) and return its metrics record; a step
         that diverges (see ``training_step``; the loss is checked before the
-        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged.
-        A bad example raises its IndexError or ValueError naming t and the batch's
-        indices into the training examples."""
+        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
@@ -82,11 +86,10 @@ class Trainer:
             metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
             raise TrainingDiverged(f"training diverged at step {t}: {exc}") from None
-        except (IndexError, ValueError) as exc:   # name the examples, not the batch slots
-            raise type(exc)(f"step {t}, examples {idx.tolist()}: {exc}") from None
         self.step = t
-        return {"step": t, **{k: metrics[k] for k in
-                              ("loss", "mlm_loss", "nsp_loss", "mlm_accuracy")},
+        accuracy = metrics["mlm_accuracy"]   # NaN without predictions; JSON has no NaN
+        return {"step": t, **{k: metrics[k] for k in ("loss", "mlm_loss", "nsp_loss")},
+                "mlm_accuracy": None if np.isnan(accuracy) else accuracy,
                 "lr": lr, "skipped": skipped, "wall_time": time.monotonic() - start}
 
     def save(self, path, metrics=None):
@@ -176,30 +179,29 @@ def _eval_chunks(cfg: EncoderConfig, examples: list[PretrainExample]):
         yield start, chunk
 
 
-_first_use_memory_taken = False
+@functools.cache
+def _take_first_use_memory() -> None:
+    """Make one 256 KiB temporary, once per process, before the first evaluation pass.
 
-
-def _take_first_use_memory(model: EncoderModel) -> None:
-    """Run the evaluation pass on a one-token example, once per process.
-
-    NumPy keeps some memory for good from its first use: a per-thread block,
-    taken at the first temporary of 256 KiB or more it could reuse in place,
-    and small caches. Taken during a real pass, it lands among the pass's
-    arrays; the next pass then lays its arrays out around it and grows the
-    heap (test 09's example set: up to 379 page faults in the second
-    evaluation, none after). Taken here, it lands before the pass's arrays. A
-    model that cannot run the example (non-finite weights) fails in the real
-    pass instead, which names the examples. Values are unaffected.
+    NumPy keeps a per-thread block for good, taken at the first temporary of
+    256 KiB or more it could reuse in place. Taken during a real pass, it lands
+    among the pass's arrays; the next pass then lays its arrays out around it
+    and grows the heap (test 09's example set: up to 379 page faults in the
+    second evaluation, none after). Taken here, it lands before the pass's
+    arrays. Values are unaffected.
     """
-    global _first_use_memory_taken
-    if _first_use_memory_taken:
-        return
-    _first_use_memory_taken = True
-    np.ones(1 << 15) + 0.0                 # a 256 KiB temporary: the per-thread block
-    example = PretrainExample(tokens=[0], segments=[0], predict_positions=[0],
-                              predict_labels=[0], nsp_label=0)
-    with contextlib.suppress(NonFiniteValueError):
-        pretrain_loss(model.pretrain_forward(example))
+    np.ones(1 << 15) + 0.0
+
+
+@contextlib.contextmanager
+def _naming_examples(start: int, chunk: list):
+    """Prefix an example error raised inside with the chunk's 0-based range,
+    ``examples s-e: ``, before ``make_batch``'s ``batch example i has ...``. An
+    int past NumPy's intp range raises OverflowError, also prefixed."""
+    try:
+        yield
+    except (IndexError, ValueError, OverflowError) as exc:
+        raise type(exc)(f"examples {start}-{start + len(chunk) - 1}: {exc}") from None
 
 
 def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
@@ -207,18 +209,18 @@ def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
 
     Runs the training step's batched forward and loss on chunks of examples,
     without building a graph; as in a training step, floating-point warnings
-    are silenced and a non-finite value raises NonFiniteValueError.
+    are silenced and a non-finite value raises NonFiniteValueError. An error,
+    such as an example the model cannot run, names its chunk's examples
+    (``examples s-e: ...``).
     """
     _keep_freed_memory_mapped()
     totals = dict.fromkeys(("num_predictions", "mlm_nll_sum", "mlm_correct",
                             "nsp_correct"), 0)
     with no_grad(), np.errstate(all="ignore"):
-        _take_first_use_memory(model)
+        _take_first_use_memory()
         for start, chunk in _eval_chunks(model.cfg, examples):
-            try:
+            with _naming_examples(start, chunk):
                 _, metrics = pretrain_loss(model.pretrain_forward(chunk))
-            except (IndexError, ValueError) as exc:   # name the examples, not the chunk
-                raise type(exc)(f"examples {start}-{start + len(chunk) - 1}: {exc}") from None
             for key in totals:
                 totals[key] += metrics[key]
     n, n_pred = len(examples), totals["num_predictions"]

@@ -114,8 +114,8 @@ def test_04_shift_equivariance():
     pape_cfg = EncoderConfig(vocab_size=16, d_model=8, num_layers=1, num_heads=2,
                              max_seq_len=8, scheme=Scheme.PAPE)
     model = EncoderModel(pape_cfg, seed=4)
-    states = model.embed_inputs(make_batch(PretrainExample([5, 6, 7, 8] * 2, [0] * 8, [], [], 0),
-                                           pape_cfg))
+    example = PretrainExample([5, 6, 7, 8] * 2, [0] * 8, [], [], 0)
+    states = model.embed_inputs(make_batch([example], pape_cfg))
     params = model.parameters()
     q = states @ params["layer0.attn.wq"].data[:, :pape_cfg.d_z]
     k = states @ params["layer0.attn.wk"].data[:, :pape_cfg.d_z]

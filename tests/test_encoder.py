@@ -152,18 +152,18 @@ class TestForward:
     def test_shapes(self):
         model = EncoderModel(tiny_config(), seed=2)
         ex = tiny_example()
-        out = model.pretrain_forward(ex)                # a batch of one
+        out = model.pretrain_forward([ex])              # a batch of one
         assert out.slot_states.data.shape == (1, 3, 8)  # [CLS] and two predictions
         np.testing.assert_array_equal(out.slot_positions, [[0, 1, 4]])
-        assert model.encode(make_batch(ex, model.cfg)).data.shape == (1, 7, 8)
+        assert model.encode(make_batch([ex], model.cfg)).data.shape == (1, 7, 8)
         assert out.pooled.data.shape == (1, 8)
         assert out.mlm_logits.data.shape == (2, 16)
         assert out.nsp_logits.data.shape == (1, 2)
 
     def test_forward_is_deterministic_without_dropout(self):
         model = EncoderModel(tiny_config(), seed=2)
-        a = model.pretrain_forward(tiny_example())
-        b = model.pretrain_forward(tiny_example())
+        a = model.pretrain_forward([tiny_example()])
+        b = model.pretrain_forward([tiny_example()])
         np.testing.assert_array_equal(a.mlm_logits.data, b.mlm_logits.data)
         np.testing.assert_array_equal(a.nsp_logits.data, b.nsp_logits.data)
 
@@ -171,15 +171,15 @@ class TestForward:
         cfg = tiny_config(hidden_dropout=0.3)
         model = EncoderModel(cfg, seed=2)
         ex = tiny_example()
-        a = model.pretrain_forward(ex, rng=np.random.default_rng(1))
-        b = model.pretrain_forward(ex, rng=np.random.default_rng(1))
-        c = model.pretrain_forward(ex, rng=np.random.default_rng(2))
+        a = model.pretrain_forward([ex], rng=np.random.default_rng(1))
+        b = model.pretrain_forward([ex], rng=np.random.default_rng(1))
+        c = model.pretrain_forward([ex], rng=np.random.default_rng(2))
         np.testing.assert_array_equal(a.slot_states.data, b.slot_states.data)
         assert not np.array_equal(a.slot_states.data, c.slot_states.data)
 
     def test_pooled_is_tanh_bounded(self):
         model = EncoderModel(tiny_config(), seed=3)
-        out = model.pretrain_forward(tiny_example())
+        out = model.pretrain_forward([tiny_example()])
         assert np.all(np.abs(out.pooled.data) < 1.0)
 
     def test_prediction_position_out_of_range(self):
@@ -187,21 +187,21 @@ class TestForward:
         ex = tiny_example()
         ex.predict_positions = [1, 7]
         with pytest.raises(IndexError):
-            model.pretrain_forward(ex)
+            model.pretrain_forward([ex])
 
     def test_decoder_shares_token_embedding_storage(self):
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
-        before = model.pretrain_forward(ex).mlm_logits.data.copy()
+        before = model.pretrain_forward([ex]).mlm_logits.data.copy()
         model.parameters()["embed.token"].data[:] *= 1.5
-        after = model.pretrain_forward(ex).mlm_logits.data
+        after = model.pretrain_forward([ex]).mlm_logits.data
         assert not np.allclose(before, after)
 
     def test_tied_decoder_gradient_includes_both_roles(self):
         # the embedding gradient must combine input-side and decoder-side use
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
-        loss, _ = pretrain_loss(model.pretrain_forward(ex))
+        loss, _ = pretrain_loss(model.pretrain_forward([ex]))
         loss.backward()
         g = model.parameters()["embed.token"].grad
         assert g is not None
@@ -215,7 +215,7 @@ class TestPretrainLoss:
     def test_uniform_logits_give_log_vocab(self):
         model = EncoderModel(tiny_config(), seed=5)
         ex = tiny_example()
-        out = model.pretrain_forward(ex)
+        out = model.pretrain_forward([ex])
         out.mlm_logits = Tensor(np.zeros((2, 16)))
         out.nsp_logits = Tensor(np.zeros((1, 2)))
         loss, metrics = pretrain_loss(out)
@@ -227,14 +227,14 @@ class TestPretrainLoss:
         # with sigma=0.02 init the MLM logits are near-uniform
         model = EncoderModel(tiny_config(vocab_size=64), seed=6)
         ex = tiny_example()
-        _, metrics = pretrain_loss(model.pretrain_forward(ex))
+        _, metrics = pretrain_loss(model.pretrain_forward([ex]))
         assert abs(metrics["mlm_loss"] - np.log(64.0)) < 0.5
 
     def test_no_prediction_positions(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
         ex.predict_positions, ex.predict_labels = [], []
-        loss, metrics = pretrain_loss(model.pretrain_forward(ex))
+        loss, metrics = pretrain_loss(model.pretrain_forward([ex]))
         assert metrics["mlm_loss"] == 0.0
         assert np.isnan(metrics["mlm_accuracy"])
         assert loss.item() == pytest.approx(metrics["nsp_loss"])
@@ -245,14 +245,14 @@ class TestPretrainLoss:
         ex.predict_labels = [9]
         problem = "has 2 predict_positions but 1 predict_labels"
         with pytest.raises(ValueError, match=f"^batch example 0 {problem}$"):
-            model.pretrain_forward(ex)
+            model.pretrain_forward([ex])
         with pytest.raises(ValueError, match=f"^batch example 1 {problem}$"):
             model.pretrain_forward([tiny_example(), ex])
 
     def test_perfect_logits_give_accuracy_one(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
-        out = model.pretrain_forward(ex)
+        out = model.pretrain_forward([ex])
         logits = np.zeros((2, 16))
         logits[0, ex.predict_labels[0]] = 50.0
         logits[1, ex.predict_labels[1]] = 50.0
@@ -272,7 +272,7 @@ class TestPretrainLoss:
                              nsp_label=0)
 
         def loss():
-            out = model.pretrain_forward(ex)
+            out = model.pretrain_forward([ex])
             total, _ = pretrain_loss(out)
             return total
 
@@ -337,7 +337,7 @@ def run_per_example(model, batch, rngs=None):
         p.zero_grad()
     total, parts = Tensor(0.0), []
     for i, ex in enumerate(batch):
-        loss, m = pretrain_loss(model.pretrain_forward(ex, rng=rngs and rngs[i]))
+        loss, m = pretrain_loss(model.pretrain_forward([ex], rng=rngs and rngs[i]))
         total, parts = total + loss, parts + [m]
     total = div(total, float(len(batch)))
     total.backward()
@@ -387,7 +387,7 @@ class TestBatchedForward:
         model = EncoderModel(tiny_config(), seed=12)
         batch = mixed_batch()
         out = model.pretrain_forward(batch)
-        alone = model.pretrain_forward(batch[3])        # the shortest example
+        alone = model.pretrain_forward([batch[3]])        # the shortest example
         k = 1 + len(batch[3].predict_positions)
         np.testing.assert_allclose(out.slot_states.data[3, :k], alone.slot_states.data[0],
                                    rtol=0, atol=1e-12)
@@ -395,7 +395,7 @@ class TestBatchedForward:
         states = model.encode(make_batch(batch, model.cfg)).data
         n = len(batch[3].tokens)
         np.testing.assert_allclose(
-            states[3, :n], model.encode(make_batch(batch[3], model.cfg)).data[0],
+            states[3, :n], model.encode(make_batch([batch[3]], model.cfg)).data[0],
             rtol=0, atol=1e-12)
         assert states.shape == (4, 9, 8)
         np.testing.assert_array_equal(out.batch.owners,
@@ -724,7 +724,7 @@ class TestNodeBudget:
                             max_seq_len=32, scheme=Scheme.FRPE)
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
-        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(example))
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward([example]))
         assert graph_nodes(loss) == 34
 
     def test_toy_mlm_batch(self):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import relpe.ablate
 import relpe.cli
+import relpe.encoder
 import relpe.optim
 import relpe.train
 from relpe.ablate import AblationGrid, hash_cell
@@ -374,6 +376,27 @@ class TestTrainer:
                               "lr", "skipped", "wall_time"}
             assert math.isfinite(r["loss"])
 
+    def test_log_and_manifests_are_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN: a step whose batch has no MLM prediction logs
+        # its undefined accuracy as null.
+        def strict(text):
+            def refuse(name):
+                raise ValueError(f"{name} is not JSON")
+            return json.loads(text, parse_constant=refuse)
+
+        examples = tiny_examples(n=2)
+        examples[1].predict_positions, examples[1].predict_labels = [], []
+        Trainer(tiny_run_config(batch_size=1, total_steps=6, checkpoint_every=1),
+                examples).train(out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        records = [strict(line) for line in lines[1:]]
+        manifests = [strict((path / "manifest.json").read_text())
+                     for path in (tmp_path / "run").glob("checkpoint-*")]
+        assert len(records) == len(manifests) == 6
+        for got in ([r["mlm_accuracy"] for r in records],
+                    [m["metrics"]["mlm_accuracy"] for m in manifests]):
+            assert None in got and {type(a) for a in got} == {float, type(None)}
+
     @pytest.mark.parametrize("mode", ["full", "mixed_emulated"])
     def test_tracer_sees_every_update_and_master_rounding(self, monkeypatch, mode):
         # perfbench/tracer.py wraps LambOptimizer.step and the module global
@@ -598,39 +621,80 @@ class TestTrainer:
             Trainer(tiny_run_config(), [])
 
     @pytest.mark.parametrize("label", [13, 999, -1])
-    def test_label_outside_vocabulary_is_named(self, tmp_path, label):
+    def test_label_outside_vocabulary_is_named(self, label):
+        # evaluate and Trainer name a bad example alike
         examples = tiny_examples(n=2)
         examples[1].predict_labels[-1] = label
         problem = rf"batch example 1 has predict label {label} outside \[0, vocab_size=13\)"
-        with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
+        with pytest.raises(IndexError, match=rf"^examples 0-1: {problem}$"):
             evaluate(EncoderModel(tiny_run_config().model), examples)
-        trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
-        with pytest.raises(IndexError, match="batch example 0 has predict label"):
-            trainer.train(out_dir=tmp_path / "run")
+        with pytest.raises(IndexError, match=rf"^examples 0-1: {problem}$"):
+            Trainer(tiny_run_config(batch_size=8), examples)
 
     @pytest.mark.parametrize("label", [2, -1])
-    def test_nsp_label_outside_zero_one_is_named(self, tmp_path, label):
+    def test_nsp_label_outside_zero_one_is_named(self, label):
         examples = tiny_examples(n=2)
         examples[1].nsp_label = label
         problem = rf"batch example 1 has NSP label {label}, not 0 or 1"
-        with pytest.raises(IndexError, match=rf"examples 0-1: {problem}"):
+        with pytest.raises(IndexError, match=rf"^examples 0-1: {problem}$"):
             evaluate(EncoderModel(tiny_run_config().model), examples)
-        trainer = Trainer(tiny_run_config(batch_size=8), examples[1:])
-        with pytest.raises(IndexError, match="batch example 0 has NSP label"):
-            trainer.train(out_dir=tmp_path / "run")
+        with pytest.raises(IndexError, match=rf"^examples 0-1: {problem}$"):
+            Trainer(tiny_run_config(batch_size=8), examples)
 
-    def test_failed_step_names_the_training_examples(self, tmp_path):
-        # the inner error names a batch slot; the step's prefix maps it to the example
+    def test_bad_training_example_is_named_when_the_trainer_is_built(self, tmp_path):
+        # The check names the chunk's range, then the example's index in the
+        # chunk; it fails before any step, so no log or checkpoint is written.
         examples = tiny_examples(n=40)
         examples[29].tokens[4] = 13
-        trainer = Trainer(tiny_run_config(), examples)
+        config = tiny_run_config(out_dir=str(tmp_path / "run"))
         with pytest.raises(IndexError) as err:
-            trainer.train(out_dir=tmp_path / "run")
-        got = re.fullmatch(r"step (\d+), examples \[([\d, ]+)\]: batch example (\d+) has token "
+            Trainer(config, examples)
+        got = re.fullmatch(r"examples (\d+)-(\d+): batch example (\d+) has token "
                            r"13 outside \[0, vocab_size=13\) at position 4", str(err.value))
         assert got, str(err.value)
-        step, batch, slot = int(got[1]), [int(i) for i in got[2].split(", ")], int(got[3])
-        assert trainer.step == step - 1 and len(batch) == 2 and batch[slot] == 29
+        start, end, slot = map(int, got.groups())
+        assert start <= 29 <= end and start + slot == 29
+        assert (start, end) in [(s, s + len(chunk) - 1)
+                                for s, chunk in _eval_chunks(config.model, examples)]
+        assert not (tmp_path / "run").exists()
+
+    def test_examples_are_indexed_only_by_the_steps(self):
+        # Building a Trainer iterates its examples; each step reads examples[i]
+        # once per batch slot, which is how perfbench/run.py counts tokens.
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return super().__getitem__(index)
+
+        examples = CountingList(tiny_examples(n=40))
+        trainer = Trainer(tiny_run_config(batch_size=3), examples)
+        assert examples.reads == 0
+        for t in (1, 2, 3):
+            trainer.run_step(t)
+            assert examples.reads == 3 * t
+
+    def test_checking_training_examples_holds_one_chunk(self):
+        # The check's own peak: 20,000 offset-copy examples of 128 tokens (200
+        # distinct ones, each 100 times) took 112.6 MiB checked as one batch.
+        # A bad last example makes the check walk them all, then fail before
+        # the model is built.
+        rng = np.random.default_rng(0)
+        examples = make_offset_copy_examples(200, 128, 48, -3, rng) * 100
+        examples += make_offset_copy_examples(1, 128, 48, -3, rng)
+        examples[-1].tokens[5] = 53
+        config = tiny_run_config(model=EncoderConfig(vocab_size=53, d_model=64, num_heads=2,
+                                                     max_seq_len=128))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexError, match=r"^examples \d+-20000: batch example \d+ "
+                                                 r"has token 53 outside"):
+                Trainer(config, examples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
 
 
 # A child interpreter that trains or evaluates the test-09 (toy MLM)
@@ -832,7 +896,7 @@ class TestEvaluate:
 
         nll = correct = nsp = 0.0
         for ex in examples:
-            out = model.pretrain_forward(ex)
+            out = model.pretrain_forward([ex])
             loss, _ = pretrain_loss(out)
             assert loss.requires_grad     # the reference builds every graph
             k = len(ex.predict_labels)
@@ -1257,34 +1321,39 @@ class TestCli:
             assert line.startswith("error: ") and "bad.jsonl" in line and problem in line
         assert not (tmp_path / "p" / "run").exists()
 
-    def test_example_file_is_checked_in_slices(self, tmp_path, capsys, monkeypatch):
-        # An error names its slice of the file, then the example's index in the slice.
-        monkeypatch.setattr(relpe.cli, "CHECK_SLICE", 4)
+    def test_example_file_is_checked_in_evaluation_chunks(self, tmp_path, capsys, monkeypatch):
+        # relpe eval's check is evaluate's own forward, which runs make_batch
+        # once a chunk. pretrain and eval name a bad example alike: the file,
+        # its chunk's range, then its index in the chunk. A budget of four of
+        # these examples a chunk makes chunks 0-3 and 4-5.
+        monkeypatch.setattr(relpe.train, "_eval_pass_budget", lambda cfg: 4 * 12 * 16)
         cfg_path = self.write_init_only_config(tmp_path)          # six examples
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 0
+        shutil.move(tmp_path / "run", tmp_path / "init")
+        eval_argv = ["eval", "--checkpoint", str(tmp_path / "init" / "checkpoint-init"),
+                     "--examples", str(tmp_path / "train.jsonl")]
+        built, make_batch = [], relpe.encoder.make_batch
+
+        def spy(examples, cfg):
+            built.append(len(examples))
+            return make_batch(examples, cfg)
+
+        monkeypatch.setattr(relpe.encoder, "make_batch", spy)
+        capsys.readouterr()
+        assert cli_main(eval_argv) == 0
+        assert built == [4, 2]
+        assert json.loads(capsys.readouterr().out)["num_examples"] == 6
+
         records = [ex.to_dict() for ex in tiny_examples()]
         records[5]["tokens"][0] = 13
         (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records),
                                               encoding="utf-8")
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == (
+        assert cli_main(eval_argv) == 1
+        assert capsys.readouterr().err == 2 * (
             f"error: {tmp_path / 'train.jsonl'}: examples 4-5: batch example 1 has token 13 "
             f"outside [0, vocab_size=13) at position 0\n")
         assert not (tmp_path / "run").exists()
-
-    def test_checking_an_example_file_holds_one_slice(self, monkeypatch):
-        # The check's own peak, past the examples read: 20,000 offset-copy
-        # examples of 128 tokens (200 distinct ones, each 100 times) took
-        # 112.6 MiB checked as one batch.
-        examples = make_offset_copy_examples(200, 128, 48, -3, np.random.default_rng(0)) * 100
-        monkeypatch.setattr(relpe.cli, "read_examples", lambda path: examples)
-        model = EncoderConfig(vocab_size=53, d_model=64, num_heads=2, max_seq_len=128)
-        tracemalloc.start()
-        try:
-            assert relpe.cli._read_examples("train.jsonl", model) is examples
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20, peak
 
     @pytest.mark.parametrize("case", ["build-vocab-corpus", "pretrain-config", "train-examples",
                                       "prepare-data-corpus", "prepare-data-lexicon",

@@ -163,10 +163,19 @@ def test_only_the_training_loop_runs_steps():
 def test_one_function_builds_a_batch():
     # ``make_batch`` alone flattens examples' fields into a batch's arrays and
     # checks them; the model's passes take the Batch it returns, and the loss
-    # reads its labels from the forward's output.
+    # reads its labels from the forward's output. The forward and the Trainer's
+    # check of its examples are its only callers, so the CLI checks no file.
+    def readers(name):
+        return sum((name_readers(p.read_text(encoding="utf-8"), p.name, name)
+                    for p in sorted(SRC.glob("*.py"))), [])
+
     for name in ("_flat", "_raise_first"):
-        assert sum((name_readers(p.read_text(encoding="utf-8"), p.name, name)
-                    for p in sorted(SRC.glob("*.py"))), []) == ["encoder.py:make_batch"], name
+        assert readers(name) == ["encoder.py:make_batch"], name
+    assert readers("make_batch") == ["encoder.py:EncoderModel.pretrain_forward",
+                                     "train.py:Trainer.__init__"]
+    assert "make_batch" not in {alias.name
+                                for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                                if isinstance(node, ast.ImportFrom) for alias in node.names}
     module = ast.parse((SRC / "encoder.py").read_text(encoding="utf-8")).body
 
     def arguments(body, name):

@@ -8,9 +8,11 @@ absolute embeddings added to the inputs (PAPE).
 A batch of examples runs as one (B, n, d_model) pass: shorter examples are
 padded with [PAD] to the longest one, and a (B, n) validity mask keeps the
 padded keys out of every attention row. :func:`make_batch` builds a batch's
-arrays and is the one check of its examples against the model;
-:meth:`EncoderModel.encode` takes the :class:`Batch` it returns and checks
-nothing.
+arrays and is the one check of its examples against the model; the code that
+holds the examples calls it once, and every model pass
+(:meth:`EncoderModel.pretrain_forward`, :meth:`EncoderModel.encode`,
+:meth:`EncoderModel.embed_inputs`) takes the :class:`Batch` it returns and
+checks nothing.
 
 The pretraining heads read only a few rows of the last layer: NSP reads the
 [CLS] row and MLM the prediction positions. So the last layer runs only at
@@ -221,16 +223,14 @@ class EncoderModel:
         return self.layer_forward(x, self.layers[-1], mask=batch.mask, rng=rng,
                                   queries=queries)
 
-    def pretrain_forward(self, examples,
+    def pretrain_forward(self, batch: Batch,
                          rng: np.random.Generator | None = None) -> ForwardOutput:
-        """Encode a batch of examples in one pass and apply the MLM and NSP heads.
+        """Encode a batch in one pass and apply the MLM and NSP heads.
 
-        ``examples`` is a sequence of PretrainExample; :func:`make_batch`
-        builds and checks its arrays. Each dropout site draws one mask of the
-        whole batch's shape. The last layer runs only at the slots the heads
-        read (see :class:`ForwardOutput`).
+        Each dropout site draws one mask of the whole batch's shape. The last
+        layer runs only at the slots the heads read (see :class:`ForwardOutput`),
+        and the MLM head runs on the prediction rows, none or many.
         """
-        batch = make_batch(examples, self.cfg)
         b = batch.nsp_labels.size
         counts = np.bincount(batch.owners, minlength=b)
         slot = np.arange(1 + int(counts.max()))
@@ -243,14 +243,10 @@ class EncoderModel:
         pooled = affine(rows.take_rows(np.arange(b) * slot.size), p["pooler.w"],
                         p["pooler.b"]).tanh()
         nsp_logits = affine(pooled, p["nsp.w"], p["nsp.b"])
-
-        if batch.positions.size:
-            h = rows.take_rows(np.flatnonzero(predicted))
-            h = gelu(affine(h, p["mlm.dense.w"], p["mlm.dense.b"]))
-            h = layer_norm(h, p["mlm.ln.gamma"], p["mlm.ln.beta"])
-            mlm_logits = affine(h, p["embed.token"].T, p["mlm.output_bias"])
-        else:
-            mlm_logits = Tensor(np.zeros((0, self.cfg.vocab_size)))
+        h = rows.take_rows(np.flatnonzero(predicted))
+        h = gelu(affine(h, p["mlm.dense.w"], p["mlm.dense.b"]))
+        h = layer_norm(h, p["mlm.ln.gamma"], p["mlm.ln.beta"])
+        mlm_logits = affine(h, p["embed.token"].T, p["mlm.output_bias"])
         return ForwardOutput(slot_states=slot_states, slot_positions=slot_positions,
                              pooled=pooled, mlm_logits=mlm_logits, nsp_logits=nsp_logits,
                              batch=batch)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderModel, pretrain_loss
+from .encoder import EncoderConfig, EncoderModel, make_batch, pretrain_loss
 from .synth import make_offset_copy_examples
 from .tensor import Tensor, no_grad
 
@@ -101,7 +101,8 @@ def check_full_model(scheme, seed: int = 0) -> GradCheckReport:
 
     The model is a 2-layer encoder (d_model 64, 2 heads, vocabulary 128,
     ``max_seq_len`` 32) built from ``seed``, on one length-12 offset-copy
-    example with two masked queries and NSP label 1.
+    example with two masked queries and NSP label 1. Its batch is built once;
+    every forward of the check runs it.
     """
     cfg = EncoderConfig(vocab_size=128, d_model=64, num_layers=2, num_heads=2,
                         max_seq_len=32, scheme=scheme)
@@ -109,9 +110,10 @@ def check_full_model(scheme, seed: int = 0) -> GradCheckReport:
     example = make_offset_copy_examples(1, 12, cfg.vocab_size - 5, -3,
                                         np.random.default_rng(7))[0]
     example.nsp_label = 1
+    batch = make_batch([example], cfg)
 
     def loss_fn():
-        loss, _ = pretrain_loss(model.pretrain_forward([example]))
+        loss, _ = pretrain_loss(model.pretrain_forward(batch))
         return loss
 
     return check_gradients(loss_fn, model.parameters(), rng=np.random.default_rng(11))

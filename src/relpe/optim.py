@@ -202,7 +202,7 @@ class PrecisionPolicy:
     # Both modes run training_step's one sequence. A non-finite unscaled
     # gradient skips a "mixed_emulated" step and ends a "full" run.
     mode: str = "full"                 # "full" or "mixed_emulated"
-    loss_scale: float = 1024.0         # the mixed backward seed
+    loss_scale: float = 1024.0         # the mixed backward seed; full mode never reads it
 
     def __post_init__(self):
         if self.mode not in ("full", "mixed_emulated"):
@@ -210,6 +210,10 @@ class PrecisionPolicy:
         require_number(self, "loss_scale", float, 1)
         if math.frexp(self.loss_scale)[0] != 0.5:
             raise ValueError(f"loss_scale={self.loss_scale!r} must be a power of two >= 1")
+        if self.mode == "mixed_emulated" and self.loss_scale > 2.0 ** 15:
+            # a larger seed is inf in binary16 and would skip every step
+            raise ValueError(f"loss_scale={self.loss_scale!r} must be <= 32768 under "
+                             "mixed_emulated, the largest power of two binary16 holds")
 
 
 def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer, lr: float):
@@ -234,9 +238,7 @@ def training_step(policy: PrecisionPolicy, loss_fn, optimizer: _MomentOptimizer,
                 optimizer.bind(round_half(optimizer.w))
             with value_filter(round_half if mixed else None):
                 loss, metrics = loss_fn()
-                # The seed is the loss scale's binary16 value: a power of two
-                # past HALF_MAX rounds to inf.
-                loss.backward(scale if scale <= HALF_MAX else math.inf)
+                loss.backward(scale)
             g = optimizer.gather(p.grad for p in params)
         finally:
             if mixed:

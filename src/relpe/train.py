@@ -66,14 +66,18 @@ class Trainer:
         self.step = 0
 
     def run_step(self, t: int):
-        """Execute training step t (1-based) and return its metrics record; a step
-        that diverges (see ``training_step``; the loss is checked before the
-        backward) raises TrainingDiverged naming t and leaves the optimizer unchanged."""
+        """Execute training step t (1-based) and return its metrics record.
+
+        The step's examples become one :class:`~relpe.encoder.Batch` before the
+        forward runs. A step that diverges (see ``training_step``; the loss is
+        checked before the backward) raises TrainingDiverged naming t and
+        leaves the optimizer unchanged."""
         config = self.config
         lr = lr_at_step(config.schedule, t)
         idx = np.random.default_rng([config.seed, 1, t]).integers(len(self.examples),
                                                                   size=config.batch_size)
-        batch = [self.examples[i] for i in idx]
+        start = time.monotonic()
+        batch = make_batch([self.examples[i] for i in idx], config.model)
         dropout = config.model.hidden_dropout > 0 or config.model.attn_dropout > 0
         def loss_fn():
             rng = np.random.default_rng([config.seed, 2, t]) if dropout else None
@@ -81,7 +85,6 @@ class Trainer:
             if not np.isfinite(metrics["loss"]):
                 raise NonFiniteValueError(f"loss is {metrics['loss']}")
             return loss, metrics
-        start = time.monotonic()
         try:
             metrics, skipped = training_step(config.precision, loss_fn, self.optimizer, lr)
         except (NonFiniteValueError, NonFiniteGradientError) as exc:
@@ -207,11 +210,11 @@ def _naming_examples(start: int, chunk: list):
 def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
     """MLM loss/accuracy per prediction and NSP accuracy over an example set.
 
-    Runs the training step's batched forward and loss on chunks of examples,
-    without building a graph; as in a training step, floating-point warnings
-    are silenced and a non-finite value raises NonFiniteValueError. An error,
-    such as an example the model cannot run, names its chunk's examples
-    (``examples s-e: ...``).
+    Builds one :class:`~relpe.encoder.Batch` per chunk of examples and runs
+    the training step's forward and loss on it, without building a graph; as
+    in a training step, floating-point warnings are silenced and a non-finite
+    value raises NonFiniteValueError. An error, such as an example the model
+    cannot run, names its chunk's examples (``examples s-e: ...``).
     """
     _keep_freed_memory_mapped()
     totals = dict.fromkeys(("num_predictions", "mlm_nll_sum", "mlm_correct",
@@ -220,7 +223,7 @@ def evaluate(model: EncoderModel, examples: list[PretrainExample]) -> dict:
         _take_first_use_memory()
         for start, chunk in _eval_chunks(model.cfg, examples):
             with _naming_examples(start, chunk):
-                _, metrics = pretrain_loss(model.pretrain_forward(chunk))
+                _, metrics = pretrain_loss(model.pretrain_forward(make_batch(chunk, model.cfg)))
             for key in totals:
                 totals[key] += metrics[key]
     n, n_pred = len(examples), totals["num_predictions"]

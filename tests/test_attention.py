@@ -556,7 +556,7 @@ class TestFusedAttentionMatchesComposite:
     @pytest.mark.parametrize("scheme", [Scheme.NONE, Scheme.PAPE, Scheme.PRPE, Scheme.FRPE])
     def test_encoder_with_composite_blocks(self, scheme, monkeypatch):
         # the whole model, padded batch and dropout: same loss bit for bit
-        from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
+        from relpe.encoder import EncoderConfig, EncoderModel, make_batch, pretrain_loss
         from test_encoder import mixed_batch
 
         # FRPE runs past its table (n = 9 > 6); PAPE's table must hold n
@@ -566,7 +566,7 @@ class TestFusedAttentionMatchesComposite:
                             hidden_dropout=0.1, attn_dropout=0.2)
 
         def run():
-            model, batch = EncoderModel(cfg, seed=34), mixed_batch()
+            model, batch = EncoderModel(cfg, seed=34), make_batch(mixed_batch(), cfg)
             loss, _ = pretrain_loss(
                 model.pretrain_forward(batch, rng=np.random.default_rng(35)))
             loss.backward()

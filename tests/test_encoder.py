@@ -152,7 +152,7 @@ class TestForward:
     def test_shapes(self):
         model = EncoderModel(tiny_config(), seed=2)
         ex = tiny_example()
-        out = model.pretrain_forward([ex])              # a batch of one
+        out = model.pretrain_forward(make_batch([ex], model.cfg))   # a batch of one
         assert out.slot_states.data.shape == (1, 3, 8)  # [CLS] and two predictions
         np.testing.assert_array_equal(out.slot_positions, [[0, 1, 4]])
         assert model.encode(make_batch([ex], model.cfg)).data.shape == (1, 7, 8)
@@ -162,24 +162,24 @@ class TestForward:
 
     def test_forward_is_deterministic_without_dropout(self):
         model = EncoderModel(tiny_config(), seed=2)
-        a = model.pretrain_forward([tiny_example()])
-        b = model.pretrain_forward([tiny_example()])
+        a = model.pretrain_forward(make_batch([tiny_example()], model.cfg))
+        b = model.pretrain_forward(make_batch([tiny_example()], model.cfg))
         np.testing.assert_array_equal(a.mlm_logits.data, b.mlm_logits.data)
         np.testing.assert_array_equal(a.nsp_logits.data, b.nsp_logits.data)
 
     def test_dropout_changes_activations_but_respects_rng(self):
         cfg = tiny_config(hidden_dropout=0.3)
         model = EncoderModel(cfg, seed=2)
-        ex = tiny_example()
-        a = model.pretrain_forward([ex], rng=np.random.default_rng(1))
-        b = model.pretrain_forward([ex], rng=np.random.default_rng(1))
-        c = model.pretrain_forward([ex], rng=np.random.default_rng(2))
+        batch = make_batch([tiny_example()], cfg)
+        a = model.pretrain_forward(batch, rng=np.random.default_rng(1))
+        b = model.pretrain_forward(batch, rng=np.random.default_rng(1))
+        c = model.pretrain_forward(batch, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(a.slot_states.data, b.slot_states.data)
         assert not np.array_equal(a.slot_states.data, c.slot_states.data)
 
     def test_pooled_is_tanh_bounded(self):
         model = EncoderModel(tiny_config(), seed=3)
-        out = model.pretrain_forward([tiny_example()])
+        out = model.pretrain_forward(make_batch([tiny_example()], model.cfg))
         assert np.all(np.abs(out.pooled.data) < 1.0)
 
     def test_prediction_position_out_of_range(self):
@@ -187,21 +187,21 @@ class TestForward:
         ex = tiny_example()
         ex.predict_positions = [1, 7]
         with pytest.raises(IndexError):
-            model.pretrain_forward([ex])
+            make_batch([ex], model.cfg)
 
     def test_decoder_shares_token_embedding_storage(self):
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
-        before = model.pretrain_forward([ex]).mlm_logits.data.copy()
+        before = model.pretrain_forward(make_batch([ex], model.cfg)).mlm_logits.data.copy()
         model.parameters()["embed.token"].data[:] *= 1.5
-        after = model.pretrain_forward([ex]).mlm_logits.data
+        after = model.pretrain_forward(make_batch([ex], model.cfg)).mlm_logits.data
         assert not np.allclose(before, after)
 
     def test_tied_decoder_gradient_includes_both_roles(self):
         # the embedding gradient must combine input-side and decoder-side use
         model = EncoderModel(tiny_config(), seed=4)
         ex = tiny_example()
-        loss, _ = pretrain_loss(model.pretrain_forward([ex]))
+        loss, _ = pretrain_loss(model.pretrain_forward(make_batch([ex], model.cfg)))
         loss.backward()
         g = model.parameters()["embed.token"].grad
         assert g is not None
@@ -215,7 +215,7 @@ class TestPretrainLoss:
     def test_uniform_logits_give_log_vocab(self):
         model = EncoderModel(tiny_config(), seed=5)
         ex = tiny_example()
-        out = model.pretrain_forward([ex])
+        out = model.pretrain_forward(make_batch([ex], model.cfg))
         out.mlm_logits = Tensor(np.zeros((2, 16)))
         out.nsp_logits = Tensor(np.zeros((1, 2)))
         loss, metrics = pretrain_loss(out)
@@ -227,14 +227,14 @@ class TestPretrainLoss:
         # with sigma=0.02 init the MLM logits are near-uniform
         model = EncoderModel(tiny_config(vocab_size=64), seed=6)
         ex = tiny_example()
-        _, metrics = pretrain_loss(model.pretrain_forward([ex]))
+        _, metrics = pretrain_loss(model.pretrain_forward(make_batch([ex], model.cfg)))
         assert abs(metrics["mlm_loss"] - np.log(64.0)) < 0.5
 
     def test_no_prediction_positions(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
         ex.predict_positions, ex.predict_labels = [], []
-        loss, metrics = pretrain_loss(model.pretrain_forward([ex]))
+        loss, metrics = pretrain_loss(model.pretrain_forward(make_batch([ex], model.cfg)))
         assert metrics["mlm_loss"] == 0.0
         assert np.isnan(metrics["mlm_accuracy"])
         assert loss.item() == pytest.approx(metrics["nsp_loss"])
@@ -245,14 +245,14 @@ class TestPretrainLoss:
         ex.predict_labels = [9]
         problem = "has 2 predict_positions but 1 predict_labels"
         with pytest.raises(ValueError, match=f"^batch example 0 {problem}$"):
-            model.pretrain_forward([ex])
+            make_batch([ex], model.cfg)
         with pytest.raises(ValueError, match=f"^batch example 1 {problem}$"):
-            model.pretrain_forward([tiny_example(), ex])
+            make_batch([tiny_example(), ex], model.cfg)
 
     def test_perfect_logits_give_accuracy_one(self):
         model = EncoderModel(tiny_config(), seed=6)
         ex = tiny_example()
-        out = model.pretrain_forward([ex])
+        out = model.pretrain_forward(make_batch([ex], model.cfg))
         logits = np.zeros((2, 16))
         logits[0, ex.predict_labels[0]] = 50.0
         logits[1, ex.predict_labels[1]] = 50.0
@@ -272,7 +272,7 @@ class TestPretrainLoss:
                              nsp_label=0)
 
         def loss():
-            out = model.pretrain_forward([ex])
+            out = model.pretrain_forward(make_batch([ex], model.cfg))
             total, _ = pretrain_loss(out)
             return total
 
@@ -326,7 +326,7 @@ def padded(batch):
 def run_batched(model, batch, rng=None):
     for p in model.parameters().values():
         p.zero_grad()
-    loss, metrics = pretrain_loss(model.pretrain_forward(batch, rng=rng))
+    loss, metrics = pretrain_loss(model.pretrain_forward(make_batch(batch, model.cfg), rng=rng))
     loss.backward()
     return loss.item(), metrics, {k: p.grad for k, p in model.parameters().items()}
 
@@ -337,7 +337,8 @@ def run_per_example(model, batch, rngs=None):
         p.zero_grad()
     total, parts = Tensor(0.0), []
     for i, ex in enumerate(batch):
-        loss, m = pretrain_loss(model.pretrain_forward([ex], rng=rngs and rngs[i]))
+        out = model.pretrain_forward(make_batch([ex], model.cfg), rng=rngs and rngs[i])
+        loss, m = pretrain_loss(out)
         total, parts = total + loss, parts + [m]
     total = div(total, float(len(batch)))
     total.backward()
@@ -386,8 +387,8 @@ class TestBatchedForward:
     def test_padding_is_invisible_to_each_example(self):
         model = EncoderModel(tiny_config(), seed=12)
         batch = mixed_batch()
-        out = model.pretrain_forward(batch)
-        alone = model.pretrain_forward([batch[3]])        # the shortest example
+        out = model.pretrain_forward(make_batch(batch, model.cfg))
+        alone = model.pretrain_forward(make_batch([batch[3]], model.cfg))   # the shortest
         k = 1 + len(batch[3].predict_positions)
         np.testing.assert_allclose(out.slot_states.data[3, :k], alone.slot_states.data[0],
                                    rtol=0, atol=1e-12)
@@ -410,6 +411,28 @@ class TestBatchedForward:
         got, want = run_batched(model, batch), run_per_example(model, batch)
         assert got[1]["mlm_loss"] == 0.0 and np.isnan(got[1]["mlm_accuracy"])
         assert_runs_agree(got, want)
+
+    @pytest.mark.parametrize("mode", ["full", "mixed_emulated"])
+    def test_training_step_without_predictions(self, mode):
+        # the MLM head runs on zero rows: the step is applied, its loss is the
+        # NSP loss, and every MLM-head gradient is an explicit zero
+        model = EncoderModel(tiny_config(), seed=13)
+        examples = mixed_batch()
+        for ex in examples:
+            ex.predict_positions, ex.predict_labels = [], []
+        batch, params = make_batch(examples, model.cfg), model.parameters()
+        optimizer = make_optimizer("lamb", params)
+        before = optimizer.w.copy()
+        metrics, skipped = training_step(PrecisionPolicy(mode=mode),
+                                         lambda: pretrain_loss(model.pretrain_forward(batch)),
+                                         optimizer, lr=1e-2)
+        assert not skipped and optimizer.state.step == 1
+        assert not np.array_equal(optimizer.w, before)
+        assert metrics["loss"] == metrics["nsp_loss"] and metrics["mlm_loss"] == 0.0
+        heads = [name for name in params if name.startswith("mlm.")]
+        assert len(heads) == 5
+        for name in heads:
+            assert params[name].grad is not None and not params[name].grad.any(), name
 
     def test_dropout_draws_one_batch_shaped_mask_per_site(self):
         cfg = tiny_config(hidden_dropout=0.2, attn_dropout=0.3)
@@ -452,7 +475,7 @@ class TestBatchedForward:
         other = arrays.tokens.copy()
         other[3, 4:] = [5, 9, 1, 12, 7]             # example 3 has 4 tokens
         with value_filter(round_half):
-            loss, metrics = pretrain_loss(model.pretrain_forward(batch))
+            loss, metrics = pretrain_loss(model.pretrain_forward(arrays))
             (loss * 1024.0).backward()
             states = [model.encode(dataclasses.replace(arrays, tokens=ids)).data
                       for ids in (arrays.tokens, other)]
@@ -478,9 +501,9 @@ class TestBatchedForward:
         batch[3].tokens[2] = 99
         with pytest.raises(IndexError, match=re.escape(
                 "batch example 3 has token 99 outside [0, vocab_size=16) at position 2")):
-            model.pretrain_forward(batch)
+            make_batch(batch, model.cfg)
         with pytest.raises(ValueError):
-            model.pretrain_forward([])
+            make_batch([], model.cfg)
 
     @pytest.mark.parametrize("damage, error, message", [
         ({2: dict(predict_positions=[9])}, IndexError,
@@ -511,7 +534,7 @@ class TestBatchedForward:
             for name, value in fields.items():
                 setattr(batch[i], name, value)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            model.pretrain_forward(batch)
+            make_batch(batch, model.cfg)
 
 
 def full_rows_forward(model, examples, rng=None):
@@ -564,7 +587,8 @@ class TestLastLayerAtQueryRows:
         # padded; example 1 predicts nothing, examples 2 and 3 predict position 0
         batch = mixed_batch()
         seed = 8 if dropout else None
-        got = self.run(model, batch, EncoderModel.pretrain_forward, seed)
+        got = self.run(model, batch, lambda model, examples, rng: model.pretrain_forward(
+            make_batch(examples, model.cfg), rng), seed)
         want = self.run(model, batch, full_rows_forward, seed)
         for name in ("pooled", "mlm_logits", "nsp_logits"):
             np.testing.assert_allclose(getattr(got[0], name).data, getattr(want[0], name).data,
@@ -724,14 +748,15 @@ class TestNodeBudget:
                             max_seq_len=32, scheme=Scheme.FRPE)
         example = make_offset_copy_examples(1, 12, 123, -3, np.random.default_rng(7))[0]
         example.nsp_label = 1
-        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward([example]))
+        batch = make_batch([example], cfg)
+        loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch))
         assert graph_nodes(loss) == 34
 
     def test_toy_mlm_batch(self):
         # the toy-MLM benchmark model (test 09's config) on a padded batch of four
         cfg = EncoderConfig(vocab_size=256, d_model=32, num_layers=2, num_heads=2,
                             ffn_size=64, max_seq_len=44, scheme=Scheme.FRPE)
-        batch = mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20))
+        batch = make_batch(mixed_batch(vocab_size=256, lengths=(44, 30, 44, 20)), cfg)
         loss, _ = pretrain_loss(EncoderModel(cfg, seed=0).pretrain_forward(batch))
         assert graph_nodes(loss) == 34
 
@@ -753,7 +778,7 @@ def mixed_steps(scheme, steps=2):
     """
     model = EncoderModel(tiny_config(scheme=scheme, hidden_dropout=0.1, attn_dropout=0.1),
                          seed=21)
-    params, batch = model.parameters(), mixed_batch()
+    params, batch = model.parameters(), make_batch(mixed_batch(), model.cfg)
     optimizer = make_optimizer("lamb", params)
     policy = PrecisionPolicy(mode="mixed_emulated", loss_scale=1024.0)
     losses = []

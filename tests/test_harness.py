@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import relpe.ablate
 import relpe.cli
-import relpe.encoder
 import relpe.optim
 import relpe.train
 from relpe.ablate import AblationGrid, hash_cell
@@ -26,7 +25,7 @@ from relpe.checkpoint import CheckpointError, load_manifest, load_optimizer_stat
 from relpe.cli import main as cli_main
 from relpe.config import ConfigError, RunConfig
 from relpe.data import CLS_ID, MASK_ID, SPECIAL_TOKENS, PretrainExample
-from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
+from relpe.encoder import EncoderConfig, EncoderModel, make_batch, pretrain_loss
 from relpe.optim import AdamOptimizer, LambOptimizer, LrSchedule, PrecisionPolicy
 from relpe.synth import (generate_toy_corpus, make_offset_copy_examples,
                          partner, toy_words)
@@ -896,7 +895,7 @@ class TestEvaluate:
 
         nll = correct = nsp = 0.0
         for ex in examples:
-            out = model.pretrain_forward([ex])
+            out = model.pretrain_forward(make_batch([ex], model.cfg))
             loss, _ = pretrain_loss(out)
             assert loss.requires_grad     # the reference builds every graph
             k = len(ex.predict_labels)
@@ -1322,9 +1321,9 @@ class TestCli:
         assert not (tmp_path / "p" / "run").exists()
 
     def test_example_file_is_checked_in_evaluation_chunks(self, tmp_path, capsys, monkeypatch):
-        # relpe eval's check is evaluate's own forward, which runs make_batch
-        # once a chunk. pretrain and eval name a bad example alike: the file,
-        # its chunk's range, then its index in the chunk. A budget of four of
+        # relpe eval's check is the make_batch that evaluate runs once a
+        # chunk. pretrain and eval name a bad example alike: the file, its
+        # chunk's range, then its index in the chunk. A budget of four of
         # these examples a chunk makes chunks 0-3 and 4-5.
         monkeypatch.setattr(relpe.train, "_eval_pass_budget", lambda cfg: 4 * 12 * 16)
         cfg_path = self.write_init_only_config(tmp_path)          # six examples
@@ -1332,13 +1331,13 @@ class TestCli:
         shutil.move(tmp_path / "run", tmp_path / "init")
         eval_argv = ["eval", "--checkpoint", str(tmp_path / "init" / "checkpoint-init"),
                      "--examples", str(tmp_path / "train.jsonl")]
-        built, make_batch = [], relpe.encoder.make_batch
+        built, real = [], relpe.train.make_batch
 
         def spy(examples, cfg):
             built.append(len(examples))
-            return make_batch(examples, cfg)
+            return real(examples, cfg)
 
-        monkeypatch.setattr(relpe.encoder, "make_batch", spy)
+        monkeypatch.setattr(relpe.train, "make_batch", spy)
         capsys.readouterr()
         assert cli_main(eval_argv) == 0
         assert built == [4, 2]
@@ -1426,6 +1425,17 @@ class TestCli:
         assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid ") and f"{key}=" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_pretrain_rejects_a_mixed_loss_scale_past_binary16(self, tmp_path, capsys):
+        cfg_path = self.write_init_only_config(tmp_path)
+        d = json.loads(cfg_path.read_text(encoding="utf-8"))
+        d["precision"] = {"mode": "mixed_emulated", "loss_scale": 65536.0}
+        cfg_path.write_text(json.dumps(d), encoding="utf-8")
+        assert cli_main(["pretrain", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid precision config: loss_scale=65536.0 must be "
+                              "<= 32768")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section", ["model", "precision"])

@@ -162,17 +162,19 @@ def test_only_the_training_loop_runs_steps():
 
 def test_one_function_builds_a_batch():
     # ``make_batch`` alone flattens examples' fields into a batch's arrays and
-    # checks them; the model's passes take the Batch it returns, and the loss
-    # reads its labels from the forward's output. The forward and the Trainer's
-    # check of its examples are its only callers, so the CLI checks no file.
+    # checks them; every model pass takes the Batch it returns, and the loss
+    # reads its labels from the forward's output. Only the code that holds the
+    # examples calls it: the Trainer's check and steps, evaluate's chunks and
+    # the gradient check's one batch. The CLI checks no file.
     def readers(name):
         return sum((name_readers(p.read_text(encoding="utf-8"), p.name, name)
                     for p in sorted(SRC.glob("*.py"))), [])
 
     for name in ("_flat", "_raise_first"):
         assert readers(name) == ["encoder.py:make_batch"], name
-    assert readers("make_batch") == ["encoder.py:EncoderModel.pretrain_forward",
-                                     "train.py:Trainer.__init__"]
+    assert readers("make_batch") == ["gradcheck.py:check_full_model",
+                                     "train.py:Trainer.__init__", "train.py:Trainer.run_step",
+                                     "train.py:evaluate"]
     assert "make_batch" not in {alias.name
                                 for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
                                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -185,7 +187,7 @@ def test_one_function_builds_a_batch():
     assert ast.unparse(arguments(module, "pretrain_loss")) == "output: ForwardOutput"
     model = next(node for node in module
                  if isinstance(node, ast.ClassDef) and node.name == "EncoderModel")
-    for name in ("encode", "embed_inputs"):
+    for name in ("pretrain_forward", "encode", "embed_inputs"):
         first = arguments(model.body, name).args[1]
         assert (first.arg, first.annotation and ast.unparse(first.annotation)) == (
             "batch", "Batch"), name

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as np_erf
 
+import relpe.gradcheck
 from relpe.attention import (MASK_FILL, AttentionConfig, HeadWeights, attention_output,
                              attention_scores, multi_head_attention)
-from relpe.gradcheck import NonDeterministicLossError, check_gradients
+from relpe.gradcheck import (GradCheckReport, NonDeterministicLossError,
+                            check_full_model, check_gradients)
 from relpe.optim import round_half
 from relpe.posenc import RelPositionTable, Scheme, build_rel_table, frpe_vector
 from relpe.tensor import (Tensor, _np_erf, _scatter_rows, affine, gelu,
@@ -824,6 +826,21 @@ class TestCheckGradients:
 
         with pytest.raises(NonDeterministicLossError):
             check_gradients(loss, {"p": p})
+
+    def test_full_model_check_builds_its_batch_once(self, monkeypatch):
+        # every forward of check_full_model runs one unchanged batch
+        built, real = [], relpe.gradcheck.make_batch
+        monkeypatch.setattr(relpe.gradcheck, "make_batch",
+                            lambda examples, cfg: built.append(1) or real(examples, cfg))
+        losses = []
+
+        def probe(loss_fn, params, rng):
+            losses.extend(loss_fn().item() for _ in range(3))
+            return GradCheckReport(0.0, "")
+
+        monkeypatch.setattr(relpe.gradcheck, "check_gradients", probe)
+        check_full_model("frpe")
+        assert len(built) == 1 and len(losses) == 3 and len(set(losses)) == 1
 
     def test_rejects_nonpositive_step(self):
         p = Tensor([1.0], requires_grad=True)

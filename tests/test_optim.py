@@ -404,6 +404,18 @@ class TestPrecisionPolicy:
         with pytest.raises(ValueError):
             PrecisionPolicy(mode="mixed_emulated", loss_scale=scale)
 
+    def test_mixed_loss_scale_must_be_a_binary16_value(self):
+        # a larger power of two seeds the backward with inf, which would skip
+        # every step; full mode never reads the scale
+        with pytest.raises(ValueError, match=r"^loss_scale=65536\.0 must be <= 32768 "):
+            PrecisionPolicy(mode="mixed_emulated", loss_scale=65536.0)
+        assert PrecisionPolicy(mode="full", loss_scale=65536.0).loss_scale == 65536.0
+        p = Tensor(np.zeros(1), requires_grad=True)
+        opt = AdamOptimizer({"w": p}, weight_decay=0.0)
+        policy = PrecisionPolicy(mode="mixed_emulated", loss_scale=32768.0)
+        _, skipped = training_step(policy, self.quadratic(p, np.full(1, 0.25)), opt, lr=0.1)
+        assert not skipped and opt.state.step == 1 and p.data[0] > 0.0
+
     def quadratic(self, p, target):
         def loss_fn():
             loss = power(sub(p, target), 2.0).sum()

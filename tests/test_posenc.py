@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relpe.attention import _pair_rows
-from relpe.encoder import EncoderConfig, EncoderModel, pretrain_loss
+from relpe.encoder import EncoderConfig, EncoderModel, make_batch, pretrain_loss
 from relpe.optim import AdamOptimizer
 from relpe.posenc import Scheme, build_rel_table, frpe_vector
 from relpe.tensor import Tensor
@@ -236,7 +236,7 @@ class TestAbsTable:
     def test_rows_past_batch_length_get_zero_gradient(self):
         model = self.model(seed=3, max_seq_len=16)
         batch = mixed_batch(vocab_size=16)                 # longest example: 9 tokens
-        loss, _ = pretrain_loss(model.pretrain_forward(batch))
+        loss, _ = pretrain_loss(model.pretrain_forward(make_batch(batch, model.cfg)))
         loss.backward()
         grad = model.parameters()["abspos.table"].grad
         assert np.all(np.any(grad[:9] != 0, axis=1))
